@@ -1,4 +1,5 @@
-"""Acceptance suite: seven criteria, one test each, budgets pinned.
+"""Acceptance suite: seven criteria, one test each (criterion 6 split in
+two by model-block size), budgets pinned.
 
 Each test is self-contained: it builds its own oracle (bitmask up-set
 enumeration, closed-form inequality re-derivation, recursion replay) rather
@@ -149,29 +150,41 @@ def test_criterion_5_poincare_polynomial():
     assert elapsed < 5.0, f"criterion 5 budget blown: {elapsed:.2f}s"
 
 
+def _check_criterion_6(n_vertices):
+    out = verify_model_properties(n_vertices)
+    checks = out["checks"]
+    assert checks["dimension"], n_vertices  # dim = 4N-3
+    assert checks["associative"], n_vertices
+    assert checks["relations"], n_vertices
+    assert checks["i_linear_order"], n_vertices
+    assert checks["ii_universal_extensions"], n_vertices
+    assert checks["iii_tiltings"], n_vertices
+    assert checks["v_unique_summand_with_higher_ext"], n_vertices
+    assert checks["ext1_no_self_extensions"], n_vertices
+    assert checks["k0_classes"], n_vertices
+    # concentration in a single degree is asserted; WHICH degree is only
+    # reported (the two comparison flags must disagree, never both hold)
+    assert checks["iv_single_degree"], n_vertices
+    rep = out["report"]
+    if n_vertices >= 2:
+        assert rep["iv_degree_matches_vertex_count"] != (
+            rep["iv_degree_matches_vertex_count_minus_one"]
+        )
+    assert out["all_pass"], (n_vertices, checks)
+
+
 def test_criterion_6_model_block():
     started = time.monotonic()
     for n_vertices in range(1, 9):
-        out = verify_model_properties(n_vertices)
-        checks = out["checks"]
-        assert checks["dimension"], n_vertices  # dim = 4N-3
-        assert checks["associative"], n_vertices
-        assert checks["relations"], n_vertices
-        assert checks["i_linear_order"], n_vertices
-        assert checks["ii_universal_extensions"], n_vertices
-        assert checks["iii_tiltings"], n_vertices
-        assert checks["v_unique_summand_with_higher_ext"], n_vertices
-        assert checks["ext1_no_self_extensions"], n_vertices
-        assert checks["k0_classes"], n_vertices
-        # concentration in a single degree is asserted; WHICH degree is only
-        # reported (the two comparison flags must disagree, never both hold)
-        assert checks["iv_single_degree"], n_vertices
-        rep = out["report"]
-        if n_vertices >= 2:
-            assert rep["iv_degree_matches_vertex_count"] != (
-                rep["iv_degree_matches_vertex_count_minus_one"]
-            )
-        assert out["all_pass"], (n_vertices, checks)
+        _check_criterion_6(n_vertices)
+    elapsed = time.monotonic() - started
+    assert elapsed < 60.0, f"criterion 6 budget blown: {elapsed:.2f}s"
+
+
+def test_criterion_6_model_block_large():
+    started = time.monotonic()
+    for n_vertices in [*range(9, 17), 24]:
+        _check_criterion_6(n_vertices)
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"criterion 6 budget blown: {elapsed:.2f}s"
 

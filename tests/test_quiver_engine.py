@@ -6,8 +6,15 @@ counting projective multiplicities in resolution terms (valid for simple
 targets); standard multiplicities are replayed against the Cartan matrix.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import gieseker
 from gieseker import (
     build_model_algebra,
     cartan_matrix,
@@ -28,6 +35,8 @@ from gieseker import (
     tilting,
     verify_model_properties,
 )
+from gieseker.errors import InvariantError
+from gieseker.quiver_engine import _hom_complex_ext, _solve_matrix
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +253,105 @@ def test_standard_multiplicity_table_is_unitriangular():
         assert row[i] == 1
         for j in range(i + 1, len(row)):
             assert row[j] == 0
+
+
+def test_projectives_and_standards_built_once_per_algebra():
+    alg = build_model_algebra(4)
+    for i in range(1, 5):
+        assert projective(alg, i) is projective(alg, i)
+        assert standard(alg, i) is standard(alg, i)
+    assert tilting(alg, 2) is projective(alg, 3)
+    assert tilting(alg, 4) is standard(alg, 4)
+    # a fresh algebra builds its own copies
+    assert projective(build_model_algebra(4), 2) is not projective(alg, 2)
+
+
+# sha256 of json.dumps(verify_model_properties(n), sort_keys=True), recorded
+# before the engine shared its modules and resolutions across checks
+PINNED_REPORTS = {
+    1: "8b4a2b26a7eec3150f756f565332636bcf33e367fc5ac2a6167ac2ba630934e8",
+    2: "86416e9b9d067ad7cd54816bf47e7582fda739907544b8db151e7b64d51e1a4a",
+    3: "29acdbc721420aa4ce49de6897a7e8277898a37c220c7ac200672ba1b7b6a753",
+    5: "a02ee5a2e0009d74e6cb677ea74bc2d05a6de8023af2e58b1643615d4ea017fa",
+    8: "7957ac3f8848d933b0336379a9703afb120238e089f6b1d81ebcb795d98d5d75",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_REPORTS))
+def test_verify_report_bytes_pinned(n):
+    blob = json.dumps(verify_model_properties(n), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_shared_resolutions_match_per_call_route(n):
+    # every value the report reads off a shared resolution, recomputed with
+    # one fresh ext_to_simple / ext_groups call per value
+    rep = verify_model_properties(n)["report"]
+    alg = build_model_algebra(n)
+    max_deg = n + 1
+    simples = [simple(alg, j) for j in range(1, n + 1)]
+    standards = [standard(alg, j) for j in range(1, n + 1)]
+    tiltings = [tilting(alg, j) for j in range(1, n + 1)]
+
+    assert rep["ext1_simples"] == [
+        [ext_to_simple(alg, s, j, 1).dims[1] for j in range(1, n + 1)] for s in simples
+    ]
+
+    iv = [0] * (max_deg + 1)
+    for t in tiltings:
+        for k, d in enumerate(ext_to_simple(alg, t, 1, max_deg).dims):
+            iv[k] += d
+    assert rep["iv_ext_dims"] == iv
+
+    summands, hit_all = [], set()
+    for p, t in enumerate(tiltings, start=1):
+        hit = {
+            j
+            for j in range(1, n + 1)
+            if any(ext_to_simple(alg, t, j, max_deg).dims[1:])
+        }
+        if hit:
+            summands.append(p)
+            hit_all |= hit
+    assert rep["v_summands_with_higher_ext"] == summands
+    assert rep["v_simples_with_higher_ext"] == sorted(hit_all)
+
+    # (ii) and (iii): Ext^1 from each standard, read off one shared
+    # three-term resolution and off a fresh resolution per target
+    targets = standards + tiltings
+    for m in standards:
+        shared = minimal_projective_resolution(alg, m, 3)
+        for x in targets:
+            assert _hom_complex_ext(shared, x, 1) == ext_groups(alg, m, x, 1)
+
+
+def test_verify_model_properties_same_under_python_O():
+    # no result may depend on an assert statement
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gieseker.__file__)))
+    code = (
+        "import json, sys\n"
+        "from gieseker import verify_model_properties\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are still enabled')\n"
+        "print(json.dumps(verify_model_properties(4), sort_keys=True))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == json.dumps(verify_model_properties(4), sort_keys=True)
+
+
+def test_solve_matrix_raises_instead_of_asserting():
+    one, zero = [[1]], [[0]]
+    assert _solve_matrix(one, [[5]], 1, 1, 1) == [[5]]
+    with pytest.raises(InvariantError):
+        _solve_matrix(zero, one, 1, 1, 1)
+    with pytest.raises(InvariantError):
+        _solve_matrix([[]], one, 1, 0, 1)
