@@ -21,20 +21,19 @@ from .diagnostics import (
     has_finite_global_dimension,
     reduced_denominator,
 )
-from .errors import RegimeError
+from .errors import InvariantError, RegimeError
 from .partitions import (
     Hook,
     Multipartition,
     Partition,
     check_partition,
     divide_with_remainder,
-    enumerate_multipartitions,
     hooks,
     multipartition_size,
     remove_corner,
     removable_corners,
 )
-from .torus_chambers import Cocharacter, is_dominant, violated_walls
+from .torus_chambers import Cocharacter, _walls_through, is_dominant
 
 
 def fixed_point_weight(sigma: Multipartition, r: int) -> int:
@@ -49,14 +48,30 @@ def fixed_point_weight(sigma: Multipartition, r: int) -> int:
 
 def poincare_polynomial(n: int, r: int) -> tuple[int, ...]:
     """Coefficients (c_0, c_1, ...) of the even-Betti generating polynomial
-    sum_i dim H^{2i} t^i of the resolution, via the fixed-point weight sum."""
+    sum_i dim H^{2i} t^i of the resolution: the fixed-point weight histogram.
+
+    A part d of the i-th component of a fixed point adds d to its size and
+    rd - i to its weight (see ``fixed_point_weight``), so summing x^|sigma|
+    t^weight over all multipartitions gives the Nakajima-Yoshioka product
+    prod_{i=1..r} prod_{d>=1} 1 / (1 - x^d t^(rd-i))  (H. Nakajima and
+    K. Yoshioka, Instanton counting on blowup I, arXiv:hep-th/0306198).
+    Its x^n coefficient is expanded factor by factor, one geometric series
+    at a time, in O(r n^2 rn) integer additions.
+    """
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
-    weights = [fixed_point_weight(s, r) for s in enumerate_multipartitions(n, r)]
-    coeffs = [0] * (max(weights) + 1)
-    for w in weights:
-        coeffs[w] += 1
-    return tuple(coeffs)
+    # series[k]: t-coefficients of x^k; a fixed point of size k >= 1 has
+    # weight at most rk - 1
+    series = [[1]] + [[0] * (r * k) for k in range(1, n + 1)]
+    for i in range(1, r + 1):
+        for d in range(1, n + 1):
+            shift = r * d - i
+            for k in range(d, n + 1):
+                target = series[k]
+                for e, c in enumerate(series[k - d]):
+                    if c:
+                        target[e + shift] += c
+    return tuple(series[n])
 
 
 def polynomial_string(coeffs: tuple[int, ...]) -> str:
@@ -74,18 +89,18 @@ def polynomial_string(coeffs: tuple[int, ...]) -> str:
 
 
 def top_cohomology_check(n: int, r: int) -> bool:
-    """Top degree rn-1 with coefficient 1, attained only at ((n), (), ...)."""
+    """Top degree rn-1 with coefficient 1, attained only at ((n), (), ...).
+
+    Coefficient 1 means exactly one fixed point has weight rn-1, so when
+    ((n), (), ...) has that weight it is the unique maximizer.
+    """
     coeffs = poincare_polynomial(n, r)
-    if len(coeffs) - 1 != r * n - 1 or coeffs[-1] != 1:
-        return False
-    top = r * n - 1
-    maximizers = [
-        s
-        for s in enumerate_multipartitions(n, r)
-        if fixed_point_weight(s, r) == top
-    ]
     expected: Multipartition = ((n,),) + ((),) * (r - 1)
-    return maximizers == [expected]
+    return (
+        len(coeffs) == r * n
+        and coeffs[-1] == 1
+        and fixed_point_weight(expected, r) == r * n - 1
+    )
 
 
 SEMISIMPLE = "semisimple"
@@ -173,7 +188,8 @@ def support_dimension(
         quotient, _ = divide_with_remainder(sigma[0], m)
         qsize = sum(quotient)
         support = r * n - qsize * (r * m - 1)
-    assert 1 <= support <= r * n
+    if not 1 <= support <= r * n:
+        raise InvariantError(f"support dimension {support} outside [1, {r * n}]")
     return SupportReport(
         sigma=sigma,
         denominator=m,
@@ -188,7 +204,8 @@ def annihilator_index(n: int, r: int, lam: Parameter, sigma: Multipartition) -> 
     lam = as_parameter(lam)
     report = support_dimension(n, r, lam, sigma)
     # positive lambda always has finite global dimension, so the chain exists
-    assert has_finite_global_dimension(n, r, lam)
+    if not has_finite_global_dimension(n, r, lam):
+        raise InvariantError(f"no ideal chain at lambda = {lam}")
     return report.annihilator_index
 
 
@@ -243,7 +260,8 @@ def support_dimension_recursive(
         rest = sum(sum(q) for q, _ in divisions[1:])
         return first + rest * r * m
     choices = legal_removals(sigma, m)
-    assert choices  # some component has a nonempty remainder with a legal corner
+    if not choices:  # some component has a nonempty remainder with a legal corner
+        raise InvariantError(f"no legal box removal from {sigma} at m = {m}")
     ci, row = choices[0]
     return r + support_dimension_recursive(n - 1, r, m, _remove(sigma, ci, row))
 
@@ -308,9 +326,9 @@ def block_structure(
     lam = as_parameter(lam)
     if nu.r != r:
         raise ValueError("cocharacter rank must equal r")
-    bad = violated_walls(nu, n) if not nu.is_zero() else []
-    if nu.is_zero() or bad:
-        label = str(bad[0]) if bad else "zero cocharacter"
+    wall = None if nu.is_zero() else next(_walls_through(nu, n), None)
+    if nu.is_zero() or wall is not None:
+        label = "zero cocharacter" if wall is None else str(wall)
         raise RegimeError(f"cocharacter is not generic (lies on wall {label})")
     m = reduced_denominator(lam)
     if m == 1:

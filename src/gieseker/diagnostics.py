@@ -2,7 +2,9 @@
 
 The quantization parameter lambda is a rational number or the irrational
 sentinel; every classification below depends on lambda only through window
-conditions on its denominator, scanned over moduli 1..n.
+conditions on its denominator.  A window "lam = s/m for some modulus
+1 <= m <= n" holds exactly when the reduced denominator of lam is at most n,
+so each test is O(1) in n.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import InvariantError
 from .partitions import enumerate_compositions
 
 
@@ -83,25 +86,22 @@ def reduced_denominator(lam: Parameter, bound: int | None = None) -> int | None:
 def has_finite_global_dimension(n: int, r: int, lam: Parameter) -> bool:
     """False exactly when lam = s/m with 1 <= m <= n and -rm < s < 0.
 
-    Implemented as a window scan over the modulus m; equivalent to: lam is
-    rational with reduced denominator <= n and -r < lam < 0.
+    Equivalently, lam is rational with reduced denominator <= n and
+    -r < lam < 0; that closed form is what is tested.
     """
     _check_nr(n, r)
     lam = as_parameter(lam)
     if isinstance(lam, _Irrational):
         return True
-    for m in range(1, n + 1):
-        s = lam * m
-        if s.denominator == 1 and -r * m < s < 0:
-            return False
-    return True
+    return not (lam.denominator <= n and -r < lam < 0)
 
 
 def abelian_localization_holds(n: int, r: int, lam: Parameter, theta_sign: int = 1) -> bool:
     """Whether localization at the (anti)dominant stability parameter holds.
 
     theta_sign=+1 tests lam directly: fails exactly when lam = s/m with
-    1 <= m <= n and s < 0.  theta_sign=-1 routes through the opposite-algebra
+    1 <= m <= n and s < 0, i.e. when lam is rational with reduced denominator
+    <= n and lam < 0.  theta_sign=-1 routes through the opposite-algebra
     parameter flip lam -> -lam - r and tests the +1 condition there.
     """
     _check_nr(n, r)
@@ -112,11 +112,7 @@ def abelian_localization_holds(n: int, r: int, lam: Parameter, theta_sign: int =
         raise ValueError("theta_sign must be +1 or -1")
     if isinstance(lam, _Irrational):
         return True
-    for m in range(1, n + 1):
-        s = lam * m
-        if s.denominator == 1 and s < 0:
-            return False
-    return True
+    return not (lam.denominator <= n and lam < 0)
 
 
 def dual_parameter(lam: Parameter, r: int) -> Parameter:
@@ -155,7 +151,8 @@ def findim_dimension_rank_one(n: int, s: int) -> int:
         raise ValueError(f"s = {s} and n = {n} must be coprime")
     num = math.factorial(s + n - 1)
     den = math.factorial(s) * math.factorial(n)
-    assert num % den == 0  # rational Catalan number is integral for coprime s, n
+    if num % den:
+        raise InvariantError(f"rational Catalan number for s = {s}, n = {n} is not integral")
     return num // den
 
 

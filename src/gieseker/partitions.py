@@ -12,7 +12,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+
+from .errors import InvariantError
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -137,10 +139,16 @@ def divide_with_remainder(lam: Partition, m: int) -> tuple[Partition, Partition]
     and |q| maximal among all such decompositions.  Maximality can force
     small quotients: (8,6,1) / 3 -> ((1,1), (5,3,1)) because q = (2,2) and
     q = (2,1) both leave non-decreasing remainders, and (2,1) / 2 -> ((), (2,1)).
+    Results are memoized per process (bounded, least recently used evicted).
     """
-    check_partition(lam)
+    lam = check_partition(lam)
     if m < 2:
         raise ValueError("modulus m must be >= 2")
+    return _divide(lam, m)
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _divide(lam: Partition, m: int) -> tuple[Partition, Partition]:
     k = len(lam)
     if k == 0:
         return (), ()
@@ -148,14 +156,16 @@ def divide_with_remainder(lam: Partition, m: int) -> tuple[Partition, Partition]
     # Right-to-left DP over rows.  State entering row i is (q_{i+1}, rem_{i+1});
     # row i may pick any q_i with q_i >= q_{i+1} and lam_i - m*q_i >= rem_{i+1}
     # (and q_i <= lam_i // m so rem_i >= 0).  Maximize sum of q.
-    @cache
+    memo: dict[tuple[int, int, int], tuple[int, int] | None] = {}
+
     def best(i: int, q_next: int, rem_next: int) -> tuple[int, int] | None:
         # returns (total |q| from rows 0..i, q_i chosen) maximizing the total,
         # or None if no valid choice exists
+        key = (i, q_next, rem_next)
+        if key in memo:
+            return memo[key]
         lo = q_next
         hi = (lam[i] - rem_next) // m
-        if hi < lo:
-            return None
         result: tuple[int, int] | None = None
         for q_i in range(lo, hi + 1):
             if i == 0:
@@ -167,6 +177,7 @@ def divide_with_remainder(lam: Partition, m: int) -> tuple[Partition, Partition]
                 cand = (sub[0] + q_i, q_i)
             if result is None or cand[0] > result[0]:
                 result = cand
+        memo[key] = result
         return result
 
     # walk from the last row back, re-deriving the argmax at each row given
@@ -175,13 +186,15 @@ def divide_with_remainder(lam: Partition, m: int) -> tuple[Partition, Partition]
     q_next, rem_next = 0, 0
     for i in range(k - 1, -1, -1):
         chosen = best(i, q_next, rem_next)
-        assert chosen is not None  # q = 0 everywhere is always valid
+        if chosen is None:  # q = 0 everywhere is always valid
+            raise InvariantError(f"no division of {lam} by {m}")
         q[i] = chosen[1]
         q_next, rem_next = q[i], lam[i] - m * q[i]
 
     quotient = tuple(x for x in q if x > 0)
     remainder = tuple(lam[i] - m * q[i] for i in range(k) if lam[i] - m * q[i] > 0)
-    assert is_partition(quotient) and is_partition(remainder)
+    if not (is_partition(quotient) and is_partition(remainder)):
+        raise InvariantError(f"division of {lam} by {m} left {quotient}, {remainder}")
     return quotient, remainder
 
 

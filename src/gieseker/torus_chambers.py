@@ -88,31 +88,54 @@ class WallSet:
 def walls(n: int, r: int) -> WallSet:
     """The full wall arrangement for rank r at n points.
 
-    1 + r(r-1)/2 * (2n-1) forms before deduplication; the forms are pairwise
-    non-proportional, so deduplication never actually merges any.
+    1 + r(r-1)/2 * (2n-1) forms, pairwise non-proportional by construction
+    (distinct (i, j, s) give distinct forms), so none coincide.
     """
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
-    out = [Wall("k_zero")]
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            for s in range(-(n - 1), n):
-                out.append(Wall("pair", i, j, s))
-    raw_count = len(out)
-    assert raw_count == 1 + r * (r - 1) // 2 * (2 * n - 1)
-    return WallSet(n, r, tuple(dict.fromkeys(out)), raw_count)
+    forms = (Wall("k_zero"),) + tuple(
+        Wall("pair", i, j, s)
+        for i in range(1, r + 1)
+        for j in range(i + 1, r + 1)
+        for s in range(-(n - 1), n)
+    )
+    return WallSet(n, r, forms, 1 + r * (r - 1) // 2 * (2 * n - 1))
+
+
+def _walls_through(nu: Cocharacter, n: int):
+    """The walls nu lies on, in the order of ``walls(n, nu.r)``, found pair by
+    pair in O(r^2): for k != 0 the pair (i, j) contributes the one wall
+    s = (d_i - d_j) / k when k divides d_i - d_j and |s| < n; for k = 0 it
+    contributes every s when d_i = d_j and nothing otherwise."""
+    if n < 1:
+        raise ValueError("need n >= 1 and r >= 1")
+    k = nu.k
+    if k == 0:
+        yield Wall("k_zero")
+    for i in range(1, nu.r + 1):
+        for j in range(i + 1, nu.r + 1):
+            diff = nu.d[i - 1] - nu.d[j - 1]
+            if k == 0:
+                if diff == 0:
+                    yield from (Wall("pair", i, j, s) for s in range(-(n - 1), n))
+            elif diff % k == 0 and abs(diff // k) < n:
+                yield Wall("pair", i, j, diff // k)
 
 
 def violated_walls(nu: Cocharacter, n: int) -> list[Wall]:
-    """Walls the cocharacter lies on."""
-    return [w for w in walls(n, nu.r).walls if w.evaluate(nu) == 0]
+    """Walls the cocharacter lies on, in the order of ``walls(n, nu.r)``.
+
+    Found by divisibility of d_i - d_j by k (see ``_walls_through``) without
+    building the arrangement.
+    """
+    return list(_walls_through(nu, n))
 
 
 def is_generic(nu: Cocharacter, n: int) -> bool:
     """Finite fixed locus: off every wall.  Zero cocharacter rejected."""
     if nu.is_zero():
         raise RegimeError("the zero cocharacter is never generic")
-    return not violated_walls(nu, n)
+    return next(_walls_through(nu, n), None) is None
 
 
 def is_dominant(nu: Cocharacter, n: int) -> bool:
@@ -123,25 +146,34 @@ def is_dominant(nu: Cocharacter, n: int) -> bool:
 
 
 def same_chamber(nu: Cocharacter, nu2: Cocharacter, n: int) -> bool:
-    """Whether two generic cocharacters have identical sign data on all walls."""
+    """Whether two generic cocharacters have identical sign data on all walls.
+
+    O(r^2) without building the arrangement.  A generic cocharacter has
+    k != 0, and on it the form d_i - d_j - s*k of a pair wall has the sign
+    of k times the sign of x - s, with x = (d_i - d_j) / k.  So the sign data
+    is the sign of k plus, for each pair, the number of s in [-(n-1), n-1]
+    below x, which is min(max(floor(x) + n, 0), 2n - 1).
+    """
     if nu.r != nu2.r:
         raise ValueError("cocharacters must have the same rank")
     for candidate in (nu, nu2):
-        bad = violated_walls(candidate, n)
-        if candidate.is_zero() or bad:
-            label = str(bad[0]) if bad else "zero cocharacter"
+        wall = next(_walls_through(candidate, n), None)
+        if wall is not None:  # the zero cocharacter lies on k=0
             raise RegimeError(
                 f"cocharacter {format_cocharacter(candidate)} is not generic "
-                f"(lies on wall {label})"
+                f"(lies on wall {wall})"
             )
+    if (nu.k > 0) != (nu2.k > 0):
+        return False
+
+    def slot(c: Cocharacter, i: int, j: int) -> int:
+        return min(max((c.d[i] - c.d[j]) // c.k + n, 0), 2 * n - 1)
+
     return all(
-        _sign(w.evaluate(nu)) == _sign(w.evaluate(nu2))
-        for w in walls(n, nu.r).walls
+        slot(nu, i, j) == slot(nu2, i, j)
+        for i in range(nu.r)
+        for j in range(i + 1, nu.r)
     )
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Acceptance suite: seven criteria, one test each (criterion 6 split in
-two by model-block size), budgets pinned.
+two by model-block size), budgets pinned, plus bounded-time checks at scale.
 
 Each test is self-contained: it builds its own oracle (bitmask up-set
 enumeration, closed-form inequality re-derivation, recursion replay) rather
@@ -17,14 +17,17 @@ from gieseker import (
     abelian_localization_holds,
     block_structure,
     count_ideals,
+    diagnose,
     enumerate_ideals,
     enumerate_multipartitions,
     fixed_point_weight,
     has_finite_global_dimension,
     hooks,
     intersect,
+    is_generic,
     poincare_polynomial,
     product,
+    same_chamber,
     singular_set,
     support_dimension,
     support_dimension_recursive,
@@ -33,6 +36,17 @@ from gieseker import (
     to_sum_form,
     verify_model_properties,
 )
+from test_partitions import dp_multipartition_counts
+
+
+def _in_window_by_scan(n, lam, floor=None):
+    """Whether lam = s/m for some modulus 1 <= m <= n with s < 0 and, when
+    ``floor`` is given, floor * m < s: the window scanned modulus by modulus."""
+    for m in range(1, n + 1):
+        s = lam * m
+        if s.denominator == 1 and s < 0 and (floor is None or floor * m < s):
+            return True
+    return False
 
 
 def test_criterion_1_diagnostics_window():
@@ -42,6 +56,9 @@ def test_criterion_1_diagnostics_window():
             for lam in singular_set(n, r):
                 assert not has_finite_global_dimension(n, r, lam)
                 assert not abelian_localization_holds(n, r, lam)
+                # second route: the windows scanned over the moduli 1..n
+                assert _in_window_by_scan(n, lam, -r)
+                assert _in_window_by_scan(n, lam)
     # 500 seeded random rationals clear of both windows: re-derive both
     # decisions straight from the defining inequalities
     rng = random.Random(1729)
@@ -57,6 +74,8 @@ def test_criterion_1_diagnostics_window():
         seen += 1
         assert has_finite_global_dimension(n, r, lam)
         assert abelian_localization_holds(n, r, lam)
+        assert not _in_window_by_scan(n, lam, -r)
+        assert not _in_window_by_scan(n, lam)
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"criterion 1 budget blown: {elapsed:.2f}s"
 
@@ -206,3 +225,48 @@ def test_criterion_7_hooks_block():
             assert min(supports.values()) == 1
             minimizers = [lab for lab, s in supports.items() if s == 1]
             assert minimizers == [((n,),) + ((),) * (r - 1)]
+
+
+# ------------------------------------------------ bounded time at scale
+
+
+def _timed(call):
+    started = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - started
+
+
+def test_diagnose_bounded_at_scale():
+    for n, r, lam in ((2 * 10**7, 2, Fraction(1, 3)), (10**12, 3, Fraction(-1, 7))):
+        report, elapsed = _timed(lambda: diagnose(n, r, lam))
+        assert elapsed < 0.1, f"diagnose({n}, {r}, {lam}) took {elapsed:.3f}s"
+        assert report.finite_global_dim == (not -r < lam < 0)
+        assert report.abelian_localization_det == (lam > 0)
+        assert report.abelian_localization_det_inv == (-lam - r > 0)
+        assert report.ideal_count == (n // 3 if lam > 0 else "simple")
+
+
+def test_chamber_tests_bounded_at_scale():
+    n = 10**9
+    far = Cocharacter((3 * n, 0), 1)  # (d1 - d2) / k = 3n: off every wall
+    farther = Cocharacter((5 * n, 7), 2)
+    near = Cocharacter((n - 1, 0), 1)  # on d1-d2=(n-1)k
+    flat = Cocharacter((5, 5), 0)  # k = 0 with repeated weights: on k=0
+    checks = [
+        (lambda: is_generic(far, n), True),
+        (lambda: is_generic(near, n), False),
+        (lambda: is_generic(flat, n), False),
+        (lambda: same_chamber(far, farther, n), True),
+        (lambda: same_chamber(far, Cocharacter((-3 * n, 0), 1), n), False),
+    ]
+    for call, expected in checks:
+        result, elapsed = _timed(call)
+        assert result is expected
+        assert elapsed < 0.1, f"chamber test at n = 10^9 took {elapsed:.3f}s"
+
+
+def test_poincare_polynomial_bounded_at_scale():
+    coeffs, elapsed = _timed(lambda: poincare_polynomial(60, 4))
+    assert elapsed < 2.0, f"poincare_polynomial(60, 4) took {elapsed:.2f}s"
+    assert sum(coeffs) == dp_multipartition_counts(60, 4)[60]
+    assert len(coeffs) == 4 * 60 and coeffs[0] == 1 and coeffs[-1] == 1

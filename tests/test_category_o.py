@@ -5,30 +5,45 @@ The closed support formula is replayed against an independent recursion: peel
 one legal remainder box at a time until the components divide exactly, adding
 r per box.  The recursion never consults the closed formula, so agreement on
 the full enumeration is a real check, not a tautology.
+
+The Poincare polynomial comes from the Nakajima-Yoshioka product; it is
+replayed against the former route, the histogram of fixed-point weights over
+every enumerated multipartition.
 """
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import gieseker
 from gieseker import (
     IRRATIONAL,
     Cocharacter,
     RegimeError,
     annihilator_index,
     block_structure,
+    diagnose,
+    divide_with_remainder,
     enumerate_multipartitions,
+    findim_dimension_rank_one,
     fixed_point_weight,
     hooks,
     legal_removals,
     multipartition_size,
     poincare_polynomial,
     polynomial_string,
+    same_chamber,
     semisimplicity,
     support_dimension,
     support_dimension_recursive,
     support_recursion_values,
     top_cohomology_check,
+    violated_walls,
 )
 
 
@@ -79,6 +94,35 @@ def test_fixed_point_weights_are_degrees():
     for sig in enumerate_multipartitions(n, r):
         hist[fixed_point_weight(sig, r)] += 1
     assert tuple(hist) == coeffs
+
+
+def weight_histogram(n, r):
+    """The former route: enumerate every fixed point, histogram the weights."""
+    weights = [fixed_point_weight(s, r) for s in enumerate_multipartitions(n, r)]
+    coeffs = [0] * (max(weights) + 1)
+    for w in weights:
+        coeffs[w] += 1
+    return tuple(coeffs)
+
+
+def test_poincare_product_against_weight_histogram():
+    for n in range(1, 11):
+        for r in range(1, 5):
+            assert poincare_polynomial(n, r) == weight_histogram(n, r), (n, r)
+
+
+def test_top_cohomology_check_against_maximizers():
+    for n in range(1, 9):
+        for r in range(1, 5):
+            top = r * n - 1
+            maximizers = [
+                s for s in enumerate_multipartitions(n, r) if fixed_point_weight(s, r) == top
+            ]
+            by_enumeration = (
+                len(weight_histogram(n, r)) == r * n
+                and maximizers == [((n,),) + ((),) * (r - 1)]
+            )
+            assert top_cohomology_check(n, r) == by_enumeration, (n, r)
 
 
 # ------------------------------------------------------------ semisimplicity
@@ -243,3 +287,82 @@ def test_findim_label_gated_on_findim():
     # support machinery refuses long before labels are assigned
     with pytest.raises(RegimeError):
         support_dimension(2, 1, Fraction(-1, 2), ((2,),))
+
+
+# ------------------------------------------------------------ python -O
+
+
+def _jsonable(value):
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    return json.loads(json.dumps(value, default=str))
+
+
+def classification_mix():
+    """A fixed mix of classification calls, as JSON-ready data."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    dominant = Cocharacter((100, 10, 0), 1)
+    out = {
+        "diagnose": [
+            diagnose(n, r, lam).to_dict()
+            for n, r, lam in [
+                (2, 1, half), (2, 1, -half), (6, 2, third), (6, 3, Fraction(-7, 3)),
+                (5, 2, IRRATIONAL), (10**9, 3, Fraction(-1, 7)),
+            ]
+        ],
+        "findim_dimension_rank_one": [findim_dimension_rank_one(n, s) for n, s in [(3, 2), (5, 7)]],
+        "divide_with_remainder": [divide_with_remainder(lam, 3) for lam in [(8, 6, 1), (9, 3, 3)]],
+        "support_dimension": [
+            support_dimension(n, 3, lam, sig)
+            for n, lam, sig in [
+                (6, third, ((4, 2), (), ())), (6, half, ((2, 2), (1,), (1,))),
+                (4, IRRATIONAL, ((1,), (3,), ())),
+            ]
+        ],
+        "annihilator_index": annihilator_index(4, 1, half, ((4,),)),
+        "support_dimension_recursive": [
+            support_dimension_recursive(6, 2, m, sig)
+            for m, sig in [(2, ((3, 1), (2,))), (3, ((6,), ())), (3, ((2, 1), (2, 1)))]
+        ],
+        "block_structure": [
+            block_structure(3, 3, third, dominant),
+            block_structure(3, 3, third, Cocharacter((0, 100, 10), 1)),
+            block_structure(4, 3, half, dominant),
+            block_structure(3, 3, Fraction(1, 5), dominant),
+        ],
+        "violated_walls": [
+            [str(w) for w in violated_walls(nu, 3)]
+            for nu in [Cocharacter((2, 0, 4), 1), Cocharacter((1, 1, 0), 0), Cocharacter((9, 0, 5), -2)]
+        ],
+        "same_chamber": [
+            same_chamber(dominant, Cocharacter((200, 20, 0), 2), 3),
+            same_chamber(dominant, Cocharacter((100, 0, 10), 1), 3),
+        ],
+        "poincare_polynomial": [poincare_polynomial(n, r) for n, r in [(4, 2), (6, 3)]],
+        "top_cohomology_check": [top_cohomology_check(n, r) for n, r in [(4, 2), (6, 3)]],
+    }
+    return _jsonable(out)
+
+
+def test_classification_same_under_python_O():
+    # no result may depend on an assert statement
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gieseker.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import json, sys\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are still enabled')\n"
+        f"sys.path.insert(0, {here!r})\n"
+        "from test_category_o import classification_mix\n"
+        "print(json.dumps(classification_mix(), sort_keys=True))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == json.dumps(classification_mix(), sort_keys=True)

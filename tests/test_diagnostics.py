@@ -1,9 +1,10 @@
 """Parameter diagnostics: global dimension, localization, finite dimensional reps.
 
-Oracle: every classification window here is a statement about the reduced
-denominator and the sign/size of the parameter, so each scan-based predicate
-is replayed against a closed-form one-liner derived independently from the
-window's endpoints.
+Oracles: every classification window here is a statement about the reduced
+denominator and the sign/size of the parameter.  The library decides each
+window in O(1) from that closed form; it is replayed against one-liners
+derived independently from the window's endpoints, and against the window
+scan over the moduli m = 1..n that the library used to run.
 """
 
 import random
@@ -36,6 +37,28 @@ def abeloc_closed_form(n, lam):
     return not (lam.denominator <= n and lam < 0)
 
 
+def gldim_window_scan(n, r, lam):
+    """The former route: scan the moduli m = 1..n for lam = s/m, -rm < s < 0."""
+    if lam is IRRATIONAL:
+        return True
+    for m in range(1, n + 1):
+        s = lam * m
+        if s.denominator == 1 and -r * m < s < 0:
+            return False
+    return True
+
+
+def localization_window_scan(n, lam):
+    """The former route for theta = +1: scan m = 1..n for lam = s/m, s < 0."""
+    if lam is IRRATIONAL:
+        return True
+    for m in range(1, n + 1):
+        s = lam * m
+        if s.denominator == 1 and s < 0:
+            return False
+    return True
+
+
 def rationals(max_num=60, max_den=12):
     return st.fractions(
         min_value=Fraction(-max_num), max_value=Fraction(max_num), max_denominator=max_den
@@ -46,6 +69,29 @@ def rationals(max_num=60, max_den=12):
 def test_window_scan_equals_closed_form(n, r, lam):
     assert has_finite_global_dimension(n, r, lam) == fgd_closed_form(n, lam, r)
     assert abelian_localization_holds(n, r, lam) == abeloc_closed_form(n, lam)
+
+
+def test_closed_forms_against_window_scans():
+    # every s/q with q <= n + 2 and |s| <= rq + 2, so each window is crossed
+    # at both ends and just past the denominator bound, plus the sentinel
+    for n in range(1, 13):
+        for r in range(1, 5):
+            lams = {
+                Fraction(s, q)
+                for q in range(1, n + 3)
+                for s in range(-(r * q + 2), r * q + 3)
+            }
+            for lam in [*sorted(lams), IRRATIONAL]:
+                flipped = IRRATIONAL if lam is IRRATIONAL else -lam - r
+                assert has_finite_global_dimension(n, r, lam) == (
+                    gldim_window_scan(n, r, lam)
+                ), (n, r, lam)
+                assert abelian_localization_holds(n, r, lam, 1) == (
+                    localization_window_scan(n, lam)
+                ), (n, r, lam)
+                assert abelian_localization_holds(n, r, lam, -1) == (
+                    localization_window_scan(n, flipped)
+                ), (n, r, lam)
 
 
 def test_finite_global_dim_examples():

@@ -4,9 +4,12 @@ The division oracle below is deliberately brute force: it enumerates every
 candidate quotient bounded componentwise by floor(lam_i / m) and keeps the
 valid decompositions.  Correctness of divide_with_remainder is *defined* by
 maximality of |quotient| over that search space, so the fast implementation
-is checked against the dumb one, never the other way round.
+is checked against the dumb one, never the other way round.  The library
+memoizes the division per process; it is also replayed against the former
+uncached dynamic program, kept below.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -54,6 +57,42 @@ def brute_force_divisions(lam, m):
             strip = lambda p: tuple(x for x in p if x)
             out.append((strip(q), strip(rem)))
     return out
+
+
+def fresh_division_dp(lam, m):
+    """The former route: validate, then a right-to-left DP over rows with a
+    fresh memo per call, walked back choosing the smallest maximizing q_i."""
+    if not is_partition(tuple(lam)):
+        raise ValueError(f"not a partition: {lam!r}")
+    if m < 2:
+        raise ValueError("modulus m must be >= 2")
+    k = len(lam)
+    if k == 0:
+        return (), ()
+
+    @functools.cache
+    def best(i, q_next, rem_next):
+        result = None
+        for q_i in range(q_next, (lam[i] - rem_next) // m + 1):
+            if i == 0:
+                cand = (q_i, q_i)
+            else:
+                sub = best(i - 1, q_i, lam[i] - m * q_i)
+                if sub is None:
+                    continue
+                cand = (sub[0] + q_i, q_i)
+            if result is None or cand[0] > result[0]:
+                result = cand
+        return result
+
+    q = [0] * k
+    q_next, rem_next = 0, 0
+    for i in range(k - 1, -1, -1):
+        q[i] = best(i, q_next, rem_next)[1]
+        q_next, rem_next = q[i], lam[i] - m * q[i]
+    quotient = tuple(x for x in q if x > 0)
+    remainder = tuple(lam[i] - m * q[i] for i in range(k) if lam[i] - m * q[i] > 0)
+    return quotient, remainder
 
 
 def dp_multipartition_counts(max_n, r):
@@ -166,6 +205,48 @@ def test_divide_against_brute_force():
                 assert (q, rem) in candidates, (lam, m, q, rem)
                 best = max(size(c[0]) for c in candidates)
                 assert size(q) == best, (lam, m)
+
+
+def test_memoized_divide_against_fresh_dp():
+    for total in range(11):
+        for lam in enumerate_partitions(total):
+            for m in (2, 3, 4):
+                expected = fresh_division_dp(lam, m)
+                assert divide_with_remainder(lam, m) == expected, (lam, m)
+                # a cache hit, and a list input keyed like its tuple
+                assert divide_with_remainder(lam, m) == expected, (lam, m)
+                assert divide_with_remainder(list(lam), m) == expected, (lam, m)
+
+
+@pytest.mark.parametrize(
+    "lam,m",
+    [
+        ((1, 2), 2),  # increasing
+        ([1, 2], 3),
+        ((2, 0), 2),  # zero part
+        ((3, -1), 2),
+        ((2.0, 1), 2),  # not an int
+        ((1, 2), 1),  # invalid partition reported before the modulus
+        ((3, 1), 1),
+        ([3, 1], 0),
+        ((), -4),
+    ],
+)
+def test_divide_errors_match_fresh_dp(lam, m):
+    with pytest.raises(ValueError) as expected:
+        fresh_division_dp(lam, m)
+    with pytest.raises(ValueError) as got:
+        divide_with_remainder(lam, m)
+    assert str(got.value) == str(expected.value)
+
+
+def test_divide_cache_keeps_float_modulus_apart():
+    # 2.0 == 2 as a key, but the division has only ever been defined for an
+    # int modulus: a float still fails as it does without the cache
+    assert divide_with_remainder((4,), 2) == ((2,), ())
+    for call in (fresh_division_dp, divide_with_remainder):
+        with pytest.raises(TypeError):
+            call((4,), 2.0)
 
 
 def test_divide_reconstructs():

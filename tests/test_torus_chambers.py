@@ -1,6 +1,12 @@
-"""Wall-and-chamber combinatorics for one-parameter subgroups."""
+"""Wall-and-chamber combinatorics for one-parameter subgroups.
+
+``violated_walls``, ``is_generic`` and ``same_chamber`` decide pair by pair
+without building the arrangement; they are replayed against the former
+routes, which evaluate every form of ``walls(n, r)``.
+"""
 
 import itertools
+import random
 
 import pytest
 
@@ -32,6 +38,100 @@ def test_wall_count_formula():
             assert ws.count_with_multiplicity == 1 + r * (r - 1) // 2 * (2 * n - 1)
             # forms are pairwise distinct here, so dedup is a no-op
             assert len(ws.walls) == ws.count_with_multiplicity
+
+
+def _form(wall, r):
+    """Coefficient vector of the wall's linear form on (d_1, ..., d_r, k)."""
+    coeffs = [0] * (r + 1)
+    if wall.kind == "k_zero":
+        coeffs[r] = 1
+    else:
+        coeffs[wall.i - 1], coeffs[wall.j - 1], coeffs[r] = 1, -1, -wall.s
+    return tuple(coeffs)
+
+
+def test_wall_forms_pairwise_distinct():
+    for n in range(1, 7):
+        for r in range(1, 6):
+            forms = [_form(w, r) for w in walls(n, r).walls]
+            # each form has a coefficient +-1, so proportional means equal
+            # up to sign
+            normalized = {max(f, tuple(-c for c in f)) for f in forms}
+            assert len(normalized) == len(forms), (n, r)
+
+
+def _on_walls_by_scan(nu, n):
+    return [w for w in walls(n, nu.r).walls if w.evaluate(nu) == 0]
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _same_chamber_by_scan(nu, nu2, n):
+    return all(
+        _sign(w.evaluate(nu)) == _sign(w.evaluate(nu2)) for w in walls(n, nu.r).walls
+    )
+
+
+def test_violated_walls_against_wall_scan():
+    # k = 0, negative k, d_i = d_j and differences on both sides of +-(n-1)k
+    for n in range(1, 5):
+        for r in range(1, 4):
+            for d in itertools.product(range(-4, 5), repeat=r):
+                for k in range(-3, 4):
+                    nu = Cocharacter(d, k)
+                    expected = _on_walls_by_scan(nu, n)
+                    assert violated_walls(nu, n) == expected, (nu, n)
+                    if not nu.is_zero():
+                        assert is_generic(nu, n) == (not expected), (nu, n)
+
+
+def test_same_chamber_against_sign_scan():
+    rng = random.Random(3141)
+    for n in range(1, 5):
+        for r in (2, 3):
+            generic = [
+                nu
+                for d in itertools.product(range(-7, 8, 2), repeat=r)
+                for k in (-3, -2, -1, 1, 2, 3)
+                if not _on_walls_by_scan(nu := Cocharacter(d, k), n)
+            ]
+            pairs = [tuple(rng.sample(generic, 2)) for _ in range(1000)]
+            for nu in rng.sample(generic, 200):
+                # itself, k of opposite sign, and a rescaled copy
+                pairs.append((nu, nu))
+                pairs.append((nu, Cocharacter(nu.d, -nu.k)))
+                pairs.append((nu, Cocharacter(tuple(3 * x for x in nu.d), 3 * nu.k)))
+            for a, b in pairs:
+                if _on_walls_by_scan(b, n):
+                    continue
+                assert same_chamber(a, b, n) == _same_chamber_by_scan(a, b, n), (a, b, n)
+
+
+def test_same_chamber_error_names_the_first_wall():
+    for n in (1, 2, 3):
+        for nu in (Cocharacter((0, 0), 0), Cocharacter((2, 0, 2), 1), Cocharacter((3, 1), -1)):
+            first = _on_walls_by_scan(nu, n)
+            if not first:
+                continue
+            generic = Cocharacter((100, 0, -100)[: nu.r], 1)
+            for args in ((nu, generic), (generic, nu)):
+                with pytest.raises(RegimeError) as err:
+                    same_chamber(*args, n)
+                assert str(err.value) == (
+                    f"cocharacter {format_cocharacter(nu)} is not generic "
+                    f"(lies on wall {first[0]})"
+                )
+
+
+def test_chamber_tests_reject_nonpositive_n():
+    nu = Cocharacter((3, 0), 1)
+    for call in (violated_walls, is_generic):
+        with pytest.raises(ValueError):
+            call(nu, 0)
+    with pytest.raises(ValueError):
+        same_chamber(nu, nu, 0)
 
 
 def test_genericity_examples():
