@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .errors import InvariantError
+
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
@@ -26,7 +28,8 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    assert not a or not b or len(a[0]) == len(b)
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"cannot multiply: {len(a[0])} columns against {len(b)} rows")
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = zeros(rows, cols)
     for i in range(rows):
@@ -42,7 +45,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    assert not a or len(a[0]) == len(v)
+    if a and len(a[0]) != len(v):
+        raise ValueError(f"cannot apply: {len(a[0])} columns against a vector of {len(v)}")
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
@@ -76,7 +80,7 @@ def fraction_free_echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
     """Row echelon form of an integer-cleared copy of ``a`` (Bareiss).
 
     Returns (echelon, pivot_columns).  Exact integer arithmetic throughout;
-    the two-step division is asserted exact.
+    the two-step division is checked to be exact.
     """
     e = _clear_rows(a)
     m = len(e)
@@ -97,7 +101,8 @@ def fraction_free_echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
             for j in range(col + 1, n):
                 num = pivot * e[i][j] - head * e[row][j]
                 q, rem = divmod(num, prev)
-                assert rem == 0  # Bareiss minors divide exactly
+                if rem:
+                    raise InvariantError("a Bareiss minor did not divide exactly")
                 e[i][j] = q
             e[i][col] = 0
         prev = pivot
@@ -176,5 +181,6 @@ def column_space_completion(span: list[Vector], dim: int) -> list[int]:
             rows = cand
             chosen.append(t)
             r = r2
-    assert r == dim
+    if r != dim:
+        raise InvariantError(f"completion reached rank {r}, not {dim}")
     return chosen

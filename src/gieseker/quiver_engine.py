@@ -14,6 +14,10 @@ So End of the first projective is one-dimensional and every other End is the
 dual numbers, total dimension 4N - 3.  All module arithmetic is exact
 rational; Ext groups come from minimal projective resolutions.
 
+A module is its arrow matrices and nothing else: e_i acts by the identity and
+l_i by the composite through the lower neighbor, which ``QuiverModule.action``
+derives when a check needs it.
+
 Each ``ModelAlgebra`` builds every projective and standard module once, on
 first use, and hands out that one copy; modules are never mutated after
 construction.
@@ -32,31 +36,15 @@ from .exact_linalg import Matrix
 Label = tuple
 
 
-def _mm(a: Matrix, b: Matrix, rows: int, inner: int, cols: int) -> Matrix:
-    # shape-aware product; zero-dimensional sides lose shape info in the
-    # list-of-rows encoding, so the caller passes dimensions
-    if rows == 0 or cols == 0 or inner == 0:
-        return el.zeros(rows, cols)
-    return el.mat_mul(a, b)
+def _mm(a: Matrix, b: Matrix, cols: int) -> Matrix:
+    # a row list keeps its row count but loses its column count when it has
+    # no rows, so an empty inner dimension needs the column count of b
+    return el.mat_mul(a, b) if b else el.zeros(len(a), cols)
 
 
-def _nullspace(a: Matrix, rows: int, cols: int) -> list[list[Fraction]]:
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [list(col) for col in el.identity(cols)]
-    return el.nullspace(a)
-
-
-def _solve_matrix(a: Matrix, b: Matrix, rows: int, cols_a: int, cols_b: int) -> Matrix:
-    if cols_a == 0:
-        if rows and not el.is_zero_matrix(b):
-            raise InvariantError("nonzero right-hand side for an empty column space")
-        return el.zeros(0, cols_b)
-    if cols_b == 0:
-        return el.zeros(cols_a, 0)
-    if rows == 0:
-        return el.zeros(cols_a, cols_b)
+def _solve(a: Matrix, b: Matrix) -> Matrix:
+    # X with a·X = b; an inclusion matrix has zero columns wherever it has
+    # zero rows, so exact_linalg returns the right empty shapes
     x = el.solve_matrix(a, b)
     if x is None:
         raise InvariantError("image does not lie in the column space it should")
@@ -77,16 +65,20 @@ class ModelAlgebra:
         labels.extend(("loop", i) for i in range(2, self.N + 1))
         self.labels: tuple[Label, ...] = tuple(labels)
         self.index: dict[Label, int] = {lab: i for i, lab in enumerate(labels)}
-        self.src = tuple(self._src_of(lab) for lab in labels)
-        self.tgt = tuple(self._tgt_of(lab) for lab in labels)
+        self.src = tuple(lab[2] if lab[0] == "a" else lab[1] for lab in labels)
+        self.tgt = tuple(lab[1] for lab in labels)
+        # the pairs (x, y) with src x = tgt y; every other product is zero
+        self.composable: list[tuple[int, int]] = []
         self.table: dict[tuple[int, int], int] = {}
         for x, xl in enumerate(labels):
             for y, yl in enumerate(labels):
                 if self.src[x] != self.tgt[y]:
                     continue
+                self.composable.append((x, y))
                 z = self._mult_labels(xl, yl)
                 if z is not None:
                     self.table[(x, y)] = self.index[z]
+        self._arrows = tuple(i for i, lab in enumerate(labels) if lab[0] == "a")
         # paths[i-1][v-1]: basis indices of the paths from vertex i to vertex v
         self._paths: list[list[list[int]]] = [
             [[] for _ in range(self.N)] for _ in range(self.N)
@@ -97,26 +89,15 @@ class ModelAlgebra:
         self._projectives: dict[int, QuiverModule] = {}
         self._standards: dict[int, QuiverModule] = {}
 
-    @staticmethod
-    def _src_of(lab: Label) -> int:
-        return lab[2] if lab[0] == "a" else lab[1]
-
-    @staticmethod
-    def _tgt_of(lab: Label) -> int:
-        return lab[1]
-
     def _mult_labels(self, xl: Label, yl: Label) -> Label | None:
         if xl[0] == "e":
             return yl
         if yl[0] == "e":
             return xl
         if xl[0] == "a" and yl[0] == "a":
-            i, j = xl[1], xl[2]
-            target = yl[2]
-            if i == target:  # back-and-forth composite landing where it started
-                if j == i - 1:
-                    return ("loop", i)
-                return ("loop", i) if i >= 2 else None
+            i = xl[1]
+            if i == yl[2]:  # back-and-forth composite landing where it started
+                return ("loop", i) if i >= 2 else None  # a(1,2) a(2,1) = 0
             return None  # monotone length-2 path
         return None  # any factor involving a loop
 
@@ -126,12 +107,11 @@ class ModelAlgebra:
 
     def product(self, x: int, y: int) -> int | None:
         """Index of the basis product x*y, or None when the product is zero."""
-        if self.src[x] != self.tgt[y]:
-            return None
         return self.table.get((x, y))
 
-    def arrows(self) -> list[int]:
-        return [i for i, lab in enumerate(self.labels) if lab[0] == "a"]
+    def arrows(self) -> tuple[int, ...]:
+        """Basis indices of the arrows a(i,j), in basis order."""
+        return self._arrows
 
     def path_basis(self, i: int) -> list[list[int]]:
         """Per-vertex basis indices of the paths starting at vertex i: the
@@ -139,16 +119,20 @@ class ModelAlgebra:
         return self._paths[i - 1]
 
     def is_associative(self) -> bool:
-        rng = range(self.dim)
-        for x in rng:
-            for y in rng:
-                xy = self.product(x, y)
-                for z in rng:
-                    yz = self.product(y, z)
-                    left = self.product(xy, z) if xy is not None else None
-                    right = self.product(x, yz) if yz is not None else None
-                    if left != right:
-                        return False
+        """(xy)z = x(yz) for every basis triple.  Only composable pairs extend
+        to triples: associativity with the idempotents forces each product to
+        keep the outer endpoints, so any other triple is zero on both sides."""
+        ending_at: list[list[int]] = [[] for _ in range(self.N)]
+        for z in range(self.dim):
+            ending_at[self.tgt[z] - 1].append(z)
+        for x, y in self.composable:
+            xy = self.table.get((x, y))
+            for z in ending_at[self.src[y] - 1]:
+                yz = self.table.get((y, z))
+                left = self.product(xy, z) if xy is not None else None
+                right = self.product(x, yz) if yz is not None else None
+                if left != right:
+                    return False
         return True
 
     def relations_hold(self) -> bool:
@@ -172,23 +156,14 @@ class ModelAlgebra:
                 return False
         for i in range(2, self.N + 1):
             lp = ix[("loop", i)]
-            if prod(lp, lp) is not None:
-                return False
-            for other in range(self.dim):
-                if self.labels[other][0] == "a":
-                    if self.src[lp] == self.tgt[other] and prod(lp, other) is not None:
-                        return False
-                    if self.src[other] == self.tgt[lp] and prod(other, lp) is not None:
-                        return False
+            for g in (lp, *self.arrows()):
+                if prod(lp, g) is not None or prod(g, lp) is not None:
+                    return False
         # Hom-space dimensions: 1 off-diagonal at distance one, dual numbers on
         # the diagonal past the first vertex, zero further away
         for i in range(1, self.N + 1):
             for j in range(1, self.N + 1):
-                count = sum(
-                    1
-                    for b in range(self.dim)
-                    if self.tgt[b] == i and self.src[b] == j
-                )
+                count = len(self.path_basis(j)[i - 1])
                 if abs(i - j) == 1:
                     want_dim = 1
                 elif i == j:
@@ -207,14 +182,14 @@ class ModelAlgebra:
         return b
 
     def opposite_swap_is_antiautomorphism(self) -> bool:
-        for x in range(self.dim):
-            for y in range(self.dim):
-                xy = self.product(x, y)
-                yx = self.product(self.swap(y), self.swap(x))
-                if (xy is None) != (yx is None):
-                    return False
-                if xy is not None and self.swap(xy) != yx:
-                    return False
+        # the swap reverses endpoints: non-composable pairs stay non-composable
+        for x, y in self.composable:
+            xy = self.product(x, y)
+            yx = self.product(self.swap(y), self.swap(x))
+            if (xy is None) != (yx is None):
+                return False
+            if xy is not None and self.swap(xy) != yx:
+                return False
         return True
 
 
@@ -224,14 +199,17 @@ def build_model_algebra(n_vertices: int) -> ModelAlgebra:
 
 
 class QuiverModule:
-    """Finite dimensional module: one exact-rational space per vertex and an
-    action matrix for every algebra basis element."""
+    """Finite dimensional module: one exact-rational space per vertex and,
+    in ``act``, a matrix for each arrow keyed by the arrow's basis index.
+    The arrows determine the action of every other basis element."""
 
     def __init__(
         self, algebra: ModelAlgebra, dims: tuple[int, ...], act: dict[int, Matrix]
     ) -> None:
-        assert len(dims) == algebra.N
-        assert set(act) == set(range(algebra.dim))
+        if len(dims) != algebra.N or set(act) != set(algebra.arrows()):
+            raise InvariantError(
+                "a module needs one dimension per vertex and one matrix per arrow"
+            )
         self.algebra = algebra
         self.dims = dims
         self.act = act
@@ -243,90 +221,72 @@ class QuiverModule:
     def dim_at(self, vertex: int) -> int:
         return self.dims[vertex - 1]
 
-    def verify(self) -> bool:
-        """Module axioms against the multiplication table (relations act by 0)."""
+    def action(self, b: int) -> Matrix:
+        """Matrix of basis element b: its stored matrix for an arrow, the
+        identity for e_i, and down·up through the lower neighbor for l_i."""
         a = self.algebra
-        for x in range(a.dim):
-            if len(self.act[x]) != self.dim_at(a.tgt[x]):
+        lab = a.labels[b]
+        if lab[0] == "a":
+            return self.act[b]
+        i = lab[1]
+        if lab[0] == "e":
+            return el.identity(self.dims[i - 1])
+        down = self.act[a.index[("a", i, i - 1)]]
+        up = self.act[a.index[("a", i - 1, i)]]
+        return _mm(down, up, self.dims[i - 1])
+
+    def apply(self, b: int, vec: list[Fraction]) -> list[Fraction]:
+        """Basis element b applied to a vector at its source vertex."""
+        a = self.algebra
+        lab = a.labels[b]
+        if lab[0] == "a":
+            return el.mat_vec(self.act[b], vec)
+        i = lab[1]
+        if lab[0] == "e":
+            return list(vec)
+        up = el.mat_vec(self.act[a.index[("a", i - 1, i)]], vec)
+        return el.mat_vec(self.act[a.index[("a", i, i - 1)]], up)
+
+    def verify(self) -> bool:
+        """Module axioms: each arrow matrix has the shape of its arrow, and
+        every composable product of basis elements acts as the multiplication
+        table says (relations act by 0)."""
+        a = self.algebra
+        for g in a.arrows():
+            rows, cols = self.dim_at(a.tgt[g]), self.dim_at(a.src[g])
+            if len(self.act[g]) != rows or any(len(r) != cols for r in self.act[g]):
                 return False
-            if self.dim_at(a.tgt[x]) and len(self.act[x][0]) != self.dim_at(a.src[x]):
+        acts = [self.action(b) for b in range(a.dim)]
+        for x, y in a.composable:
+            lhs = _mm(acts[x], acts[y], self.dim_at(a.src[y]))
+            z = a.product(x, y)
+            rhs = (
+                acts[z]
+                if z is not None
+                else el.zeros(self.dim_at(a.tgt[x]), self.dim_at(a.src[y]))
+            )
+            if not el.mat_eq(lhs, rhs):
                 return False
-        for i in range(1, a.N + 1):
-            if not el.mat_eq(self.act[a.index[("e", i)]], el.identity(self.dim_at(i))):
-                return False
-        for x in range(a.dim):
-            for y in range(a.dim):
-                if a.src[x] != a.tgt[y]:
-                    continue
-                lhs = _mm(
-                    self.act[x],
-                    self.act[y],
-                    self.dim_at(a.tgt[x]),
-                    self.dim_at(a.src[x]),
-                    self.dim_at(a.src[y]),
-                )
-                z = a.product(x, y)
-                rhs = (
-                    self.act[z]
-                    if z is not None
-                    else el.zeros(self.dim_at(a.tgt[x]), self.dim_at(a.src[y]))
-                )
-                if not el.mat_eq(lhs, rhs):
-                    return False
         return True
 
 
-def module_from_arrows(
-    algebra: ModelAlgebra, dims: tuple[int, ...], arrow_act: dict[Label, Matrix]
-) -> QuiverModule:
-    """Assemble the full action from arrow matrices: idempotents act as the
-    identity and loops as the forced composite through the lower neighbor."""
-    act: dict[int, Matrix] = {}
-    for b, lab in enumerate(algebra.labels):
-        if lab[0] == "e":
-            act[b] = el.identity(dims[lab[1] - 1])
-        elif lab[0] == "a":
-            act[b] = arrow_act[lab]
-    for b, lab in enumerate(algebra.labels):
-        if lab[0] == "loop":
-            i = lab[1]
-            down = act[algebra.index[("a", i, i - 1)]]
-            up = act[algebra.index[("a", i - 1, i)]]
-            act[b] = _mm(down, up, dims[i - 1], dims[i - 2], dims[i - 1])
-    return QuiverModule(algebra, dims, act)
-
-
 def projective(algebra: ModelAlgebra, i: int) -> QuiverModule:
-    """P(p_i) = A e_i with its path basis; action matrices are 0/1.  Built
+    """P(p_i) = A e_i with its path basis; arrow matrices are 0/1.  Built
     once per algebra; every call returns the same module."""
     if not 1 <= i <= algebra.N:
         raise ValueError("vertex out of range")
-    cached = algebra._projectives.get(i)
-    if cached is not None:
-        return cached
-    pos = algebra.path_basis(i)
-    dims = tuple(len(p) for p in pos)
-    act: dict[int, Matrix] = {}
-    for g in range(algebra.dim):
-        s, t = algebra.src[g], algebra.tgt[g]
-        mat = el.zeros(dims[t - 1], dims[s - 1])
-        for col, b in enumerate(pos[s - 1]):
-            z = algebra.product(g, b)
-            if z is not None:
-                mat[pos[t - 1].index(z)][col] = Fraction(1)
-        act[g] = mat
-    module = algebra._projectives[i] = QuiverModule(algebra, dims, act)
-    return module
+    if i not in algebra._projectives:
+        algebra._projectives[i] = ProjectiveSum(algebra, (i,)).module
+    return algebra._projectives[i]
 
 
 def simple(algebra: ModelAlgebra, i: int) -> QuiverModule:
     dims = tuple(1 if v == i else 0 for v in range(1, algebra.N + 1))
-    arrow_act = {
-        lab: el.zeros(dims[lab[1] - 1], dims[lab[2] - 1])
-        for lab in algebra.labels
-        if lab[0] == "a"
+    act = {
+        g: el.zeros(dims[algebra.tgt[g] - 1], dims[algebra.src[g] - 1])
+        for g in algebra.arrows()
     }
-    return module_from_arrows(algebra, dims, arrow_act)
+    return QuiverModule(algebra, dims, act)
 
 
 def _span_matrices(module: QuiverModule, vectors: list[tuple[int, list[Fraction]]]):
@@ -334,18 +294,14 @@ def _span_matrices(module: QuiverModule, vectors: list[tuple[int, list[Fraction]
     returns per-vertex matrices whose columns are independent spanning sets."""
     a = module.algebra
     spans: list[list[list[Fraction]]] = [[] for _ in range(a.N)]
-    ranks = [0] * a.N
 
     def add(v: int, vec: list[Fraction]) -> bool:
-        if all(x == 0 for x in vec):
+        # each span stays independent, so vec is new when it raises the rank
+        span = spans[v - 1]
+        if all(x == 0 for x in vec) or el.rank(span + [vec]) == len(span):
             return False
-        cand = spans[v - 1] + [list(vec)]
-        r = el.rank(cand)
-        if r > ranks[v - 1]:
-            spans[v - 1].append(list(vec))
-            ranks[v - 1] = r
-            return True
-        return False
+        span.append(list(vec))
+        return True
 
     frontier = [(v, vec) for v, vec in vectors if add(v, vec)]
     while frontier:
@@ -365,22 +321,22 @@ def _span_matrices(module: QuiverModule, vectors: list[tuple[int, list[Fraction]
     ]
 
 
+def _restrict(module: QuiverModule, incl: list[Matrix]) -> QuiverModule:
+    """Submodule spanned by the independent, arrow-closed columns of ``incl``:
+    its matrix for arrow g: s -> t is the X with incl_t·X = act_g·incl_s."""
+    a = module.algebra
+    dims = tuple(len(m[0]) if m else 0 for m in incl)
+    act: dict[int, Matrix] = {}
+    for g in a.arrows():
+        s, t = a.src[g] - 1, a.tgt[g] - 1
+        act[g] = _solve(incl[t], _mm(module.act[g], incl[s], dims[s]))
+    return QuiverModule(a, dims, act)
+
+
 def submodule(module: QuiverModule, vectors) -> tuple[QuiverModule, list[Matrix]]:
     """Submodule generated by (vertex, vector) seeds, with inclusion matrices."""
-    a = module.algebra
     incl = _span_matrices(module, vectors)
-    dims = tuple(len(m[0]) if m else 0 for m in incl)
-    arrow_act: dict[Label, Matrix] = {}
-    for g in a.arrows():
-        lab = a.labels[g]
-        s, t = a.src[g], a.tgt[g]
-        rhs = _mm(
-            module.act[g], incl[s - 1], module.dims[t - 1], module.dims[s - 1], dims[s - 1]
-        )
-        arrow_act[lab] = _solve_matrix(
-            incl[t - 1], rhs, module.dims[t - 1], dims[t - 1], dims[s - 1]
-        )
-    return module_from_arrows(a, dims, arrow_act), incl
+    return _restrict(module, incl), incl
 
 
 def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, list[Matrix]]:
@@ -392,49 +348,38 @@ def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, li
     dims = []
     for v in range(a.N):
         d = module.dims[v]
-        raw = [list(col) for col in zip(*incl[v])] if incl[v] and incl[v][0] else []
         sub_cols: list[list[Fraction]] = []
-        for vec in raw:  # keep an independent subset of the span
+        for vec in el.transpose(incl[v]):  # keep an independent subset of the span
             if el.rank(sub_cols + [vec]) > len(sub_cols):
                 sub_cols.append(vec)
         comp = el.column_space_completion(sub_cols, d)
-        q = len(comp)
-        dims.append(q)
+        dims.append(len(comp))
         # basis change [sub | chosen unit vectors]; quotient coords are the
         # trailing block of the inverse
         cols = sub_cols + [
             [Fraction(1) if t == c else Fraction(0) for t in range(d)] for c in comp
         ]
-        if d == 0:
-            projections.append(el.zeros(0, 0))
-            sections.append(el.zeros(0, 0))
-            continue
         p_mat = el.transpose(cols)
         inv = el.solve_matrix(p_mat, el.identity(d))
         if inv is None:
             raise InvariantError("basis change for a quotient is not invertible")
-        projections.append(inv[d - q :])
+        projections.append(inv[len(sub_cols) :])
         sections.append(el.transpose([col for col in cols[len(sub_cols) :]]))
-    arrow_act: dict[Label, Matrix] = {}
+    act: dict[int, Matrix] = {}
     for g in a.arrows():
-        lab = a.labels[g]
         s, t = a.src[g], a.tgt[g]
-        mid = _mm(
-            module.act[g], sections[s - 1], module.dims[t - 1], module.dims[s - 1], dims[s - 1]
-        )
-        arrow_act[lab] = _mm(
-            projections[t - 1], mid, dims[t - 1], module.dims[t - 1], dims[s - 1]
-        )
-    return module_from_arrows(a, tuple(dims), arrow_act), projections
+        mid = _mm(module.act[g], sections[s - 1], dims[s - 1])
+        act[g] = _mm(projections[t - 1], mid, dims[s - 1])
+    return QuiverModule(a, tuple(dims), act), projections
 
 
 def trace_submodule(module: QuiverModule, max_vertex: int) -> tuple[QuiverModule, list[Matrix]]:
     """Submodule generated by everything sitting at vertices <= max_vertex."""
-    seeds = []
-    for v in range(1, max_vertex + 1):
-        d = module.dims[v - 1]
-        for t in range(d):
-            seeds.append((v, [Fraction(1) if x == t else Fraction(0) for x in range(d)]))
+    seeds = [
+        (v, unit)
+        for v in range(1, max_vertex + 1)
+        for unit in el.identity(module.dims[v - 1])
+    ]
     return submodule(module, seeds)
 
 
@@ -443,28 +388,26 @@ def standard(algebra: ModelAlgebra, i: int) -> QuiverModule:
     Built once per algebra; every call returns the same module."""
     if not 1 <= i <= algebra.N:
         raise ValueError("vertex out of range")
-    cached = algebra._standards.get(i)
-    if cached is not None:
-        return cached
-    p = projective(algebra, i)
-    if i > 1:
-        _, incl = trace_submodule(p, i - 1)
-        p, _ = quotient(p, incl)
-    algebra._standards[i] = p
-    return p
+    if i not in algebra._standards:
+        p = projective(algebra, i)
+        if i > 1:
+            _, incl = trace_submodule(p, i - 1)
+            p, _ = quotient(p, incl)
+        algebra._standards[i] = p
+    return algebra._standards[i]
 
 
 def dual_module(module: QuiverModule) -> QuiverModule:
     """Linear dual twisted by the arrow swap; exchanges standards with
     costandards because the swap is an antiautomorphism."""
     a = module.algebra
-    arrow_act = {
-        a.labels[g]: el.transpose(module.act[a.swap(g)]) or el.zeros(
+    act = {
+        g: el.transpose(module.act[a.swap(g)]) or el.zeros(
             module.dims[a.tgt[g] - 1], module.dims[a.src[g] - 1]
         )
         for g in a.arrows()
     }
-    return module_from_arrows(a, module.dims, arrow_act)
+    return QuiverModule(a, module.dims, act)
 
 
 def costandard(algebra: ModelAlgebra, i: int) -> QuiverModule:
@@ -502,35 +445,34 @@ def top_generators(module: QuiverModule) -> list[tuple[int, int]]:
 
 
 class ProjectiveSum:
-    """Direct sum of indecomposable projectives with bookkeeping for the path
-    basis positions and the generator coordinates."""
+    """Direct sum of indecomposable projectives, one per generator vertex, on
+    its path basis: ``basis_pos[v-1]`` lists the (summand, path) pairs at
+    vertex v and ``gen_coord`` the position of each summand's generator."""
 
     def __init__(self, algebra: ModelAlgebra, gen_vertices: tuple[int, ...]) -> None:
         self.algebra = algebra
         self.gen_vertices = tuple(gen_vertices)
-        blocks = [projective(algebra, v) for v in gen_vertices]
-        positions = [algebra.path_basis(v) for v in gen_vertices]
+        paths = [algebra.path_basis(v) for v in self.gen_vertices]
         self.basis_pos: list[list[tuple[int, int]]] = [
-            [(s, b) for s in range(len(blocks)) for b in positions[s][v]]
+            [(s, b) for s in range(len(paths)) for b in paths[s][v]]
             for v in range(algebra.N)
         ]
+        where = [{sb: c for c, sb in enumerate(pos)} for pos in self.basis_pos]
         dims = tuple(len(p) for p in self.basis_pos)
-        # block-diagonal action: the s-th block is the s-th projective
+        # arrow g sends path b of a summand to path g·b of that summand, or to 0
         act: dict[int, Matrix] = {}
-        for g in range(algebra.dim):
+        for g in algebra.arrows():
             s_v, t_v = algebra.src[g], algebra.tgt[g]
             mat = el.zeros(dims[t_v - 1], dims[s_v - 1])
-            row0 = col0 = 0
-            for block in blocks:
-                for r, block_row in enumerate(block.act[g]):
-                    mat[row0 + r][col0 : col0 + len(block_row)] = block_row
-                row0 += block.dims[t_v - 1]
-                col0 += block.dims[s_v - 1]
+            for col, (s, b) in enumerate(self.basis_pos[s_v - 1]):
+                z = algebra.product(g, b)
+                if z is not None:
+                    mat[where[t_v - 1][(s, z)]][col] = Fraction(1)
             act[g] = mat
         self.module = QuiverModule(algebra, dims, act)
         self.gen_coord = [
-            (v, self.basis_pos[v - 1].index((s, algebra.index[("e", v)])))
-            for s, v in enumerate(gen_vertices)
+            (v, where[v - 1][(s, algebra.index[("e", v)])])
+            for s, v in enumerate(self.gen_vertices)
         ]
 
     @property
@@ -543,17 +485,12 @@ def cover_map(
 ) -> list[Matrix]:
     """Module map PS -> target sending the s-th generator to images[s];
     returns per-vertex matrices."""
-    a = ps.algebra
+    if [v for v, _ in images] != list(ps.gen_vertices):
+        raise ValueError("each image must sit at the vertex of its generator")
     mats = []
-    for v in range(1, a.N + 1):
-        mat = el.zeros(target.dims[v - 1], ps.dims[v - 1])
-        for col, (s, b) in enumerate(ps.basis_pos[v - 1]):
-            gen_v, gen_vec = images[s]
-            assert a.src[b] == gen_v and a.tgt[b] == v
-            img = el.mat_vec(target.act[b], gen_vec)
-            for row in range(target.dims[v - 1]):
-                mat[row][col] = img[row]
-        mats.append(mat)
+    for v in range(1, ps.algebra.N + 1):
+        cols = [target.apply(b, images[s][1]) for s, b in ps.basis_pos[v - 1]]
+        mats.append(el.transpose(cols) if cols else el.zeros(target.dims[v - 1], 0))
     return mats
 
 
@@ -569,9 +506,7 @@ class Resolution:
     terminated: bool
 
     def multiplicity(self, degree: int, vertex: int) -> int:
-        if degree >= len(self.gens):
-            return 0
-        return sum(1 for v in self.gens[degree] if v == vertex)
+        return _multiplicities(self.gens, vertex, degree)[degree]
 
 
 def minimal_projective_resolution(
@@ -582,10 +517,8 @@ def minimal_projective_resolution(
     diffs: list[list[Matrix]] = []
     cur = module
     incl_prev: list[Matrix] | None = None  # cur inside the previous term
-    terminated = cur.total_dim == 0
     for _ in range(max_terms):
         if cur.total_dim == 0:
-            terminated = True
             break
         gens = top_generators(cur)
         ps = ProjectiveSum(algebra, tuple(v for v, _ in gens))
@@ -598,44 +531,18 @@ def minimal_projective_resolution(
             diffs.append(cov)
         else:
             diffs.append(
-                [
-                    _mm(
-                        incl_prev[v],
-                        cov[v],
-                        len(incl_prev[v]),
-                        cur.dims[v],
-                        ps.dims[v],
-                    )
-                    for v in range(algebra.N)
-                ]
+                [_mm(incl_prev[v], cov[v], ps.dims[v]) for v in range(algebra.N)]
             )
-        gens_list.append(tuple(v for v, _ in gens))
+        gens_list.append(ps.gen_vertices)
         terms.append(ps)
         # kernel of the cover, inside the new projective term
-        kernel_cols = [
-            _nullspace(cov[v], cur.dims[v], ps.dims[v]) for v in range(algebra.N)
-        ]
-        incl = [
-            el.transpose(kernel_cols[v])
-            if kernel_cols[v]
-            else el.zeros(ps.dims[v], 0)
-            for v in range(algebra.N)
-        ]
-        kdims = tuple(len(cols) for cols in kernel_cols)
-        arrow_act: dict[Label, Matrix] = {}
-        for g in algebra.arrows():
-            lab = algebra.labels[g]
-            s, t = algebra.src[g], algebra.tgt[g]
-            rhs = _mm(
-                ps.module.act[g], incl[s - 1], ps.dims[t - 1], ps.dims[s - 1], kdims[s - 1]
-            )
-            arrow_act[lab] = _solve_matrix(
-                incl[t - 1], rhs, ps.dims[t - 1], kdims[t - 1], kdims[s - 1]
-            )
-        cur = module_from_arrows(algebra, kdims, arrow_act)
+        incl = []
+        for v in range(algebra.N):
+            kernel = el.nullspace(cov[v]) if cov[v] else el.identity(ps.dims[v])
+            incl.append(el.transpose(kernel) if kernel else el.zeros(ps.dims[v], 0))
+        cur = _restrict(ps.module, incl)
         incl_prev = incl
-    else:
-        terminated = cur.total_dim == 0
+    terminated = cur.total_dim == 0
     return Resolution(algebra, module, gens_list, terms, diffs, terminated)
 
 
@@ -659,6 +566,7 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
     ``res``, which must have at least max_degree + 2 terms or terminate."""
     hom_dims = [sum(target.dims[v - 1] for v in gens) for gens in res.gens]
     hom_dims += [0] * (max_degree + 2 - len(hom_dims))
+    acts = [target.action(b) for b in range(res.algebra.dim)]
 
     def delta(t: int) -> Matrix:
         # Hom(P_t, X) -> Hom(P_{t+1}, X), phi -> phi . d_{t+1}.  A generator
@@ -681,7 +589,7 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
                 if not coeff:
                     continue
                 col0 = col_start[s]
-                for r, act_row in enumerate(target.act[b]):
+                for r, act_row in enumerate(acts[b]):
                     out = mat[row0 + r]
                     for u, x in enumerate(act_row):
                         if x:
@@ -692,8 +600,7 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
     dims_out = []
     prev_rank = 0
     for k in range(max_degree + 1):
-        dk = delta(k)
-        rank_k = el.rank(dk) if dk and dk[0] else 0
+        rank_k = el.rank(delta(k))
         kernel_dim = hom_dims[k] - rank_k
         dims_out.append(kernel_dim - prev_rank)
         prev_rank = rank_k
@@ -736,9 +643,7 @@ def hom_space(module: QuiverModule, target: QuiverModule) -> list[list[Matrix]]:
                 for c in range(mX[s - 1]):
                     row[offsets[s - 1] + c * mM[s - 1] + q] -= target.act[g][p][c]
                 rows.append(row)
-    if total == 0:
-        return []
-    kernel = el.nullspace(rows) if rows else [list(col) for col in el.identity(total)]
+    kernel = el.nullspace(rows) if rows else el.identity(total)
     homs = []
     for vec in kernel:
         mats = []
@@ -763,9 +668,10 @@ def is_isomorphic(module: QuiverModule, target: QuiverModule) -> bool:
     homs = hom_space(module, target)
     if not homs:
         return False
+    if len(homs) > 6:  # the grid scan is exponential in the Hom dimension
+        raise ValueError(f"Hom dimension {len(homs)} exceeds the grid-scan limit of 6")
     degree = module.total_dim
     grid = range(degree + 2)
-    assert len(homs) <= 6  # grid scan is exponential in the hom dimension
     for coeffs in iproduct(grid, repeat=len(homs)):
         if not any(coeffs):
             continue
@@ -797,12 +703,8 @@ def k0_class_check(algebra: ModelAlgebra) -> bool:
     costandards = [costandard(algebra, j) for j in range(1, n + 1)]
     if any(s.dims != c.dims for s, c in zip(standards, costandards)):
         return False
-    cartan = [list(projective(algebra, i).dims) for i in range(1, n + 1)]
     d_mat = [[Fraction(x) for x in s.dims] for s in standards]
-    product_mat = el.mat_mul(el.transpose(d_mat), d_mat)
-    return all(
-        cartan[i][l] == product_mat[i][l] for i in range(n) for l in range(n)
-    )
+    return cartan_matrix(algebra) == el.mat_mul(el.transpose(d_mat), d_mat)
 
 
 def cartan_matrix(algebra: ModelAlgebra) -> list[list[int]]:
@@ -1001,16 +903,7 @@ def delta_multiplicities(algebra: ModelAlgebra, module: QuiverModule):
             layer = sub_j
         else:
             # previous span inside the current submodule's coordinates
-            inner = [
-                _solve_matrix(
-                    incl_j[v],
-                    prev_incl[v],
-                    module.dims[v],
-                    sub_j.dims[v],
-                    len(prev_incl[v][0]) if prev_incl[v] and prev_incl[v][0] else 0,
-                )
-                for v in range(n)
-            ]
+            inner = [_solve(incl_j[v], prev_incl[v]) for v in range(n)]
             layer, _ = quotient(sub_j, inner)
         d = standard(algebra, j)
         if d.total_dim and layer.dims == d.dims and is_isomorphic(layer, d):

@@ -6,6 +6,7 @@ which is the one oracle linear algebra always grants for free.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gieseker.exact_linalg import (
@@ -124,3 +125,10 @@ def test_column_space_completion():
         full.append(e)
     assert rank(full) == 3
     assert column_space_completion([], 2) == [0, 1]
+
+
+def test_shape_mismatch_raises_value_error():
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1, 2]])
+    with pytest.raises(ValueError):
+        mat_vec([[1, 2]], [1])
