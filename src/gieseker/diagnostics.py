@@ -69,18 +69,11 @@ def format_parameter(lam: Parameter) -> str:
     return "irrational" if isinstance(lam, _Irrational) else str(lam)
 
 
-def reduced_denominator(lam: Parameter, bound: int | None = None) -> int | None:
-    """Denominator of lam in lowest terms; None encodes +infinity.
-
-    With ``bound`` set, denominators exceeding the bound are also reported as
-    None (all classification windows only see denominators up to n).
-    """
+def reduced_denominator(lam: Parameter) -> int | None:
+    """Denominator of lam in lowest terms; None encodes +infinity."""
     if isinstance(lam, _Irrational):
         return None
-    q = lam.denominator
-    if bound is not None and q > bound:
-        return None
-    return q
+    return lam.denominator
 
 
 def has_finite_global_dimension(n: int, r: int, lam: Parameter) -> bool:

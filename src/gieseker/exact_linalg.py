@@ -61,10 +61,6 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
-
-
 def _clear_rows(a: Matrix) -> list[list[int]]:
     # scale each row by the lcm of entry denominators; row scaling preserves
     # the row space and the kernel
@@ -166,21 +162,17 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def column_space_completion(span: list[Vector], dim: int) -> list[int]:
-    """Indices of standard basis vectors extending ``span`` to all of Q^dim."""
-    rows = [list(v) for v in span]
-    chosen: list[int] = []
-    r = rank(rows) if rows else 0
-    for t in range(dim):
-        if r == dim:
-            break
-        e_t = [Fraction(0)] * dim
-        e_t[t] = Fraction(1)
-        cand = rows + [e_t]
-        r2 = rank(cand)
-        if r2 > r:
-            rows = cand
-            chosen.append(t)
-            r = r2
-    if r != dim:
-        raise InvariantError(f"completion reached rank {r}, not {dim}")
-    return chosen
+    """Indices of standard basis vectors extending ``span`` to all of Q^dim.
+
+    These are the t with e_t outside span + <e_0, ..., e_{t-1}>, the set a
+    greedy left-to-right scan would pick: exactly the t where some functional
+    vanishing on span and on e_0..e_{t-1} is nonzero at e_t, i.e. the pivot
+    columns of a basis of the annihilator of span, the kernel of the matrix
+    whose rows are span.
+    """
+    kernel = nullspace(span) if span else identity(dim)
+    pivots = fraction_free_echelon(kernel)[1]
+    if len(pivots) != len(kernel):
+        rank_reached = dim - len(kernel) + len(pivots)
+        raise InvariantError(f"completion reached rank {rank_reached}, not {dim}")
+    return pivots

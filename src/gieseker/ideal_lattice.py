@@ -282,7 +282,8 @@ def parse_antichain(text: str, k: int, form: str = "intersection") -> IdealAntic
         raise ValueError("antichain must be a list of index lists")
     members = []
     for c in data:
-        if not all(isinstance(x, int) and 1 <= x <= k for x in c):
+        # bool is a subclass of int, but true and false are not indices
+        if not all(type(x) is int and 1 <= x <= k for x in c):
             raise ValueError(f"indices must be integers in 1..{k}: {c}")
         members.append(frozenset(c))
     return antichain_normalize(members, k, form)

@@ -235,33 +235,27 @@ class QuiverModule:
         up = self.act[a.index[("a", i - 1, i)]]
         return _mm(down, up, self.dims[i - 1])
 
-    def apply(self, b: int, vec: list[Fraction]) -> list[Fraction]:
-        """Basis element b applied to a vector at its source vertex."""
-        a = self.algebra
-        lab = a.labels[b]
-        if lab[0] == "a":
-            return el.mat_vec(self.act[b], vec)
-        i = lab[1]
-        if lab[0] == "e":
-            return list(vec)
-        up = el.mat_vec(self.act[a.index[("a", i - 1, i)]], vec)
-        return el.mat_vec(self.act[a.index[("a", i, i - 1)]], up)
-
     def verify(self) -> bool:
         """Module axioms: each arrow matrix has the shape of its arrow, and
-        every composable product of basis elements acts as the multiplication
-        table says (relations act by 0)."""
+        every composable pair of arrows acts as the multiplication table says
+        (relations act by 0).  The algebra is the path algebra of the quiver
+        modulo the ideal these length-two relations generate, so a
+        representation satisfying them is a module (Assem-Simson-Skowronski,
+        Elements of the Representation Theory of Associative Algebras 1,
+        Thm III.1.6): e_i acts by the identity and l_i by down·up, and every
+        other product follows by associativity."""
         a = self.algebra
         for g in a.arrows():
             rows, cols = self.dim_at(a.tgt[g]), self.dim_at(a.src[g])
             if len(self.act[g]) != rows or any(len(r) != cols for r in self.act[g]):
                 return False
-        acts = [self.action(b) for b in range(a.dim)]
         for x, y in a.composable:
-            lhs = _mm(acts[x], acts[y], self.dim_at(a.src[y]))
+            if x not in self.act or y not in self.act:
+                continue  # an idempotent or a loop: acts as derived
+            lhs = _mm(self.act[x], self.act[y], self.dim_at(a.src[y]))
             z = a.product(x, y)
             rhs = (
-                acts[z]
+                self.action(z)
                 if z is not None
                 else el.zeros(self.dim_at(a.tgt[x]), self.dim_at(a.src[y]))
             )
@@ -340,19 +334,19 @@ def submodule(module: QuiverModule, vectors) -> tuple[QuiverModule, list[Matrix]
 
 
 def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, list[Matrix]]:
-    """Quotient by the submodule with the given inclusion matrices; returns the
-    quotient module and the per-vertex projection matrices."""
+    """Quotient by the submodule with the given inclusion matrices, whose
+    columns must be independent; returns the quotient module and the
+    per-vertex projection matrices."""
     a = module.algebra
     projections: list[Matrix] = []
     sections: list[Matrix] = []
     dims = []
     for v in range(a.N):
         d = module.dims[v]
-        sub_cols: list[list[Fraction]] = []
-        for vec in el.transpose(incl[v]):  # keep an independent subset of the span
-            if el.rank(sub_cols + [vec]) > len(sub_cols):
-                sub_cols.append(vec)
+        sub_cols = el.transpose(incl[v])
         comp = el.column_space_completion(sub_cols, d)
+        if len(sub_cols) + len(comp) != d:
+            raise ValueError(f"inclusion columns at vertex {v + 1} are not independent")
         dims.append(len(comp))
         # basis change [sub | chosen unit vectors]; quotient coords are the
         # trailing block of the inverse
@@ -487,9 +481,10 @@ def cover_map(
     returns per-vertex matrices."""
     if [v for v, _ in images] != list(ps.gen_vertices):
         raise ValueError("each image must sit at the vertex of its generator")
+    acts = [target.action(b) for b in range(ps.algebra.dim)]
     mats = []
     for v in range(1, ps.algebra.N + 1):
-        cols = [target.apply(b, images[s][1]) for s, b in ps.basis_pos[v - 1]]
+        cols = [el.mat_vec(acts[b], images[s][1]) for s, b in ps.basis_pos[v - 1]]
         mats.append(el.transpose(cols) if cols else el.zeros(target.dims[v - 1], 0))
     return mats
 
@@ -785,21 +780,14 @@ def verify_model_properties(n_vertices: int) -> dict:
         )
 
     # (ii) each later projective is the universal self-reproducing extension:
-    # trace sub and quotient are the adjacent standards, simple top, and the
-    # extension space between those standards is exactly one-dimensional
-    ii_ok = is_isomorphic(standards[0], projectives[0])
+    # its trace sub and quotient are the adjacent standards, which (i) checked
+    # as the two layers of its trace filtration; simple top; and the extension
+    # space between those standards is exactly one-dimensional.  The first
+    # standard is the first projective by construction.
+    ii_ok = mults == expected_mults
     for i in range(2, n + 1):
-        sub, incl = trace_submodule(projectives[i - 1], i - 1)
-        quot, _ = quotient(projectives[i - 1], incl)
         tops = top_generators(projectives[i - 1])
-        ii_ok = (
-            ii_ok
-            and is_isomorphic(sub, standards[i - 2])
-            and is_isomorphic(quot, standards[i - 1])
-            and len(tops) == 1
-            and tops[0][0] == i
-            and ext1_down[i - 2] == 1
-        )
+        ii_ok = ii_ok and len(tops) == 1 and tops[0][0] == i and ext1_down[i - 2] == 1
     checks["ii_universal_extensions"] = ii_ok
 
     # (iii) tilting test: standard filtration from (i), costandard filtration

@@ -134,8 +134,6 @@ def test_reduced_denominator():
     assert reduced_denominator(Fraction(-5, 3)) == 3
     assert reduced_denominator(Fraction(4, 2)) == 1
     assert reduced_denominator(IRRATIONAL) is None
-    assert reduced_denominator(Fraction(1, 7), bound=6) is None
-    assert reduced_denominator(Fraction(1, 6), bound=6) == 6
 
 
 def test_findim_rep_is_a_conjunction():

@@ -13,7 +13,6 @@ from gieseker.exact_linalg import (
     column_space_completion,
     fraction_free_echelon,
     identity,
-    is_zero_matrix,
     mat_eq,
     mat_mul,
     mat_vec,
@@ -40,8 +39,7 @@ def matrices(max_side=5):
 
 def test_identity_and_zeros():
     assert mat_eq(mat_mul(identity(3), identity(3)), identity(3))
-    assert is_zero_matrix(zeros(2, 4))
-    assert not is_zero_matrix([[Fraction(0), Fraction(1)]])
+    assert mat_eq(mat_mul(zeros(2, 3), identity(3)), zeros(2, 3))
 
 
 def test_known_rank_and_kernel():
@@ -125,6 +123,47 @@ def test_column_space_completion():
         full.append(e)
     assert rank(full) == 3
     assert column_space_completion([], 2) == [0, 1]
+
+
+def _greedy_completion(span, dim):
+    # the former route: keep each e_t that raises the rank, one rank per t
+    rows = [list(v) for v in span]
+    chosen = []
+    r = rank(rows) if rows else 0
+    for t in range(dim):
+        if r == dim:
+            break
+        e_t = [Fraction(int(s == t)) for s in range(dim)]
+        if rank(rows + [e_t]) > r:
+            rows.append(e_t)
+            chosen.append(t)
+            r += 1
+    assert r == dim
+    return chosen
+
+
+@st.composite
+def spans_with_dependencies(draw):
+    # spans of dimension 0..5 padded with zero rows and combinations of rows
+    dim = draw(st.integers(0, 5))
+    vec = st.lists(entries, min_size=dim, max_size=dim)
+    span = draw(st.lists(vec, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        if span and draw(st.booleans()):
+            i = draw(st.integers(0, len(span) - 1))
+            j = draw(st.integers(0, len(span) - 1))
+            c = draw(entries)
+            span.append([x + c * y for x, y in zip(span[i], span[j])])
+        else:
+            span.append([Fraction(0)] * dim)
+    return draw(st.permutations(span)), dim
+
+
+@given(spans_with_dependencies())
+@settings(max_examples=300)
+def test_column_space_completion_matches_greedy_rank_loop(case):
+    span, dim = case
+    assert column_space_completion(span, dim) == _greedy_completion(span, dim)
 
 
 def test_shape_mismatch_raises_value_error():

@@ -201,7 +201,7 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("[[0]]", "[[4]]", "[1,2]", "{", '["x"]'):
+    for bad in ("[[0]]", "[[4]]", "[1,2]", "{", '["x"]', "[[true]]"):
         with pytest.raises(ValueError):
             parse_antichain(bad, k=3)
 

@@ -40,7 +40,13 @@ from gieseker import (
     verify_model_properties,
 )
 from gieseker.errors import InvariantError
-from gieseker.quiver_engine import _hom_complex_ext, _solve
+from gieseker.quiver_engine import (
+    _hom_complex_ext,
+    _mm,
+    _solve,
+    top_generators,
+    trace_submodule,
+)
 
 
 @pytest.fixture(scope="module")
@@ -501,3 +507,101 @@ def test_cover_map_rejects_image_at_wrong_vertex(alg3):
     ps = ProjectiveSum(alg3, (2,))
     with pytest.raises(ValueError):
         cover_map(ps, projective(alg3, 1), [(1, [1])])
+
+
+def _verify_all_composable_pairs(m):
+    # the former QuiverModule.verify: every composable pair of basis elements,
+    # idempotents and loops included, against the multiplication table
+    a = m.algebra
+    for g in a.arrows():
+        rows, cols = m.dim_at(a.tgt[g]), m.dim_at(a.src[g])
+        if len(m.act[g]) != rows or any(len(r) != cols for r in m.act[g]):
+            return False
+    acts = [m.action(b) for b in range(a.dim)]
+    for x, y in a.composable:
+        lhs = _mm(acts[x], acts[y], m.dim_at(a.src[y]))
+        z = a.product(x, y)
+        if z is None:
+            rhs = [[0] * m.dim_at(a.src[y]) for _ in range(m.dim_at(a.tgt[x]))]
+        else:
+            rhs = acts[z]
+        if lhs != rhs:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_verify_arrow_pairs_matches_all_pairs_on_report_modules(n, monkeypatch):
+    # every module verify_model_properties builds: projectives, standards,
+    # costandards, simples, trace submodules, quotients and resolution kernels
+    built = []
+    init = QuiverModule.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(QuiverModule, "__init__", recording_init)
+    assert verify_model_properties(n)["all_pass"]
+    assert len(built) > 4 * n
+    for m in built:
+        assert m.verify() and _verify_all_composable_pairs(m), m.dims
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_verify_arrow_pairs_matches_all_pairs_on_corruptions(n):
+    # every single-entry +1 corruption of an arrow matrix of each projective
+    # and standard: both routes must give the same answer
+    alg = build_model_algebra(n)
+    rejected = 0
+    for make in (projective, standard):
+        for i in range(1, n + 1):
+            m = make(alg, i)
+            for g in alg.arrows():
+                for r, row in enumerate(m.act[g]):
+                    for c in range(len(row)):
+                        act = dict(m.act)
+                        act[g] = [list(x) for x in m.act[g]]
+                        act[g][r][c] += 1
+                        bad = QuiverModule(alg, m.dims, act)
+                        ok = bad.verify()
+                        assert ok == _verify_all_composable_pairs(bad), (
+                            make.__name__, i, alg.labels[g], r, c
+                        )
+                        rejected += not ok
+    assert n == 1 or rejected > 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ii_reads_trace_filtration_like_the_direct_route(n):
+    # the former (ii): trace sub and quotient of each P_i (i >= 2) tested
+    # against the adjacent standards, plus P_1 against Delta_1, simple tops
+    # and a one-dimensional Ext^1 between the adjacent standards
+    alg = build_model_algebra(n)
+    ok = is_isomorphic(standard(alg, 1), projective(alg, 1))
+    for i in range(2, n + 1):
+        p = projective(alg, i)
+        sub, incl = trace_submodule(p, i - 1)
+        quot, _ = quotient(p, incl)
+        layers_ok = is_isomorphic(sub, standard(alg, i - 1)) and is_isomorphic(
+            quot, standard(alg, i)
+        )
+        # the layers are exactly what the trace filtration of (i) compares
+        row = [1 if j in (i - 1, i) else 0 for j in range(1, n + 1)]
+        assert layers_ok == (delta_multiplicities(alg, p) == row), i
+        tops = top_generators(p)
+        ext1 = ext_groups(alg, standard(alg, i), standard(alg, i - 1), 1).dims[1]
+        ok = ok and layers_ok and [v for v, _ in tops] == [i] and ext1 == 1
+    assert ok
+    assert verify_model_properties(n)["checks"]["ii_universal_extensions"] == ok
+
+
+def test_quotient_rejects_dependent_inclusion_columns(alg3):
+    p2 = projective(alg3, 2)
+    _, incl = trace_submodule(p2, 1)
+    # repeat the one column at vertex 2: the span is the same, the columns
+    # are not independent
+    doubled = [list(m) for m in incl]
+    doubled[1] = [row + row for row in incl[1]]
+    with pytest.raises(ValueError, match="vertex 2"):
+        quotient(p2, doubled)
