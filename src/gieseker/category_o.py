@@ -10,6 +10,7 @@ that simple is the |q|-th ideal of the chain (index 0 = zero ideal).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -26,12 +27,11 @@ from .partitions import (
     Hook,
     Multipartition,
     Partition,
+    _check_modulus,
+    _quotient_size,
     check_partition,
-    divide_with_remainder,
     hooks,
     multipartition_size,
-    remove_corner,
-    removable_corners,
 )
 from .torus_chambers import Cocharacter, _walls_through, is_dominant
 
@@ -185,8 +185,7 @@ def support_dimension(
         qsize = 0
         support = r * n
     else:
-        quotient, _ = divide_with_remainder(sigma[0], m)
-        qsize = sum(quotient)
+        qsize = _quotient_size(sigma[0], m)
         support = r * n - qsize * (r * m - 1)
     if not 1 <= support <= r * n:
         raise InvariantError(f"support dimension {support} outside [1, {r * n}]")
@@ -209,31 +208,58 @@ def annihilator_index(n: int, r: int, lam: Parameter, sigma: Multipartition) -> 
     return report.annihilator_index
 
 
-def _quotient(comp: Partition, m: int) -> Partition:
-    return divide_with_remainder(comp, m)[0] if comp else ()
-
-
 def legal_removals(sigma: Multipartition, m: int) -> list[tuple[int, int]]:
     """Pairs (component index, corner row) whose box removal is allowed in the
     support recursion: the component's remainder is nonempty, the removal
     leaves a partition, and the component's quotient is unchanged."""
-    out = []
+    sigma = tuple(check_partition(comp) for comp in sigma)
+    _check_modulus(m)
+    return list(_legal_removals(sigma, m))
+
+
+def _legal_removals(sigma: Multipartition, m: int) -> Iterator[tuple[int, int]]:
+    # Removing a box from row i lowers lam_i - lam_{i+1} by one and raises
+    # lam_{i-1} - lam_i by one; the quotient's closed form (see
+    # divide_with_remainder) is unchanged iff neither floor by m moves:
+    # (lam_i - lam_{i+1}) mod m != 0 and, for i > 0, (lam_{i-1} - lam_i + 1)
+    # mod m != 0.  The first test also makes row i a corner, and no row passes
+    # it when the remainder is empty (every part divisible by m).
     for ci, comp in enumerate(sigma):
-        if not comp:
-            continue
-        quotient, remainder = divide_with_remainder(comp, m)
-        if not remainder:
-            continue
-        for row in removable_corners(comp):
-            if _quotient(remove_corner(comp, row), m) == quotient:
-                out.append((ci, row))
-    return out
+        for row, part in enumerate(comp):
+            below = comp[row + 1] if row + 1 < len(comp) else 0
+            if (part - below) % m and (row == 0 or (comp[row - 1] - part + 1) % m):
+                yield ci, row
 
 
 def _remove(sigma: Multipartition, ci: int, row: int) -> Multipartition:
-    comps = list(sigma)
-    comps[ci] = remove_corner(comps[ci], row)
-    return tuple(comps)
+    comp = sigma[ci]
+    kept = (comp[row] - 1,) if comp[row] > 1 else ()
+    return sigma[:ci] + (comp[:row] + kept + comp[row + 1 :],) + sigma[ci + 1 :]
+
+
+def _checked_recursion_input(
+    n: int, r: int, m: int, sigma: Multipartition
+) -> Multipartition:
+    if not isinstance(m, int) or m < 2:
+        raise ValueError("need integer m >= 2")
+    if len(sigma) != r:
+        raise ValueError(f"expected {r} components in sigma")
+    sigma = tuple(check_partition(comp) for comp in sigma)
+    if multipartition_size(sigma) != n:
+        raise ValueError(f"|sigma| must equal n = {n}")
+    return sigma
+
+
+def _end_value(n: int, r: int, m: int, sigma: Multipartition) -> int | None:
+    """The recursion's value where it stops, or None if a box must go: rn
+    when n < m; when every part is divisible by m, |sigma^(1)|/m from the
+    first component plus |sigma^(i)|/m * rm from each other one."""
+    if n < m:
+        return r * n
+    if any(part % m for comp in sigma for part in comp):
+        return None
+    first = sum(sigma[0])
+    return first // m + (n - first) // m * r * m
 
 
 def support_dimension_recursive(
@@ -244,53 +270,39 @@ def support_dimension_recursive(
     Cases: n < m gives the full rn; if every component is exactly divisible
     by m (empty remainder), the first component contributes |q^(1)| and every
     other component |q^(i)| * rm; otherwise remove one legal box (any choice
-    gives the same value) and add r.
+    gives the same value) and add r.  sigma is validated once, here.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ValueError("need integer m >= 2")
-    if len(sigma) != r:
-        raise ValueError(f"expected {r} components in sigma")
-    if multipartition_size(sigma) != n:
-        raise ValueError(f"|sigma| must equal n = {n}")
-    if n < m:
-        return r * n
-    divisions = [divide_with_remainder(c, m) if c else ((), ()) for c in sigma]
-    if all(not rem for _, rem in divisions):
-        first = sum(divisions[0][0])
-        rest = sum(sum(q) for q, _ in divisions[1:])
-        return first + rest * r * m
-    choices = legal_removals(sigma, m)
-    if not choices:  # some component has a nonempty remainder with a legal corner
-        raise InvariantError(f"no legal box removal from {sigma} at m = {m}")
-    ci, row = choices[0]
-    return r + support_dimension_recursive(n - 1, r, m, _remove(sigma, ci, row))
+    sigma = _checked_recursion_input(n, r, m, sigma)
+    removed = 0
+    while (value := _end_value(n - removed, r, m, sigma)) is None:
+        choice = next(_legal_removals(sigma, m), None)
+        if choice is None:
+            raise InvariantError(f"no legal box removal from {sigma} at m = {m}")
+        sigma = _remove(sigma, *choice)
+        removed += 1
+    return r * removed + value
 
 
 def support_recursion_values(n: int, r: int, m: int, sigma: Multipartition) -> frozenset[int]:
     """Set of values the recursion can reach over ALL legal corner choices.
 
     A singleton certifies corner-choice independence for this input (the
-    tested contract); memoized over multipartition states.
+    tested contract); memoized over multipartition states.  The inputs are
+    checked as in ``support_dimension_recursive``.
     """
+    sigma = _checked_recursion_input(n, r, m, sigma)
 
     @cache
-    def go(state: Multipartition) -> frozenset[int]:
-        total = multipartition_size(state)
-        if total < m:
-            return frozenset({r * total})
-        divisions = [divide_with_remainder(c, m) if c else ((), ()) for c in state]
-        if all(not rem for _, rem in divisions):
-            first = sum(divisions[0][0])
-            rest = sum(sum(q) for q, _ in divisions[1:])
-            return frozenset({first + rest * r * m})
+    def go(state: Multipartition, total: int) -> frozenset[int]:
+        value = _end_value(total, r, m, state)
+        if value is not None:
+            return frozenset({value})
         out = set()
-        for ci, row in legal_removals(state, m):
-            out.update(r + v for v in go(_remove(state, ci, row)))
+        for ci, row in _legal_removals(state, m):
+            out.update(r + v for v in go(_remove(state, ci, row), total - 1))
         return frozenset(out)
 
-    if multipartition_size(sigma) != n:
-        raise ValueError(f"|sigma| must equal n = {n}")
-    return go(tuple(sigma))
+    return go(sigma, n)
 
 
 HOOKS_BLOCK = "hooks_block"

@@ -12,9 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
-
-from .errors import InvariantError
+from functools import cache
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -87,7 +85,16 @@ def enumerate_multipartitions(n: int, r: int) -> tuple[Multipartition, ...]:
 
 
 def count_multipartitions(n: int, r: int) -> int:
-    return len(enumerate_multipartitions(n, r))
+    """The x^n coefficient of prod_{d>=1} (1 - x^d)^(-r), expanded one
+    geometric series at a time in O(r n^2) integer additions."""
+    if n < 0 or r < 1:
+        raise ValueError("need n >= 0 and r >= 1")
+    coeffs = [1] + [0] * n
+    for _ in range(r):
+        for d in range(1, n + 1):
+            for k in range(d, n + 1):
+                coeffs[k] += coeffs[k - d]
+    return coeffs[n]
 
 
 @cache
@@ -131,6 +138,13 @@ def remove_corner(lam: Partition, row: int) -> Partition:
     return tuple(p for p in new if p > 0)
 
 
+def _check_modulus(m: int) -> None:
+    if m < 2:
+        raise ValueError("modulus m must be >= 2")
+    if not isinstance(m, int):
+        raise TypeError(f"modulus m must be an int, not {type(m).__name__}")
+
+
 def divide_with_remainder(lam: Partition, m: int) -> tuple[Partition, Partition]:
     """Componentwise division of a partition by m with partition remainder.
 
@@ -139,63 +153,34 @@ def divide_with_remainder(lam: Partition, m: int) -> tuple[Partition, Partition]
     and |q| maximal among all such decompositions.  Maximality can force
     small quotients: (8,6,1) / 3 -> ((1,1), (5,3,1)) because q = (2,2) and
     q = (2,1) both leave non-decreasing remainders, and (2,1) / 2 -> ((), (2,1)).
-    Results are memoized per process (bounded, least recently used evicted).
+
+    Closed form: with d_j = q_j - q_{j+1} and q_{k+1} = lam_{k+1} = 0 the
+    conditions are exactly 0 <= d_j <= floor((lam_j - lam_{j+1}) / m),
+    independently for each j, and |q| = sum_j j * d_j; so the unique maximum
+    takes every d_j at its bound, q_i = sum_{j >= i} floor((lam_j -
+    lam_{j+1}) / m), one right-to-left pass over the rows.
     """
     lam = check_partition(lam)
-    if m < 2:
-        raise ValueError("modulus m must be >= 2")
-    return _divide(lam, m)
-
-
-@lru_cache(maxsize=4096, typed=True)
-def _divide(lam: Partition, m: int) -> tuple[Partition, Partition]:
-    k = len(lam)
-    if k == 0:
-        return (), ()
-
-    # Right-to-left DP over rows.  State entering row i is (q_{i+1}, rem_{i+1});
-    # row i may pick any q_i with q_i >= q_{i+1} and lam_i - m*q_i >= rem_{i+1}
-    # (and q_i <= lam_i // m so rem_i >= 0).  Maximize sum of q.
-    memo: dict[tuple[int, int, int], tuple[int, int] | None] = {}
-
-    def best(i: int, q_next: int, rem_next: int) -> tuple[int, int] | None:
-        # returns (total |q| from rows 0..i, q_i chosen) maximizing the total,
-        # or None if no valid choice exists
-        key = (i, q_next, rem_next)
-        if key in memo:
-            return memo[key]
-        lo = q_next
-        hi = (lam[i] - rem_next) // m
-        result: tuple[int, int] | None = None
-        for q_i in range(lo, hi + 1):
-            if i == 0:
-                cand = (q_i, q_i)
-            else:
-                sub = best(i - 1, q_i, lam[i] - m * q_i)
-                if sub is None:
-                    continue
-                cand = (sub[0] + q_i, q_i)
-            if result is None or cand[0] > result[0]:
-                result = cand
-        memo[key] = result
-        return result
-
-    # walk from the last row back, re-deriving the argmax at each row given
-    # the already-fixed suffix constraints
-    q = [0] * k
-    q_next, rem_next = 0, 0
-    for i in range(k - 1, -1, -1):
-        chosen = best(i, q_next, rem_next)
-        if chosen is None:  # q = 0 everywhere is always valid
-            raise InvariantError(f"no division of {lam} by {m}")
-        q[i] = chosen[1]
-        q_next, rem_next = q[i], lam[i] - m * q[i]
-
-    quotient = tuple(x for x in q if x > 0)
-    remainder = tuple(lam[i] - m * q[i] for i in range(k) if lam[i] - m * q[i] > 0)
-    if not (is_partition(quotient) and is_partition(remainder)):
-        raise InvariantError(f"division of {lam} by {m} left {quotient}, {remainder}")
+    _check_modulus(m)
+    q: list[int] = []
+    total = below = 0
+    for part in reversed(lam):
+        total += (part - below) // m
+        below = part
+        q.append(total)
+    q.reverse()
+    quotient = tuple(x for x in q if x)
+    remainder = tuple(p - m * x for p, x in zip(lam, q) if p - m * x)
     return quotient, remainder
+
+
+def _quotient_size(lam: Partition, m: int) -> int:
+    """|q| of ``divide_with_remainder(lam, m)`` for a validated partition and
+    modulus: sum_j j * floor((lam_j - lam_{j+1}) / m), 1-based rows."""
+    return sum(
+        (j + 1) * ((part - (lam[j + 1] if j + 1 < len(lam) else 0)) // m)
+        for j, part in enumerate(lam)
+    )
 
 
 def quotient_size(lam: Partition, m: int) -> int:

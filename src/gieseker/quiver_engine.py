@@ -740,9 +740,11 @@ def verify_model_properties(n_vertices: int) -> dict:
     checks["associative"] = a.is_associative()
     checks["relations"] = a.relations_hold()
     checks["opposite_antiautomorphism"] = a.opposite_swap_is_antiautomorphism()
+    # every tilting is a projective or the last standard, and the first
+    # standard is the first projective: verify each distinct module once
+    modules = projectives + standards + costandards + tiltings + simples
     checks["module_axioms"] = all(
-        m.verify()
-        for m in projectives + standards + costandards + tiltings + simples
+        m.verify() for m in {id(m): m for m in modules}.values()
     )
     checks["projectives_partition_algebra"] = (
         sum(m.total_dim for m in projectives) == a.dim

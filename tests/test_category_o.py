@@ -192,6 +192,61 @@ def test_legal_removals_keep_quotients():
                 assert before == after
 
 
+def former_legal_removals(sigma, m):
+    """The former rule: remove each corner of a component with a nonempty
+    remainder, divide again, and keep the corner if the quotient is unchanged."""
+    from gieseker import removable_corners, remove_corner
+
+    out = []
+    for ci, comp in enumerate(sigma):
+        if not comp:
+            continue
+        quotient, remainder = divide_with_remainder(comp, m)
+        if not remainder:
+            continue
+        for row in removable_corners(comp):
+            smaller = remove_corner(comp, row)
+            if (divide_with_remainder(smaller, m)[0] if smaller else ()) == quotient:
+                out.append((ci, row))
+    return out
+
+
+def test_legal_removals_against_former_rule():
+    for m in (2, 3, 4, 5, 7):
+        for r in range(1, 4):
+            for n in range(11):
+                for sig in enumerate_multipartitions(n, r):
+                    assert legal_removals(sig, m) == former_legal_removals(sig, m), (sig, m)
+
+
+def test_legal_removals_validate_inputs():
+    assert legal_removals([[2, 1], []], 2) == [(0, 0)]
+    with pytest.raises(ValueError, match="not a partition"):
+        legal_removals(((1, 2),), 2)
+    with pytest.raises(ValueError, match="modulus m must be >= 2"):
+        legal_removals(((2, 1),), 1)
+    with pytest.raises(TypeError):
+        legal_removals(((2, 1),), 2.0)
+
+
+def test_recursions_reject_non_partitions_below_m():
+    # below n = m the recursions still check sigma before answering rn
+    with pytest.raises(ValueError, match=r"not a partition: \(1, 0\)"):
+        support_dimension_recursive(1, 1, 2, ((1, 0),))
+    with pytest.raises(ValueError, match=r"not a partition: \(0, 1\)"):
+        support_recursion_values(1, 1, 2, ((0, 1),))
+    for bad_m in (1, 2.0):
+        with pytest.raises(ValueError, match="need integer m >= 2"):
+            support_recursion_values(1, 1, bad_m, ((1,),))
+    with pytest.raises(ValueError, match="expected 2 components"):
+        support_recursion_values(1, 2, 2, ((1,),))
+    with pytest.raises(ValueError, match="must equal n"):
+        support_recursion_values(2, 1, 2, ((1,),))
+    # list components are read as their tuples
+    assert support_recursion_values(3, 1, 2, [[2, 1]]) == frozenset({3})
+    assert support_dimension_recursive(3, 1, 2, [[2, 1]]) == 3
+
+
 def test_recursion_base_cases():
     assert support_dimension_recursive(2, 1, 2, ((2,),)) == 1
     assert support_dimension_recursive(2, 2, 2, ((), (2,))) == 4

@@ -5,8 +5,9 @@ candidate quotient bounded componentwise by floor(lam_i / m) and keeps the
 valid decompositions.  Correctness of divide_with_remainder is *defined* by
 maximality of |quotient| over that search space, so the fast implementation
 is checked against the dumb one, never the other way round.  The library
-memoizes the division per process; it is also replayed against the former
-uncached dynamic program, kept below.
+divides in closed form; it is also replayed against the former dynamic
+program, kept below.  Multipartition counts, now read off a generating
+function, are replayed against the enumeration.
 """
 
 import functools
@@ -36,6 +37,7 @@ from gieseker import (
     size,
     transpose,
 )
+from gieseker.partitions import _quotient_size
 
 
 # ---------------------------------------------------------------- oracles
@@ -144,6 +146,15 @@ def test_multipartition_counts_against_dp():
             assert count_multipartitions(n, r) == coeffs[n], (n, r)
 
 
+def test_multipartition_counts_against_enumeration():
+    for r in range(1, 5):
+        for n in range(13):
+            assert count_multipartitions(n, r) == len(enumerate_multipartitions(n, r))
+    for n, r in ((-1, 2), (3, 0)):
+        with pytest.raises(ValueError, match="need n >= 0 and r >= 1"):
+            count_multipartitions(n, r)
+
+
 def test_count_partitions_matches_enumeration():
     for n in range(13):
         assert count_partitions(n) == len(enumerate_partitions(n))
@@ -207,15 +218,29 @@ def test_divide_against_brute_force():
                 assert size(q) == best, (lam, m)
 
 
-def test_memoized_divide_against_fresh_dp():
+def test_closed_form_divide_against_fresh_dp():
     for total in range(11):
         for lam in enumerate_partitions(total):
             for m in (2, 3, 4):
                 expected = fresh_division_dp(lam, m)
                 assert divide_with_remainder(lam, m) == expected, (lam, m)
-                # a cache hit, and a list input keyed like its tuple
+                # a repeated call, and a list input treated like its tuple
                 assert divide_with_remainder(lam, m) == expected, (lam, m)
                 assert divide_with_remainder(list(lam), m) == expected, (lam, m)
+
+
+def test_closed_form_quotient_size_against_brute_force():
+    # the maximal division is unique, and |q| = sum_j j * floor((lam_j -
+    # lam_{j+1}) / m) needs no quotient tuple
+    for total in range(15):
+        for lam in enumerate_partitions(total):
+            for m in (2, 3, 4, 5, 7):
+                candidates = brute_force_divisions(lam, m)
+                best = max(size(c[0]) for c in candidates)
+                maximal = [c for c in candidates if size(c[0]) == best]
+                assert maximal == [divide_with_remainder(lam, m)], (lam, m)
+                assert _quotient_size(lam, m) == best, (lam, m)
+                assert quotient_size(lam, m) == best, (lam, m)
 
 
 @pytest.mark.parametrize(
@@ -241,12 +266,14 @@ def test_divide_errors_match_fresh_dp(lam, m):
 
 
 def test_divide_cache_keeps_float_modulus_apart():
-    # 2.0 == 2 as a key, but the division has only ever been defined for an
-    # int modulus: a float still fails as it does without the cache
+    # 2.0 == 2, but the division has only ever been defined for an int
+    # modulus, and floor division would accept a float: it still fails
     assert divide_with_remainder((4,), 2) == ((2,), ())
     for call in (fresh_division_dp, divide_with_remainder):
         with pytest.raises(TypeError):
             call((4,), 2.0)
+    with pytest.raises(TypeError):
+        divide_with_remainder((), 3.0)
 
 
 def test_divide_reconstructs():

@@ -548,6 +548,23 @@ def test_verify_arrow_pairs_matches_all_pairs_on_report_modules(n, monkeypatch):
         assert m.verify() and _verify_all_composable_pairs(m), m.dims
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_report_verifies_each_module_once(n, monkeypatch):
+    # tiltings are projectives or the last standard, and the first standard
+    # is the first projective: N projectives, N - 1 further standards, N
+    # costandards and N simples are checked, each once
+    verified = []
+    verify = QuiverModule.verify
+
+    def recording_verify(self):
+        verified.append(self)
+        return verify(self)
+
+    monkeypatch.setattr(QuiverModule, "verify", recording_verify)
+    assert verify_model_properties(n)["checks"]["module_axioms"]
+    assert len({id(m) for m in verified}) == len(verified) == 4 * n - 1
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_verify_arrow_pairs_matches_all_pairs_on_corruptions(n):
     # every single-entry +1 corruption of an arrow matrix of each projective
