@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of row lists with int/Fraction entries.  The elimination
-core is fraction-free (Bareiss) on integer-cleared rows; back substitution
-runs over Fraction.  No floating point anywhere.
+Matrices are lists of row lists with int/Fraction entries; everything built
+here is int.  The elimination core is fraction-free (Bareiss) on integer
+rows, clearing the denominators of a row only when it holds a non-int entry.
+Back substitution divides in int and makes a Fraction only where a division
+is inexact.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,18 +14,18 @@ from math import lcm
 
 from .errors import InvariantError
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Matrix = list[list[int | Fraction]]
+Vector = list[int | Fraction]
 
 
 def zeros(m: int, n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(m)]
+    return [[0] * n for _ in range(m)]
 
 
 def identity(n: int) -> Matrix:
     out = zeros(n, n)
     for i in range(n):
-        out[i][i] = Fraction(1)
+        out[i][i] = 1
     return out
 
 
@@ -47,7 +49,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     if a and len(a[0]) != len(v):
         raise ValueError(f"cannot apply: {len(a[0])} columns against a vector of {len(v)}")
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
+    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -66,9 +68,11 @@ def _clear_rows(a: Matrix) -> list[list[int]]:
     # the row space and the kernel
     out = []
     for row in a:
-        fr = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in fr)) if fr else 1
-        out.append([int(x * mult) for x in fr])
+        if any(type(x) is not int for x in row):
+            fr = [Fraction(x) for x in row]
+            mult = lcm(*(x.denominator for x in fr))
+            row = [int(x * mult) for x in fr]
+        out.append(list(row))
     return out
 
 
@@ -111,6 +115,11 @@ def rank(a: Matrix) -> int:
     return len(fraction_free_echelon(a)[1])
 
 
+def _divide(num: int | Fraction, den: int) -> int | Fraction:
+    # an int when den divides num (Fraction // int is an int), else a Fraction
+    return Fraction(num, den) if num % den else num // den
+
+
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of the right kernel of ``a``, one vector per free column."""
     if not a:
@@ -120,45 +129,43 @@ def nullspace(a: Matrix) -> list[Vector]:
     free = [j for j in range(n) if j not in pivots]
     basis = []
     for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
+        x: Vector = [0] * n
+        x[f] = 1
         # pivot rows are in column order; substitute bottom-up
         for i in range(len(pivots) - 1, -1, -1):
             c = pivots[i]
-            s = sum((Fraction(ech[i][j]) * x[j] for j in range(c + 1, n)), Fraction(0))
-            x[c] = -s / ech[i][c]
+            row = ech[i]
+            x[c] = _divide(-sum(row[j] * x[j] for j in range(c + 1, n)), row[c])
         basis.append(x)
     return basis
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a·x = b, or None if inconsistent."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(m)]
-    ech, pivots = fraction_free_echelon(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        s = sum((Fraction(ech[i][j]) * x[j] for j in range(c + 1, n)), Fraction(0))
-        x[c] = (Fraction(ech[i][n]) - s) / ech[i][c]
-    return x
+    x = solve_matrix(a, [[y] for y in b])
+    return None if x is None else [row[0] for row in x]
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
-    """X with a·X = b (columnwise solve), or None if any column fails."""
-    cols_b = transpose(b)
-    xs = []
-    for col in cols_b:
-        x = solve(a, col)
-        if x is None:
-            return None
-        xs.append(x)
-    if not xs:
-        return [[] for _ in range(len(a[0]))] if a else []
-    return transpose(xs)
+    """X with a·X = b, or None if some column of b is outside the column
+    space of a.  One elimination of [a | b]: a pivot in the b block is a row
+    combination vanishing on a but not on b.  Free unknowns are 0."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    k = len(b[0]) if b else 0
+    if not k:
+        return [[] for _ in range(n)]
+    ech, pivots = fraction_free_echelon([list(a[i]) + list(b[i]) for i in range(m)])
+    if pivots and pivots[-1] >= n:
+        return None
+    x: Matrix = zeros(n, k)
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        row = ech[i]
+        for j in range(k):
+            s = sum(row[l] * x[l][j] for l in range(c + 1, n))
+            x[c][j] = _divide(row[n + j] - s, row[c])
+    return x
 
 
 def column_space_completion(span: list[Vector], dim: int) -> list[int]:

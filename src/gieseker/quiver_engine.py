@@ -11,27 +11,27 @@ normalization fixes every structure constant to 0 or 1:
 * monotone length-2 paths vanish; loops annihilate everything.
 
 So End of the first projective is one-dimensional and every other End is the
-dual numbers, total dimension 4N - 3.  All module arithmetic is exact
-rational; Ext groups come from minimal projective resolutions.
+dual numbers, total dimension 4N - 3.  Every module matrix is integral: the
+engine computes in int, ``_solve`` raises if a module map comes out
+non-integral, and Ext groups come from minimal projective resolutions.
 
 A module is its arrow matrices and nothing else: e_i acts by the identity and
 l_i by the composite through the lower neighbor, which ``QuiverModule.action``
-derives when a check needs it.
+derives and ``QuiverModule.actions`` keeps, built on first use.
 
-Each ``ModelAlgebra`` builds every projective and standard module once, on
-first use, and hands out that one copy; modules are never mutated after
-construction.
+Each ``ModelAlgebra`` builds every standard module and every sum of
+projectives once, on first use, and hands out that one copy; modules are
+never mutated after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
 from . import exact_linalg as el
 from .errors import InvariantError
-from .exact_linalg import Matrix
+from .exact_linalg import Matrix, Vector
 
 Label = tuple
 
@@ -48,6 +48,8 @@ def _solve(a: Matrix, b: Matrix) -> Matrix:
     x = el.solve_matrix(a, b)
     if x is None:
         raise InvariantError("image does not lie in the column space it should")
+    if any(type(v) is not int for row in x for v in row):
+        raise InvariantError("a module map came out non-integral")
     return x
 
 
@@ -85,8 +87,8 @@ class ModelAlgebra:
         ]
         for b in range(self.dim):
             self._paths[self.src[b] - 1][self.tgt[b] - 1].append(b)
-        # projectives and standards by vertex, built on first use
-        self._projectives: dict[int, QuiverModule] = {}
+        # sums of projectives by generator vertices, standards by vertex
+        self._sums: dict[tuple[int, ...], ProjectiveSum] = {}
         self._standards: dict[int, QuiverModule] = {}
 
     def _mult_labels(self, xl: Label, yl: Label) -> Label | None:
@@ -199,9 +201,9 @@ def build_model_algebra(n_vertices: int) -> ModelAlgebra:
 
 
 class QuiverModule:
-    """Finite dimensional module: one exact-rational space per vertex and,
-    in ``act``, a matrix for each arrow keyed by the arrow's basis index.
-    The arrows determine the action of every other basis element."""
+    """Finite dimensional module: one rational space per vertex and, in
+    ``act``, an integer matrix for each arrow keyed by the arrow's basis
+    index.  The arrows determine the action of every other basis element."""
 
     def __init__(
         self, algebra: ModelAlgebra, dims: tuple[int, ...], act: dict[int, Matrix]
@@ -213,6 +215,7 @@ class QuiverModule:
         self.algebra = algebra
         self.dims = dims
         self.act = act
+        self._actions: list[Matrix] | None = None
 
     @property
     def total_dim(self) -> int:
@@ -235,6 +238,13 @@ class QuiverModule:
         up = self.act[a.index[("a", i - 1, i)]]
         return _mm(down, up, self.dims[i - 1])
 
+    @property
+    def actions(self) -> list[Matrix]:
+        """``action(b)`` for every basis element b, built on first use."""
+        if self._actions is None:
+            self._actions = [self.action(b) for b in range(self.algebra.dim)]
+        return self._actions
+
     def verify(self) -> bool:
         """Module axioms: each arrow matrix has the shape of its arrow, and
         every composable pair of arrows acts as the multiplication table says
@@ -255,7 +265,7 @@ class QuiverModule:
             lhs = _mm(self.act[x], self.act[y], self.dim_at(a.src[y]))
             z = a.product(x, y)
             rhs = (
-                self.action(z)
+                self.actions[z]
                 if z is not None
                 else el.zeros(self.dim_at(a.tgt[x]), self.dim_at(a.src[y]))
             )
@@ -269,9 +279,7 @@ def projective(algebra: ModelAlgebra, i: int) -> QuiverModule:
     once per algebra; every call returns the same module."""
     if not 1 <= i <= algebra.N:
         raise ValueError("vertex out of range")
-    if i not in algebra._projectives:
-        algebra._projectives[i] = ProjectiveSum(algebra, (i,)).module
-    return algebra._projectives[i]
+    return _projective_sum(algebra, (i,)).module
 
 
 def simple(algebra: ModelAlgebra, i: int) -> QuiverModule:
@@ -283,13 +291,13 @@ def simple(algebra: ModelAlgebra, i: int) -> QuiverModule:
     return QuiverModule(algebra, dims, act)
 
 
-def _span_matrices(module: QuiverModule, vectors: list[tuple[int, list[Fraction]]]):
+def _span_matrices(module: QuiverModule, vectors: list[tuple[int, Vector]]):
     """Closure of the given (vertex, vector) seeds under the arrow action;
     returns per-vertex matrices whose columns are independent spanning sets."""
     a = module.algebra
-    spans: list[list[list[Fraction]]] = [[] for _ in range(a.N)]
+    spans: list[list[Vector]] = [[] for _ in range(a.N)]
 
-    def add(v: int, vec: list[Fraction]) -> bool:
+    def add(v: int, vec: Vector) -> bool:
         # each span stays independent, so vec is new when it raises the rank
         span = spans[v - 1]
         if all(x == 0 for x in vec) or el.rank(span + [vec]) == len(span):
@@ -350,13 +358,9 @@ def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, li
         dims.append(len(comp))
         # basis change [sub | chosen unit vectors]; quotient coords are the
         # trailing block of the inverse
-        cols = sub_cols + [
-            [Fraction(1) if t == c else Fraction(0) for t in range(d)] for c in comp
-        ]
+        cols = sub_cols + [[int(t == c) for t in range(d)] for c in comp]
         p_mat = el.transpose(cols)
-        inv = el.solve_matrix(p_mat, el.identity(d))
-        if inv is None:
-            raise InvariantError("basis change for a quotient is not invertible")
+        inv = _solve(p_mat, el.identity(d))
         projections.append(inv[len(sub_cols) :])
         sections.append(el.transpose([col for col in cols[len(sub_cols) :]]))
     act: dict[int, Matrix] = {}
@@ -417,10 +421,10 @@ def tilting(algebra: ModelAlgebra, i: int) -> QuiverModule:
     return standard(algebra, algebra.N)
 
 
-def radical_vectors(module: QuiverModule) -> list[list[list[Fraction]]]:
+def radical_vectors(module: QuiverModule) -> list[list[Vector]]:
     """Per-vertex spanning vectors of rad M = (arrow ideal) * M."""
     a = module.algebra
-    out: list[list[list[Fraction]]] = [[] for _ in range(a.N)]
+    out: list[list[Vector]] = [[] for _ in range(a.N)]
     for g in a.arrows():
         t = a.tgt[g]
         for col in zip(*module.act[g]):
@@ -461,7 +465,7 @@ class ProjectiveSum:
             for col, (s, b) in enumerate(self.basis_pos[s_v - 1]):
                 z = algebra.product(g, b)
                 if z is not None:
-                    mat[where[t_v - 1][(s, z)]][col] = Fraction(1)
+                    mat[where[t_v - 1][(s, z)]][col] = 1
             act[g] = mat
         self.module = QuiverModule(algebra, dims, act)
         self.gen_coord = [
@@ -474,14 +478,21 @@ class ProjectiveSum:
         return self.module.dims
 
 
+def _projective_sum(algebra: ModelAlgebra, gen_vertices: tuple[int, ...]) -> ProjectiveSum:
+    """The sum of projectives on these generator vertices, one per algebra."""
+    if gen_vertices not in algebra._sums:
+        algebra._sums[gen_vertices] = ProjectiveSum(algebra, gen_vertices)
+    return algebra._sums[gen_vertices]
+
+
 def cover_map(
-    ps: ProjectiveSum, target: QuiverModule, images: list[tuple[int, list[Fraction]]]
+    ps: ProjectiveSum, target: QuiverModule, images: list[tuple[int, Vector]]
 ) -> list[Matrix]:
     """Module map PS -> target sending the s-th generator to images[s];
     returns per-vertex matrices."""
     if [v for v, _ in images] != list(ps.gen_vertices):
         raise ValueError("each image must sit at the vertex of its generator")
-    acts = [target.action(b) for b in range(ps.algebra.dim)]
+    acts = target.actions
     mats = []
     for v in range(1, ps.algebra.N + 1):
         cols = [el.mat_vec(acts[b], images[s][1]) for s, b in ps.basis_pos[v - 1]]
@@ -516,11 +527,8 @@ def minimal_projective_resolution(
         if cur.total_dim == 0:
             break
         gens = top_generators(cur)
-        ps = ProjectiveSum(algebra, tuple(v for v, _ in gens))
-        images = [
-            (v, [Fraction(1) if x == t else Fraction(0) for x in range(cur.dims[v - 1])])
-            for v, t in gens
-        ]
+        ps = _projective_sum(algebra, tuple(v for v, _ in gens))
+        images = [(v, [int(x == t) for x in range(cur.dims[v - 1])]) for v, t in gens]
         cov = cover_map(ps, cur, images)
         if incl_prev is None:
             diffs.append(cov)
@@ -561,7 +569,7 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
     ``res``, which must have at least max_degree + 2 terms or terminate."""
     hom_dims = [sum(target.dims[v - 1] for v in gens) for gens in res.gens]
     hom_dims += [0] * (max_degree + 2 - len(hom_dims))
-    acts = [target.action(b) for b in range(res.algebra.dim)]
+    acts = target.actions
 
     def delta(t: int) -> Matrix:
         # Hom(P_t, X) -> Hom(P_{t+1}, X), phi -> phi . d_{t+1}.  A generator
@@ -626,13 +634,13 @@ def hom_space(module: QuiverModule, target: QuiverModule) -> list[list[Matrix]]:
     sizes = [target.dims[v] * module.dims[v] for v in range(a.N)]
     offsets = [sum(sizes[:v]) for v in range(a.N)]
     total = sum(sizes)
-    rows: list[list[Fraction]] = []
+    rows: list[Vector] = []
     for g in a.arrows():
         s, t = a.src[g], a.tgt[g]
         mM, mX = module.dims, target.dims
         for p in range(mX[t - 1]):
             for q in range(mM[s - 1]):
-                row = [Fraction(0)] * total
+                row: Vector = [0] * total
                 for c in range(mM[t - 1]):
                     row[offsets[t - 1] + p * mM[t - 1] + c] += module.act[g][c][q]
                 for c in range(mX[s - 1]):
@@ -698,7 +706,7 @@ def k0_class_check(algebra: ModelAlgebra) -> bool:
     costandards = [costandard(algebra, j) for j in range(1, n + 1)]
     if any(s.dims != c.dims for s, c in zip(standards, costandards)):
         return False
-    d_mat = [[Fraction(x) for x in s.dims] for s in standards]
+    d_mat = [list(s.dims) for s in standards]
     return cartan_matrix(algebra) == el.mat_mul(el.transpose(d_mat), d_mat)
 
 
@@ -864,7 +872,7 @@ def verify_model_properties(n_vertices: int) -> dict:
 
     # the cached modules point back at the algebra; emptying the cache lets
     # reference counting free them now rather than at a later cycle collection
-    a._projectives.clear()
+    a._sums.clear()
     a._standards.clear()
     return {
         "n_vertices": n,

@@ -41,8 +41,11 @@ from gieseker import (
 )
 from gieseker.errors import InvariantError
 from gieseker.quiver_engine import (
+    ModelAlgebra,
     _hom_complex_ext,
     _mm,
+    _projective_sum,
+    _restrict,
     _solve,
     top_generators,
     trace_submodule,
@@ -278,7 +281,8 @@ def test_projectives_and_standards_built_once_per_algebra():
 
 # sha256 of json.dumps(verify_model_properties(n), sort_keys=True); n <= 8
 # recorded before the engine shared its modules and resolutions across
-# checks, n = 12 and 16 before a module was stored as its arrow matrices only
+# checks, n = 12 and 16 before a module was stored as its arrow matrices only,
+# n = 20 and 48 before the engine computed in int instead of Fraction
 PINNED_REPORTS = {
     1: "8b4a2b26a7eec3150f756f565332636bcf33e367fc5ac2a6167ac2ba630934e8",
     2: "86416e9b9d067ad7cd54816bf47e7582fda739907544b8db151e7b64d51e1a4a",
@@ -287,6 +291,8 @@ PINNED_REPORTS = {
     8: "7957ac3f8848d933b0336379a9703afb120238e089f6b1d81ebcb795d98d5d75",
     12: "5f1508c3aac8b9aeb94f210af1e683a8e1167d6c7ee8fe0eba03e557a7cea889",
     16: "aa904ca484f6f400f8ca5d4f5ac3419d1eb8190266a3cc26e95bf09b0c0e5c7e",
+    20: "1784f5dfdc4868b81eb4647a901977555df8162cb1cea58414ac21a2ca248eea",
+    48: "58843a355804ad5da1425754eccbbbe3d3b6b6c2408522662247d494e05b847d",
 }
 
 
@@ -622,3 +628,72 @@ def test_quotient_rejects_dependent_inclusion_columns(alg3):
     doubled[1] = [row + row for row in incl[1]]
     with pytest.raises(ValueError, match="vertex 2"):
         quotient(p2, doubled)
+
+
+def test_non_integral_module_map_raises():
+    # P(2) at N = 2 with the vertex-1 basis vector a(1,2) replaced by twice
+    # itself: the arrow a(1,2) then sends e_2 to half the new basis vector
+    alg = build_model_algebra(2)
+    p2 = projective(alg, 2)
+    assert p2.dims == (1, 2)
+    whole = _restrict(p2, [[[1]], [[1, 0], [0, 1]]])
+    assert whole.act == p2.act
+    with pytest.raises(InvariantError, match="non-integral"):
+        _restrict(p2, [[[2]], [[1, 0], [0, 1]]])
+    with pytest.raises(InvariantError, match="non-integral"):
+        _solve([[2]], [[1]])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_report_modules_have_int_arrow_matrices(n, monkeypatch):
+    built = []
+    init = QuiverModule.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(QuiverModule, "__init__", recording_init)
+    assert verify_model_properties(n)["all_pass"]
+    assert len(built) > 4 * n
+    for m in built:
+        for mat in m.act.values():
+            assert all(type(x) is int for row in mat for x in row), m.dims
+
+
+def test_projective_sums_built_once_per_algebra():
+    alg = build_model_algebra(4)
+    ps = _projective_sum(alg, (2, 3, 3))
+    assert _projective_sum(alg, (2, 3, 3)) is ps
+    assert _projective_sum(alg, (3, 2, 3)) is not ps
+    for i in range(1, 5):
+        assert projective(alg, i) is _projective_sum(alg, (i,)).module
+    assert _projective_sum(build_model_algebra(4), (2, 3, 3)) is not ps
+
+
+def test_report_builds_each_action_once_and_empties_the_caches(monkeypatch):
+    calls: dict = {}
+    modules = []  # keeps every counted module alive, so ids stay distinct
+    action = QuiverModule.action
+
+    def counting_action(self, b):
+        if not any(m is self for m in modules):
+            modules.append(self)
+        calls[(id(self), b)] = calls.get((id(self), b), 0) + 1
+        return action(self, b)
+
+    algebras = []
+    init = ModelAlgebra.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        algebras.append(self)
+
+    monkeypatch.setattr(QuiverModule, "action", counting_action)
+    monkeypatch.setattr(ModelAlgebra, "__init__", recording_init)
+    assert verify_model_properties(6)["all_pass"]
+    assert calls and set(calls.values()) == {1}
+    # every module whose actions were read had all 4N - 3 of them built
+    assert len(calls) == len(modules) * (4 * 6 - 3)
+    (alg,) = algebras
+    assert alg._sums == {} and alg._standards == {}
