@@ -19,6 +19,11 @@ A module is its arrow matrices and nothing else: e_i acts by the identity and
 l_i by the composite through the lower neighbor, which ``QuiverModule.action``
 derives and ``QuiverModule.actions`` keeps, built on first use.
 
+Each module's work touches only its support, the vertices where it is
+nonzero: an arrow with an end outside it has one matrix, the empty one, which
+``_module`` builds, and every solve, product, kernel and completion runs on
+the support's vertices and on its live arrows, those with both ends in it.
+
 Each ``ModelAlgebra`` builds every standard module and every sum of
 projectives once, on first use, and hands out that one copy; modules are
 never mutated after construction.
@@ -43,8 +48,10 @@ def _mm(a: Matrix, b: Matrix, cols: int) -> Matrix:
 
 
 def _solve(a: Matrix, b: Matrix) -> Matrix:
-    # X with a·X = b; an inclusion matrix has zero columns wherever it has
-    # zero rows, so exact_linalg returns the right empty shapes
+    # X with a·X = b; an inclusion matrix a has zero columns wherever it has
+    # zero rows, and a b without columns has the X without columns
+    if not (b and b[0]):
+        return [[] for _ in (a[0] if a else ())]
     x = el.solve_matrix(a, b)
     if x is None:
         raise InvariantError("image does not lie in the column space it should")
@@ -81,6 +88,10 @@ class ModelAlgebra:
                 if z is not None:
                     self.table[(x, y)] = self.index[z]
         self._arrows = tuple(i for i, lab in enumerate(labels) if lab[0] == "a")
+        # the arrows leaving / entering each vertex as (arrow, other end), 0-based
+        ends = [(g, self.src[g] - 1, self.tgt[g] - 1) for g in self._arrows]
+        self._out = [[(g, t) for g, s, t in ends if s == v] for v in range(self.N)]
+        self._in = [[(g, s) for g, s, t in ends if t == v] for v in range(self.N)]
         # paths[i-1][v-1]: basis indices of the paths from vertex i to vertex v
         self._paths: list[list[list[int]]] = [
             [[] for _ in range(self.N)] for _ in range(self.N)
@@ -200,6 +211,26 @@ def build_model_algebra(n_vertices: int) -> ModelAlgebra:
     return ModelAlgebra(n_vertices)
 
 
+def _check_vertex(algebra: ModelAlgebra, i: int) -> None:
+    if not 1 <= i <= algebra.N:
+        raise ValueError("vertex out of range")
+
+
+def _live(algebra: ModelAlgebra, dims) -> list[tuple[int, int, int]]:
+    # (g, s, t), 0-based, for each arrow g: s -> t with both ends in the support
+    return [(g, s, t) for s, d in enumerate(dims) if d for g, t in algebra._out[s] if dims[t]]
+
+
+def _module(algebra: ModelAlgebra, dims, live: dict[int, Matrix]) -> QuiverModule:
+    """The module with dimension vector ``dims`` whose live arrows act by
+    ``live``; every other arrow gets the empty matrix of its shape."""
+    act: dict[int, Matrix] = {g: [] for g in algebra.arrows()}
+    for t, d in enumerate(dims):
+        for g, s in algebra._in[t] if d else ():
+            act[g] = live[g] if dims[s] else [[] for _ in range(d)]
+    return QuiverModule(algebra, tuple(dims), act)
+
+
 class QuiverModule:
     """Finite dimensional module: one rational space per vertex and, in
     ``act``, an integer matrix for each arrow keyed by the arrow's basis
@@ -232,6 +263,8 @@ class QuiverModule:
         if lab[0] == "a":
             return self.act[b]
         i = lab[1]
+        if not self.dims[i - 1]:
+            return []
         if lab[0] == "e":
             return el.identity(self.dims[i - 1])
         down = self.act[a.index[("a", i, i - 1)]]
@@ -253,42 +286,36 @@ class QuiverModule:
         representation satisfying them is a module (Assem-Simson-Skowronski,
         Elements of the Representation Theory of Associative Algebras 1,
         Thm III.1.6): e_i acts by the identity and l_i by down·up, and every
-        other product follows by associativity."""
-        a = self.algebra
+        other product follows by associativity.  A pair y: s -> m, x: m -> t
+        with s or t outside the support has two empty sides and is skipped."""
+        a, dims, act = self.algebra, self.dims, self.act
         for g in a.arrows():
-            rows, cols = self.dim_at(a.tgt[g]), self.dim_at(a.src[g])
-            if len(self.act[g]) != rows or any(len(r) != cols for r in self.act[g]):
+            rows, cols = dims[a.tgt[g] - 1], dims[a.src[g] - 1]
+            if len(act[g]) != rows or any(len(r) != cols for r in act[g]):
                 return False
-        for x, y in a.composable:
-            if x not in self.act or y not in self.act:
-                continue  # an idempotent or a loop: acts as derived
-            lhs = _mm(self.act[x], self.act[y], self.dim_at(a.src[y]))
-            z = a.product(x, y)
-            rhs = (
-                self.actions[z]
-                if z is not None
-                else el.zeros(self.dim_at(a.tgt[x]), self.dim_at(a.src[y]))
-            )
-            if not el.mat_eq(lhs, rhs):
-                return False
+        for s, d in enumerate(dims):
+            for y, m in a._out[s] if d else ():
+                for x, t in a._out[m]:
+                    if not dims[t]:
+                        continue
+                    lhs = _mm(act[x], act[y], d)
+                    z = a.product(x, y)
+                    rhs = self.actions[z] if z is not None else el.zeros(dims[t], d)
+                    if not el.mat_eq(lhs, rhs):
+                        return False
         return True
 
 
 def projective(algebra: ModelAlgebra, i: int) -> QuiverModule:
     """P(p_i) = A e_i with its path basis; arrow matrices are 0/1.  Built
     once per algebra; every call returns the same module."""
-    if not 1 <= i <= algebra.N:
-        raise ValueError("vertex out of range")
+    _check_vertex(algebra, i)
     return _projective_sum(algebra, (i,)).module
 
 
 def simple(algebra: ModelAlgebra, i: int) -> QuiverModule:
-    dims = tuple(1 if v == i else 0 for v in range(1, algebra.N + 1))
-    act = {
-        g: el.zeros(dims[algebra.tgt[g] - 1], dims[algebra.src[g] - 1])
-        for g in algebra.arrows()
-    }
-    return QuiverModule(algebra, dims, act)
+    _check_vertex(algebra, i)
+    return _module(algebra, [int(v == i) for v in range(1, algebra.N + 1)], {})
 
 
 def _span_matrices(module: QuiverModule, vectors: list[tuple[int, Vector]]):
@@ -298,41 +325,37 @@ def _span_matrices(module: QuiverModule, vectors: list[tuple[int, Vector]]):
     spans: list[list[Vector]] = [[] for _ in range(a.N)]
 
     def add(v: int, vec: Vector) -> bool:
-        # each span stays independent, so vec is new when it raises the rank
-        span = spans[v - 1]
+        # v is 0-based; each span stays independent, so vec is new when it
+        # raises the rank
+        span = spans[v]
         if all(x == 0 for x in vec) or el.rank(span + [vec]) == len(span):
             return False
         span.append(list(vec))
         return True
 
-    frontier = [(v, vec) for v, vec in vectors if add(v, vec)]
+    frontier = [(v - 1, vec) for v, vec in vectors if add(v - 1, vec)]
     while frontier:
         new_frontier = []
         for v, vec in frontier:
-            for g in a.arrows():
-                if a.src[g] != v:
-                    continue
-                w = a.tgt[g]
-                img = el.mat_vec(module.act[g], vec)
-                if add(w, img):
-                    new_frontier.append((w, img))
+            for g, w in a._out[v]:
+                if module.dims[w]:
+                    img = el.mat_vec(module.act[g], vec)
+                    if add(w, img):
+                        new_frontier.append((w, img))
         frontier = new_frontier
-    return [
-        el.transpose(spans[v]) if spans[v] else el.zeros(module.dims[v], 0)
-        for v in range(a.N)
-    ]
+    return [el.transpose(sp) if sp else el.zeros(d, 0) for sp, d in zip(spans, module.dims)]
 
 
 def _restrict(module: QuiverModule, incl: list[Matrix]) -> QuiverModule:
     """Submodule spanned by the independent, arrow-closed columns of ``incl``:
     its matrix for arrow g: s -> t is the X with incl_t·X = act_g·incl_s."""
     a = module.algebra
-    dims = tuple(len(m[0]) if m else 0 for m in incl)
-    act: dict[int, Matrix] = {}
-    for g in a.arrows():
-        s, t = a.src[g] - 1, a.tgt[g] - 1
-        act[g] = _solve(incl[t], _mm(module.act[g], incl[s], dims[s]))
-    return QuiverModule(a, dims, act)
+    dims = [len(m[0]) if m else 0 for m in incl]
+    live = {
+        g: _solve(incl[t], el.mat_mul(module.act[g], incl[s]))
+        for g, s, t in _live(a, dims)
+    }
+    return _module(a, dims, live)
 
 
 def submodule(module: QuiverModule, vectors) -> tuple[QuiverModule, list[Matrix]]:
@@ -349,26 +372,23 @@ def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, li
     projections: list[Matrix] = []
     sections: list[Matrix] = []
     dims = []
-    for v in range(a.N):
-        d = module.dims[v]
+    for v, d in enumerate(module.dims):
         sub_cols = el.transpose(incl[v])
-        comp = el.column_space_completion(sub_cols, d)
+        comp = el.column_space_completion(sub_cols, d) if sub_cols else range(d)
         if len(sub_cols) + len(comp) != d:
             raise ValueError(f"inclusion columns at vertex {v + 1} are not independent")
         dims.append(len(comp))
         # basis change [sub | chosen unit vectors]; quotient coords are the
-        # trailing block of the inverse
-        cols = sub_cols + [[int(t == c) for t in range(d)] for c in comp]
-        p_mat = el.transpose(cols)
-        inv = _solve(p_mat, el.identity(d))
+        # trailing block of the inverse, the unit rows alone when sub is 0
+        units = [[int(t == c) for t in range(d)] for c in comp]
+        both = sub_cols and units
+        inv = _solve(el.transpose(sub_cols + units), el.identity(d)) if both else units
         projections.append(inv[len(sub_cols) :])
-        sections.append(el.transpose([col for col in cols[len(sub_cols) :]]))
-    act: dict[int, Matrix] = {}
-    for g in a.arrows():
-        s, t = a.src[g], a.tgt[g]
-        mid = _mm(module.act[g], sections[s - 1], dims[s - 1])
-        act[g] = _mm(projections[t - 1], mid, dims[s - 1])
-    return QuiverModule(a, tuple(dims), act), projections
+        sections.append(el.transpose(units))
+    live: dict[int, Matrix] = {}
+    for g, s, t in _live(a, dims):
+        live[g] = el.mat_mul(projections[t], el.mat_mul(module.act[g], sections[s]))
+    return _module(a, dims, live), projections
 
 
 def trace_submodule(module: QuiverModule, max_vertex: int) -> tuple[QuiverModule, list[Matrix]]:
@@ -376,6 +396,7 @@ def trace_submodule(module: QuiverModule, max_vertex: int) -> tuple[QuiverModule
     seeds = [
         (v, unit)
         for v in range(1, max_vertex + 1)
+        if module.dims[v - 1]
         for unit in el.identity(module.dims[v - 1])
     ]
     return submodule(module, seeds)
@@ -384,8 +405,7 @@ def trace_submodule(module: QuiverModule, max_vertex: int) -> tuple[QuiverModule
 def standard(algebra: ModelAlgebra, i: int) -> QuiverModule:
     """Delta(p_i): the i-th projective modulo the trace of the larger ones.
     Built once per algebra; every call returns the same module."""
-    if not 1 <= i <= algebra.N:
-        raise ValueError("vertex out of range")
+    _check_vertex(algebra, i)
     if i not in algebra._standards:
         p = projective(algebra, i)
         if i > 1:
@@ -399,13 +419,8 @@ def dual_module(module: QuiverModule) -> QuiverModule:
     """Linear dual twisted by the arrow swap; exchanges standards with
     costandards because the swap is an antiautomorphism."""
     a = module.algebra
-    act = {
-        g: el.transpose(module.act[a.swap(g)]) or el.zeros(
-            module.dims[a.tgt[g] - 1], module.dims[a.src[g] - 1]
-        )
-        for g in a.arrows()
-    }
-    return QuiverModule(a, module.dims, act)
+    live = {g: el.transpose(module.act[a.swap(g)]) for g, _, _ in _live(a, module.dims)}
+    return _module(a, module.dims, live)
 
 
 def costandard(algebra: ModelAlgebra, i: int) -> QuiverModule:
@@ -414,8 +429,7 @@ def costandard(algebra: ModelAlgebra, i: int) -> QuiverModule:
 
 def tilting(algebra: ModelAlgebra, i: int) -> QuiverModule:
     """T(p_i): the (i+1)-st projective for i < N; the last standard at i = N."""
-    if not 1 <= i <= algebra.N:
-        raise ValueError("vertex out of range")
+    _check_vertex(algebra, i)
     if i < algebra.N:
         return projective(algebra, i + 1)
     return standard(algebra, algebra.N)
@@ -425,10 +439,8 @@ def radical_vectors(module: QuiverModule) -> list[list[Vector]]:
     """Per-vertex spanning vectors of rad M = (arrow ideal) * M."""
     a = module.algebra
     out: list[list[Vector]] = [[] for _ in range(a.N)]
-    for g in a.arrows():
-        t = a.tgt[g]
-        for col in zip(*module.act[g]):
-            out[t - 1].append(list(col))
+    for g, _, t in _live(a, module.dims):
+        out[t].extend(list(col) for col in zip(*module.act[g]))
     return out
 
 
@@ -436,9 +448,9 @@ def top_generators(module: QuiverModule) -> list[tuple[int, int]]:
     """(vertex, coordinate) pairs projecting to a basis of M / rad M."""
     rad = radical_vectors(module)
     gens = []
-    for v in range(1, module.algebra.N + 1):
-        for t in el.column_space_completion(rad[v - 1], module.dims[v - 1]):
-            gens.append((v, t))
+    for v, d in enumerate(module.dims, start=1):
+        top = el.column_space_completion(rad[v - 1], d) if rad[v - 1] else range(d)
+        gens.extend((v, t) for t in top)
     return gens
 
 
@@ -456,18 +468,17 @@ class ProjectiveSum:
             for v in range(algebra.N)
         ]
         where = [{sb: c for c, sb in enumerate(pos)} for pos in self.basis_pos]
-        dims = tuple(len(p) for p in self.basis_pos)
+        dims = [len(p) for p in self.basis_pos]
         # arrow g sends path b of a summand to path g·b of that summand, or to 0
-        act: dict[int, Matrix] = {}
-        for g in algebra.arrows():
-            s_v, t_v = algebra.src[g], algebra.tgt[g]
-            mat = el.zeros(dims[t_v - 1], dims[s_v - 1])
-            for col, (s, b) in enumerate(self.basis_pos[s_v - 1]):
+        live: dict[int, Matrix] = {}
+        for g, s_v, t_v in _live(algebra, dims):
+            mat = el.zeros(dims[t_v], dims[s_v])
+            for col, (s, b) in enumerate(self.basis_pos[s_v]):
                 z = algebra.product(g, b)
                 if z is not None:
-                    mat[where[t_v - 1][(s, z)]][col] = 1
-            act[g] = mat
-        self.module = QuiverModule(algebra, dims, act)
+                    mat[where[t_v][(s, z)]][col] = 1
+            live[g] = mat
+        self.module = _module(algebra, dims, live)
         self.gen_coord = [
             (v, where[v - 1][(s, algebra.index[("e", v)])])
             for s, v in enumerate(self.gen_vertices)
@@ -494,9 +505,9 @@ def cover_map(
         raise ValueError("each image must sit at the vertex of its generator")
     acts = target.actions
     mats = []
-    for v in range(1, ps.algebra.N + 1):
-        cols = [el.mat_vec(acts[b], images[s][1]) for s, b in ps.basis_pos[v - 1]]
-        mats.append(el.transpose(cols) if cols else el.zeros(target.dims[v - 1], 0))
+    for v, d in enumerate(target.dims):
+        cols = [el.mat_vec(acts[b], images[s][1]) for s, b in ps.basis_pos[v]] if d else []
+        mats.append(el.transpose(cols) if cols else el.zeros(d, 0))
     return mats
 
 
@@ -512,6 +523,7 @@ class Resolution:
     terminated: bool
 
     def multiplicity(self, degree: int, vertex: int) -> int:
+        _check_vertex(self.algebra, vertex)
         return _multiplicities(self.gens, vertex, degree)[degree]
 
 
@@ -530,19 +542,18 @@ def minimal_projective_resolution(
         ps = _projective_sum(algebra, tuple(v for v, _ in gens))
         images = [(v, [int(x == t) for x in range(cur.dims[v - 1])]) for v, t in gens]
         cov = cover_map(ps, cur, images)
-        if incl_prev is None:
-            diffs.append(cov)
-        else:
-            diffs.append(
-                [_mm(incl_prev[v], cov[v], ps.dims[v]) for v in range(algebra.N)]
-            )
+        # the cover is onto, so the support of cur lies in that of ps
+        diffs.append(cov if incl_prev is None else [
+            el.mat_mul(p, c) if d else el.zeros(len(p), e)
+            for p, c, d, e in zip(incl_prev, cov, cur.dims, ps.dims)
+        ])
         gens_list.append(ps.gen_vertices)
         terms.append(ps)
         # kernel of the cover, inside the new projective term
         incl = []
-        for v in range(algebra.N):
-            kernel = el.nullspace(cov[v]) if cov[v] else el.identity(ps.dims[v])
-            incl.append(el.transpose(kernel) if kernel else el.zeros(ps.dims[v], 0))
+        for v, d in enumerate(ps.dims):
+            kernel = el.nullspace(cov[v]) if cur.dims[v] else el.identity(d)
+            incl.append(el.transpose(kernel) if kernel else el.zeros(d, 0))
         cur = _restrict(ps.module, incl)
         incl_prev = incl
     terminated = cur.total_dim == 0
@@ -586,6 +597,8 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
             col_start.append(col_start[-1] + target.dims[v - 1])
         row0 = 0
         for w, gen_pos in ps_next.gen_coord:
+            if not target.dims[w - 1]:
+                continue
             d_w = d_next[w - 1]
             for c, (s, b) in enumerate(ps_t.basis_pos[w - 1]):
                 coeff = d_w[c][gen_pos]
@@ -615,6 +628,7 @@ def ext_to_simple(
 ) -> ExtResult:
     """Ext^k(module, L(vertex)) read off generator multiplicities of the
     minimal resolution (independent of the Hom-complex route)."""
+    _check_vertex(algebra, vertex)
     res = minimal_projective_resolution(algebra, module, max_degree + 1)
     return ExtResult(_multiplicities(res.gens, vertex, max_degree), not res.terminated)
 
@@ -631,33 +645,28 @@ def _multiplicities(gens: list[tuple[int, ...]], vertex: int, max_degree: int):
 def hom_space(module: QuiverModule, target: QuiverModule) -> list[list[Matrix]]:
     """Basis of Hom(module, target) as per-vertex matrix tuples."""
     a = module.algebra
-    sizes = [target.dims[v] * module.dims[v] for v in range(a.N)]
+    mM, mX = module.dims, target.dims
+    sizes = [mX[v] * mM[v] for v in range(a.N)]
     offsets = [sum(sizes[:v]) for v in range(a.N)]
     total = sum(sizes)
+    # phi_t·M_g = X_g·phi_s for each arrow g: s -> t, an mX[t] x mM[s] block
     rows: list[Vector] = []
-    for g in a.arrows():
-        s, t = a.src[g], a.tgt[g]
-        mM, mX = module.dims, target.dims
-        for p in range(mX[t - 1]):
-            for q in range(mM[s - 1]):
-                row: Vector = [0] * total
-                for c in range(mM[t - 1]):
-                    row[offsets[t - 1] + p * mM[t - 1] + c] += module.act[g][c][q]
-                for c in range(mX[s - 1]):
-                    row[offsets[s - 1] + c * mM[s - 1] + q] -= target.act[g][p][c]
-                rows.append(row)
+    for s, ms in enumerate(mM):
+        for g, t in a._out[s] if ms else ():
+            for p in range(mX[t]):
+                for q in range(ms):
+                    row: Vector = [0] * total
+                    for c in range(mM[t]):
+                        row[offsets[t] + p * mM[t] + c] += module.act[g][c][q]
+                    for c in range(mX[s]):
+                        row[offsets[s] + c * ms + q] -= target.act[g][p][c]
+                    rows.append(row)
     kernel = el.nullspace(rows) if rows else el.identity(total)
-    homs = []
-    for vec in kernel:
-        mats = []
-        for v in range(a.N):
-            mat = el.zeros(target.dims[v], module.dims[v])
-            for p in range(target.dims[v]):
-                for q in range(module.dims[v]):
-                    mat[p][q] = vec[offsets[v] + p * module.dims[v] + q]
-            mats.append(mat)
-        homs.append(mats)
-    return homs
+    blocks = list(zip(offsets, mM, mX))
+    return [
+        [[vec[o + p * m : o + p * m + m] for p in range(x)] for o, m, x in blocks]
+        for vec in kernel
+    ]
 
 
 def is_isomorphic(module: QuiverModule, target: QuiverModule) -> bool:

@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import gieseker
+import gieseker.exact_linalg as el
+import gieseker.quiver_engine as qe
 from gieseker import (
     ProjectiveSum,
     QuiverModule,
@@ -282,7 +284,8 @@ def test_projectives_and_standards_built_once_per_algebra():
 # sha256 of json.dumps(verify_model_properties(n), sort_keys=True); n <= 8
 # recorded before the engine shared its modules and resolutions across
 # checks, n = 12 and 16 before a module was stored as its arrow matrices only,
-# n = 20 and 48 before the engine computed in int instead of Fraction
+# n = 20 and 48 before the engine computed in int instead of Fraction, n = 24
+# and 32 before each module's work was confined to its support
 PINNED_REPORTS = {
     1: "8b4a2b26a7eec3150f756f565332636bcf33e367fc5ac2a6167ac2ba630934e8",
     2: "86416e9b9d067ad7cd54816bf47e7582fda739907544b8db151e7b64d51e1a4a",
@@ -292,6 +295,8 @@ PINNED_REPORTS = {
     12: "5f1508c3aac8b9aeb94f210af1e683a8e1167d6c7ee8fe0eba03e557a7cea889",
     16: "aa904ca484f6f400f8ca5d4f5ac3419d1eb8190266a3cc26e95bf09b0c0e5c7e",
     20: "1784f5dfdc4868b81eb4647a901977555df8162cb1cea58414ac21a2ca248eea",
+    24: "3e2c62f096d12725b433893567f707726de8878f421748514c6953e8e17ec282",
+    32: "a33ea47d5490bd32172df2a91ba3e9865113fdeda4292bd868b8786ff9812bff",
     48: "58843a355804ad5da1425754eccbbbe3d3b6b6c2408522662247d494e05b847d",
 }
 
@@ -697,3 +702,226 @@ def test_report_builds_each_action_once_and_empties_the_caches(monkeypatch):
     assert len(calls) == len(modules) * (4 * 6 - 3)
     (alg,) = algebras
     assert alg._sums == {} and alg._standards == {}
+
+
+def test_vertex_out_of_range_raises():
+    alg = build_model_algebra(3)
+    for make in (simple, projective, standard, costandard, tilting):
+        for i in (0, 4, -1):
+            with pytest.raises(ValueError, match="vertex out of range"):
+                make(alg, i)
+    p2 = projective(alg, 2)
+    res = minimal_projective_resolution(alg, p2, 3)
+    for vertex in (0, 4, 9):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            ext_to_simple(alg, p2, vertex, 2)
+        with pytest.raises(ValueError, match="vertex out of range"):
+            res.multiplicity(0, vertex)
+    # the top of P_2 is L_2, and the vertices in range still answer
+    assert ext_to_simple(alg, p2, 2, 2).dims == (1, 0, 0)
+    assert res.multiplicity(0, 2) == 1 and res.multiplicity(0, 3) == 0
+
+
+# The dense route the engine took before it confined each module's work to its
+# support: every arrow is solved or multiplied, and verify tries every
+# composable pair, whatever the dimensions at its ends.
+
+
+def _dense_solve(a, b):
+    x = el.solve_matrix(a, b)
+    if x is None:
+        raise InvariantError("image does not lie in the column space it should")
+    if any(type(v) is not int for row in x for v in row):
+        raise InvariantError("a module map came out non-integral")
+    return x
+
+
+def _dense_restrict(module, incl):
+    a = module.algebra
+    dims = tuple(len(m[0]) if m else 0 for m in incl)
+    act = {}
+    for g in a.arrows():
+        s, t = a.src[g] - 1, a.tgt[g] - 1
+        act[g] = _dense_solve(incl[t], _mm(module.act[g], incl[s], dims[s]))
+    return QuiverModule(a, dims, act)
+
+
+def _dense_quotient(module, incl):
+    a = module.algebra
+    projections, sections, dims = [], [], []
+    for v in range(a.N):
+        d = module.dims[v]
+        sub_cols = el.transpose(incl[v])
+        comp = el.column_space_completion(sub_cols, d)
+        if len(sub_cols) + len(comp) != d:
+            raise ValueError(f"inclusion columns at vertex {v + 1} are not independent")
+        dims.append(len(comp))
+        cols = sub_cols + [[int(t == c) for t in range(d)] for c in comp]
+        inv = _dense_solve(el.transpose(cols), el.identity(d))
+        projections.append(inv[len(sub_cols) :])
+        sections.append(el.transpose(cols[len(sub_cols) :]))
+    act = {}
+    for g in a.arrows():
+        s, t = a.src[g], a.tgt[g]
+        mid = _mm(module.act[g], sections[s - 1], dims[s - 1])
+        act[g] = _mm(projections[t - 1], mid, dims[s - 1])
+    return QuiverModule(a, tuple(dims), act), projections
+
+
+def _dense_verify(m):
+    a = m.algebra
+    for g in a.arrows():
+        rows, cols = m.dim_at(a.tgt[g]), m.dim_at(a.src[g])
+        if len(m.act[g]) != rows or any(len(r) != cols for r in m.act[g]):
+            return False
+    for x, y in a.composable:
+        if x not in m.act or y not in m.act:
+            continue
+        lhs = _mm(m.act[x], m.act[y], m.dim_at(a.src[y]))
+        z = a.product(x, y)
+        if z is None:
+            rhs = el.zeros(m.dim_at(a.tgt[x]), m.dim_at(a.src[y]))
+        else:
+            rhs = m.actions[z]
+        if not el.mat_eq(lhs, rhs):
+            return False
+    return True
+
+
+def _all_int(module):
+    return all(type(x) is int for mat in module.act.values() for row in mat for x in row)
+
+
+def _same_module(got, want):
+    # entry for entry: dims, the key set and every arrow matrix
+    return got.dims == want.dims and got.act == want.act and _all_int(got)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sparse_route_matches_dense_route_on_report_modules(n, monkeypatch):
+    # every _restrict and quotient call of the report, replayed on the dense
+    # route; every module the report builds, verified both ways
+    restrict, quot = qe._restrict, qe.quotient
+    calls = {"restrict": 0, "quotient": 0}
+
+    def checked_restrict(module, incl):
+        got = restrict(module, incl)
+        assert _same_module(got, _dense_restrict(module, incl)), got.dims
+        calls["restrict"] += 1
+        return got
+
+    def checked_quotient(module, incl):
+        got, proj = quot(module, incl)
+        want, want_proj = _dense_quotient(module, incl)
+        assert _same_module(got, want) and proj == want_proj, got.dims
+        assert all(type(x) is int for mat in proj for row in mat for x in row)
+        calls["quotient"] += 1
+        return got, proj
+
+    built = []
+    init = QuiverModule.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(qe, "_restrict", checked_restrict)
+    monkeypatch.setattr(qe, "quotient", checked_quotient)
+    monkeypatch.setattr(QuiverModule, "__init__", recording_init)
+    assert verify_model_properties(n)["all_pass"]
+    assert calls["restrict"] > n and (n == 1 or calls["quotient"] >= n - 1)
+    # most modules leave some vertex empty, so the sparse paths are exercised
+    assert sum(0 in m.dims for m in built) > len(built) // 2 or n < 3
+    for m in built:
+        assert m.verify() and _dense_verify(m), m.dims
+        assert _all_int(m), m.dims
+
+
+def _corruptions(m):
+    """Copies of m with one arrow matrix changed: each entry of a live arrow
+    raised by 1, each live arrow zeroed, and each arrow with a
+    zero-dimensional end given a wrong shape."""
+    a = m.algebra
+
+    def with_arrow(g, mat):
+        act = {h: [list(r) for r in x] for h, x in m.act.items()}
+        act[g] = mat
+        return QuiverModule(a, m.dims, act)
+
+    for g in a.arrows():
+        rows, cols = m.dims[a.tgt[g] - 1], m.dims[a.src[g] - 1]
+        if rows and cols:
+            for r in range(rows):
+                for c in range(cols):
+                    bumped = [list(x) for x in m.act[g]]
+                    bumped[r][c] += 1
+                    yield "entry", with_arrow(g, bumped)
+            yield "zeroed", with_arrow(g, [[0] * cols for _ in range(rows)])
+        else:
+            yield "shape", with_arrow(g, [[0] * (cols + 1) for _ in range(rows + 1)])
+            if rows:
+                yield "shape", with_arrow(g, [[0] for _ in range(rows)])
+                yield "shape", with_arrow(g, [[] for _ in range(rows + 1)])
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_sparse_verify_matches_dense_verify_on_corruptions(n):
+    alg = build_model_algebra(n)
+    seen = {"entry": 0, "zeroed": 0, "shape": 0}
+    rejected = 0
+    for make in (projective, standard, costandard, simple):
+        for i in range(1, n + 1):
+            for kind, bad in _corruptions(make(alg, i)):
+                ok = bad.verify()
+                assert ok == _dense_verify(bad), (make.__name__, i, kind, bad.dims)
+                if kind == "shape":
+                    assert not ok, (make.__name__, i, bad.act)
+                seen[kind] += 1
+                rejected += not ok
+    # every wrong shape and some wrong entries are caught
+    assert min(seen.values()) > 0 and rejected > seen["shape"]
+
+
+def test_verify_checks_relation_through_empty_vertex():
+    # dims (1, 2, 0): a(1,2) a(2,1) = 0 at vertex 1 as it must be, but l_2 =
+    # a(2,1) a(1,2) is nonzero while a(2,3) a(3,2), which must equal it,
+    # passes through the empty vertex 3 and is zero
+    alg = build_model_algebra(3)
+    bad = _module_n3((1, 2, 0), a12=[[1, 0]], a21=[[0], [1]])
+    l2 = bad.action(alg.index[("loop", 2)])
+    assert l2 == [[0, 0], [1, 0]]
+    assert not bad.verify() and not _dense_verify(bad)
+    # with a(2,1) = 0, l_2 = 0 and the same shapes make a module
+    assert _module_n3((1, 2, 0), a12=[[1, 0]]).verify()
+
+
+def test_no_empty_operand_reaches_linear_algebra(monkeypatch):
+    # the sparse route never hands exact_linalg a matrix with no rows or no
+    # columns; an all-arrows loop would do so at once
+    empty_calls = []
+    counts = {}
+
+    def empty(mat):
+        return not mat or not mat[0]
+
+    def guarded(name, fn, operands):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            if any(empty(args[i]) for i in operands) or (
+                name == "column_space_completion" and not args[1]
+            ):
+                empty_calls.append((name, args))
+            return fn(*args)
+
+        return wrapper
+
+    for name, operands in (
+        ("solve_matrix", (0, 1)),
+        ("mat_mul", (0, 1)),
+        ("nullspace", (0,)),
+        ("column_space_completion", (0,)),
+    ):
+        monkeypatch.setattr(el, name, guarded(name, getattr(el, name), operands))
+    assert verify_model_properties(8)["all_pass"]
+    assert set(counts) == {"solve_matrix", "mat_mul", "nullspace", "column_space_completion"}
+    assert empty_calls == []
