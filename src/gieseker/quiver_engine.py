@@ -32,7 +32,6 @@ never mutated after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from . import exact_linalg as el
 from .errors import InvariantError
@@ -391,15 +390,21 @@ def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, li
     return _module(a, dims, live), projections
 
 
-def trace_submodule(module: QuiverModule, max_vertex: int) -> tuple[QuiverModule, list[Matrix]]:
-    """Submodule generated by everything sitting at vertices <= max_vertex."""
+def _trace_span(module: QuiverModule, max_vertex: int) -> list[Matrix]:
+    """Per-vertex inclusion matrices of the trace of vertices <= max_vertex."""
     seeds = [
         (v, unit)
         for v in range(1, max_vertex + 1)
         if module.dims[v - 1]
         for unit in el.identity(module.dims[v - 1])
     ]
-    return submodule(module, seeds)
+    return _span_matrices(module, seeds)
+
+
+def trace_submodule(module: QuiverModule, max_vertex: int) -> tuple[QuiverModule, list[Matrix]]:
+    """Submodule generated by everything sitting at vertices <= max_vertex."""
+    incl = _trace_span(module, max_vertex)
+    return _restrict(module, incl), incl
 
 
 def standard(algebra: ModelAlgebra, i: int) -> QuiverModule:
@@ -409,8 +414,7 @@ def standard(algebra: ModelAlgebra, i: int) -> QuiverModule:
     if i not in algebra._standards:
         p = projective(algebra, i)
         if i > 1:
-            _, incl = trace_submodule(p, i - 1)
-            p, _ = quotient(p, incl)
+            p, _ = quotient(p, _trace_span(p, i - 1))
         algebra._standards[i] = p
     return algebra._standards[i]
 
@@ -642,70 +646,6 @@ def _multiplicities(gens: list[tuple[int, ...]], vertex: int, max_degree: int):
     )
 
 
-def hom_space(module: QuiverModule, target: QuiverModule) -> list[list[Matrix]]:
-    """Basis of Hom(module, target) as per-vertex matrix tuples."""
-    a = module.algebra
-    mM, mX = module.dims, target.dims
-    sizes = [mX[v] * mM[v] for v in range(a.N)]
-    offsets = [sum(sizes[:v]) for v in range(a.N)]
-    total = sum(sizes)
-    # phi_t·M_g = X_g·phi_s for each arrow g: s -> t, an mX[t] x mM[s] block
-    rows: list[Vector] = []
-    for s, ms in enumerate(mM):
-        for g, t in a._out[s] if ms else ():
-            for p in range(mX[t]):
-                for q in range(ms):
-                    row: Vector = [0] * total
-                    for c in range(mM[t]):
-                        row[offsets[t] + p * mM[t] + c] += module.act[g][c][q]
-                    for c in range(mX[s]):
-                        row[offsets[s] + c * ms + q] -= target.act[g][p][c]
-                    rows.append(row)
-    kernel = el.nullspace(rows) if rows else el.identity(total)
-    blocks = list(zip(offsets, mM, mX))
-    return [
-        [[vec[o + p * m : o + p * m + m] for p in range(x)] for o, m, x in blocks]
-        for vec in kernel
-    ]
-
-
-def is_isomorphic(module: QuiverModule, target: QuiverModule) -> bool:
-    """Exact isomorphism test: equal dimension vectors plus an invertible
-    element of Hom, found by scanning a grid large enough for a nonzero
-    determinant polynomial to show itself."""
-    if module.dims != target.dims:
-        return False
-    if module.total_dim == 0:
-        return True
-    homs = hom_space(module, target)
-    if not homs:
-        return False
-    if len(homs) > 6:  # the grid scan is exponential in the Hom dimension
-        raise ValueError(f"Hom dimension {len(homs)} exceeds the grid-scan limit of 6")
-    degree = module.total_dim
-    grid = range(degree + 2)
-    for coeffs in iproduct(grid, repeat=len(homs)):
-        if not any(coeffs):
-            continue
-        ok = True
-        for v in range(module.algebra.N):
-            d = module.dims[v]
-            if d == 0:
-                continue
-            mat = el.zeros(d, d)
-            for c, h in zip(coeffs, homs):
-                if c:
-                    for p in range(d):
-                        for q in range(d):
-                            mat[p][q] += c * h[v][p][q]
-            if el.rank(mat) != d:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 def k0_class_check(algebra: ModelAlgebra) -> bool:
     """Grothendieck-group sanity: standards and costandards share classes and
     the matrix of projective composition multiplicities factors as the square
@@ -848,9 +788,7 @@ def verify_model_properties(n_vertices: int) -> dict:
     summands_with_higher = []
     simples_hit: set[int] = set()
     for p, gens in enumerate(tilting_gens, start=1):
-        hit = {
-            j for j in range(1, n + 1) if any(_multiplicities(gens, j, max_deg)[1:])
-        }
+        hit = {j for term in gens[1:] for j in term}  # degrees 1..max_deg
         if hit:
             summands_with_higher.append(p)
             simples_hit |= hit
@@ -893,29 +831,25 @@ def verify_model_properties(n_vertices: int) -> dict:
 
 def delta_multiplicities(algebra: ModelAlgebra, module: QuiverModule):
     """Multiplicities [module : Delta_j] via the trace filtration, or None if
-    some layer fails to be a direct sum of copies of the expected standard."""
-    n = algebra.N
-    prev_incl = None
-    prev_dim = 0
+    some layer fails to be a direct sum of copies of the expected standard.
+
+    The j-th layer (trace of vertices <= j over trace of vertices < j) is
+    zero below j and generated by its m-dimensional space at j, so it is a
+    quotient of P_j^m killing the trace of the smaller vertices, hence of
+    Delta_j^m (Cline-Parshall-Scott 1988); it is Delta_j^m exactly when the
+    dimension vectors agree, so trace dimensions decide every layer.
+    """
+    prev = [0] * algebra.N
     mults = []
-    for j in range(1, n + 1):
-        if prev_dim == module.total_dim:
-            mults.append(0)  # the filtration is already exhausted
+    for j, d in enumerate(module.dims, start=1):
+        if not d or sum(prev) == module.total_dim:
+            mults.append(0)  # nothing at j, or the filtration is exhausted
             continue
-        sub_j, incl_j = trace_submodule(module, j)
-        if sub_j.total_dim == prev_dim:
-            mults.append(0)  # the traces are nested, so the layer is zero
-            continue
-        if prev_incl is None:
-            layer = sub_j
-        else:
-            # previous span inside the current submodule's coordinates
-            inner = [_solve(incl_j[v], prev_incl[v]) for v in range(n)]
-            layer, _ = quotient(sub_j, inner)
-        d = standard(algebra, j)
-        if d.total_dim and layer.dims == d.dims and is_isomorphic(layer, d):
-            mults.append(1)
-        else:
+        cur = [len(inc[0]) if inc else 0 for inc in _trace_span(module, j)]
+        layer = [c - p for c, p in zip(cur, prev)]
+        m = layer[j - 1]
+        if layer != [m * x for x in standard(algebra, j).dims]:
             return None
-        prev_incl, prev_dim = incl_j, sub_j.total_dim
+        mults.append(m)
+        prev = cur
     return mults

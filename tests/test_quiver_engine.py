@@ -3,7 +3,8 @@
 Everything homological is computed two independent ways where possible:
 Ext groups come from the Hom complex of a minimal resolution AND from
 counting projective multiplicities in resolution terms (valid for simple
-targets); standard multiplicities are replayed against the Cartan matrix.
+targets); standard multiplicities are replayed against the Cartan matrix,
+and their dimension certificate against the former grid-scan isomorphism test.
 """
 
 import ast
@@ -12,6 +13,8 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations_with_replacement
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
@@ -29,8 +32,6 @@ from gieseker import (
     dual_module,
     ext_groups,
     ext_to_simple,
-    hom_space,
-    is_isomorphic,
     k0_class_check,
     minimal_projective_resolution,
     projective,
@@ -42,6 +43,7 @@ from gieseker import (
     verify_model_properties,
 )
 from gieseker.errors import InvariantError
+from gieseker.exact_linalg import Matrix, Vector
 from gieseker.quiver_engine import (
     ModelAlgebra,
     _hom_complex_ext,
@@ -57,6 +59,72 @@ from gieseker.quiver_engine import (
 @pytest.fixture(scope="module")
 def alg3():
     return build_model_algebra(3)
+
+
+# The library's former Hom-space basis and grid-scan isomorphism test, kept
+# as the oracle of the dimension certificate in ``delta_multiplicities``.
+def hom_space(module: QuiverModule, target: QuiverModule) -> list[list[Matrix]]:
+    """Basis of Hom(module, target) as per-vertex matrix tuples."""
+    a = module.algebra
+    mM, mX = module.dims, target.dims
+    sizes = [mX[v] * mM[v] for v in range(a.N)]
+    offsets = [sum(sizes[:v]) for v in range(a.N)]
+    total = sum(sizes)
+    # phi_t·M_g = X_g·phi_s for each arrow g: s -> t, an mX[t] x mM[s] block
+    rows: list[Vector] = []
+    for s, ms in enumerate(mM):
+        for g, t in a._out[s] if ms else ():
+            for p in range(mX[t]):
+                for q in range(ms):
+                    row: Vector = [0] * total
+                    for c in range(mM[t]):
+                        row[offsets[t] + p * mM[t] + c] += module.act[g][c][q]
+                    for c in range(mX[s]):
+                        row[offsets[s] + c * ms + q] -= target.act[g][p][c]
+                    rows.append(row)
+    kernel = el.nullspace(rows) if rows else el.identity(total)
+    blocks = list(zip(offsets, mM, mX))
+    return [
+        [[vec[o + p * m : o + p * m + m] for p in range(x)] for o, m, x in blocks]
+        for vec in kernel
+    ]
+
+
+def is_isomorphic(module: QuiverModule, target: QuiverModule) -> bool:
+    """Exact isomorphism test: equal dimension vectors plus an invertible
+    element of Hom, found by scanning a grid large enough for a nonzero
+    determinant polynomial to show itself."""
+    if module.dims != target.dims:
+        return False
+    if module.total_dim == 0:
+        return True
+    homs = hom_space(module, target)
+    if not homs:
+        return False
+    if len(homs) > 6:  # the grid scan is exponential in the Hom dimension
+        raise ValueError(f"Hom dimension {len(homs)} exceeds the grid-scan limit of 6")
+    degree = module.total_dim
+    grid = range(degree + 2)
+    for coeffs in iproduct(grid, repeat=len(homs)):
+        if not any(coeffs):
+            continue
+        ok = True
+        for v in range(module.algebra.N):
+            d = module.dims[v]
+            if d == 0:
+                continue
+            mat = el.zeros(d, d)
+            for c, h in zip(coeffs, homs):
+                if c:
+                    for p in range(d):
+                        for q in range(d):
+                            mat[p][q] += c * h[v][p][q]
+            if el.rank(mat) != d:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
 
 
 def test_dimension_and_associativity_sweep():
@@ -398,6 +466,22 @@ def test_is_isomorphic_rejects_large_hom_space():
         is_isomorphic(m, m)
 
 
+def test_certificate_reads_module_past_the_grid_scan_limit():
+    # the module whose Hom space the grid scan refuses: three copies of P_2
+    m = ProjectiveSum(build_model_algebra(3), (2, 2, 2)).module
+    assert delta_multiplicities(m.algebra, m) == [3, 3, 0]
+
+
+def test_public_names_resolve():
+    names = gieseker.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(gieseker, name), name
+    namespace: dict = {}
+    exec("from gieseker import *", namespace)
+    assert set(names) <= set(namespace)
+
+
 def _path_action(alg, i, b):
     # 0/1 matrix of basis element b on the path basis of the i-th projective,
     # read straight off the multiplication table
@@ -622,6 +706,56 @@ def test_ii_reads_trace_filtration_like_the_direct_route(n):
         ok = ok and layers_ok and [v for v, _ in tops] == [i] and ext1 == 1
     assert ok
     assert verify_model_properties(n)["checks"]["ii_universal_extensions"] == ok
+
+
+def _delta_multiplicities_by_grid_scan(alg, module):
+    # the former route: quotient consecutive traces, grid-scan each layer
+    # against the standard; accepts single copies only
+    n = alg.N
+    prev_incl, prev_dim, mults = None, 0, []
+    for j in range(1, n + 1):
+        if prev_dim == module.total_dim:
+            mults.append(0)
+            continue
+        sub_j, incl_j = trace_submodule(module, j)
+        if sub_j.total_dim == prev_dim:
+            mults.append(0)
+            continue
+        if prev_incl is None:
+            layer = sub_j
+        else:
+            inner = [_solve(incl_j[v], prev_incl[v]) for v in range(n)]
+            layer, _ = quotient(sub_j, inner)
+        d = standard(alg, j)
+        if not (layer.dims == d.dims and is_isomorphic(layer, d)):
+            return None
+        mults.append(1)
+        prev_incl, prev_dim = incl_j, sub_j.total_dim
+    return mults
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_layer_certificate_matches_grid_scan_route(n):
+    alg = build_model_algebra(n)
+    accepted = 0
+    for make in (projective, standard, costandard, tilting, simple):
+        for i in range(1, n + 1):
+            m = make(alg, i)
+            got = delta_multiplicities(alg, m)
+            assert got == _delta_multiplicities_by_grid_scan(alg, m), (make.__name__, i)
+            accepted += got is not None
+    # every projective, standard and tilting has a standard filtration
+    assert accepted >= 3 * n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_delta_multiplicities_add_over_projective_sums(n):
+    alg = build_model_algebra(n)
+    rows = {i: delta_multiplicities(alg, projective(alg, i)) for i in range(1, n + 1)}
+    for k in (1, 2, 3):
+        for gens in combinations_with_replacement(range(1, n + 1), k):
+            got = delta_multiplicities(alg, ProjectiveSum(alg, gens).module)
+            assert got == [sum(rows[i][j] for i in gens) for j in range(n)], gens
 
 
 def test_quotient_rejects_dependent_inclusion_columns(alg3):
