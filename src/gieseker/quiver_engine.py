@@ -16,17 +16,18 @@ engine computes in int, ``_solve`` raises if a module map comes out
 non-integral, and Ext groups come from minimal projective resolutions.
 
 A module is its arrow matrices and nothing else: e_i acts by the identity and
-l_i by the composite through the lower neighbor, which ``QuiverModule.action``
-derives and ``QuiverModule.actions`` keeps, built on first use.
+l_i by the composite through the lower neighbor, which ``QuiverModule.actions``
+derives per basis element on its first read and keeps, holding no module.
 
 Each module's work touches only its support, the vertices where it is
 nonzero: an arrow with an end outside it has one matrix, the empty one, which
 ``_module`` builds, and every solve, product, kernel and completion runs on
-the support's vertices and on its live arrows, those with both ends in it.
+the support's vertices and on its live arrows, those with both ends in it;
+a per-vertex matrix with no rows is the empty list, built by no call.
 
-Each ``ModelAlgebra`` builds every standard module and every sum of
-projectives once, on first use, and hands out that one copy; modules are
-never mutated after construction.
+Each ``ModelAlgebra`` builds every standard module, every sum of projectives
+and every resolution step (keyed by its module's dims and live arrow matrices)
+once and hands out that copy; modules and steps are never mutated once built.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ class ModelAlgebra:
         ]
         for b in range(self.dim):
             self._paths[self.src[b] - 1][self.tgt[b] - 1].append(b)
-        # sums of projectives by generator vertices, standards by vertex
+        # sums of projectives by generator vertices, standards by vertex, steps by content
         self._sums: dict[tuple[int, ...], ProjectiveSum] = {}
         self._standards: dict[int, QuiverModule] = {}
+        self._steps: dict[tuple, tuple] = {}
 
     def _mult_labels(self, xl: Label, yl: Label) -> Label | None:
         if xl[0] == "e":
@@ -220,6 +222,11 @@ def _live(algebra: ModelAlgebra, dims) -> list[tuple[int, int, int]]:
     return [(g, s, t) for s, d in enumerate(dims) if d for g, t in algebra._out[s] if dims[t]]
 
 
+def _from_cols(cols: list[Vector], rows: int) -> Matrix:
+    # the matrix with these columns; one without rows is [], built by no call
+    return el.transpose(cols) if cols else el.zeros(rows, 0) if rows else []
+
+
 def _module(algebra: ModelAlgebra, dims, live: dict[int, Matrix]) -> QuiverModule:
     """The module with dimension vector ``dims`` whose live arrows act by
     ``live``; every other arrow gets the empty matrix of its shape."""
@@ -228,6 +235,34 @@ def _module(algebra: ModelAlgebra, dims, live: dict[int, Matrix]) -> QuiverModul
         for g, s in algebra._in[t] if d else ():
             act[g] = live[g] if dims[s] else [[] for _ in range(d)]
     return QuiverModule(algebra, tuple(dims), act)
+
+
+class _Actions(dict):
+    """A module's basis-element matrices, each built on its first read; it holds
+    the module's parts, not the module, so reference counting frees the module."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, algebra: ModelAlgebra, dims, act: dict[int, Matrix]) -> None:
+        super().__init__()
+        self._parts = (algebra, dims, act)
+
+    def __missing__(self, b: int) -> Matrix:
+        algebra, dims, act = self._parts
+        lab = algebra.labels[b]
+        i = lab[1]
+        if lab[0] == "a":
+            mat = act[b]
+        elif not dims[i - 1]:
+            mat = []
+        elif lab[0] == "e":
+            mat = el.identity(dims[i - 1])
+        else:
+            down = act[algebra.index[("a", i, i - 1)]]
+            up = act[algebra.index[("a", i - 1, i)]]
+            mat = _mm(down, up, dims[i - 1])
+        self[b] = mat
+        return mat
 
 
 class QuiverModule:
@@ -245,7 +280,7 @@ class QuiverModule:
         self.algebra = algebra
         self.dims = dims
         self.act = act
-        self._actions: list[Matrix] | None = None
+        self.actions = _Actions(algebra, dims, act)
 
     @property
     def total_dim(self) -> int:
@@ -257,25 +292,7 @@ class QuiverModule:
     def action(self, b: int) -> Matrix:
         """Matrix of basis element b: its stored matrix for an arrow, the
         identity for e_i, and down·up through the lower neighbor for l_i."""
-        a = self.algebra
-        lab = a.labels[b]
-        if lab[0] == "a":
-            return self.act[b]
-        i = lab[1]
-        if not self.dims[i - 1]:
-            return []
-        if lab[0] == "e":
-            return el.identity(self.dims[i - 1])
-        down = self.act[a.index[("a", i, i - 1)]]
-        up = self.act[a.index[("a", i - 1, i)]]
-        return _mm(down, up, self.dims[i - 1])
-
-    @property
-    def actions(self) -> list[Matrix]:
-        """``action(b)`` for every basis element b, built on first use."""
-        if self._actions is None:
-            self._actions = [self.action(b) for b in range(self.algebra.dim)]
-        return self._actions
+        return self.actions[b]
 
     def verify(self) -> bool:
         """Module axioms: each arrow matrix has the shape of its arrow, and
@@ -342,7 +359,7 @@ def _span_matrices(module: QuiverModule, vectors: list[tuple[int, Vector]]):
                     if add(w, img):
                         new_frontier.append((w, img))
         frontier = new_frontier
-    return [el.transpose(sp) if sp else el.zeros(d, 0) for sp, d in zip(spans, module.dims)]
+    return [_from_cols(sp, d) for sp, d in zip(spans, module.dims)]
 
 
 def _restrict(module: QuiverModule, incl: list[Matrix]) -> QuiverModule:
@@ -399,12 +416,6 @@ def _trace_span(module: QuiverModule, max_vertex: int) -> list[Matrix]:
         for unit in el.identity(module.dims[v - 1])
     ]
     return _span_matrices(module, seeds)
-
-
-def trace_submodule(module: QuiverModule, max_vertex: int) -> tuple[QuiverModule, list[Matrix]]:
-    """Submodule generated by everything sitting at vertices <= max_vertex."""
-    incl = _trace_span(module, max_vertex)
-    return _restrict(module, incl), incl
 
 
 def standard(algebra: ModelAlgebra, i: int) -> QuiverModule:
@@ -511,7 +522,7 @@ def cover_map(
     mats = []
     for v, d in enumerate(target.dims):
         cols = [el.mat_vec(acts[b], images[s][1]) for s, b in ps.basis_pos[v]] if d else []
-        mats.append(el.transpose(cols) if cols else el.zeros(d, 0))
+        mats.append(_from_cols(cols, d))
     return mats
 
 
@@ -531,6 +542,28 @@ class Resolution:
         return _multiplicities(self.gens, vertex, degree)[degree]
 
 
+def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule) -> tuple:
+    """(P, cover P -> module, inclusions of its kernel into P, that kernel):
+    one step of a minimal resolution of the nonzero ``module``, computed once
+    per algebra for each content (dims and live arrow matrices) it depends on."""
+    live = _live(algebra, module.dims)
+    key = (module.dims, *(tuple(map(tuple, module.act[g])) for g, _, _ in live))
+    if key not in algebra._steps:
+        gens = top_generators(module)
+        ps = _projective_sum(algebra, tuple(v for v, _ in gens))
+        images = [(v, [int(x == t) for x in range(module.dims[v - 1])]) for v, t in gens]
+        cov = cover_map(ps, module, images)
+        # the cover is onto, so the support of the module lies in that of P
+        incl = []
+        for v, d in enumerate(ps.dims):
+            if d and module.dims[v]:
+                incl.append(_from_cols(el.nullspace(cov[v]), d))
+            else:  # the kernel is all of P here
+                incl.append(el.identity(d) if d else [])
+        algebra._steps[key] = (ps, cov, incl, _restrict(ps.module, incl))
+    return algebra._steps[key]
+
+
 def minimal_projective_resolution(
     algebra: ModelAlgebra, module: QuiverModule, max_terms: int
 ) -> Resolution:
@@ -542,24 +575,15 @@ def minimal_projective_resolution(
     for _ in range(max_terms):
         if cur.total_dim == 0:
             break
-        gens = top_generators(cur)
-        ps = _projective_sum(algebra, tuple(v for v, _ in gens))
-        images = [(v, [int(x == t) for x in range(cur.dims[v - 1])]) for v, t in gens]
-        cov = cover_map(ps, cur, images)
-        # the cover is onto, so the support of cur lies in that of ps
-        diffs.append(cov if incl_prev is None else [
-            el.mat_mul(p, c) if d else el.zeros(len(p), e)
+        ps, cov, incl, syzygy = _syzygy_step(algebra, cur)
+        # diffs[0] copies the shared cover list; cur's support lies in ps's
+        diffs.append(list(cov) if incl_prev is None else [
+            el.mat_mul(p, c) if d else el.zeros(len(p), e) if p else []
             for p, c, d, e in zip(incl_prev, cov, cur.dims, ps.dims)
         ])
         gens_list.append(ps.gen_vertices)
         terms.append(ps)
-        # kernel of the cover, inside the new projective term
-        incl = []
-        for v, d in enumerate(ps.dims):
-            kernel = el.nullspace(cov[v]) if cur.dims[v] else el.identity(d)
-            incl.append(el.transpose(kernel) if kernel else el.zeros(d, 0))
-        cur = _restrict(ps.module, incl)
-        incl_prev = incl
+        cur, incl_prev = syzygy, incl
     terminated = cur.total_dim == 0
     return Resolution(algebra, module, gens_list, terms, diffs, terminated)
 
@@ -606,7 +630,7 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
             d_w = d_next[w - 1]
             for c, (s, b) in enumerate(ps_t.basis_pos[w - 1]):
                 coeff = d_w[c][gen_pos]
-                if not coeff:
+                if not coeff or col_start[s] == col_start[s + 1]:  # X is 0 at s's top
                     continue
                 col0 = col_start[s]
                 for r, act_row in enumerate(acts[b]):
@@ -678,9 +702,9 @@ def verify_model_properties(n_vertices: int) -> dict:
     that resolution: each standard to three terms for the Ext^1 of (ii) and
     (iii) (Hom-complex route), each tilting to N + 2 terms for (iv) and (v)
     and each simple to two terms for the Ext^1 table (multiplicity route).
-    ``iv_two_routes_agree`` resolves the top standard once more and compares
-    both routes on it.  A tilting resolution that fails to terminate raises
-    ``InvariantError``.
+    ``iv_two_routes_agree`` compares both routes on the resolution of T_N,
+    which is the top standard.  A tilting resolution that fails to terminate
+    raises ``InvariantError``.  Equal modules share their resolution steps.
     """
     a = ModelAlgebra(n_vertices)
     n = a.N
@@ -756,24 +780,24 @@ def verify_model_properties(n_vertices: int) -> dict:
     # (iv) derived Hom from the full tilting to the first simple: dimensions
     # per degree, checked for concentration in a single degree
     max_deg = n + 1
-    tilting_gens = []
+    tilting_res = []
     for t in tiltings:
         res = minimal_projective_resolution(a, t, max_deg + 1)
         if not res.terminated:
             raise InvariantError(
                 f"a tilting resolution runs past {max_deg + 1} terms at N = {n}"
             )
-        tilting_gens.append(res.gens)
+        tilting_res.append(res)
     full = [0] * (max_deg + 1)
-    for gens in tilting_gens:
-        for k, d in enumerate(_multiplicities(gens, 1, max_deg)):
+    for res in tilting_res:
+        for k, d in enumerate(_multiplicities(res.gens, 1, max_deg)):
             full[k] += d
     nonzero = [k for k, d in enumerate(full) if d]
     single = len(nonzero) == 1
     degree = nonzero[0] if single else None
     checks["iv_single_degree"] = single
-    # the same Ext two ways: Hom complex and generator multiplicities
-    top_res = minimal_projective_resolution(a, standards[n - 1], max_deg + 2)
+    # the same Ext two ways on T_N = Delta_N: Hom complex and generator multiplicities
+    top_res = tilting_res[n - 1]
     cross = _hom_complex_ext(top_res, simples[0], max_deg)
     checks["iv_two_routes_agree"] = not cross.truncated and cross.dims == (
         _multiplicities(top_res.gens, 1, max_deg)
@@ -787,8 +811,8 @@ def verify_model_properties(n_vertices: int) -> dict:
     # simples hit by them is reported but not asserted
     summands_with_higher = []
     simples_hit: set[int] = set()
-    for p, gens in enumerate(tilting_gens, start=1):
-        hit = {j for term in gens[1:] for j in term}  # degrees 1..max_deg
+    for p, res in enumerate(tilting_res, start=1):
+        hit = {j for term in res.gens[1:] for j in term}  # degrees 1..max_deg
         if hit:
             summands_with_higher.append(p)
             simples_hit |= hit
@@ -821,6 +845,7 @@ def verify_model_properties(n_vertices: int) -> dict:
     # reference counting free them now rather than at a later cycle collection
     a._sums.clear()
     a._standards.clear()
+    a._steps.clear()
     return {
         "n_vertices": n,
         "checks": checks,

@@ -4,15 +4,18 @@ Everything homological is computed two independent ways where possible:
 Ext groups come from the Hom complex of a minimal resolution AND from
 counting projective multiplicities in resolution terms (valid for simple
 targets); standard multiplicities are replayed against the Cartan matrix,
-and their dimension certificate against the former grid-scan isomorphism test.
+and their dimension certificate against the former grid-scan isomorphism test;
+resolutions built from shared steps are replayed on the per-step loop.
 """
 
 import ast
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from pathlib import Path
@@ -51,8 +54,8 @@ from gieseker.quiver_engine import (
     _projective_sum,
     _restrict,
     _solve,
+    cover_map,
     top_generators,
-    trace_submodule,
 )
 
 
@@ -597,8 +600,6 @@ def test_is_associative_detects_corrupted_table():
 
 
 def test_cover_map_rejects_image_at_wrong_vertex(alg3):
-    from gieseker.quiver_engine import cover_map
-
     ps = ProjectiveSum(alg3, (2,))
     with pytest.raises(ValueError):
         cover_map(ps, projective(alg3, 1), [(1, [1])])
@@ -812,14 +813,14 @@ def test_projective_sums_built_once_per_algebra():
 
 def test_report_builds_each_action_once_and_empties_the_caches(monkeypatch):
     calls: dict = {}
-    modules = []  # keeps every counted module alive, so ids stay distinct
-    action = QuiverModule.action
+    caches = []  # keeps every counted action cache alive, so ids stay distinct
+    build = qe._Actions.__missing__
 
-    def counting_action(self, b):
-        if not any(m is self for m in modules):
-            modules.append(self)
+    def counting_build(self, b):
+        if not any(c is self for c in caches):
+            caches.append(self)
         calls[(id(self), b)] = calls.get((id(self), b), 0) + 1
-        return action(self, b)
+        return build(self, b)
 
     algebras = []
     init = ModelAlgebra.__init__
@@ -828,14 +829,31 @@ def test_report_builds_each_action_once_and_empties_the_caches(monkeypatch):
         init(self, *args)
         algebras.append(self)
 
-    monkeypatch.setattr(QuiverModule, "action", counting_action)
+    monkeypatch.setattr(qe._Actions, "__missing__", counting_build)
     monkeypatch.setattr(ModelAlgebra, "__init__", recording_init)
     assert verify_model_properties(6)["all_pass"]
     assert calls and set(calls.values()) == {1}
-    # every module whose actions were read had all 4N - 3 of them built
-    assert len(calls) == len(modules) * (4 * 6 - 3)
+    # only elements with both ends in the module's support are built
     (alg,) = algebras
-    assert alg._sums == {} and alg._standards == {}
+    dims_of = {id(c): c._parts[1] for c in caches}
+    for key, b in calls:
+        dims = dims_of[key]
+        assert dims[alg.src[b] - 1] and dims[alg.tgt[b] - 1], (dims, alg.labels[b])
+    assert alg._sums == {} and alg._standards == {} and alg._steps == {}
+
+
+def test_action_cache_holds_no_reference_to_its_module():
+    # reference counting alone frees a module whose actions were read
+    alg = build_model_algebra(3)
+    m = dual_module(dual_module(projective(alg, 3)))  # a copy the algebra does not keep
+    assert m.verify() and m.action(alg.index[("loop", 3)]) == [[0, 0], [1, 0]]
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_vertex_out_of_range_raises():
@@ -922,6 +940,20 @@ def _dense_verify(m):
     return True
 
 
+def trace_submodule(module, max_vertex):
+    # the submodule generated by everything at vertices <= max_vertex, with
+    # its inclusion matrices; the engine reads only their dimensions
+    incl = qe._trace_span(module, max_vertex)
+    return _restrict(module, incl), incl
+
+
+def _content(module):
+    # what determines a module: its dims and every arrow matrix
+    return module.dims, tuple(
+        (g, tuple(map(tuple, mat))) for g, mat in sorted(module.act.items())
+    )
+
+
 def _all_int(module):
     return all(type(x) is int for mat in module.act.values() for row in mat for x in row)
 
@@ -959,11 +991,21 @@ def test_sparse_route_matches_dense_route_on_report_modules(n, monkeypatch):
         init(self, *args)
         built.append(self)
 
+    # the content of each module the report resolves a step of
+    stepped = set()
+    step = qe._syzygy_step
+
+    def recording_step(alg, module):
+        stepped.add(_content(module))
+        return step(alg, module)
+
     monkeypatch.setattr(qe, "_restrict", checked_restrict)
     monkeypatch.setattr(qe, "quotient", checked_quotient)
+    monkeypatch.setattr(qe, "_syzygy_step", recording_step)
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     assert verify_model_properties(n)["all_pass"]
-    assert calls["restrict"] > n and (n == 1 or calls["quotient"] >= n - 1)
+    # one _restrict, the syzygy's, per distinct step
+    assert calls["restrict"] == len(stepped) and (n == 1 or calls["quotient"] >= n - 1)
     # most modules leave some vertex empty, so the sparse paths are exercised
     assert sum(0 in m.dims for m in built) > len(built) // 2 or n < 3
     for m in built:
@@ -1059,3 +1101,134 @@ def test_no_empty_operand_reaches_linear_algebra(monkeypatch):
     assert verify_model_properties(8)["all_pass"]
     assert set(counts) == {"solve_matrix", "mat_mul", "nullspace", "column_space_completion"}
     assert empty_calls == []
+
+
+# The resolution loop before the engine shared its steps: every term is
+# covered, and its kernel restricted, afresh.
+
+
+def _plain_resolution(algebra, module, max_terms):
+    gens_list, terms, diffs = [], [], []
+    cur = module
+    incl_prev = None  # cur inside the previous term
+    for _ in range(max_terms):
+        if cur.total_dim == 0:
+            break
+        gens = top_generators(cur)
+        ps = _projective_sum(algebra, tuple(v for v, _ in gens))
+        images = [(v, [int(x == t) for x in range(cur.dims[v - 1])]) for v, t in gens]
+        cov = cover_map(ps, cur, images)
+        diffs.append(cov if incl_prev is None else [
+            el.mat_mul(p, c) if d else el.zeros(len(p), e)
+            for p, c, d, e in zip(incl_prev, cov, cur.dims, ps.dims)
+        ])
+        gens_list.append(ps.gen_vertices)
+        terms.append(ps)
+        incl = []
+        for v, d in enumerate(ps.dims):
+            kernel = el.nullspace(cov[v]) if cur.dims[v] else el.identity(d)
+            incl.append(el.transpose(kernel) if kernel else el.zeros(d, 0))
+        cur = _restrict(ps.module, incl)
+        incl_prev = incl
+    return gens_list, [ps.dims for ps in terms], diffs, cur.total_dim == 0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_shared_steps_match_plain_resolution(n, monkeypatch):
+    # standards first: projectives, tiltings and the later standards' and
+    # costandards' syzygies then meet steps resolved before
+    alg = build_model_algebra(n)
+    steps = []
+    step = qe._syzygy_step
+
+    def counting_step(a, module):
+        steps.append(module)
+        return step(a, module)
+
+    monkeypatch.setattr(qe, "_syzygy_step", counting_step)
+    for make in (standard, tilting, projective, costandard, simple):
+        for i in range(1, n + 1):
+            m = make(alg, i)
+            res = minimal_projective_resolution(alg, m, n + 2)
+            got = (res.gens, [ps.dims for ps in res.terms], res.diffs, res.terminated)
+            assert got == _plain_resolution(alg, m, n + 2), (make.__name__, i)
+            assert all(ps is _projective_sum(alg, ps.gen_vertices) for ps in res.terms)
+    assert len(alg._steps) < len(steps)
+
+
+def test_report_computes_each_step_once(monkeypatch):
+    class CountingSteps(dict):
+        def __init__(self):
+            super().__init__()
+            self.misses = []
+            self.size_at_clear = None
+
+        def __setitem__(self, key, value):
+            self.misses.append(key)
+            super().__setitem__(key, value)
+
+        def clear(self):
+            self.size_at_clear = len(self)
+            super().clear()
+
+    algebras = []
+    init = ModelAlgebra.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        self._steps = CountingSteps()
+        algebras.append(self)
+
+    reads = []
+    step = qe._syzygy_step
+
+    def counting_step(a, module):
+        reads.append(module)
+        return step(a, module)
+
+    monkeypatch.setattr(ModelAlgebra, "__init__", recording_init)
+    monkeypatch.setattr(qe, "_syzygy_step", counting_step)
+    assert verify_model_properties(8)["all_pass"]
+    (alg,) = algebras
+    misses = alg._steps.misses
+    assert len(set(misses)) == len(misses) == alg._steps.size_at_clear
+    assert alg._steps == {}
+    # the report reads some steps more than once
+    assert len(misses) < len(reads)
+
+
+def test_each_resolution_owns_its_diffs():
+    alg = build_model_algebra(4)
+    m = standard(alg, 3)
+    first = minimal_projective_resolution(alg, m, 5)
+    want = [[[list(row) for row in mat] for mat in diff] for diff in first.diffs]
+    assert first.terminated and len(want) >= 2
+    first.diffs[0][2] = [[99]]
+    first.diffs[1][0] = [[99]]
+    # the same module, and an equal copy of it, resolve as before
+    for again in (m, dual_module(dual_module(m))):
+        later = minimal_projective_resolution(alg, again, 5)
+        assert later.diffs == want
+        assert later.diffs[0] is not first.diffs[0]
+
+
+def test_no_empty_per_vertex_matrix_is_built_by_a_call(monkeypatch):
+    # spans, covers, kernels and composite differentials give a vertex
+    # without rows []; only a Hom-complex differential is still built empty
+    callers = []
+    zeros, identity = el.zeros, el.identity
+
+    def rows_zeros(m, n):
+        if not m:
+            callers.append(sys._getframe(1).f_code.co_name)
+        return zeros(m, n)
+
+    def rows_identity(n):
+        if not n:
+            callers.append(sys._getframe(1).f_code.co_name)
+        return identity(n)
+
+    monkeypatch.setattr(el, "zeros", rows_zeros)
+    monkeypatch.setattr(el, "identity", rows_identity)
+    assert verify_model_properties(8)["all_pass"]
+    assert set(callers) <= {"delta"}
