@@ -15,15 +15,18 @@ dual numbers, total dimension 4N - 3.  Every module matrix is integral: the
 engine computes in int, ``_solve`` raises if a module map comes out
 non-integral, and Ext groups come from minimal projective resolutions.
 
-A module is its arrow matrices and nothing else: e_i acts by the identity and
-l_i by the composite through the lower neighbor, which ``QuiverModule.actions``
-derives per basis element on its first read and keeps, holding no module.
+A module is its dimension vector and the matrices of its live arrows, those
+with both ends in its support (the vertices where it is nonzero), and nothing
+else: a dead arrow acts by the empty matrix of its shape, e_i by the identity
+and l_i by the composite through the lower neighbor, which
+``QuiverModule.actions`` derives per basis element on its first read and
+keeps, holding no module.
 
-Each module's work touches only its support, the vertices where it is
-nonzero: an arrow with an end outside it has one matrix, the empty one, which
-``_module`` builds, and every solve, product, kernel and completion runs on
-the support's vertices and on its live arrows, those with both ends in it;
-a per-vertex matrix with no rows is the empty list, built by no call.
+Each module's work touches only its support: every solve, product, kernel and
+completion runs on the support's vertices and on its live arrows; a
+per-vertex matrix with no rows is the empty list, built by no call.  The
+algebra keeps, per vertex, the basis elements starting and ending there, so
+it is built and checked in O(N).
 
 Each ``ModelAlgebra`` builds every standard module, every sum of projectives
 and every resolution step (keyed by its module's dims and live arrow matrices)
@@ -32,6 +35,7 @@ once and hands out that copy; modules and steps are never mutated once built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import exact_linalg as el
@@ -39,12 +43,6 @@ from .errors import InvariantError
 from .exact_linalg import Matrix, Vector
 
 Label = tuple
-
-
-def _mm(a: Matrix, b: Matrix, cols: int) -> Matrix:
-    # a row list keeps its row count but loses its column count when it has
-    # no rows, so an empty inner dimension needs the column count of b
-    return el.mat_mul(a, b) if b else el.zeros(len(a), cols)
 
 
 def _solve(a: Matrix, b: Matrix) -> Matrix:
@@ -76,28 +74,28 @@ class ModelAlgebra:
         self.index: dict[Label, int] = {lab: i for i, lab in enumerate(labels)}
         self.src = tuple(lab[2] if lab[0] == "a" else lab[1] for lab in labels)
         self.tgt = tuple(lab[1] for lab in labels)
-        # the pairs (x, y) with src x = tgt y; every other product is zero
-        self.composable: list[tuple[int, int]] = []
-        self.table: dict[tuple[int, int], int] = {}
-        for x, xl in enumerate(labels):
-            for y, yl in enumerate(labels):
-                if self.src[x] != self.tgt[y]:
-                    continue
-                self.composable.append((x, y))
-                z = self._mult_labels(xl, yl)
-                if z is not None:
-                    self.table[(x, y)] = self.index[z]
-        self._arrows = tuple(i for i, lab in enumerate(labels) if lab[0] == "a")
-        # the arrows leaving / entering each vertex as (arrow, other end), 0-based
-        ends = [(g, self.src[g] - 1, self.tgt[g] - 1) for g in self._arrows]
-        self._out = [[(g, t) for g, s, t in ends if s == v] for v in range(self.N)]
-        self._in = [[(g, s) for g, s, t in ends if t == v] for v in range(self.N)]
-        # paths[i-1][v-1]: basis indices of the paths from vertex i to vertex v
-        self._paths: list[list[list[int]]] = [
-            [[] for _ in range(self.N)] for _ in range(self.N)
-        ]
+        # the basis elements starting / ending at each vertex, in basis order
+        self._starting: list[list[int]] = [[] for _ in range(self.N)]
+        self._ending: list[list[int]] = [[] for _ in range(self.N)]
         for b in range(self.dim):
-            self._paths[self.src[b] - 1][self.tgt[b] - 1].append(b)
+            self._starting[self.src[b] - 1].append(b)
+            self._ending[self.tgt[b] - 1].append(b)
+        # the pairs (x, y) with src x = tgt y; every other product is zero
+        self.composable: list[tuple[int, int]] = [
+            (x, y) for starts, ends in zip(self._starting, self._ending)
+            for x in starts for y in ends
+        ]
+        self.table: dict[tuple[int, int], int] = {}
+        for x, y in self.composable:
+            z = self._mult_labels(labels[x], labels[y])
+            if z is not None:
+                self.table[(x, y)] = self.index[z]
+        self._arrows = tuple(i for i, lab in enumerate(labels) if lab[0] == "a")
+        # the arrows leaving each vertex as (arrow, other end), 0-based
+        self._out = [
+            [(g, self.tgt[g] - 1) for g in starts if labels[g][0] == "a"]
+            for starts in self._starting
+        ]
         # sums of projectives by generator vertices, standards by vertex, steps by content
         self._sums: dict[tuple[int, ...], ProjectiveSum] = {}
         self._standards: dict[int, QuiverModule] = {}
@@ -127,21 +125,18 @@ class ModelAlgebra:
         """Basis indices of the arrows a(i,j), in basis order."""
         return self._arrows
 
-    def path_basis(self, i: int) -> list[list[int]]:
-        """Per-vertex basis indices of the paths starting at vertex i: the
-        path basis of the i-th projective."""
-        return self._paths[i - 1]
+    def path_basis(self, i: int) -> list[int]:
+        """Basis indices of the paths starting at vertex i, in basis order:
+        the path basis of the i-th projective."""
+        return self._starting[i - 1]
 
     def is_associative(self) -> bool:
         """(xy)z = x(yz) for every basis triple.  Only composable pairs extend
         to triples: associativity with the idempotents forces each product to
         keep the outer endpoints, so any other triple is zero on both sides."""
-        ending_at: list[list[int]] = [[] for _ in range(self.N)]
-        for z in range(self.dim):
-            ending_at[self.tgt[z] - 1].append(z)
         for x, y in self.composable:
             xy = self.table.get((x, y))
-            for z in ending_at[self.src[y] - 1]:
+            for z in self._ending[self.src[y] - 1]:
                 yz = self.table.get((y, z))
                 left = self.product(xy, z) if xy is not None else None
                 right = self.product(x, yz) if yz is not None else None
@@ -168,24 +163,19 @@ class ModelAlgebra:
                 return False
             if prod(ix[("a", i - 1, i)], ix[("a", i, i + 1)]) is not None:
                 return False
-        for i in range(2, self.N + 1):
-            lp = ix[("loop", i)]
-            for g in (lp, *self.arrows()):
-                if prod(lp, g) is not None or prod(g, lp) is not None:
-                    return False
+        # loops annihilate every arrow and loop; a pair that is not composable
+        # has no table entry
+        for x, y in self.composable:
+            kinds = {self.labels[x][0], self.labels[y][0]}
+            if "loop" in kinds and "e" not in kinds and prod(x, y) is not None:
+                return False
         # Hom-space dimensions: 1 off-diagonal at distance one, dual numbers on
         # the diagonal past the first vertex, zero further away
-        for i in range(1, self.N + 1):
-            for j in range(1, self.N + 1):
-                count = len(self.path_basis(j)[i - 1])
-                if abs(i - j) == 1:
-                    want_dim = 1
-                elif i == j:
-                    want_dim = 1 if i == 1 else 2
-                else:
-                    want_dim = 0
-                if count != want_dim:
-                    return False
+        for j in range(1, self.N + 1):
+            want = {i: 1 for i in (j - 1, j + 1) if 1 <= i <= self.N}
+            want[j] = 1 if j == 1 else 2
+            if Counter(self.tgt[b] for b in self.path_basis(j)) != want:
+                return False
         return True
 
     def swap(self, b: int) -> int:
@@ -227,16 +217,6 @@ def _from_cols(cols: list[Vector], rows: int) -> Matrix:
     return el.transpose(cols) if cols else el.zeros(rows, 0) if rows else []
 
 
-def _module(algebra: ModelAlgebra, dims, live: dict[int, Matrix]) -> QuiverModule:
-    """The module with dimension vector ``dims`` whose live arrows act by
-    ``live``; every other arrow gets the empty matrix of its shape."""
-    act: dict[int, Matrix] = {g: [] for g in algebra.arrows()}
-    for t, d in enumerate(dims):
-        for g, s in algebra._in[t] if d else ():
-            act[g] = live[g] if dims[s] else [[] for _ in range(d)]
-    return QuiverModule(algebra, tuple(dims), act)
-
-
 class _Actions(dict):
     """A module's basis-element matrices, each built on its first read; it holds
     the module's parts, not the module, so reference counting frees the module."""
@@ -251,31 +231,35 @@ class _Actions(dict):
         algebra, dims, act = self._parts
         lab = algebra.labels[b]
         i = lab[1]
+        d = dims[i - 1]
         if lab[0] == "a":
-            mat = act[b]
-        elif not dims[i - 1]:
+            # a dead arrow has the empty matrix of its shape: d rows, no columns
+            mat = act[b] if b in act else [[] for _ in range(d)]
+        elif not d:
             mat = []
         elif lab[0] == "e":
-            mat = el.identity(dims[i - 1])
-        else:
-            down = act[algebra.index[("a", i, i - 1)]]
-            up = act[algebra.index[("a", i - 1, i)]]
-            mat = _mm(down, up, dims[i - 1])
+            mat = el.identity(d)
+        elif dims[i - 2]:  # l_i = a(i,i-1) a(i-1,i), both live
+            down, up = algebra.index[("a", i, i - 1)], algebra.index[("a", i - 1, i)]
+            mat = el.mat_mul(self[down], self[up])
+        else:  # the lower neighbor is outside the support
+            mat = el.zeros(d, d)
         self[b] = mat
         return mat
 
 
 class QuiverModule:
     """Finite dimensional module: one rational space per vertex and, in
-    ``act``, an integer matrix for each arrow keyed by the arrow's basis
-    index.  The arrows determine the action of every other basis element."""
+    ``act``, an integer matrix for each live arrow (both ends in the support)
+    keyed by the arrow's basis index.  The live arrows determine the action of
+    every other basis element."""
 
     def __init__(
         self, algebra: ModelAlgebra, dims: tuple[int, ...], act: dict[int, Matrix]
     ) -> None:
-        if len(dims) != algebra.N or set(act) != set(algebra.arrows()):
+        if len(dims) != algebra.N or set(act) != {g for g, _, _ in _live(algebra, dims)}:
             raise InvariantError(
-                "a module needs one dimension per vertex and one matrix per arrow"
+                "a module needs one dimension per vertex and one matrix per live arrow"
             )
         self.algebra = algebra
         self.dims = dims
@@ -295,7 +279,7 @@ class QuiverModule:
         return self.actions[b]
 
     def verify(self) -> bool:
-        """Module axioms: each arrow matrix has the shape of its arrow, and
+        """Module axioms: each live arrow matrix has the shape of its arrow, and
         every composable pair of arrows acts as the multiplication table says
         (relations act by 0).  The algebra is the path algebra of the quiver
         modulo the ideal these length-two relations generate, so a
@@ -304,19 +288,19 @@ class QuiverModule:
         Thm III.1.6): e_i acts by the identity and l_i by down·up, and every
         other product follows by associativity.  A pair y: s -> m, x: m -> t
         with s or t outside the support has two empty sides and is skipped."""
-        a, dims, act = self.algebra, self.dims, self.act
-        for g in a.arrows():
+        a, dims, acts = self.algebra, self.dims, self.actions
+        for g, mat in self.act.items():
             rows, cols = dims[a.tgt[g] - 1], dims[a.src[g] - 1]
-            if len(act[g]) != rows or any(len(r) != cols for r in act[g]):
+            if len(mat) != rows or any(len(r) != cols for r in mat):
                 return False
         for s, d in enumerate(dims):
             for y, m in a._out[s] if d else ():
                 for x, t in a._out[m]:
                     if not dims[t]:
                         continue
-                    lhs = _mm(act[x], act[y], d)
+                    lhs = el.mat_mul(acts[x], acts[y]) if dims[m] else el.zeros(dims[t], d)
                     z = a.product(x, y)
-                    rhs = self.actions[z] if z is not None else el.zeros(dims[t], d)
+                    rhs = acts[z] if z is not None else el.zeros(dims[t], d)
                     if not el.mat_eq(lhs, rhs):
                         return False
         return True
@@ -331,7 +315,7 @@ def projective(algebra: ModelAlgebra, i: int) -> QuiverModule:
 
 def simple(algebra: ModelAlgebra, i: int) -> QuiverModule:
     _check_vertex(algebra, i)
-    return _module(algebra, [int(v == i) for v in range(1, algebra.N + 1)], {})
+    return QuiverModule(algebra, tuple(int(v == i) for v in range(1, algebra.N + 1)), {})
 
 
 def _span_matrices(module: QuiverModule, vectors: list[tuple[int, Vector]]):
@@ -366,12 +350,12 @@ def _restrict(module: QuiverModule, incl: list[Matrix]) -> QuiverModule:
     """Submodule spanned by the independent, arrow-closed columns of ``incl``:
     its matrix for arrow g: s -> t is the X with incl_t·X = act_g·incl_s."""
     a = module.algebra
-    dims = [len(m[0]) if m else 0 for m in incl]
-    live = {
+    dims = tuple(len(m[0]) if m else 0 for m in incl)
+    act = {
         g: _solve(incl[t], el.mat_mul(module.act[g], incl[s]))
         for g, s, t in _live(a, dims)
     }
-    return _module(a, dims, live)
+    return QuiverModule(a, dims, act)
 
 
 def submodule(module: QuiverModule, vectors) -> tuple[QuiverModule, list[Matrix]]:
@@ -401,10 +385,11 @@ def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, li
         inv = _solve(el.transpose(sub_cols + units), el.identity(d)) if both else units
         projections.append(inv[len(sub_cols) :])
         sections.append(el.transpose(units))
-    live: dict[int, Matrix] = {}
-    for g, s, t in _live(a, dims):
-        live[g] = el.mat_mul(projections[t], el.mat_mul(module.act[g], sections[s]))
-    return _module(a, dims, live), projections
+    act = {
+        g: el.mat_mul(projections[t], el.mat_mul(module.act[g], sections[s]))
+        for g, s, t in _live(a, dims)
+    }
+    return QuiverModule(a, tuple(dims), act), projections
 
 
 def _trace_span(module: QuiverModule, max_vertex: int) -> list[Matrix]:
@@ -434,8 +419,8 @@ def dual_module(module: QuiverModule) -> QuiverModule:
     """Linear dual twisted by the arrow swap; exchanges standards with
     costandards because the swap is an antiautomorphism."""
     a = module.algebra
-    live = {g: el.transpose(module.act[a.swap(g)]) for g, _, _ in _live(a, module.dims)}
-    return _module(a, module.dims, live)
+    act = {g: el.transpose(module.act[a.swap(g)]) for g, _, _ in _live(a, module.dims)}
+    return QuiverModule(a, module.dims, act)
 
 
 def costandard(algebra: ModelAlgebra, i: int) -> QuiverModule:
@@ -477,23 +462,22 @@ class ProjectiveSum:
     def __init__(self, algebra: ModelAlgebra, gen_vertices: tuple[int, ...]) -> None:
         self.algebra = algebra
         self.gen_vertices = tuple(gen_vertices)
-        paths = [algebra.path_basis(v) for v in self.gen_vertices]
-        self.basis_pos: list[list[tuple[int, int]]] = [
-            [(s, b) for s in range(len(paths)) for b in paths[s][v]]
-            for v in range(algebra.N)
-        ]
+        self.basis_pos: list[list[tuple[int, int]]] = [[] for _ in range(algebra.N)]
+        for s, v in enumerate(self.gen_vertices):
+            for b in algebra.path_basis(v):  # each path sits at its target
+                self.basis_pos[algebra.tgt[b] - 1].append((s, b))
         where = [{sb: c for c, sb in enumerate(pos)} for pos in self.basis_pos]
-        dims = [len(p) for p in self.basis_pos]
+        dims = tuple(len(p) for p in self.basis_pos)
         # arrow g sends path b of a summand to path g·b of that summand, or to 0
-        live: dict[int, Matrix] = {}
+        act: dict[int, Matrix] = {}
         for g, s_v, t_v in _live(algebra, dims):
             mat = el.zeros(dims[t_v], dims[s_v])
             for col, (s, b) in enumerate(self.basis_pos[s_v]):
                 z = algebra.product(g, b)
                 if z is not None:
                     mat[where[t_v][(s, z)]][col] = 1
-            live[g] = mat
-        self.module = _module(algebra, dims, live)
+            act[g] = mat
+        self.module = QuiverModule(algebra, dims, act)
         self.gen_coord = [
             (v, where[v - 1][(s, algebra.index[("e", v)])])
             for s, v in enumerate(self.gen_vertices)
@@ -610,14 +594,15 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
     hom_dims += [0] * (max_degree + 2 - len(hom_dims))
     acts = target.actions
 
-    def delta(t: int) -> Matrix:
+    def delta_rank(t: int) -> int:
         # Hom(P_t, X) -> Hom(P_{t+1}, X), phi -> phi . d_{t+1}.  A generator
         # phi of Hom(P_t, X) sends one summand's top to a vector of X; its
         # value on the next term's generator at w is X acting on the paths
-        # that d_{t+1} hits in that summand.
+        # that d_{t+1} hits in that summand.  A map between spaces one of
+        # which is zero, past the last term in particular, has rank 0.
+        if not (hom_dims[t + 1] and hom_dims[t]):
+            return 0
         mat = el.zeros(hom_dims[t + 1], hom_dims[t])
-        if t + 1 >= len(res.terms):
-            return mat
         ps_t, ps_next = res.terms[t], res.terms[t + 1]
         d_next = res.diffs[t + 1]
         col_start = [0]
@@ -639,12 +624,12 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
                         if x:
                             out[col0 + u] += coeff * x
             row0 += target.dims[w - 1]
-        return mat
+        return el.rank(mat)
 
     dims_out = []
     prev_rank = 0
     for k in range(max_degree + 1):
-        rank_k = el.rank(delta(k))
+        rank_k = delta_rank(k)
         kernel_dim = hom_dims[k] - rank_k
         dims_out.append(kernel_dim - prev_rank)
         prev_rank = rank_k
