@@ -33,7 +33,7 @@ from .partitions import (
     hooks,
     multipartition_size,
 )
-from .torus_chambers import Cocharacter, _walls_through, is_dominant
+from .torus_chambers import Cocharacter, _walls_through, is_dominant, is_generic
 
 
 def fixed_point_weight(sigma: Multipartition, r: int) -> int:
@@ -338,10 +338,9 @@ def block_structure(
     lam = as_parameter(lam)
     if nu.r != r:
         raise ValueError("cocharacter rank must equal r")
-    wall = None if nu.is_zero() else next(_walls_through(nu, n), None)
-    if nu.is_zero() or wall is not None:
-        label = "zero cocharacter" if wall is None else str(wall)
-        raise RegimeError(f"cocharacter is not generic (lies on wall {label})")
+    if not is_generic(nu, n):  # which raises for the zero cocharacter
+        wall = next(_walls_through(nu, n))
+        raise RegimeError(f"cocharacter is not generic (lies on wall {wall})")
     m = reduced_denominator(lam)
     if m == 1:
         raise RegimeError(

@@ -26,7 +26,9 @@ Each module's work touches only its support: every solve, product, kernel and
 completion runs on the support's vertices and on its live arrows; a
 per-vertex matrix with no rows is the empty list, built by no call.  The
 algebra keeps, per vertex, the basis elements starting and ending there, so
-it is built and checked in O(N).
+it is built and checked in O(N).  The path basis spans the algebra, so the
+paths acting on a submodule's seeds span it, and a resolution keeps each
+differential as the images of its generators, all the Hom complex reads.
 
 Each ``ModelAlgebra`` builds every standard module, every sum of projectives
 and every resolution step (keyed by its module's dims and live arrow matrices)
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import exact_linalg as el
 from .errors import InvariantError
@@ -207,9 +210,20 @@ def _check_vertex(algebra: ModelAlgebra, i: int) -> None:
         raise ValueError("vertex out of range")
 
 
+def _check_inputs(algebra: ModelAlgebra, *modules: QuiverModule, max_degree: int = 0) -> None:
+    if any(m.algebra is not algebra for m in modules):
+        raise ValueError("module belongs to another algebra")
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+
+
 def _live(algebra: ModelAlgebra, dims) -> list[tuple[int, int, int]]:
     # (g, s, t), 0-based, for each arrow g: s -> t with both ends in the support
     return [(g, s, t) for s, d in enumerate(dims) if d for g, t in algebra._out[s] if dims[t]]
+
+
+def _unit(d: int, t: int) -> Vector:
+    return [int(x == t) for x in range(d)]
 
 
 def _from_cols(cols: list[Vector], rows: int) -> Matrix:
@@ -309,7 +323,6 @@ class QuiverModule:
 def projective(algebra: ModelAlgebra, i: int) -> QuiverModule:
     """P(p_i) = A e_i with its path basis; arrow matrices are 0/1.  Built
     once per algebra; every call returns the same module."""
-    _check_vertex(algebra, i)
     return _projective_sum(algebra, (i,)).module
 
 
@@ -319,31 +332,22 @@ def simple(algebra: ModelAlgebra, i: int) -> QuiverModule:
 
 
 def _span_matrices(module: QuiverModule, vectors: list[tuple[int, Vector]]):
-    """Closure of the given (vertex, vector) seeds under the arrow action;
-    returns per-vertex matrices whose columns are independent spanning sets."""
-    a = module.algebra
-    spans: list[list[Vector]] = [[] for _ in range(a.N)]
-
-    def add(v: int, vec: Vector) -> bool:
-        # v is 0-based; each span stays independent, so vec is new when it
-        # raises the rank
-        span = spans[v]
-        if all(x == 0 for x in vec) or el.rank(span + [vec]) == len(span):
-            return False
-        span.append(list(vec))
-        return True
-
-    frontier = [(v - 1, vec) for v, vec in vectors if add(v - 1, vec)]
-    while frontier:
-        new_frontier = []
-        for v, vec in frontier:
-            for g, w in a._out[v]:
-                if module.dims[w]:
-                    img = el.mat_vec(module.act[g], vec)
-                    if add(w, img):
-                        new_frontier.append((w, img))
-        frontier = new_frontier
-    return [_from_cols(sp, d) for sp, d in zip(spans, module.dims)]
+    """Per-vertex matrices of independent columns spanning the submodule that
+    the (vertex, vector) seeds generate: b·vec for the seeds (v, vec) and the
+    paths b from v to t span it at t, and one elimination keeps their pivots."""
+    a, dims, acts = module.algebra, module.dims, module.actions
+    cands: list[list[Vector]] = [[] for _ in dims]
+    for v, vec in vectors:
+        for b in a.path_basis(v):
+            t = a.tgt[b] - 1
+            if dims[t]:
+                cands[t].append(el.mat_vec(acts[b], vec))
+    spans = []
+    for cols, d in zip(cands, dims):
+        if cols:
+            cols = [cols[c] for c in el.fraction_free_echelon(el.transpose(cols))[1]]
+        spans.append(_from_cols(cols, d))
+    return spans
 
 
 def _restrict(module: QuiverModule, incl: list[Matrix]) -> QuiverModule:
@@ -360,6 +364,8 @@ def _restrict(module: QuiverModule, incl: list[Matrix]) -> QuiverModule:
 
 def submodule(module: QuiverModule, vectors) -> tuple[QuiverModule, list[Matrix]]:
     """Submodule generated by (vertex, vector) seeds, with inclusion matrices."""
+    for v, _ in vectors:
+        _check_vertex(module.algebra, v)
     incl = _span_matrices(module, vectors)
     return _restrict(module, incl), incl
 
@@ -380,7 +386,7 @@ def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, li
         dims.append(len(comp))
         # basis change [sub | chosen unit vectors]; quotient coords are the
         # trailing block of the inverse, the unit rows alone when sub is 0
-        units = [[int(t == c) for t in range(d)] for c in comp]
+        units = [_unit(d, c) for c in comp]
         both = sub_cols and units
         inv = _solve(el.transpose(sub_cols + units), el.identity(d)) if both else units
         projections.append(inv[len(sub_cols) :])
@@ -406,8 +412,7 @@ def _trace_span(module: QuiverModule, max_vertex: int) -> list[Matrix]:
 def standard(algebra: ModelAlgebra, i: int) -> QuiverModule:
     """Delta(p_i): the i-th projective modulo the trace of the larger ones.
     Built once per algebra; every call returns the same module."""
-    _check_vertex(algebra, i)
-    if i not in algebra._standards:
+    if i not in algebra._standards:  # projective(algebra, i) checks the vertex
         p = projective(algebra, i)
         if i > 1:
             p, _ = quotient(p, _trace_span(p, i - 1))
@@ -457,9 +462,11 @@ def top_generators(module: QuiverModule) -> list[tuple[int, int]]:
 class ProjectiveSum:
     """Direct sum of indecomposable projectives, one per generator vertex, on
     its path basis: ``basis_pos[v-1]`` lists the (summand, path) pairs at
-    vertex v and ``gen_coord`` the position of each summand's generator."""
+    vertex v."""
 
     def __init__(self, algebra: ModelAlgebra, gen_vertices: tuple[int, ...]) -> None:
+        for v in gen_vertices:
+            _check_vertex(algebra, v)
         self.algebra = algebra
         self.gen_vertices = tuple(gen_vertices)
         self.basis_pos: list[list[tuple[int, int]]] = [[] for _ in range(algebra.N)]
@@ -478,10 +485,6 @@ class ProjectiveSum:
                     mat[where[t_v][(s, z)]][col] = 1
             act[g] = mat
         self.module = QuiverModule(algebra, dims, act)
-        self.gen_coord = [
-            (v, where[v - 1][(s, algebra.index[("e", v)])])
-            for s, v in enumerate(self.gen_vertices)
-        ]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -512,13 +515,15 @@ def cover_map(
 
 @dataclass
 class Resolution:
-    """Minimal projective resolution data: ... -> P_1 -> P_0 -> M -> 0."""
+    """Minimal projective resolution data: ... -> P_1 -> P_0 -> M -> 0.
+    ``images[t]`` holds d_t of each generator of P_t as ``cover_map`` takes
+    it: a unit vector of M for t = 0, a vector of P_{t-1} after that."""
 
     algebra: ModelAlgebra
     target: QuiverModule
     gens: list[tuple[int, ...]]  # generator vertices per term
     terms: list[ProjectiveSum]
-    diffs: list[list[Matrix]]  # diffs[0]: P_0 -> M; diffs[t]: P_t -> P_{t-1}
+    images: list[list[tuple[int, Vector]]]
     terminated: bool
 
     def multiplicity(self, degree: int, vertex: int) -> int:
@@ -527,49 +532,43 @@ class Resolution:
 
 
 def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule) -> tuple:
-    """(P, cover P -> module, inclusions of its kernel into P, that kernel):
-    one step of a minimal resolution of the nonzero ``module``, computed once
-    per algebra for each content (dims and live arrow matrices) it depends on."""
+    """(P, the top generators of ``module``, inclusions of the cover's kernel
+    into P, that kernel): one step of a minimal resolution of the nonzero
+    ``module``, computed once per algebra for each content it depends on."""
     live = _live(algebra, module.dims)
     key = (module.dims, *(tuple(map(tuple, module.act[g])) for g, _, _ in live))
     if key not in algebra._steps:
-        gens = top_generators(module)
-        ps = _projective_sum(algebra, tuple(v for v, _ in gens))
-        images = [(v, [int(x == t) for x in range(module.dims[v - 1])]) for v, t in gens]
-        cov = cover_map(ps, module, images)
-        # the cover is onto, so the support of the module lies in that of P
-        incl = []
-        for v, d in enumerate(ps.dims):
-            if d and module.dims[v]:
-                incl.append(_from_cols(el.nullspace(cov[v]), d))
-            else:  # the kernel is all of P here
-                incl.append(el.identity(d) if d else [])
-        algebra._steps[key] = (ps, cov, incl, _restrict(ps.module, incl))
+        tops = top_generators(module)
+        ps = _projective_sum(algebra, tuple(v for v, _ in tops))
+        cov = cover_map(ps, module, [(v, _unit(module.dims[v - 1], t)) for v, t in tops])
+        # the cover is onto, so the module's support lies in P's; off it, ker = P
+        incl = [
+            _from_cols(el.nullspace(c), d) if d and m else el.identity(d) if d else []
+            for c, d, m in zip(cov, ps.dims, module.dims)
+        ]
+        algebra._steps[key] = (ps, tops, incl, _restrict(ps.module, incl))
     return algebra._steps[key]
 
 
 def minimal_projective_resolution(
     algebra: ModelAlgebra, module: QuiverModule, max_terms: int
 ) -> Resolution:
-    gens_list: list[tuple[int, ...]] = []
+    _check_inputs(algebra, module)
     terms: list[ProjectiveSum] = []
-    diffs: list[list[Matrix]] = []
+    images: list[list[tuple[int, Vector]]] = []
     cur = module
     incl_prev: list[Matrix] | None = None  # cur inside the previous term
     for _ in range(max_terms):
         if cur.total_dim == 0:
             break
-        ps, cov, incl, syzygy = _syzygy_step(algebra, cur)
-        # diffs[0] copies the shared cover list; cur's support lies in ps's
-        diffs.append(list(cov) if incl_prev is None else [
-            el.mat_mul(p, c) if d else el.zeros(len(p), e) if p else []
-            for p, c, d, e in zip(incl_prev, cov, cur.dims, ps.dims)
-        ])
-        gens_list.append(ps.gen_vertices)
+        ps, tops, incl, syzygy = _syzygy_step(algebra, cur)
+        # generator (v, t) goes to coordinate t of cur at v, in the previous term
+        images.append([(v, _unit(cur.dims[v - 1], t) if incl_prev is None else
+                        [row[t] for row in incl_prev[v - 1]]) for v, t in tops])
         terms.append(ps)
         cur, incl_prev = syzygy, incl
-    terminated = cur.total_dim == 0
-    return Resolution(algebra, module, gens_list, terms, diffs, terminated)
+    gens = [ps.gen_vertices for ps in terms]
+    return Resolution(algebra, module, gens, terms, images, cur.total_dim == 0)
 
 
 @dataclass(frozen=True)
@@ -583,13 +582,14 @@ def ext_groups(
 ) -> ExtResult:
     """Ext^k(module, target) for k <= max_degree, via the Hom complex of a
     minimal projective resolution."""
+    _check_inputs(algebra, target, max_degree=max_degree)
     res = minimal_projective_resolution(algebra, module, max_degree + 2)
     return _hom_complex_ext(res, target, max_degree)
 
 
 def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> ExtResult:
     """Ext^k(res.target, target) for k <= max_degree from the Hom complex of
-    ``res``, which must have at least max_degree + 2 terms or terminate."""
+    ``res.images``; ``res`` must have max_degree + 2 terms or terminate."""
     hom_dims = [sum(target.dims[v - 1] for v in gens) for gens in res.gens]
     hom_dims += [0] * (max_degree + 2 - len(hom_dims))
     acts = target.actions
@@ -597,24 +597,19 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
     def delta_rank(t: int) -> int:
         # Hom(P_t, X) -> Hom(P_{t+1}, X), phi -> phi . d_{t+1}.  A generator
         # phi of Hom(P_t, X) sends one summand's top to a vector of X; its
-        # value on the next term's generator at w is X acting on the paths
-        # that d_{t+1} hits in that summand.  A map between spaces one of
+        # value on the next term's generator at w is X acting on the paths of
+        # that summand in the generator's image.  A map between spaces one of
         # which is zero, past the last term in particular, has rank 0.
         if not (hom_dims[t + 1] and hom_dims[t]):
             return 0
         mat = el.zeros(hom_dims[t + 1], hom_dims[t])
-        ps_t, ps_next = res.terms[t], res.terms[t + 1]
-        d_next = res.diffs[t + 1]
-        col_start = [0]
-        for v in ps_t.gen_vertices:
-            col_start.append(col_start[-1] + target.dims[v - 1])
+        ps_t = res.terms[t]
+        col_start = [0, *accumulate(target.dims[v - 1] for v in ps_t.gen_vertices)]
         row0 = 0
-        for w, gen_pos in ps_next.gen_coord:
+        for w, image in res.images[t + 1]:
             if not target.dims[w - 1]:
                 continue
-            d_w = d_next[w - 1]
-            for c, (s, b) in enumerate(ps_t.basis_pos[w - 1]):
-                coeff = d_w[c][gen_pos]
+            for (s, b), coeff in zip(ps_t.basis_pos[w - 1], image):
                 if not coeff or col_start[s] == col_start[s + 1]:  # X is 0 at s's top
                     continue
                 col0 = col_start[s]
@@ -642,6 +637,7 @@ def ext_to_simple(
     """Ext^k(module, L(vertex)) read off generator multiplicities of the
     minimal resolution (independent of the Hom-complex route)."""
     _check_vertex(algebra, vertex)
+    _check_inputs(algebra, max_degree=max_degree)
     res = minimal_projective_resolution(algebra, module, max_degree + 1)
     return ExtResult(_multiplicities(res.gens, vertex, max_degree), not res.terminated)
 
@@ -685,7 +681,7 @@ def verify_model_properties(n_vertices: int) -> dict:
 
     Each module is resolved once and every check reads its Ext groups off
     that resolution: each standard to three terms for the Ext^1 of (ii) and
-    (iii) (Hom-complex route), each tilting to N + 2 terms for (iv) and (v)
+    (iii) (Hom-complex route), each tilting to N + 2 terms for (ii), (iv), (v)
     and each simple to two terms for the Ext^1 table (multiplicity route).
     ``iv_two_routes_agree`` compares both routes on the resolution of T_N,
     which is the top standard.  A tilting resolution that fails to terminate
@@ -735,6 +731,17 @@ def verify_model_properties(n_vertices: int) -> dict:
     checks["i_linear_order"] = unitriangular and mults == expected_mults
     report["standard_multiplicities"] = mults
 
+    # each tilting resolved once, for (ii), (iv) and (v)
+    max_deg = n + 1
+    tilting_res = []
+    for t in tiltings:
+        res = minimal_projective_resolution(a, t, max_deg + 1)
+        if not res.terminated:
+            raise InvariantError(
+                f"a tilting resolution runs past {max_deg + 1} terms at N = {n}"
+            )
+        tilting_res.append(res)
+
     # Ext^1 out of each standard, read off one three-term resolution: into
     # the standard below it for (ii), into every tilting for (iii)
     ext1_down = []
@@ -751,11 +758,10 @@ def verify_model_properties(n_vertices: int) -> dict:
     # its trace sub and quotient are the adjacent standards, which (i) checked
     # as the two layers of its trace filtration; simple top; and the extension
     # space between those standards is exactly one-dimensional.  The first
-    # standard is the first projective by construction.
+    # standard is the first projective; P_i = T_{i-1} and its cover has its top.
     ii_ok = mults == expected_mults
     for i in range(2, n + 1):
-        tops = top_generators(projectives[i - 1])
-        ii_ok = ii_ok and len(tops) == 1 and tops[0][0] == i and ext1_down[i - 2] == 1
+        ii_ok = ii_ok and tilting_res[i - 2].gens[0] == (i,) and ext1_down[i - 2] == 1
     checks["ii_universal_extensions"] = ii_ok
 
     # (iii) tilting test: standard filtration from (i), costandard filtration
@@ -764,15 +770,6 @@ def verify_model_properties(n_vertices: int) -> dict:
 
     # (iv) derived Hom from the full tilting to the first simple: dimensions
     # per degree, checked for concentration in a single degree
-    max_deg = n + 1
-    tilting_res = []
-    for t in tiltings:
-        res = minimal_projective_resolution(a, t, max_deg + 1)
-        if not res.terminated:
-            raise InvariantError(
-                f"a tilting resolution runs past {max_deg + 1} terms at N = {n}"
-            )
-        tilting_res.append(res)
     full = [0] * (max_deg + 1)
     for res in tilting_res:
         for k, d in enumerate(_multiplicities(res.gens, 1, max_deg)):
@@ -849,6 +846,7 @@ def delta_multiplicities(algebra: ModelAlgebra, module: QuiverModule):
     Delta_j^m (Cline-Parshall-Scott 1988); it is Delta_j^m exactly when the
     dimension vectors agree, so trace dimensions decide every layer.
     """
+    _check_inputs(algebra, module)
     prev = [0] * algebra.N
     mults = []
     for j, d in enumerate(module.dims, start=1):

@@ -112,6 +112,16 @@ def test_block_regime_exit():
     assert code == 2 and "out of regime" in err
 
 
+def test_block_non_generic_cocharacter_messages():
+    # the zero cocharacter lies on no named wall; say what is_generic says
+    code, _, err = run(["block", "2", "1", "1/2", "--nu", "0;0"])
+    assert code == 2
+    assert err == "out of regime: the zero cocharacter is never generic\n"
+    code, _, err = run(["block", "3", "2", "1/3", "--nu", "1,1;1"])
+    assert code == 2
+    assert err == "out of regime: cocharacter is not generic (lies on wall d1-d2=0)\n"
+
+
 def test_leaves_output():
     payload = run_json(["leaves", "2", "2"])
     assert len(payload["leaves"]) == 4

@@ -5,7 +5,8 @@ Ext groups come from the Hom complex of a minimal resolution AND from
 counting projective multiplicities in resolution terms (valid for simple
 targets); standard multiplicities are replayed against the Cartan matrix,
 and their dimension certificate against the former grid-scan isomorphism test;
-resolutions built from shared steps are replayed on the per-step loop.
+resolutions built from shared steps are replayed on the per-step loop, and
+one-pass spans on the breadth-first closure under the arrows.
 """
 
 import ast
@@ -13,6 +14,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -449,7 +451,8 @@ def test_projectives_and_standards_built_once_per_algebra():
 # checks, n = 12 and 16 before a module was stored as its arrow matrices only,
 # n = 20 and 48 before the engine computed in int instead of Fraction, n = 24
 # and 32 before each module's work was confined to its support, n = 96 before
-# a module stored its live arrows only
+# a module stored its live arrows only, n = 128 before spans were taken in one
+# pass over the path basis
 PINNED_REPORTS = {
     1: "8b4a2b26a7eec3150f756f565332636bcf33e367fc5ac2a6167ac2ba630934e8",
     2: "86416e9b9d067ad7cd54816bf47e7582fda739907544b8db151e7b64d51e1a4a",
@@ -463,6 +466,7 @@ PINNED_REPORTS = {
     32: "a33ea47d5490bd32172df2a91ba3e9865113fdeda4292bd868b8786ff9812bff",
     48: "58843a355804ad5da1425754eccbbbe3d3b6b6c2408522662247d494e05b847d",
     96: "224294c239a62a88fbb02e5d98e700d1fe5ff11a4f0494b3237e231e32354a2d",
+    128: "a4486a8ee5cf3a4b408b7955c8c5014b20d4b37d63b89c9829cb3bd096bb9650",
 }
 
 
@@ -973,9 +977,53 @@ def test_vertex_out_of_range_raises():
             ext_to_simple(alg, p2, vertex, 2)
         with pytest.raises(ValueError, match="vertex out of range"):
             res.multiplicity(0, vertex)
+    # a generator or a seed at vertex 0 would read the last vertex's paths
+    for gens in ((0,), (4,), (2, 0), (1, 4)):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            ProjectiveSum(alg, gens)
+    for vertex in (0, 4):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            submodule(projective(alg, 3), [(3, [1, 0]), (vertex, [1, 0])])
     # the top of P_2 is L_2, and the vertices in range still answer
     assert ext_to_simple(alg, p2, 2, 2).dims == (1, 0, 0)
     assert res.multiplicity(0, 2) == 1 and res.multiplicity(0, 3) == 0
+    assert ProjectiveSum(alg, (3, 1)).dims == (1, 2, 2)
+    assert submodule(projective(alg, 3), [(3, [0, 1])])[0].dims == (0, 0, 1)
+
+
+ALGEBRA_MISMATCHES = {
+    "ext_groups_target": lambda a3, a4: ext_groups(a3, standard(a3, 2), simple(a4, 1), 2),
+    "ext_groups_module": lambda a3, a4: ext_groups(a4, standard(a3, 2), simple(a4, 1), 2),
+    "ext_to_simple": lambda a3, a4: ext_to_simple(a4, standard(a3, 2), 1, 2),
+    "delta_multiplicities": lambda a3, a4: delta_multiplicities(a4, projective(a3, 2)),
+    "resolution": lambda a3, a4: minimal_projective_resolution(a4, standard(a3, 2), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALGEBRA_MISMATCHES))
+def test_module_of_another_algebra_raises(case):
+    # formerly an answer about the wrong algebra, None or a bare IndexError
+    a3, a4 = build_model_algebra(3), build_model_algebra(4)
+    with pytest.raises(ValueError, match="another algebra"):
+        ALGEBRA_MISMATCHES[case](a3, a4)
+    # an equal algebra that is a different object is another algebra too
+    with pytest.raises(ValueError, match="another algebra"):
+        ALGEBRA_MISMATCHES[case](a3, build_model_algebra(3))
+
+
+@pytest.mark.parametrize("route", ["ext_groups", "ext_to_simple"])
+def test_negative_max_degree_raises(route):
+    # formerly ExtResult(dims=(), truncated=True)
+    alg = build_model_algebra(3)
+    m = standard(alg, 2)
+    call = {
+        "ext_groups": lambda k: ext_groups(alg, m, simple(alg, 1), k),
+        "ext_to_simple": lambda k: ext_to_simple(alg, m, 1, k),
+    }[route]
+    for k in (-1, -5):
+        with pytest.raises(ValueError, match="max_degree"):
+            call(k)
+    assert call(0).dims == (0,) and call(1).dims == (0, 1)
 
 
 # The dense route the engine took before it confined each module's work to its
@@ -1284,7 +1332,10 @@ def test_shared_steps_match_plain_resolution(n, monkeypatch):
         for i in range(1, n + 1):
             m = make(alg, i)
             res = minimal_projective_resolution(alg, m, n + 2)
-            got = (res.gens, [ps.dims for ps in res.terms], res.diffs, res.terminated)
+            # each d_t is the module map its generator images determine
+            targets = [m] + [ps.module for ps in res.terms]
+            diffs = [cover_map(*d) for d in zip(res.terms, targets, res.images)]
+            got = (res.gens, [ps.dims for ps in res.terms], diffs, res.terminated)
             assert got == _plain_resolution(alg, m, n + 2), (make.__name__, i)
             assert all(ps is _projective_sum(alg, ps.gen_vertices) for ps in res.terms)
     assert len(alg._steps) < len(steps)
@@ -1331,25 +1382,27 @@ def test_report_computes_each_step_once(monkeypatch):
     assert len(misses) < len(reads)
 
 
-def test_each_resolution_owns_its_diffs():
+def test_each_resolution_owns_its_images():
     alg = build_model_algebra(4)
     m = standard(alg, 3)
     first = minimal_projective_resolution(alg, m, 5)
-    want = [[[list(row) for row in mat] for mat in diff] for diff in first.diffs]
+    want = [[(v, list(vec)) for v, vec in term] for term in first.images]
     assert first.terminated and len(want) >= 2
-    first.diffs[0][2] = [[99]]
-    first.diffs[1][0] = [[99]]
+    assert want[0] == [(3, [1])]  # the top of Delta_3 at its only coordinate
+    first.images[0][0][1][0] = 99
+    first.images[1][0] = (1, [99])
     # the same module, and an equal copy of it, resolve as before
     for again in (m, dual_module(dual_module(m))):
         later = minimal_projective_resolution(alg, again, 5)
-        assert later.diffs == want
-        assert later.diffs[0] is not first.diffs[0]
+        assert later.images == want
+        assert later.images[0] is not first.images[0]
+        assert later.images[0][0][1] is not first.images[0][0][1]
 
 
 def test_no_empty_per_vertex_matrix_is_built_by_a_call(monkeypatch):
-    # spans, covers, kernels and composite differentials give a vertex
-    # without rows [], and a Hom-complex differential between spaces one of
-    # which is zero is not built at all
+    # spans, covers and kernels give a vertex without rows [], and a
+    # Hom-complex differential between spaces one of which is zero is not
+    # built at all
     callers = []
     zeros, identity = el.zeros, el.identity
 
@@ -1367,3 +1420,246 @@ def test_no_empty_per_vertex_matrix_is_built_by_a_call(monkeypatch):
     monkeypatch.setattr(el, "identity", rows_identity)
     assert verify_model_properties(8)["all_pass"]
     assert callers == []
+
+
+# The span route before spans were taken in one pass over the path basis:
+# close the seeds under the arrows breadth first, testing each candidate
+# vector against the span so far with a fresh rank.
+
+
+def _bfs_span_matrices(module, vectors):
+    a = module.algebra
+    spans = [[] for _ in range(a.N)]
+
+    def add(v, vec):
+        span = spans[v]
+        if all(x == 0 for x in vec) or el.rank(span + [vec]) == len(span):
+            return False
+        span.append(list(vec))
+        return True
+
+    frontier = [(v - 1, vec) for v, vec in vectors if add(v - 1, vec)]
+    while frontier:
+        new_frontier = []
+        for v, vec in frontier:
+            for g, w in a._out[v]:
+                if module.dims[w]:
+                    img = el.mat_vec(module.act[g], vec)
+                    if add(w, img):
+                        new_frontier.append((w, img))
+        frontier = new_frontier
+    return [qe._from_cols(sp, d) for sp, d in zip(spans, module.dims)]
+
+
+def _same_column_spaces(got, want, dims):
+    # per vertex: got's columns are independent and span what want's span
+    for g, w, d in zip(got, want, dims):
+        g_cols, w_cols = el.transpose(g), el.transpose(w)
+        if not d:
+            assert g == w == [], (g, w)
+            continue
+        assert len(g) == len(w) == d
+        r = el.rank(g_cols) if g_cols else 0
+        assert r == len(g_cols), "dependent columns"
+        assert r == (el.rank(w_cols) if w_cols else 0)
+        assert r == (el.rank(g_cols + w_cols) if r else 0)
+
+
+def _trace_seeds(module, j):
+    # every unit vector at the vertices <= j: the seeds of the trace of j
+    return [(v, u) for v in range(1, j + 1) for u in el.identity(module.dims[v - 1])]
+
+
+def _random_seeds(rng, module, count):
+    support = [v for v, d in enumerate(module.dims, start=1) if d]
+    return [
+        (v, [rng.randint(-2, 2) for _ in range(module.dims[v - 1])])
+        for v in rng.choices(support, k=count)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_pass_spans_match_bfs_closure(n, monkeypatch):
+    # every span the report takes, and seeded random seed sets in every
+    # module it builds, on both routes
+    built, calls = [], []
+    init, span = QuiverModule.__init__, qe._span_matrices
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def checked_span(module, vectors):
+        got = span(module, vectors)
+        _same_column_spaces(got, _bfs_span_matrices(module, vectors), module.dims)
+        calls.append(module)
+        return got
+
+    monkeypatch.setattr(QuiverModule, "__init__", recording_init)
+    monkeypatch.setattr(qe, "_span_matrices", checked_span)
+    assert verify_model_properties(n)["all_pass"]
+    assert n == 1 or len(calls) >= n
+    rng = random.Random(n)
+    for m in built:
+        if not m.total_dim:
+            continue
+        for count in (1, 2, 4):
+            seeds = _random_seeds(rng, m, count)
+            _same_column_spaces(span(m, seeds), _bfs_span_matrices(m, seeds), m.dims)
+
+
+def test_one_pass_spans_on_sums_of_projectives():
+    # larger spans than the report takes: random seeds and every trace
+    rng = random.Random(2016)
+    alg = build_model_algebra(5)
+    for gens in [(2, 2, 3), (1, 5, 3, 3), (4,) * 5, (1, 2, 3, 4, 5)]:
+        m = ProjectiveSum(alg, gens).module
+        for count in (1, 3, 6):
+            seeds = _random_seeds(rng, m, count)
+            got = qe._span_matrices(m, seeds)
+            _same_column_spaces(got, _bfs_span_matrices(m, seeds), m.dims)
+        for j in range(1, 6):
+            want = _bfs_span_matrices(m, _trace_seeds(m, j))
+            _same_column_spaces(qe._trace_span(m, j), want, m.dims)
+
+
+def _count_eliminations(monkeypatch):
+    counts = {"rank": 0, "fraction_free_echelon": 0}
+    for name in counts:
+        fn = getattr(el, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(el, name, counted)
+    return counts
+
+
+def test_span_makes_one_elimination_per_vertex_and_no_rank(monkeypatch):
+    alg = build_model_algebra(6)
+    modules = [ProjectiveSum(alg, (2, 3, 3, 5)).module] + [
+        make(alg, i) for make in (projective, standard, costandard) for i in range(1, 7)
+    ]
+    counts = _count_eliminations(monkeypatch)
+    rng = random.Random(7)
+    for m in modules:
+        for seeds in [_random_seeds(rng, m, 3), *(_trace_seeds(m, j) for j in range(1, 7))]:
+            before = dict(counts)
+            qe._span_matrices(m, seeds)
+            assert counts["rank"] == before["rank"]
+            support = sum(1 for d in m.dims if d)
+            assert counts["fraction_free_echelon"] - before["fraction_free_echelon"] <= support
+
+
+def test_delta_multiplicities_of_forty_summands(monkeypatch):
+    # formerly one rank per candidate vector, seconds of elimination; now one
+    # elimination per support vertex of each trace taken
+    alg = build_model_algebra(3)
+    m = ProjectiveSum(alg, (2,) * 40).module
+    assert m.dims == (40, 80, 40)
+    for j in (1, 2, 3):
+        standard(alg, j)  # built once per algebra, before counting
+    counts = _count_eliminations(monkeypatch)
+    assert delta_multiplicities(alg, m) == [40, 40, 0]
+    # the trace of vertex 1 lives on vertices 1 and 2, that of 1 and 2 on all
+    # three; the trace of all three is not taken, the module being exhausted
+    assert counts == {"rank": 0, "fraction_free_echelon": 5}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ii_reads_tops_off_the_tilting_resolutions(n, monkeypatch):
+    # T_{i-1} = P_i, whose resolution's first term is its projective cover
+    alg = build_model_algebra(n)
+    for i in range(2, n + 1):
+        res = minimal_projective_resolution(alg, tilting(alg, i - 1), n + 2)
+        assert res.gens[0] == (i,)
+        assert res.gens[0] == tuple(v for v, _ in top_generators(projective(alg, i)))
+    # the report reads every top through a resolution step
+    callers = []
+    tops = qe.top_generators
+
+    def recording_tops(module):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return tops(module)
+
+    monkeypatch.setattr(qe, "top_generators", recording_tops)
+    assert verify_model_properties(n)["checks"]["ii_universal_extensions"]
+    assert callers and set(callers) == {"_syzygy_step"}
+    if n == 1:
+        return
+    # a second generator on the cover of P_2 = T_1 fails (ii) and nothing else
+    resolve = qe.minimal_projective_resolution
+
+    def doubled_top(alg, module, max_terms):
+        res = resolve(alg, module, max_terms)
+        if max_terms == n + 2 and res.gens[0] == (2,):
+            res.gens[0] = (2, 2)
+        return res
+
+    monkeypatch.setattr(qe, "minimal_projective_resolution", doubled_top)
+    checks = verify_model_properties(n)["checks"]
+    assert [k for k, ok in checks.items() if not ok] == ["ii_universal_extensions"]
+
+
+def _direct_sum(alg, modules):
+    # block-diagonal arrow matrices, the summands in order
+    dims = tuple(sum(m.dims[v] for m in modules) for v in range(alg.N))
+    act = {}
+    for g in _live_arrows(alg, dims):
+        s, t = alg.src[g] - 1, alg.tgt[g] - 1
+        act[g] = _block_diag(
+            [m.action(g) for m in modules],
+            [m.dims[t] for m in modules],
+            [m.dims[s] for m in modules],
+        )
+    return QuiverModule(alg, dims, act)
+
+
+def _ext_by_hom_spaces(alg, plain, target, max_degree):
+    # Ext^k from the plain route's differentials: each basis map of
+    # Hom(P_t, X), found by the Hom-space oracle, composed with d_{t+1}
+    gens, _, diffs, terminated = plain
+    terms = [ProjectiveSum(alg, g).module for g in gens]
+    homs = [hom_space(p, target) for p in terms]
+
+    def rank(t):
+        if t < 0 or t + 1 >= len(terms):
+            return 0
+        nxt = terms[t + 1]
+        rows = [
+            [x for v in range(alg.N) for row in _mm(phi[v], diffs[t + 1][v], nxt.dims[v])
+             for x in row]
+            for phi in homs[t]
+        ]
+        return el.rank(rows) if rows and rows[0] else 0
+
+    dims = [len(h) for h in homs] + [0] * (max_degree + 1)
+    ext = tuple(dims[k] - rank(k) - rank(k - 1) for k in range(max_degree + 1))
+    return qe.ExtResult(ext, not terminated)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_direct_sums_resolve_and_ext_like_the_plain_route(n):
+    # syzygies with several generators at one vertex, whose images are
+    # columns past the first of the kernel inclusion, and Ext into targets
+    # that are not simple, against the Hom spaces of the plain route's terms
+    alg = build_model_algebra(n)
+    makes = (simple, standard, costandard, tilting)
+    sums = [_direct_sum(alg, [make(alg, i)] * 2) for make in makes for i in range(1, n + 1)]
+    sums += [_direct_sum(alg, [make(alg, i) for i in range(1, n + 1)]) for make in makes]
+    targets = [make(alg, i) for make in (standard, costandard, simple) for i in range(1, n + 1)]
+    wide = 0
+    for m in sums:
+        assert m.verify()
+        res = minimal_projective_resolution(alg, m, 4)
+        terms = [m] + [ps.module for ps in res.terms]
+        diffs = [cover_map(*d) for d in zip(res.terms, terms, res.images)]
+        plain = _plain_resolution(alg, m, 4)
+        assert (res.gens, [ps.dims for ps in res.terms], diffs, res.terminated) == plain
+        wide += any(len(set(g)) < len(g) for g in res.gens[1:])
+        for x in targets:
+            want = _ext_by_hom_spaces(alg, plain, x, 2)
+            assert _hom_complex_ext(res, x, 2) == want, (m.dims, x.dims)
+            assert ext_groups(alg, m, x, 2) == want
+    assert wide > 0
