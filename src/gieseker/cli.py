@@ -197,38 +197,28 @@ def _cmd_ideal_lattice(args) -> int:
             raise _UsageError(f"--{name} is required for op {op!r}")
         return value
 
+    il = ideal_lattice
+    ops = {
+        "normalize": lambda a: a,
+        "sum-form": il.to_sum_form,
+        "from-sum-form": il.to_intersection_form,
+        "intersect": il.intersect,
+        "sum": il.sum_,
+        "product": il.product,
+        "contains": il.contains,
+    }
     if op == "count":
-        payload["result"] = ideal_lattice.count_ideals(k)
-    elif op == "normalize":
-        a = ideal_lattice.parse_antichain(need("a", args.a), k, args.form)
-        payload["result"] = a.to_lists()
-        payload["form"] = a.form
-    elif op in ("intersect", "sum", "product", "contains"):
-        a = ideal_lattice.parse_antichain(need("a", args.a), k)
-        b = ideal_lattice.parse_antichain(need("b", args.b), k)
-        if op == "contains":
-            payload["result"] = ideal_lattice.contains(a, b)
+        payload["result"] = il.count_ideals(k)
+    else:
+        form = {"normalize": args.form, "from-sum-form": "sum"}.get(op, "intersection")
+        operands = [il.parse_antichain(need("a", args.a), k, form)]
+        if op in ("intersect", "sum", "product", "contains"):
+            operands.append(il.parse_antichain(need("b", args.b), k))
+        out = ops[op](*operands)
+        if isinstance(out, bool):  # contains
+            payload["result"] = out
         else:
-            func = {
-                "intersect": ideal_lattice.intersect,
-                "sum": ideal_lattice.sum_,
-                "product": ideal_lattice.product,
-            }[op]
-            out = func(a, b)
-            payload["result"] = out.to_lists()
-            payload["form"] = out.form
-    elif op == "sum-form":
-        a = ideal_lattice.parse_antichain(need("a", args.a), k, "intersection")
-        out = ideal_lattice.to_sum_form(a)
-        payload["result"] = out.to_lists()
-        payload["form"] = out.form
-    elif op == "from-sum-form":
-        a = ideal_lattice.parse_antichain(need("a", args.a), k, "sum")
-        out = ideal_lattice.to_intersection_form(a)
-        payload["result"] = out.to_lists()
-        payload["form"] = out.form
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown op {op!r}")
+            payload["result"], payload["form"] = out.to_lists(), out.form
     payload["hypothesis"] = (
         "two-sided ideals of the k-fold tensor power correspond to "
         "antichains of subsets of {1..k}"

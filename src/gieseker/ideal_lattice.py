@@ -6,7 +6,10 @@ whose basic prime contains it, and the antichain of minimal members pins the
 family down.  Intersection of ideals is union of up-closed families, sum is
 intersection, and product equals intersection (every ideal is idempotent).
 The intersection form and the sum form of the same ideal are exchanged by
-minimal transversals.
+minimal transversals, built one member at a time (Berge, Hypergraphs, 1989),
+so the work follows the intermediate antichains, not the 2^k subsets.  Where
+every subset of {1..k} is walked, a subset is an int mask and an up-closed
+family an int over 2^k bits; antichain members stay frozensets.
 
 Conventions: the whole algebra is the EMPTY antichain (empty intersection);
 the zero ideal is the antichain {{}} whose single member is the empty set
@@ -18,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from .diagnostics import (
     Parameter,
@@ -35,20 +37,17 @@ def enumerate_leaves(n: int, r: int) -> list[LeafLabel]:
     """Symplectic leaves: collections (n_1 >= ... >= n_k > 0) with sum <= n.
 
     Ordered by number of parts, then total, then the partition enumeration
-    order.  The empty collection is the open leaf.  Requires r >= 2; the
-    rank-one stratification is different and out of scope.
+    order (one stable sort by length).  The empty collection is the open
+    leaf.  Requires r >= 2; the rank-one stratification is different and out
+    of scope.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if r < 2:
         raise ValueError("leaf classification requires r >= 2")
-    out: list[LeafLabel] = []
-    for parts in range(0, n + 1):
-        for total in range(parts, n + 1):
-            out.extend(
-                lam for lam in enumerate_partitions(total) if len(lam) == parts
-            )
-    return out
+    return sorted(
+        (lam for total in range(n + 1) for lam in enumerate_partitions(total)), key=len
+    )
 
 
 def leaf_dimension(leaf: LeafLabel, n: int, r: int, reduced: bool = True) -> int:
@@ -130,9 +129,8 @@ class IdealAntichain:
             raise ValueError("need k >= 1")
         if self.form not in ("intersection", "sum"):
             raise ValueError(f"unknown form {self.form!r}")
-        ground = set(range(1, self.k + 1))
         for s in self.members:
-            if not s <= ground:
+            if not all(isinstance(x, int) and 1 <= x <= self.k for x in s):
                 raise ValueError(f"member {sorted(s)} not within 1..{self.k}")
         for a in self.members:
             for b in self.members:
@@ -155,16 +153,16 @@ def antichain_normalize(subsets, k: int, form: str = "intersection") -> IdealAnt
     return IdealAntichain(k, minimal_members(subsets), form)
 
 
+def _subset(mask: int) -> Subset:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def up_closure(a: IdealAntichain) -> frozenset[Subset]:
     """All subsets of {1..k} containing some member.  Exponential in k."""
-    ground = tuple(range(1, a.k + 1))
-    out = set()
-    for size in range(a.k + 1):
-        for combo in combinations(ground, size):
-            s = frozenset(combo)
-            if any(m <= s for m in a.members):
-                out.add(s)
-    return frozenset(out)
+    masks = [sum(1 << (x - 1) for x in m) for m in a.members]
+    return frozenset(
+        _subset(s) for s in range(1 << a.k) if any(not m & ~s for m in masks)
+    )
 
 
 def from_up_closure(family, k: int) -> IdealAntichain:
@@ -206,23 +204,18 @@ def contains(a: IdealAntichain, b: IdealAntichain) -> bool:
 def minimal_transversals(members: frozenset[Subset]) -> frozenset[Subset]:
     """Minimal hitting sets of the member family within {1..k}.
 
-    The empty family is hit by the empty set; a family containing the empty
-    set has no transversal at all.  On antichains the operation is an
+    Member by member: a transversal of the members so far that misses the
+    next one gains one of its elements, and the minimal sets are kept.  The
+    empty family is hit by the empty set; a family containing the empty set
+    has no transversal at all.  On antichains the operation is an
     involution, swapping the whole-algebra and zero-ideal extremes.
     """
-    if not members:
-        return frozenset({frozenset()})
-    if frozenset() in members:
-        return frozenset()
-    universe = sorted(set().union(*members))
-    hits = []
-    for size in range(0, len(universe) + 1):
-        for combo in combinations(universe, size):
-            s = frozenset(combo)
-            if all(s & m for m in members):
-                if not any(t <= s for t in hits):
-                    hits.append(s)
-    return frozenset(hits)
+    hits = frozenset({frozenset()})
+    for m in members:
+        hits = minimal_members(
+            [h for h in hits if h & m] + [h | {x} for h in hits if not h & m for x in m]
+        )
+    return hits
 
 
 def to_sum_form(a: IdealAntichain) -> IdealAntichain:
@@ -238,38 +231,32 @@ def to_intersection_form(a: IdealAntichain) -> IdealAntichain:
 
 
 @cache
-def _up_sets(k: int) -> tuple[frozenset[Subset], ...]:
-    """All up-closed families of subsets of {1..k} (2 extremes included)."""
+def _up_sets(k: int) -> tuple[int, ...]:
+    """All up-closed families of subsets of {1..k} (2 extremes included),
+    each an int whose bit s is set when the subset with mask s belongs."""
     if k == 0:
-        empty: frozenset[Subset] = frozenset()
-        full = frozenset({frozenset()})
-        return (empty, full)
-    smaller = _up_sets(k - 1)
-    out = []
-    for u1 in smaller:
-        for u0 in smaller:
-            # a family on {1..k} splits as U0 (sets without k) and U1+k (sets
-            # with k); up-closedness forces U0 subset-of U1, both up-closed
-            if u0 <= u1:
-                out.append(u0 | frozenset(s | {k} for s in u1))
-    return tuple(out)
+        return (0, 1)  # no set; the empty set
+    smaller, shift = _up_sets(k - 1), 1 << (k - 1)
+    # a family on {1..k} splits as U0 (sets without k) and U1 (sets with k,
+    # k removed); up-closedness forces U0 inside U1, both up-closed
+    return tuple(u0 | u1 << shift for u1 in smaller for u0 in smaller if not u0 & ~u1)
 
 
 def enumerate_ideals(k: int) -> list[IdealAntichain]:
     """Every ideal of the k-fold tensor power, as intersection-form antichains."""
     if not 1 <= k <= 4:
         raise ValueError("enumeration supported for 1 <= k <= 4")
-    return [from_up_closure(u, k) for u in _up_sets(k)]
+    return [
+        from_up_closure([_subset(s) for s in range(1 << k) if u >> s & 1], k)
+        for u in _up_sets(k)
+    ]
 
 
 def count_ideals(k: int) -> int:
     """Number of ideals (antichains on {1..k}, extremes included); k <= 5."""
     if not 1 <= k <= 5:
         raise ValueError("supported range is 1 <= k <= 5")
-    if k <= 4:
-        return len(_up_sets(k))
-    smaller = _up_sets(4)
-    return sum(1 for u1 in smaller for u0 in smaller if u0 <= u1)
+    return len(_up_sets(k))
 
 
 def parse_antichain(text: str, k: int, form: str = "intersection") -> IdealAntichain:

@@ -48,14 +48,16 @@ from .exact_linalg import Matrix, Vector
 Label = tuple
 
 
-def _solve(a: Matrix, b: Matrix) -> Matrix:
-    # X with a·X = b; an inclusion matrix a has zero columns wherever it has
-    # zero rows, and a b without columns has the X without columns
+def _solve(a: Matrix, b: Matrix, skip: int = 0) -> Matrix:
+    # rows skip.. of the X with a·X = b, which alone must be integral; an
+    # inclusion matrix a has zero columns wherever it has zero rows, and a b
+    # without columns has the X without columns
     if not (b and b[0]):
-        return [[] for _ in (a[0] if a else ())]
+        return [[] for _ in (a[0] if a else ())][skip:]
     x = el.solve_matrix(a, b)
     if x is None:
         raise InvariantError("image does not lie in the column space it should")
+    x = x[skip:]
     if any(type(v) is not int for row in x for v in row):
         raise InvariantError("a module map came out non-integral")
     return x
@@ -385,11 +387,13 @@ def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, li
             raise ValueError(f"inclusion columns at vertex {v + 1} are not independent")
         dims.append(len(comp))
         # basis change [sub | chosen unit vectors]; quotient coords are the
-        # trailing block of the inverse, the unit rows alone when sub is 0
+        # trailing block of the inverse, the unit rows alone when sub is 0;
+        # the leading block may be fractional, the trailing one may not
         units = [_unit(d, c) for c in comp]
-        both = sub_cols and units
-        inv = _solve(el.transpose(sub_cols + units), el.identity(d)) if both else units
-        projections.append(inv[len(sub_cols) :])
+        proj = units
+        if sub_cols and units:
+            proj = _solve(el.transpose(sub_cols + units), el.identity(d), len(sub_cols))
+        projections.append(proj)
         sections.append(el.transpose(units))
     act = {
         g: el.mat_mul(projections[t], el.mat_mul(module.act[g], sections[s]))

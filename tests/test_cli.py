@@ -153,6 +153,40 @@ def test_ideal_lattice_ops():
     assert payload["result"] is True
 
 
+def test_ideal_lattice_sum_form_of_forty_singletons():
+    # the transversals are built member by member, not by a scan of 2^40 subsets
+    singletons = json.dumps([[i] for i in range(1, 41)])
+    payload = run_json(["ideal-lattice", "40", "--op", "sum-form", "--a", singletons])
+    assert payload["result"] == [list(range(1, 41))]
+    assert payload["form"] == "sum"
+
+
+def test_ideal_lattice_every_op_writes_result_and_form():
+    base = ["ideal-lattice", "3", "--a", "[[1, 2], [3]]"]
+    for op, extra, result, form in (
+        ("normalize", ["--form", "sum"], [[3], [1, 2]], "sum"),
+        ("intersect", ["--b", "[[1]]"], [[1], [3]], "intersection"),
+        ("product", ["--b", "[[1]]"], [[1], [3]], "intersection"),
+        ("sum", ["--b", "[[1]]"], [[1, 2], [1, 3]], "intersection"),
+        ("sum-form", [], [[1, 3], [2, 3]], "sum"),
+        ("from-sum-form", [], [[1, 3], [2, 3]], "intersection"),
+    ):
+        payload = run_json([*base, "--op", op, *extra])
+        assert (payload["result"], payload["form"]) == (result, form), op
+    payload = run_json([*base, "--op", "contains", "--b", "[[1, 2, 3]]"])
+    assert payload["result"] is True and "form" not in payload
+
+
+def test_ideal_lattice_missing_operand_errors_in_order():
+    code, _, err = run(["ideal-lattice", "2", "--op", "sum"])
+    assert code == 1 and "--a is required" in err
+    code, _, err = run(["ideal-lattice", "2", "--op", "sum", "--a", "[[1]]"])
+    assert code == 1 and "--b is required" in err
+    # --a is parsed before --b is asked for
+    code, _, err = run(["ideal-lattice", "2", "--op", "sum", "--a", "[[3]]"])
+    assert code == 1 and "1..2" in err
+
+
 def test_model_block_summary():
     payload = run_json(["model-block", "2"])
     assert payload["algebra_dim"] == 5

@@ -12,9 +12,16 @@ operation against that model:
 
 Products are modeled on SUM-form up-closures, where the product of two
 ideals is generated by pairwise unions of index sets.
+
+The routes the module replaced stay here as oracles: the scan of every
+subset of the members' union for minimal transversals, the combinations
+scan behind the up-closure, the frozenset recursion over up-closed families,
+and the parts-by-total loop that ordered the leaves.
 """
 
 import itertools
+import random
+import time
 
 from fractions import Fraction
 
@@ -26,6 +33,7 @@ from gieseker import (
     enumerate_ideals,
     enumerate_leaves,
     format_antichain,
+    from_up_closure,
     ideal_chain,
     intersect,
     leaf_dimension,
@@ -37,6 +45,8 @@ from gieseker import (
     to_sum_form,
     up_closure,
 )
+from gieseker.ideal_lattice import _up_sets
+from gieseker.partitions import enumerate_partitions
 
 import pytest
 
@@ -74,6 +84,53 @@ def test_count_k5():
     assert count_ideals(5) == DEDEKIND_K5
 
 
+# The frozenset recursion over up-closed families that the bitsets replaced.
+
+
+def frozenset_up_sets(k):
+    if k == 0:
+        return (frozenset(), frozenset({frozenset()}))
+    smaller = frozenset_up_sets(k - 1)
+    out = []
+    for u1 in smaller:
+        for u0 in smaller:
+            if u0 <= u1:
+                out.append(u0 | frozenset(s | {k} for s in u1))
+    return tuple(out)
+
+
+def _family(bits, k):
+    return frozenset(
+        frozenset(i + 1 for i in range(k) if s >> i & 1)
+        for s in range(1 << k)
+        if bits >> s & 1
+    )
+
+
+def test_bitset_up_sets_match_frozenset_recursion():
+    for k in range(0, 5):
+        assert [_family(u, k) for u in _up_sets(k)] == list(frozenset_up_sets(k))
+    # k = 5 as a set, and the former count of k = 5 from pairs of k = 4
+    assert {_family(u, 5) for u in _up_sets(5)} == set(frozenset_up_sets(5))
+    pairs = frozenset_up_sets(4)
+    assert count_ideals(5) == sum(1 for u1 in pairs for u0 in pairs if u0 <= u1)
+
+
+def test_enumerate_ideals_order_matches_frozenset_recursion():
+    for k in range(1, 5):
+        want = [from_up_closure(u, k) for u in frozenset_up_sets(k)]
+        assert enumerate_ideals(k) == want
+
+
+def test_count_and_enumerate_ranges():
+    for bad in (0, 6):
+        with pytest.raises(ValueError):
+            count_ideals(bad)
+    for bad in (0, 5):
+        with pytest.raises(ValueError):
+            enumerate_ideals(bad)
+
+
 # ---------------------------------------------------------------- normalization
 
 
@@ -105,6 +162,26 @@ def test_empty_set_member_must_be_alone():
         IdealAntichain(2, frozenset({frozenset(), frozenset({1})}), "intersection")
     with pytest.raises(ValueError):
         IdealAntichain(2, frozenset({frozenset({3})}), "intersection")
+
+
+def test_member_range_check_keeps_its_message():
+    for bad in ({0}, {3}, {1, 3}, {-1}, {"1"}):
+        with pytest.raises(ValueError, match=r"not within 1\.\.2"):
+            IdealAntichain(2, frozenset({frozenset(bad)}))
+
+
+def test_antichain_at_ten_million_is_cheap():
+    # each element is range-checked; no set of 1..k is built
+    k = 10**7
+    start = time.perf_counter()
+    a = parse_antichain("[[1], [2]]", k)
+    b = parse_antichain(f"[[3, {k}]]", k)
+    assert intersect(a, b).to_lists() == [[1], [2], [3, k]]
+    assert to_sum_form(a).to_lists() == [[1, 2]]
+    # four antichains; building 1..k once took about a second
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError):
+        IdealAntichain(k, frozenset({frozenset({k + 1})}))
 
 
 # ---------------------------------------------------------------- lattice ops vs model
@@ -181,6 +258,66 @@ def test_form_round_trip_everywhere():
             assert to_intersection_form(to_sum_form(a)) == a
 
 
+# The subset scan that minimal_transversals replaced.
+
+
+def scan_minimal_transversals(members):
+    if not members:
+        return frozenset({frozenset()})
+    if frozenset() in members:
+        return frozenset()
+    universe = sorted(set().union(*members))
+    hits = []
+    for size in range(0, len(universe) + 1):
+        for combo in itertools.combinations(universe, size):
+            s = frozenset(combo)
+            if all(s & m for m in members):
+                if not any(t <= s for t in hits):
+                    hits.append(s)
+    return frozenset(hits)
+
+
+def scan_up_closure(a):
+    ground = tuple(range(1, a.k + 1))
+    out = set()
+    for size in range(a.k + 1):
+        for combo in itertools.combinations(ground, size):
+            s = frozenset(combo)
+            if any(m <= s for m in a.members):
+                out.add(s)
+    return frozenset(out)
+
+
+def _random_families(rng, k, count):
+    # any family of subsets, not only antichains: repeats, nested members
+    # and the empty set all occur
+    for _ in range(count):
+        size = rng.randint(0, 6)
+        yield frozenset(
+            frozenset(x for x in range(1, k + 1) if rng.random() < rng.random())
+            for _ in range(size)
+        )
+
+
+def test_transversals_match_subset_scan_on_every_antichain():
+    for k in range(1, 5):
+        for a in enumerate_ideals(k):
+            assert minimal_transversals(a.members) == scan_minimal_transversals(a.members)
+            assert up_closure(a) == scan_up_closure(a)
+
+
+def test_transversals_match_subset_scan_on_random_families():
+    rng = random.Random(2016)
+    seen_empty_member = False
+    for k in range(1, 8):
+        for family in _random_families(rng, k, 150):
+            seen_empty_member |= frozenset() in family
+            assert minimal_transversals(family) == scan_minimal_transversals(family)
+            a = antichain_normalize(family, k)
+            assert up_closure(a) == scan_up_closure(a)
+    assert seen_empty_member
+
+
 def test_minimal_transversals_is_an_involution_on_antichains():
     for k in (1, 2, 3):
         for a in enumerate_ideals(k):
@@ -207,6 +344,21 @@ def test_parse_rejects_garbage():
 
 
 # ---------------------------------------------------------------- leaves
+
+
+def loop_enumerate_leaves(n):
+    # the nested parts-by-total loop that the stable sort replaced
+    out = []
+    for parts in range(0, n + 1):
+        for total in range(parts, n + 1):
+            out.extend(lam for lam in enumerate_partitions(total) if len(lam) == parts)
+    return out
+
+
+def test_enumerate_leaves_matches_the_parts_by_total_loop():
+    for n in range(1, 13):
+        assert enumerate_leaves(n, 2) == loop_enumerate_leaves(n), n
+        assert enumerate_leaves(n, 5) == enumerate_leaves(n, 2)
 
 
 def test_enumerate_leaves_examples():

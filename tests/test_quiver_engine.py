@@ -892,6 +892,55 @@ def test_non_integral_module_map_raises():
         _solve([[2]], [[1]])
 
 
+def test_solve_checks_only_the_rows_it_returns():
+    # [[2, 0], [1, 1]]^-1 = [[1/2, 0], [-1/2, 1]]: the first row is dropped
+    basis = [[2, 0], [1, 1]]
+    with pytest.raises(InvariantError, match="non-integral"):
+        _solve(basis, el.identity(2))
+    with pytest.raises(InvariantError, match="non-integral"):
+        _solve(basis, el.identity(2), 1)  # -1/2 stays
+    assert _solve([[2, 0], [0, 1]], el.identity(2), 1) == [[0, 1]]
+    with pytest.raises(InvariantError, match="column space"):
+        _solve([[0, 0], [0, 0]], el.identity(2), 1)
+    assert _solve([[1], [2]], [[], []], 1) == []
+
+
+def test_quotient_by_a_sublattice_with_fractional_coordinates():
+    # [sub | units] has determinant +-2 at vertex 3, so its inverse is
+    # fractional in the submodule rows; the projection row is integral
+    m = ProjectiveSum(build_model_algebra(3), (3, 3)).module
+    sub, incl = submodule(m, [(2, [-1, 1]), (3, [1, 0, 1, 0])])
+    q, proj = quotient(m, incl)
+    assert q.dims == (0, 0, 1)
+    assert proj[2] == [[1, 0, -1, 0]]
+    assert q.verify() and sub.verify()
+
+
+def test_quotients_of_seeded_submodules_of_two_projectives():
+    # sums of two projectives at N = 3, each cut by two random seeds with
+    # entries in -1..1; the parent route raised "non-integral" on some pairs
+    alg = build_model_algebra(3)
+    rng = random.Random(0)
+    for _ in range(200):
+        m = ProjectiveSum(alg, tuple(rng.choices((1, 2, 3), k=2))).module
+        support = [v for v, d in enumerate(m.dims, start=1) if d]
+        seeds = [
+            (v, [rng.randint(-1, 1) for _ in range(m.dims[v - 1])])
+            for v in rng.choices(support, k=2)
+        ]
+        sub, incl = submodule(m, seeds)
+        q, proj = quotient(m, incl)
+        assert q.verify() and sub.verify()
+        assert all(a + b == c for a, b, c in zip(sub.dims, q.dims, m.dims))
+        for v, (d, p) in enumerate(zip(m.dims, proj)):
+            # the projection kills the submodule and is onto the quotient
+            assert len(p) == q.dims[v]
+            if d and p and sub.dims[v]:
+                assert el.mat_mul(p, incl[v]) == el.zeros(q.dims[v], sub.dims[v])
+            if p:
+                assert el.rank(p) == q.dims[v]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_report_modules_have_int_arrow_matrices(n, monkeypatch):
     built = []
