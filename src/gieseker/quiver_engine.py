@@ -30,9 +30,9 @@ it is built and checked in O(N).  The path basis spans the algebra, so the
 paths acting on a submodule's seeds span it, and a resolution keeps each
 differential as the images of its generators, all the Hom complex reads.
 
-Each ``ModelAlgebra`` builds every standard module, every sum of projectives
-and every resolution step (keyed by its module's dims and live arrow matrices)
-once and hands out that copy; modules and steps are never mutated once built.
+Each ``ModelAlgebra`` builds every standard module and every sum of
+projectives once and hands out that copy, and computes one resolution step per
+translation class of modules; modules and steps are never mutated once built.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class ModelAlgebra:
             [(g, self.tgt[g] - 1) for g in starts if labels[g][0] == "a"]
             for starts in self._starting
         ]
-        # sums of projectives by generator vertices, standards by vertex, steps by content
+        # sums by generator vertices, standards by vertex, steps by translation class
         self._sums: dict[tuple[int, ...], ProjectiveSum] = {}
         self._standards: dict[int, QuiverModule] = {}
         self._steps: dict[tuple, tuple] = {}
@@ -333,17 +333,20 @@ def simple(algebra: ModelAlgebra, i: int) -> QuiverModule:
     return QuiverModule(algebra, tuple(int(v == i) for v in range(1, algebra.N + 1)), {})
 
 
-def _span_matrices(module: QuiverModule, vectors: list[tuple[int, Vector]]):
+def _span_matrices(module: QuiverModule, vectors: list[tuple[int, Vector | int]]):
     """Per-vertex matrices of independent columns spanning the submodule that
     the (vertex, vector) seeds generate: b·vec for the seeds (v, vec) and the
-    paths b from v to t span it at t, and one elimination keeps their pivots."""
+    paths b from v to t span it at t, and one elimination keeps their pivots.
+    A seed (v, c) with an int c is the c-th unit vector at v, and b sends it
+    to column c of b's matrix."""
     a, dims, acts = module.algebra, module.dims, module.actions
     cands: list[list[Vector]] = [[] for _ in dims]
     for v, vec in vectors:
         for b in a.path_basis(v):
             t = a.tgt[b] - 1
             if dims[t]:
-                cands[t].append(el.mat_vec(acts[b], vec))
+                m = acts[b]
+                cands[t].append([r[vec] for r in m] if type(vec) is int else el.mat_vec(m, vec))
     spans = []
     for cols, d in zip(cands, dims):
         if cols:
@@ -404,12 +407,7 @@ def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, li
 
 def _trace_span(module: QuiverModule, max_vertex: int) -> list[Matrix]:
     """Per-vertex inclusion matrices of the trace of vertices <= max_vertex."""
-    seeds = [
-        (v, unit)
-        for v in range(1, max_vertex + 1)
-        if module.dims[v - 1]
-        for unit in el.identity(module.dims[v - 1])
-    ]
+    seeds = [(v, c) for v in range(1, max_vertex + 1) for c in range(module.dims[v - 1])]
     return _span_matrices(module, seeds)
 
 
@@ -538,20 +536,41 @@ class Resolution:
 def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule) -> tuple:
     """(P, the top generators of ``module``, inclusions of the cover's kernel
     into P, that kernel): one step of a minimal resolution of the nonzero
-    ``module``, computed once per algebra for each content it depends on."""
-    live = _live(algebra, module.dims)
-    key = (module.dims, *(tuple(map(tuple, module.act[g])) for g, _, _ in live))
+    ``module``, computed once per algebra for each translation class.
+
+    The class of a module on [lo, hi] is its dims there, its live arrows
+    relative to lo with their matrices, whether lo is 1, 2 or >= 3 and
+    whether hi = N.  P_v lives on [v - 1, v + 1], so the step reads the
+    algebra on [lo - 1, hi + 1] only, where every vertex looks alike but the
+    ends: vertex 1 has no loop and a(1,2) a(2,1) = 0, and vertex N has no
+    upper neighbour.  With those ends in place, a module moved by d vertices
+    has its step moved by d: its generators by d, its arrows (two per vertex)
+    by 2d."""
+    dims = module.dims
+    support = [v for v, d in enumerate(dims) if d]
+    lo, hi = support[0], support[-1]
+    key = (min(lo, 2), hi == algebra.N - 1, dims[lo : hi + 1], *(
+        (g - 2 * lo, tuple(map(tuple, module.act[g]))) for g, _, _ in _live(algebra, dims)
+    ))
     if key not in algebra._steps:
         tops = top_generators(module)
         ps = _projective_sum(algebra, tuple(v for v, _ in tops))
-        cov = cover_map(ps, module, [(v, _unit(module.dims[v - 1], t)) for v, t in tops])
+        cov = cover_map(ps, module, [(v, _unit(dims[v - 1], t)) for v, t in tops])
         # the cover is onto, so the module's support lies in P's; off it, ker = P
         incl = [
             _from_cols(el.nullspace(c), d) if d and m else el.identity(d) if d else []
-            for c, d, m in zip(cov, ps.dims, module.dims)
+            for c, d, m in zip(cov, ps.dims, dims)
         ]
-        algebra._steps[key] = (ps, tops, incl, _restrict(ps.module, incl))
-    return algebra._steps[key]
+        algebra._steps[key] = (lo, ps, tops, incl, _restrict(ps.module, incl))
+    at, ps, tops, incl, syzygy = algebra._steps[key]
+    d = lo - at
+    if d:  # rotations: P lives on [lo - 1, hi + 1], so what they wrap round is empty
+        ps = _projective_sum(algebra, tuple(v + d for v in ps.gen_vertices))
+        tops = [(v + d, t) for v, t in tops]
+        incl = incl[-d:] + incl[:-d]
+        act = {g + 2 * d: mat for g, mat in syzygy.act.items()}
+        syzygy = QuiverModule(algebra, syzygy.dims[-d:] + syzygy.dims[:-d], act)
+    return ps, tops, incl, syzygy
 
 
 def minimal_projective_resolution(
@@ -689,7 +708,8 @@ def verify_model_properties(n_vertices: int) -> dict:
     and each simple to two terms for the Ext^1 table (multiplicity route).
     ``iv_two_routes_agree`` compares both routes on the resolution of T_N,
     which is the top standard.  A tilting resolution that fails to terminate
-    raises ``InvariantError``.  Equal modules share their resolution steps.
+    raises ``InvariantError``.  Modules equal up to translation share their
+    resolution steps.
     """
     a = ModelAlgebra(n_vertices)
     n = a.N
@@ -747,15 +767,19 @@ def verify_model_properties(n_vertices: int) -> dict:
         tilting_res.append(res)
 
     # Ext^1 out of each standard, read off one three-term resolution: into
-    # the standard below it for (ii), into every tilting for (iii)
+    # the standard below it for (ii), into every tilting for (iii).  A
+    # tilting T zero at every generator of the second term P_1 has
+    # Hom(P_1, T) = 0, so its Ext^1 is 0 and only the others are paired.
     ext1_down = []
     nabla_filtered = True
     for i, m in enumerate(standards, start=1):
         res = minimal_projective_resolution(a, m, 3)
         if i >= 2:
             ext1_down.append(_hom_complex_ext(res, standards[i - 2], 1).dims[1])
+        reach = {v - 1 for term in res.gens[1:2] for v in term}
         nabla_filtered = nabla_filtered and all(
-            _hom_complex_ext(res, t, 1).dims[1] == 0 for t in tiltings
+            _hom_complex_ext(res, t, 1).dims[1] == 0
+            for t in tiltings if any(t.dims[v] for v in reach)
         )
 
     # (ii) each later projective is the universal self-reproducing extension:

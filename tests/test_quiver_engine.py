@@ -5,8 +5,10 @@ Ext groups come from the Hom complex of a minimal resolution AND from
 counting projective multiplicities in resolution terms (valid for simple
 targets); standard multiplicities are replayed against the Cartan matrix,
 and their dimension certificate against the former grid-scan isomorphism test;
-resolutions built from shared steps are replayed on the per-step loop, and
-one-pass spans on the breadth-first closure under the arrows.
+resolutions built from shared steps are replayed on the per-step loop,
+translation-keyed steps on the content-keyed memo, the pruned tilting test
+on every standard-tilting pair, and one-pass spans on the breadth-first
+closure under the arrows.
 """
 
 import ast
@@ -18,6 +20,7 @@ import random
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from pathlib import Path
@@ -452,7 +455,7 @@ def test_projectives_and_standards_built_once_per_algebra():
 # n = 20 and 48 before the engine computed in int instead of Fraction, n = 24
 # and 32 before each module's work was confined to its support, n = 96 before
 # a module stored its live arrows only, n = 128 before spans were taken in one
-# pass over the path basis
+# pass over the path basis, n = 256 before steps were keyed by translation class
 PINNED_REPORTS = {
     1: "8b4a2b26a7eec3150f756f565332636bcf33e367fc5ac2a6167ac2ba630934e8",
     2: "86416e9b9d067ad7cd54816bf47e7582fda739907544b8db151e7b64d51e1a4a",
@@ -467,6 +470,7 @@ PINNED_REPORTS = {
     48: "58843a355804ad5da1425754eccbbbe3d3b6b6c2408522662247d494e05b847d",
     96: "224294c239a62a88fbb02e5d98e700d1fe5ff11a4f0494b3237e231e32354a2d",
     128: "a4486a8ee5cf3a4b408b7955c8c5014b20d4b37d63b89c9829cb3bd096bb9650",
+    256: "91a0b42b150f3ce4159b13418a0f549ac779d43b596f301ec3c0675d08bf6a36",
 }
 
 
@@ -517,6 +521,74 @@ def test_shared_resolutions_match_per_call_route(n):
         shared = minimal_projective_resolution(alg, m, 3)
         for x in targets:
             assert _hom_complex_ext(shared, x, 1) == ext_groups(alg, m, x, 1)
+
+
+def _unpruned_nabla_filtered(alg):
+    # (iii) before it was pruned: every standard against every tilting
+    n = alg.N
+    tiltings = [qe.tilting(alg, j) for j in range(1, n + 1)]
+    return all(
+        _hom_complex_ext(res, t, 1).dims[1] == 0
+        for i in range(1, n + 1)
+        for res in [minimal_projective_resolution(alg, standard(alg, i), 3)]
+        for t in tiltings
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_pruned_tilting_pairs_match_all_pairs(n, monkeypatch):
+    calls = []
+    ext = qe._hom_complex_ext
+
+    def recording_ext(res, target, max_degree):
+        calls.append((res.target.dims, target.dims, max_degree))
+        return ext(res, target, max_degree)
+
+    monkeypatch.setattr(qe, "_hom_complex_ext", recording_ext)
+    checks = verify_model_properties(n)["checks"]
+    monkeypatch.undo()
+    alg = build_model_algebra(n)
+    assert checks["iii_tiltings"] == _unpruned_nabla_filtered(alg)
+    # (ii) pairs each standard with the one below it and (iii) with the
+    # tiltings nonzero at a generator of P_1; a tilting left out has
+    # Hom(P_1, T) = 0, so its Ext^1 is 0
+    want = Counter()
+    for i in range(1, n + 1):
+        res = minimal_projective_resolution(alg, standard(alg, i), 3)
+        if i >= 2:
+            want[(res.target.dims, standard(alg, i - 1).dims, 1)] += 1
+        for j in range(1, n + 1):
+            t = tilting(alg, j)
+            if any(t.dims[v - 1] for v in (res.gens[1] if len(res.gens) > 1 else ())):
+                want[(res.target.dims, t.dims, 1)] += 1
+            else:
+                assert _hom_complex_ext(res, t, 1).dims[1] == 0
+    assert Counter(c for c in calls if c[2] == 1) == want
+    assert len(calls) <= 5 * n  # O(n) pairs, not n^2
+    # with the standards in place of the tiltings, Ext^1(Delta_i, Delta_{i-1})
+    # = 1 fails (iii) on both routes
+    monkeypatch.setattr(qe, "tilting", standard)
+    checks = verify_model_properties(n)["checks"]
+    assert checks["iii_tiltings"] == _unpruned_nabla_filtered(build_model_algebra(n)) == (n == 1)
+
+
+def test_hom_complex_reads_the_signs_of_the_images():
+    # a hand-built image list: d: P_2^2 -> P_2^2 sends the generators to
+    # e + e' and e - e', the tops of the two summands.  Over Q, d is
+    # invertible, so Hom(d, L_2) is too and both Ext groups vanish; read
+    # with every coefficient +1, its matrix would have rank 1.
+    alg = build_model_algebra(3)
+    ps = _projective_sum(alg, (2, 2))
+    e2, l2 = alg.index[("e", 2)], alg.index[("loop", 2)]
+    assert ps.basis_pos[1] == [(0, e2), (0, l2), (1, e2), (1, l2)]
+    zero = QuiverModule(alg, (0, 0, 0), {})
+
+    def ext(images):
+        res = qe.Resolution(alg, zero, [(2, 2), (2, 2)], [ps, ps], [[], images], True)
+        return _hom_complex_ext(res, simple(alg, 2), 1).dims
+
+    assert ext([(2, [1, 0, 1, 0]), (2, [1, 0, -1, 0])]) == (0, 0)
+    assert ext([(2, [1, 0, 1, 0]), (2, [1, 0, 1, 0])]) == (1, 1)
 
 
 def test_verify_model_properties_same_under_python_O():
@@ -1158,6 +1230,16 @@ def _content(module):
     )
 
 
+def _translation_class(module):
+    # the content moved to start at vertex 1, and whether the support starts
+    # at vertex 1, 2 or later and ends at N
+    dims = module.dims
+    support = [v for v, d in enumerate(dims) if d]
+    lo, hi = support[0], support[-1]
+    moved = tuple((g - 2 * lo, mat) for g, mat in _content(module)[1])
+    return min(lo, 2), hi == len(dims) - 1, dims[lo : hi + 1], moved
+
+
 def _all_int(module):
     return all(type(x) is int for mat in module.act.values() for row in mat for x in row)
 
@@ -1200,12 +1282,12 @@ def test_sparse_route_matches_dense_route_on_report_modules(n, monkeypatch):
         init(self, *args)
         built.append(self)
 
-    # the content of each module the report resolves a step of
+    # the translation class of each module the report resolves a step of
     stepped = set()
     step = qe._syzygy_step
 
     def recording_step(alg, module):
-        stepped.add(_content(module))
+        stepped.add(_translation_class(module))
         return step(alg, module)
 
     monkeypatch.setattr(qe, "_restrict", checked_restrict)
@@ -1213,7 +1295,7 @@ def test_sparse_route_matches_dense_route_on_report_modules(n, monkeypatch):
     monkeypatch.setattr(qe, "_syzygy_step", recording_step)
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     assert verify_model_properties(n)["all_pass"]
-    # one _restrict, the syzygy's, per distinct step
+    # one _restrict, the syzygy's, per translation class
     assert calls["restrict"] == len(stepped) and (n == 1 or calls["quotient"] >= n - 1)
     # most modules leave some vertex empty, so the sparse paths are exercised
     assert sum(0 in m.dims for m in built) > len(built) // 2 or n < 3
@@ -1390,29 +1472,38 @@ def test_shared_steps_match_plain_resolution(n, monkeypatch):
     assert len(alg._steps) < len(steps)
 
 
-def test_report_computes_each_step_once(monkeypatch):
-    class CountingSteps(dict):
-        def __init__(self):
-            super().__init__()
-            self.misses = []
-            self.size_at_clear = None
+class _CountingSteps(dict):
+    # a step memo that records its misses and its size when cleared
+    def __init__(self):
+        super().__init__()
+        self.misses = []
+        self.size_at_clear = None
 
-        def __setitem__(self, key, value):
-            self.misses.append(key)
-            super().__setitem__(key, value)
+    def __setitem__(self, key, value):
+        self.misses.append(key)
+        super().__setitem__(key, value)
 
-        def clear(self):
-            self.size_at_clear = len(self)
-            super().clear()
+    def clear(self):
+        self.size_at_clear = len(self)
+        super().clear()
 
+
+def _algebras_counting_steps(monkeypatch):
+    # every algebra built from now on, each with a _CountingSteps memo
     algebras = []
     init = ModelAlgebra.__init__
 
     def recording_init(self, *args):
         init(self, *args)
-        self._steps = CountingSteps()
+        self._steps = _CountingSteps()
         algebras.append(self)
 
+    monkeypatch.setattr(ModelAlgebra, "__init__", recording_init)
+    return algebras
+
+
+def test_report_computes_each_step_once(monkeypatch):
+    algebras = _algebras_counting_steps(monkeypatch)
     reads = []
     step = qe._syzygy_step
 
@@ -1420,7 +1511,6 @@ def test_report_computes_each_step_once(monkeypatch):
         reads.append(module)
         return step(a, module)
 
-    monkeypatch.setattr(ModelAlgebra, "__init__", recording_init)
     monkeypatch.setattr(qe, "_syzygy_step", counting_step)
     assert verify_model_properties(8)["all_pass"]
     (alg,) = algebras
@@ -1429,6 +1519,84 @@ def test_report_computes_each_step_once(monkeypatch):
     assert alg._steps == {}
     # the report reads some steps more than once
     assert len(misses) < len(reads)
+
+
+def test_report_step_count_does_not_grow_with_n(monkeypatch):
+    # steps are keyed by translation class, and the classes the report meets
+    # are the same at every large N (the content-keyed memo held 4N - 4)
+    algebras = _algebras_counting_steps(monkeypatch)
+    for n in (16, 32, 64):
+        assert verify_model_properties(n)["all_pass"]
+    counts = [alg._steps.size_at_clear for alg in algebras]
+    assert counts[0] == counts[1] == counts[2] < 4 * 16 - 4, counts
+
+
+# The step memo before it was keyed by translation class: one step per
+# content, a module's dims and live arrow matrices, and the resolution loop
+# walking those steps.
+
+
+def _content_keyed_step(algebra, module, memo):
+    live = qe._live(algebra, module.dims)
+    key = (module.dims, *(tuple(map(tuple, module.act[g])) for g, _, _ in live))
+    if key not in memo:
+        tops = top_generators(module)
+        ps = _projective_sum(algebra, tuple(v for v, _ in tops))
+        cov = cover_map(ps, module, [(v, qe._unit(module.dims[v - 1], t)) for v, t in tops])
+        incl = [
+            qe._from_cols(el.nullspace(c), d) if d and m else el.identity(d) if d else []
+            for c, d, m in zip(cov, ps.dims, module.dims)
+        ]
+        memo[key] = (ps, tops, incl, _restrict(ps.module, incl))
+    return memo[key]
+
+
+def _content_keyed_resolution(algebra, module, max_terms, memo):
+    gens, images = [], []
+    cur, incl_prev = module, None
+    for _ in range(max_terms):
+        if cur.total_dim == 0:
+            break
+        ps, tops, incl, syzygy = _content_keyed_step(algebra, cur, memo)
+        images.append([(v, qe._unit(cur.dims[v - 1], t) if incl_prev is None else
+                        [row[t] for row in incl_prev[v - 1]]) for v, t in tops])
+        gens.append(ps.gen_vertices)
+        cur, incl_prev = syzygy, incl
+    return gens, images, cur.total_dim == 0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_translation_keyed_steps_match_content_keyed_steps(n, monkeypatch):
+    # every step and every resolution of the report, in the report's order,
+    # against the content-keyed route
+    memo: dict = {}
+    stepped = []
+    resolve, step = qe.minimal_projective_resolution, qe._syzygy_step
+
+    def checked_step(alg, module):
+        ps, tops, incl, syzygy = step(alg, module)
+        want = _content_keyed_step(alg, module, memo)
+        assert (ps, tops, incl) == want[:3] and ps is want[0], module.dims
+        assert _content(syzygy) == _content(want[3]) and syzygy.verify(), module.dims
+        stepped.append(module)
+        return ps, tops, incl, syzygy
+
+    def checked_resolve(alg, module, max_terms):
+        res = resolve(alg, module, max_terms)
+        want = _content_keyed_resolution(alg, module, max_terms, memo)
+        assert (res.gens, res.images, res.terminated) == want, module.dims
+        return res
+
+    monkeypatch.setattr(qe, "_syzygy_step", checked_step)
+    monkeypatch.setattr(qe, "minimal_projective_resolution", checked_resolve)
+    assert verify_model_properties(n)["all_pass"]
+    # supports starting at vertex 1 and at vertex 2 and ending at N, and
+    # steps served at another offset than they were computed at
+    firsts = {m.dims.index(next(d for d in m.dims if d)) for m in stepped}
+    assert {0, 1} <= firsts or n == 1
+    assert any(m.dims[-1] for m in stepped)
+    classes = {_translation_class(m) for m in stepped}
+    assert len(classes) < len({_content(m) for m in stepped}) or n < 5
 
 
 def test_each_resolution_owns_its_images():
@@ -1478,6 +1646,8 @@ def test_no_empty_per_vertex_matrix_is_built_by_a_call(monkeypatch):
 
 def _bfs_span_matrices(module, vectors):
     a = module.algebra
+    # an int seed c is the c-th unit vector at its vertex
+    vectors = [(v, qe._unit(module.dims[v - 1], c) if type(c) is int else c) for v, c in vectors]
     spans = [[] for _ in range(a.N)]
 
     def add(v, vec):
@@ -1570,6 +1740,32 @@ def test_one_pass_spans_on_sums_of_projectives():
         for j in range(1, 6):
             want = _bfs_span_matrices(m, _trace_seeds(m, j))
             _same_column_spaces(qe._trace_span(m, j), want, m.dims)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trace_reads_columns_like_unit_vector_seeds(n, monkeypatch):
+    # the trace of every module the report builds, and of sums of
+    # projectives, for every max vertex: unit seeds read columns of the
+    # actions and give the same matrices as unit vectors multiplied through
+    built = []
+    init = QuiverModule.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(QuiverModule, "__init__", recording_init)
+    assert verify_model_properties(n)["all_pass"]
+    alg = build_model_algebra(n)
+    built += [ProjectiveSum(alg, gens).module for gens in [tuple(range(1, n + 1)), (n,) * 3]]
+    monkeypatch.undo()
+    for m in built:
+        for j in range(1, n + 1):
+            assert qe._trace_span(m, j) == qe._span_matrices(m, _trace_seeds(m, j)), m.dims
+    # a trace multiplies no vector through
+    monkeypatch.setattr(el, "mat_vec", None)
+    for m in built:
+        qe._trace_span(m, n)
 
 
 def _count_eliminations(monkeypatch):
