@@ -30,9 +30,11 @@ it is built and checked in O(N).  The path basis spans the algebra, so the
 paths acting on a submodule's seeds span it, and a resolution keeps each
 differential as the images of its generators, all the Hom complex reads.
 
-Each ``ModelAlgebra`` builds every standard module and every sum of
-projectives once and hands out that copy, and computes one resolution step per
-translation class of modules; modules and steps are never mutated once built.
+Each ``ModelAlgebra`` builds every sum of projectives once and hands out that
+copy, builds at most three standards by quotient and moves Delta_3 along the
+quiver for the others, and computes one resolution step per translation class
+of modules.  A truncated resolution reads its last term's top generators only,
+so it builds no cover, kernel or syzygy there; modules are never mutated.
 """
 
 from __future__ import annotations
@@ -405,6 +407,12 @@ def quotient(module: QuiverModule, incl: list[Matrix]) -> tuple[QuiverModule, li
     return QuiverModule(a, tuple(dims), act), projections
 
 
+def _moved(module: QuiverModule, d: int) -> QuiverModule:
+    """The module moved d vertices along the quiver; what wraps round is empty."""
+    act = {g + 2 * d: mat for g, mat in module.act.items()}
+    return QuiverModule(module.algebra, module.dims[-d:] + module.dims[:-d], act)
+
+
 def _trace_span(module: QuiverModule, max_vertex: int) -> list[Matrix]:
     """Per-vertex inclusion matrices of the trace of vertices <= max_vertex."""
     seeds = [(v, c) for v in range(1, max_vertex + 1) for c in range(module.dims[v - 1])]
@@ -413,11 +421,16 @@ def _trace_span(module: QuiverModule, max_vertex: int) -> list[Matrix]:
 
 def standard(algebra: ModelAlgebra, i: int) -> QuiverModule:
     """Delta(p_i): the i-th projective modulo the trace of the larger ones.
-    Built once per algebra; every call returns the same module."""
+    Built once per algebra; every call returns the same module.  For 3 <= i
+    < N, P_i, on [i - 1, i + 1] with basis e_i, a(i-1,i), a(i+1,i), l_i, is
+    P_3 moved by i - 3; Delta_i reads P_i only, so it is Delta_3 moved."""
     if i not in algebra._standards:  # projective(algebra, i) checks the vertex
-        p = projective(algebra, i)
-        if i > 1:
-            p, _ = quotient(p, _trace_span(p, i - 1))
+        if 4 <= i < algebra.N:
+            p = _moved(standard(algebra, 3), i - 3)
+        else:
+            p = projective(algebra, i)
+            if i > 1:
+                p, _ = quotient(p, _trace_span(p, i - 1))
         algebra._standards[i] = p
     return algebra._standards[i]
 
@@ -523,20 +536,26 @@ class Resolution:
 
     algebra: ModelAlgebra
     target: QuiverModule
-    gens: list[tuple[int, ...]]  # generator vertices per term
-    terms: list[ProjectiveSum]
+    gens: list[tuple[int, ...]]  # generator vertices per term, which fix it
     images: list[list[tuple[int, Vector]]]
     terminated: bool
 
+    @property
+    def terms(self) -> list[ProjectiveSum]:
+        return [_projective_sum(self.algebra, g) for g in self.gens]
+
     def multiplicity(self, degree: int, vertex: int) -> int:
         _check_vertex(self.algebra, vertex)
+        _check_inputs(self.algebra, max_degree=degree)
         return _multiplicities(self.gens, vertex, degree)[degree]
 
 
-def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule) -> tuple:
-    """(P, the top generators of ``module``, inclusions of the cover's kernel
-    into P, that kernel): one step of a minimal resolution of the nonzero
-    ``module``, computed once per algebra for each translation class.
+def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule, full: bool = True) -> tuple:
+    """(the top generators of ``module``, inclusions of the kernel of its
+    projective cover P into P, that kernel): one step of a minimal resolution
+    of the nonzero ``module``, computed once per algebra for each translation
+    class.  With ``full`` false only the generators are read, and the other
+    two are None; a later full read completes such a step in place.
 
     The class of a module on [lo, hi] is its dims there, its live arrows
     relative to lo with their matrices, whether lo is 1, 2 or >= 3 and
@@ -552,8 +571,11 @@ def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule) -> tuple:
     key = (min(lo, 2), hi == algebra.N - 1, dims[lo : hi + 1], *(
         (g - 2 * lo, tuple(map(tuple, module.act[g]))) for g, _, _ in _live(algebra, dims)
     ))
-    if key not in algebra._steps:
-        tops = top_generators(module)
+    step = algebra._steps.get(key)
+    if step is None:
+        step = algebra._steps[key] = [lo, top_generators(module), None, None]
+    if full and step[2] is None:  # complete a generators-only step, here at lo
+        tops = [(v + lo - step[0], t) for v, t in step[1]]
         ps = _projective_sum(algebra, tuple(v for v, _ in tops))
         cov = cover_map(ps, module, [(v, _unit(dims[v - 1], t)) for v, t in tops])
         # the cover is onto, so the module's support lies in P's; off it, ker = P
@@ -561,37 +583,39 @@ def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule) -> tuple:
             _from_cols(el.nullspace(c), d) if d and m else el.identity(d) if d else []
             for c, d, m in zip(cov, ps.dims, dims)
         ]
-        algebra._steps[key] = (lo, ps, tops, incl, _restrict(ps.module, incl))
-    at, ps, tops, incl, syzygy = algebra._steps[key]
+        step[:] = lo, tops, incl, _restrict(ps.module, incl)
+    at, tops, incl, syzygy = step if full else (*step[:2], None, None)
     d = lo - at
     if d:  # rotations: P lives on [lo - 1, hi + 1], so what they wrap round is empty
-        ps = _projective_sum(algebra, tuple(v + d for v in ps.gen_vertices))
         tops = [(v + d, t) for v, t in tops]
-        incl = incl[-d:] + incl[:-d]
-        act = {g + 2 * d: mat for g, mat in syzygy.act.items()}
-        syzygy = QuiverModule(algebra, syzygy.dims[-d:] + syzygy.dims[:-d], act)
-    return ps, tops, incl, syzygy
+        if full:
+            incl, syzygy = incl[-d:] + incl[:-d], _moved(syzygy, d)
+    return tops, incl, syzygy
 
 
 def minimal_projective_resolution(
     algebra: ModelAlgebra, module: QuiverModule, max_terms: int
 ) -> Resolution:
+    """The first ``max_terms`` terms of a minimal projective resolution of
+    ``module``, the last read for its top generators only: each cover is
+    onto, so dim Omega = dim P - dim M tells whether the resolution ends."""
     _check_inputs(algebra, module)
-    terms: list[ProjectiveSum] = []
-    images: list[list[tuple[int, Vector]]] = []
-    cur = module
+    if max_terms < 0:
+        raise ValueError("max_terms must be non-negative")
+    gens, images = [], []  # per term: generator vertices, images of generators
+    cur, left = module, module.total_dim  # the module to cover next, its dim
     incl_prev: list[Matrix] | None = None  # cur inside the previous term
-    for _ in range(max_terms):
-        if cur.total_dim == 0:
+    for k in range(max_terms):
+        if not left:
             break
-        ps, tops, incl, syzygy = _syzygy_step(algebra, cur)
+        tops, incl, syzygy = _syzygy_step(algebra, cur, k + 1 < max_terms)
         # generator (v, t) goes to coordinate t of cur at v, in the previous term
         images.append([(v, _unit(cur.dims[v - 1], t) if incl_prev is None else
                         [row[t] for row in incl_prev[v - 1]]) for v, t in tops])
-        terms.append(ps)
+        gens.append(tuple(v for v, _ in tops))
+        left = sum(len(algebra.path_basis(v)) for v in gens[-1]) - left
         cur, incl_prev = syzygy, incl
-    gens = [ps.gen_vertices for ps in terms]
-    return Resolution(algebra, module, gens, terms, images, cur.total_dim == 0)
+    return Resolution(algebra, module, gens, images, not left)
 
 
 @dataclass(frozen=True)
@@ -626,7 +650,7 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
         if not (hom_dims[t + 1] and hom_dims[t]):
             return 0
         mat = el.zeros(hom_dims[t + 1], hom_dims[t])
-        ps_t = res.terms[t]
+        ps_t = _projective_sum(res.algebra, res.gens[t])
         col_start = [0, *accumulate(target.dims[v - 1] for v in ps_t.gen_vertices)]
         row0 = 0
         for w, image in res.images[t + 1]:
@@ -709,7 +733,8 @@ def verify_model_properties(n_vertices: int) -> dict:
     ``iv_two_routes_agree`` compares both routes on the resolution of T_N,
     which is the top standard.  A tilting resolution that fails to terminate
     raises ``InvariantError``.  Modules equal up to translation share their
-    resolution steps.
+    resolution steps, a cut-off resolution reads its last term's generators
+    only, and Delta_i for 4 <= i <= N - 1 is Delta_3 moved.
     """
     a = ModelAlgebra(n_vertices)
     n = a.N
@@ -772,14 +797,14 @@ def verify_model_properties(n_vertices: int) -> dict:
     # Hom(P_1, T) = 0, so its Ext^1 is 0 and only the others are paired.
     ext1_down = []
     nabla_filtered = True
+    nonzero_at = [[j for j, t in enumerate(tiltings) if t.dims[v]] for v in range(n)]
     for i, m in enumerate(standards, start=1):
         res = minimal_projective_resolution(a, m, 3)
         if i >= 2:
             ext1_down.append(_hom_complex_ext(res, standards[i - 2], 1).dims[1])
-        reach = {v - 1 for term in res.gens[1:2] for v in term}
+        reach = {j for term in res.gens[1:2] for v in term for j in nonzero_at[v - 1]}
         nabla_filtered = nabla_filtered and all(
-            _hom_complex_ext(res, t, 1).dims[1] == 0
-            for t in tiltings if any(t.dims[v] for v in reach)
+            _hom_complex_ext(res, tiltings[j], 1).dims[1] == 0 for j in sorted(reach)
         )
 
     # (ii) each later projective is the universal self-reproducing extension:

@@ -6,9 +6,10 @@ counting projective multiplicities in resolution terms (valid for simple
 targets); standard multiplicities are replayed against the Cartan matrix,
 and their dimension certificate against the former grid-scan isomorphism test;
 resolutions built from shared steps are replayed on the per-step loop,
-translation-keyed steps on the content-keyed memo, the pruned tilting test
-on every standard-tilting pair, and one-pass spans on the breadth-first
-closure under the arrows.
+translation-keyed steps on the content-keyed memo, generators-only last
+terms on the loop that steps every term in full, standards moved from Delta_3
+on their quotients, the pruned tilting test on every standard-tilting pair,
+and one-pass spans on the breadth-first closure under the arrows.
 """
 
 import ast
@@ -438,6 +439,36 @@ def test_standard_multiplicity_table_is_unitriangular():
             assert row[j] == 0
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_standards_by_translation_match_quotients(n):
+    # Delta_i for 4 <= i <= N - 1 is Delta_3 moved; built in either order,
+    # every standard equals the quotient of P_i by the trace of the smaller
+    # vertices entry for entry
+    down, up = build_model_algebra(n), build_model_algebra(n)
+    got_down = {i: standard(down, i) for i in range(n, 0, -1)}
+    for i in range(1, n + 1):
+        p = projective(up, i)
+        want = quotient(p, qe._trace_span(p, i - 1))[0] if i > 1 else p
+        got = standard(up, i)
+        assert _same_module(got, want) and got.verify(), i
+        assert _content(got_down[i]) == _content(got), i
+
+
+def test_report_makes_at_most_three_quotients(monkeypatch):
+    # Delta_2, Delta_3 and Delta_N; formerly one per standard past the first
+    calls = Counter()
+    quot = qe.quotient
+
+    def counting_quotient(module, incl):
+        calls[module.algebra.N] += 1
+        return quot(module, incl)
+
+    monkeypatch.setattr(qe, "quotient", counting_quotient)
+    for n in (8, 16, 32, 64):
+        assert verify_model_properties(n)["all_pass"]
+    assert calls == {8: 3, 16: 3, 32: 3, 64: 3}
+
+
 def test_projectives_and_standards_built_once_per_algebra():
     alg = build_model_algebra(4)
     for i in range(1, 5):
@@ -584,7 +615,7 @@ def test_hom_complex_reads_the_signs_of_the_images():
     zero = QuiverModule(alg, (0, 0, 0), {})
 
     def ext(images):
-        res = qe.Resolution(alg, zero, [(2, 2), (2, 2)], [ps, ps], [[], images], True)
+        res = qe.Resolution(alg, zero, [(2, 2), (2, 2)], [[], images], True)
         return _hom_complex_ext(res, simple(alg, 2), 1).dims
 
     assert ext([(2, [1, 0, 1, 0]), (2, [1, 0, -1, 0])]) == (0, 0)
@@ -1147,6 +1178,27 @@ def test_negative_max_degree_raises(route):
     assert call(0).dims == (0,) and call(1).dims == (0, 1)
 
 
+def test_negative_max_terms_raises():
+    # formerly a resolution with no terms that had not terminated
+    alg = build_model_algebra(3)
+    m = standard(alg, 2)
+    for k in (-1, -5):
+        with pytest.raises(ValueError, match="max_terms must be non-negative"):
+            minimal_projective_resolution(alg, m, k)
+    res = minimal_projective_resolution(alg, m, 0)
+    assert (res.gens, res.images, res.terminated) == ([], [], False)
+
+
+def test_negative_multiplicity_degree_raises():
+    # formerly a bare IndexError
+    alg = build_model_algebra(3)
+    res = minimal_projective_resolution(alg, standard(alg, 2), 3)
+    for k in (-1, -5):
+        with pytest.raises(ValueError, match="non-negative"):
+            res.multiplicity(k, 1)
+    assert [res.multiplicity(k, 1) for k in range(4)] == [0, 1, 0, 0]
+
+
 # The dense route the engine took before it confined each module's work to its
 # support: every arrow is solved or multiplied, and verify tries every
 # composable pair, whatever the dimensions at its ends.
@@ -1286,17 +1338,19 @@ def test_sparse_route_matches_dense_route_on_report_modules(n, monkeypatch):
     stepped = set()
     step = qe._syzygy_step
 
-    def recording_step(alg, module):
-        stepped.add(_translation_class(module))
-        return step(alg, module)
+    def recording_step(alg, module, full=True):
+        if full:
+            stepped.add(_translation_class(module))
+        return step(alg, module, full)
 
     monkeypatch.setattr(qe, "_restrict", checked_restrict)
     monkeypatch.setattr(qe, "quotient", checked_quotient)
     monkeypatch.setattr(qe, "_syzygy_step", recording_step)
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     assert verify_model_properties(n)["all_pass"]
-    # one _restrict, the syzygy's, per translation class
-    assert calls["restrict"] == len(stepped) and (n == 1 or calls["quotient"] >= n - 1)
+    # one _restrict, the syzygy's, per translation class stepped in full;
+    # the quotients of Delta_2, Delta_3 and Delta_N, the others moved from Delta_3
+    assert calls["restrict"] == len(stepped) and calls["quotient"] == min(n - 1, 3)
     # most modules leave some vertex empty, so the sparse paths are exercised
     assert sum(0 in m.dims for m in built) > len(built) // 2 or n < 3
     for m in built:
@@ -1454,9 +1508,9 @@ def test_shared_steps_match_plain_resolution(n, monkeypatch):
     steps = []
     step = qe._syzygy_step
 
-    def counting_step(a, module):
+    def counting_step(a, module, full=True):
         steps.append(module)
-        return step(a, module)
+        return step(a, module, full)
 
     monkeypatch.setattr(qe, "_syzygy_step", counting_step)
     for make in (standard, tilting, projective, costandard, simple):
@@ -1507,9 +1561,9 @@ def test_report_computes_each_step_once(monkeypatch):
     reads = []
     step = qe._syzygy_step
 
-    def counting_step(a, module):
+    def counting_step(a, module, full=True):
         reads.append(module)
-        return step(a, module)
+        return step(a, module, full)
 
     monkeypatch.setattr(qe, "_syzygy_step", counting_step)
     assert verify_model_properties(8)["all_pass"]
@@ -1568,18 +1622,22 @@ def _content_keyed_resolution(algebra, module, max_terms, memo):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_translation_keyed_steps_match_content_keyed_steps(n, monkeypatch):
     # every step and every resolution of the report, in the report's order,
-    # against the content-keyed route
+    # against the content-keyed route, which steps every term in full
     memo: dict = {}
     stepped = []
     resolve, step = qe.minimal_projective_resolution, qe._syzygy_step
 
-    def checked_step(alg, module):
-        ps, tops, incl, syzygy = step(alg, module)
-        want = _content_keyed_step(alg, module, memo)
-        assert (ps, tops, incl) == want[:3] and ps is want[0], module.dims
-        assert _content(syzygy) == _content(want[3]) and syzygy.verify(), module.dims
+    def checked_step(alg, module, full=True):
+        tops, incl, syzygy = step(alg, module, full)
+        _, want_tops, want_incl, want_syzygy = _content_keyed_step(alg, module, memo)
+        assert tops == want_tops, module.dims
+        if full:
+            assert incl == want_incl, module.dims
+            assert _content(syzygy) == _content(want_syzygy) and syzygy.verify(), module.dims
+        else:
+            assert incl is syzygy is None
         stepped.append(module)
-        return ps, tops, incl, syzygy
+        return tops, incl, syzygy
 
     def checked_resolve(alg, module, max_terms):
         res = resolve(alg, module, max_terms)
@@ -1597,6 +1655,81 @@ def test_translation_keyed_steps_match_content_keyed_steps(n, monkeypatch):
     assert any(m.dims[-1] for m in stepped)
     classes = {_translation_class(m) for m in stepped}
     assert len(classes) < len({_content(m) for m in stepped}) or n < 5
+
+
+def _small_modules(alg):
+    # simples, standards, costandards and the sums of one to three projectives
+    n = alg.N
+    yield from (make(alg, i) for make in (simple, standard, costandard) for i in range(1, n + 1))
+    for size in (1, 2, 3):
+        for gens in combinations_with_replacement(range(1, n + 1), size):
+            yield ProjectiveSum(alg, gens).module
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_generators_only_last_terms_match_full_step_loop(n):
+    # the content-keyed loop covers, and restricts the kernel of, every term,
+    # the last too; the engine reads the last term's generators only and
+    # takes termination from dim P - dim M.  Ascending max_terms completes
+    # generators-only steps later, descending meets completed ones first, and
+    # one-term resolutions in reverse order leave generators-only steps that
+    # translates further down complete
+    ends = Counter()
+    for plan in ("up", "down", "moved"):
+        alg, memo = build_model_algebra(n), {}
+        mods = list(_small_modules(alg))
+        if plan == "moved":
+            calls = [(m, 1) for m in reversed(mods)] + [(m, 4) for m in mods]
+        else:
+            ks = range(5) if plan == "up" else range(4, -1, -1)
+            calls = [(m, k) for m in mods for k in ks]
+        for m, k in calls:
+            res = minimal_projective_resolution(alg, m, k)
+            want = _content_keyed_resolution(alg, m, k, memo)
+            assert (res.gens, res.images, res.terminated) == want, (plan, m.dims, k)
+            if k and len(res.gens) == k:
+                ends[res.terminated] += 1
+    # cut-off resolutions that end exactly at their last term, and others
+    assert ends[True] and (ends[False] or n == 1)
+
+
+@pytest.mark.parametrize("n", (3, 5, 8, 12))
+def test_report_computes_no_syzygy_of_a_last_term(n, monkeypatch):
+    # a resolution cut off at max_terms steps its last term for generators
+    # only: no cover, kernel or syzygy there, and some classes the report
+    # meets only as last terms never get one
+    step, resolve = qe._syzygy_step, qe.minimal_projective_resolution
+    counts = Counter()
+    reads = []
+
+    for name in ("cover_map", "_restrict"):
+        def counted(*args, _fn=getattr(qe, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(qe, name, counted)
+
+    def recording_step(alg, module, full=True):
+        before = dict(counts)
+        out = step(alg, module, full)
+        assert full or counts == before, module.dims
+        reads.append((_translation_class(module), full))
+        return out
+
+    def recording_resolve(alg, module, max_terms):
+        start = len(reads)
+        res = resolve(alg, module, max_terms)
+        flags = [full for _, full in reads[start:]]
+        cut = len(res.gens) == max_terms
+        assert flags == [True] * (len(res.gens) - cut) + [False] * cut, module.dims
+        return res
+
+    monkeypatch.setattr(qe, "_syzygy_step", recording_step)
+    monkeypatch.setattr(qe, "minimal_projective_resolution", recording_resolve)
+    assert verify_model_properties(n)["all_pass"]
+    in_full = {c for c, full in reads if full}
+    assert counts["_restrict"] == len(in_full)
+    assert {c for c, full in reads if not full} - in_full
 
 
 def test_each_resolution_owns_its_images():
