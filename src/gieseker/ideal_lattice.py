@@ -244,8 +244,8 @@ def _up_sets(k: int) -> tuple[int, ...]:
 
 def enumerate_ideals(k: int) -> list[IdealAntichain]:
     """Every ideal of the k-fold tensor power, as intersection-form antichains."""
-    if not 1 <= k <= 4:
-        raise ValueError("enumeration supported for 1 <= k <= 4")
+    if not 1 <= k <= 5:
+        raise ValueError("enumeration supported for 1 <= k <= 5")
     return [
         from_up_closure([_subset(s) for s in range(1 << k) if u >> s & 1], k)
         for u in _up_sets(k)

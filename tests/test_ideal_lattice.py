@@ -122,11 +122,19 @@ def test_enumerate_ideals_order_matches_frozenset_recursion():
         assert enumerate_ideals(k) == want
 
 
+def test_enumerate_ideals_of_five():
+    # k = 5 reads the up-sets that counting already builds: 7,581 distinct
+    # antichains, in the order of the frozenset recursion
+    got = enumerate_ideals(5)
+    assert got == [from_up_closure(u, 5) for u in frozenset_up_sets(5)]
+    assert len(set(got)) == len(got) == count_ideals(5) == 7581
+
+
 def test_count_and_enumerate_ranges():
     for bad in (0, 6):
         with pytest.raises(ValueError):
             count_ideals(bad)
-    for bad in (0, 5):
+    for bad in (0, 6):
         with pytest.raises(ValueError):
             enumerate_ideals(bad)
 

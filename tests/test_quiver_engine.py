@@ -9,7 +9,9 @@ resolutions built from shared steps are replayed on the per-step loop,
 translation-keyed steps on the content-keyed memo, generators-only last
 terms on the loop that steps every term in full, standards moved from Delta_3
 on their quotients, the pruned tilting test on every standard-tilting pair,
-and one-pass spans on the breadth-first closure under the arrows.
+one-pass spans on the breadth-first closure under the arrows, and interval
+modules (an offset plus data on the support) on the N-length route they
+replaced, kept in ``n_length_engine``: same report, modules and resolutions.
 """
 
 import ast
@@ -31,6 +33,7 @@ import pytest
 import gieseker
 import gieseker.exact_linalg as el
 import gieseker.quiver_engine as qe
+import n_length_engine as nl
 from gieseker import (
     ProjectiveSum,
     QuiverModule,
@@ -367,11 +370,8 @@ def test_hom_space_shapes(alg3):
 
 def test_submodule_quotient_round_trip(alg3):
     p2 = projective(alg3, 2)
-    # span of everything below the radical: the simple top survives the quotient
-    from gieseker.quiver_engine import radical_vectors
-
-    per_vertex = radical_vectors(p2)
-    seeds = [(v, vec) for v in (1, 2, 3) for vec in per_vertex[v - 1]]
+    # span of the radical, the arrows' images: the simple top survives the quotient
+    seeds = [(alg3.tgt[g], list(col)) for g, mat in p2.act.items() for col in zip(*mat)]
     rad, incl = submodule(p2, seeds)
     top, _ = quotient(p2, incl)
     assert top.dims == (0, 1, 0)
@@ -448,7 +448,7 @@ def test_standards_by_translation_match_quotients(n):
     got_down = {i: standard(down, i) for i in range(n, 0, -1)}
     for i in range(1, n + 1):
         p = projective(up, i)
-        want = quotient(p, qe._trace_span(p, i - 1))[0] if i > 1 else p
+        want = quotient(p, qe._padded(p, qe._trace_span(p, i - 1)))[0] if i > 1 else p
         got = standard(up, i)
         assert _same_module(got, want) and got.verify(), i
         assert _content(got_down[i]) == _content(got), i
@@ -1095,10 +1095,11 @@ def test_report_builds_each_action_once_and_empties_the_caches(monkeypatch):
     assert calls and set(calls.values()) == {1}
     # only elements with both ends in the module's support are built
     (alg,) = algebras
-    dims_of = {id(c): c._parts[1] for c in caches}
+    parts_of = {id(c): c._parts for c in caches}
     for key, b in calls:
-        dims = dims_of[key]
-        assert dims[alg.src[b] - 1] and dims[alg.tgt[b] - 1], (dims, alg.labels[b])
+        _, lo, dims, _ = parts_of[key]
+        ends = [alg.src[b] - lo, alg.tgt[b] - lo]
+        assert all(0 <= p < len(dims) and dims[p] for p in ends), (lo, dims, alg.labels[b])
     assert alg._sums == {} and alg._standards == {} and alg._steps == {}
 
 
@@ -1270,9 +1271,9 @@ def _dense_verify(m):
 
 def trace_submodule(module, max_vertex):
     # the submodule generated by everything at vertices <= max_vertex, with
-    # its inclusion matrices; the engine reads only their dimensions
+    # its N inclusion matrices; the engine reads only their dimensions
     incl = qe._trace_span(module, max_vertex)
-    return _restrict(module, incl), incl
+    return _restrict(module, incl), qe._padded(module, incl)
 
 
 def _content(module):
@@ -1315,7 +1316,7 @@ def test_sparse_route_matches_dense_route_on_report_modules(n, monkeypatch):
 
     def checked_restrict(module, incl):
         got = restrict(module, incl)
-        assert _same_module(got, _dense_restrict(module, incl)), got.dims
+        assert _same_module(got, _dense_restrict(module, qe._padded(module, incl))), got.dims
         calls["restrict"] += 1
         return got
 
@@ -1471,7 +1472,7 @@ def test_no_empty_operand_reaches_linear_algebra(monkeypatch):
 
 
 # The resolution loop before the engine shared its steps: every term is
-# covered, and its kernel restricted, afresh.
+# covered, and its kernel restricted, afresh, on the N-length route.
 
 
 def _plain_resolution(algebra, module, max_terms):
@@ -1481,10 +1482,10 @@ def _plain_resolution(algebra, module, max_terms):
     for _ in range(max_terms):
         if cur.total_dim == 0:
             break
-        gens = top_generators(cur)
-        ps = _projective_sum(algebra, tuple(v for v, _ in gens))
+        gens = nl.top_generators(cur)
+        ps = nl.ProjectiveSum(algebra, tuple(v for v, _ in gens))
         images = [(v, [int(x == t) for x in range(cur.dims[v - 1])]) for v, t in gens]
-        cov = cover_map(ps, cur, images)
+        cov = nl.cover_map(ps, cur, images)
         diffs.append(cov if incl_prev is None else [
             el.mat_mul(p, c) if d else el.zeros(len(p), e)
             for p, c, d, e in zip(incl_prev, cov, cur.dims, ps.dims)
@@ -1495,7 +1496,7 @@ def _plain_resolution(algebra, module, max_terms):
         for v, d in enumerate(ps.dims):
             kernel = el.nullspace(cov[v]) if cur.dims[v] else el.identity(d)
             incl.append(el.transpose(kernel) if kernel else el.zeros(d, 0))
-        cur = _restrict(ps.module, incl)
+        cur = nl._restrict(ps.module, incl)
         incl_prev = incl
     return gens_list, [ps.dims for ps in terms], diffs, cur.total_dim == 0
 
@@ -1519,7 +1520,7 @@ def test_shared_steps_match_plain_resolution(n, monkeypatch):
             res = minimal_projective_resolution(alg, m, n + 2)
             # each d_t is the module map its generator images determine
             targets = [m] + [ps.module for ps in res.terms]
-            diffs = [cover_map(*d) for d in zip(res.terms, targets, res.images)]
+            diffs = [nl.cover_map(*d) for d in zip(res.terms, targets, res.images)]
             got = (res.gens, [ps.dims for ps in res.terms], diffs, res.terminated)
             assert got == _plain_resolution(alg, m, n + 2), (make.__name__, i)
             assert all(ps is _projective_sum(alg, ps.gen_vertices) for ps in res.terms)
@@ -1587,21 +1588,21 @@ def test_report_step_count_does_not_grow_with_n(monkeypatch):
 
 # The step memo before it was keyed by translation class: one step per
 # content, a module's dims and live arrow matrices, and the resolution loop
-# walking those steps.
+# walking those steps, on the N-length route.
 
 
 def _content_keyed_step(algebra, module, memo):
-    live = qe._live(algebra, module.dims)
+    live = nl._live(algebra, module.dims)
     key = (module.dims, *(tuple(map(tuple, module.act[g])) for g, _, _ in live))
     if key not in memo:
-        tops = top_generators(module)
-        ps = _projective_sum(algebra, tuple(v for v, _ in tops))
-        cov = cover_map(ps, module, [(v, qe._unit(module.dims[v - 1], t)) for v, t in tops])
+        tops = nl.top_generators(module)
+        ps = nl.ProjectiveSum(algebra, tuple(v for v, _ in tops))
+        cov = nl.cover_map(ps, module, [(v, qe._unit(module.dims[v - 1], t)) for v, t in tops])
         incl = [
             qe._from_cols(el.nullspace(c), d) if d and m else el.identity(d) if d else []
             for c, d, m in zip(cov, ps.dims, module.dims)
         ]
-        memo[key] = (ps, tops, incl, _restrict(ps.module, incl))
+        memo[key] = (ps, tops, incl, nl._restrict(ps.module, incl))
     return memo[key]
 
 
@@ -1632,7 +1633,11 @@ def test_translation_keyed_steps_match_content_keyed_steps(n, monkeypatch):
         _, want_tops, want_incl, want_syzygy = _content_keyed_step(alg, module, memo)
         assert tops == want_tops, module.dims
         if full:
-            assert incl == want_incl, module.dims
+            # the engine keeps the inclusions at the syzygy's vertices; off
+            # them the kernel is zero
+            lo, hi = syzygy.lo, syzygy.hi
+            assert incl == want_incl[lo - 1 : hi], module.dims
+            assert not any(m and m[0] for m in want_incl[: lo - 1] + want_incl[hi:])
             assert _content(syzygy) == _content(want_syzygy) and syzygy.verify(), module.dims
         else:
             assert incl is syzygy is None
@@ -1843,7 +1848,8 @@ def test_one_pass_spans_match_bfs_closure(n, monkeypatch):
 
     def checked_span(module, vectors):
         got = span(module, vectors)
-        _same_column_spaces(got, _bfs_span_matrices(module, vectors), module.dims)
+        want = _bfs_span_matrices(module, vectors)
+        _same_column_spaces(qe._padded(module, got), want, module.dims)
         calls.append(module)
         return got
 
@@ -1857,7 +1863,8 @@ def test_one_pass_spans_match_bfs_closure(n, monkeypatch):
             continue
         for count in (1, 2, 4):
             seeds = _random_seeds(rng, m, count)
-            _same_column_spaces(span(m, seeds), _bfs_span_matrices(m, seeds), m.dims)
+            got = qe._padded(m, span(m, seeds))
+            _same_column_spaces(got, _bfs_span_matrices(m, seeds), m.dims)
 
 
 def test_one_pass_spans_on_sums_of_projectives():
@@ -1868,11 +1875,11 @@ def test_one_pass_spans_on_sums_of_projectives():
         m = ProjectiveSum(alg, gens).module
         for count in (1, 3, 6):
             seeds = _random_seeds(rng, m, count)
-            got = qe._span_matrices(m, seeds)
+            got = qe._padded(m, qe._span_matrices(m, seeds))
             _same_column_spaces(got, _bfs_span_matrices(m, seeds), m.dims)
         for j in range(1, 6):
             want = _bfs_span_matrices(m, _trace_seeds(m, j))
-            _same_column_spaces(qe._trace_span(m, j), want, m.dims)
+            _same_column_spaces(qe._padded(m, qe._trace_span(m, j)), want, m.dims)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -2032,7 +2039,7 @@ def test_direct_sums_resolve_and_ext_like_the_plain_route(n):
         assert m.verify()
         res = minimal_projective_resolution(alg, m, 4)
         terms = [m] + [ps.module for ps in res.terms]
-        diffs = [cover_map(*d) for d in zip(res.terms, terms, res.images)]
+        diffs = [nl.cover_map(*d) for d in zip(res.terms, terms, res.images)]
         plain = _plain_resolution(alg, m, 4)
         assert (res.gens, [ps.dims for ps in res.terms], diffs, res.terminated) == plain
         wide += any(len(set(g)) < len(g) for g in res.gens[1:])
@@ -2041,3 +2048,146 @@ def test_direct_sums_resolve_and_ext_like_the_plain_route(n):
             assert _hom_complex_ext(res, x, 2) == want, (m.dims, x.dims)
             assert ext_groups(alg, m, x, 2) == want
     assert wide > 0
+
+
+# Interval modules: a module is lo plus its dims and live arrows on [lo, hi].
+# The N-length route (``n_length_engine``, the engine before this form) is
+# the oracle of everything the report builds.
+
+
+def _recording(monkeypatch, engine):
+    # the content of every module the engine builds, and the module, max_terms,
+    # generators, images and termination of every resolution, in call order
+    built, resolved = [], []
+    init, resolve = engine.QuiverModule.__init__, engine.minimal_projective_resolution
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def recording_resolve(alg, module, max_terms):
+        res = resolve(alg, module, max_terms)
+        resolved.append((_content(module), max_terms, res.gens, res.images, res.terminated))
+        return res
+
+    monkeypatch.setattr(engine.QuiverModule, "__init__", recording_init)
+    monkeypatch.setattr(engine, "minimal_projective_resolution", recording_resolve)
+    return built, resolved
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_interval_modules_match_the_n_length_route(n, monkeypatch):
+    built, resolved = _recording(monkeypatch, qe)
+    want_built, want_resolved = _recording(monkeypatch, nl)
+    got = json.dumps(verify_model_properties(n), sort_keys=True)
+    assert got == json.dumps(nl.verify_model_properties(n), sort_keys=True)
+    assert resolved == want_resolved
+    assert [_content(m) for m in built] == [_content(m) for m in want_built]
+    assert all(m.total_dim == sum(m.dims) for m in built)
+
+
+def test_report_modules_store_data_on_their_support_only(monkeypatch):
+    # every module and sum of projectives the report builds at N = 64 keeps
+    # per-vertex data on its support interval [lo, hi] alone
+    n = 64
+    built, sums = [], []
+    init, ps_init = QuiverModule.__init__, ProjectiveSum.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def recording_ps_init(self, *args):
+        ps_init(self, *args)
+        sums.append(self)
+
+    monkeypatch.setattr(QuiverModule, "__init__", recording_init)
+    monkeypatch.setattr(ProjectiveSum, "__init__", recording_ps_init)
+    assert verify_model_properties(n)["all_pass"]
+    alg = built[0].algebra
+    assert len(built) > 4 * n and len(sums) >= n
+    for m in built:
+        w = m.hi - m.lo + 1
+        assert len(m._dims) == w and (w == 0 or m._dims[0] and m._dims[-1]), (m.lo, m._dims)
+        assert set(m._act) <= set(range(2 * w - 2))
+        # every action read has both ends in [lo, hi]
+        assert all(m.lo <= v <= m.hi for b in m.actions for v in (alg.src[b], alg.tgt[b]))
+        assert all(len(x) < n for x in vars(m).values() if hasattr(x, "__len__"))
+    for ps in sums:
+        lo, hi = max(min(ps.gen_vertices) - 1, 1), min(max(ps.gen_vertices) + 1, n)
+        assert (ps.module.lo, ps.module.hi) == (lo, hi) and len(ps._pos) == hi - lo + 1
+        assert all(len(x) < n for x in vars(ps).values() if hasattr(x, "__len__"))
+
+
+def test_moving_a_module_sets_lo_only():
+    alg = build_model_algebra(9)
+    d3 = standard(alg, 3)
+    for i in range(4, 9):
+        d = standard(alg, i)
+        assert d.lo == d3.lo + i - 3 and d._dims is d3._dims and d._act is d3._act
+        assert d.dims == d3.dims[-(i - 3):] + d3.dims[: -(i - 3)]
+    # the public form: N dims and keys by basis index, trimmed to the support
+    m = QuiverModule(alg, standard(alg, 5).dims, standard(alg, 5).act)
+    assert (m.lo, m.hi, m._dims, m._act) == (5, 6, d3._dims, d3._act)
+    with pytest.raises(InvariantError, match="one dimension per vertex"):
+        QuiverModule(alg, m.dims[1:], m.act)
+
+
+def test_resolution_reaching_an_end_in_a_later_term():
+    # at N = 5, L_3's third term reaches both ends; its steps must not be
+    # taken for those of L_4 and L_2, whose supports touch an end earlier
+    want = [(3,), (2, 4), (1, 3, 5)]
+    for first in ((), (4, 2)):
+        alg = build_model_algebra(5)
+        for i in first:
+            minimal_projective_resolution(alg, simple(alg, i), 3)
+        assert minimal_projective_resolution(alg, simple(alg, 3), 3).gens == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_resolutions_do_not_depend_on_call_order(n):
+    # every simple, standard and projective resolved to N + 2 terms, forward
+    # and in reverse order on one algebra, against a fresh algebra each
+    def modules(alg):
+        return [make(alg, i) for make in (simple, standard, projective) for i in range(1, n + 1)]
+
+    def resolve(alg, m):
+        res = minimal_projective_resolution(alg, m, n + 2)
+        return res.gens, res.images, res.terminated
+
+    count = 3 * n
+    fresh = []
+    for k in range(count):
+        alg = build_model_algebra(n)
+        fresh.append(resolve(alg, modules(alg)[k]))
+    for order in (range(count), range(count - 1, -1, -1)):
+        alg = build_model_algebra(n)
+        mods = modules(alg)
+        for k in order:
+            assert resolve(alg, mods[k]) == fresh[k], (order, k)
+
+
+@pytest.mark.parametrize("n", (1, 2, 4))
+def test_linear_order_check_matches_the_dense_comparison(n, monkeypatch):
+    # (i) checks each standard-multiplicity row without building the expected
+    # table; on tables with one entry moved by +-1, or one row None, it must
+    # agree with the dense comparison against the bidiagonal table
+    expected = [[int(j in (i - 1, i)) for j in range(n)] for i in range(n)]
+    delta = qe.delta_multiplicities
+    changes = [(i, j, d) for i in range(n) for j in range(n) for d in (1, -1)]
+    changes += [(i, None, None) for i in range(n)] + [(None, None, None)]
+    for i, j, d in changes:
+        def altered(alg, m, _i=i, _j=j, _d=d):
+            row = delta(alg, m)
+            if _i is None or m is not projective(alg, _i + 1):
+                return row
+            if _j is None:
+                return None
+            row[_j] += _d
+            return row
+
+        monkeypatch.setattr(qe, "delta_multiplicities", altered)
+        out = verify_model_properties(n)
+        dense = out["report"]["standard_multiplicities"] == expected
+        assert out["checks"]["i_linear_order"] == dense, (i, j, d)
+        assert dense == (i is None)
