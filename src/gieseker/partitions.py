@@ -60,7 +60,8 @@ def _partitions_bounded(n: int, max_part: int) -> tuple[Partition, ...]:
 
 
 def count_partitions(n: int) -> int:
-    return len(enumerate_partitions(n)) if n >= 0 else 0
+    """p(n) from its generating function, building no partition; 0 for n < 0."""
+    return count_multipartitions(n, 1) if n >= 0 else 0
 
 
 @cache

@@ -199,11 +199,12 @@ def fixed_components_k0(nu0: Cocharacter, n: int) -> list[FixedComponent]:
             "repeated framing weights give a coarser fixed locus; "
             "pairwise distinct d_i required"
         )
+    p = [count_partitions(a) for a in range(n + 1)]  # p(a), read once per part
     return [
         FixedComponent(
             composition=comp,
             dimension=2 * n,
-            fixed_point_count=prod(count_partitions(a) for a in comp),
+            fixed_point_count=prod(p[a] for a in comp),
         )
         for comp in enumerate_compositions(n, nu0.r)
     ]

@@ -9,8 +9,8 @@ step served at another offset is rotated into place by ``_moved``.  Its
 ``verify_model_properties`` must give the same report bytes as the engine,
 its modules the same dims and arrow matrices, and its resolutions the same
 generators, images and termination.  The functions also accept the engine's
-modules and sums, through their N-length views.  Do not edit it to follow
-the engine: it is the route the engine is checked against.
+modules, through their N-length views.  Do not edit it to follow the engine:
+it is the route the engine is checked against.
 """
 
 from __future__ import annotations

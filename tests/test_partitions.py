@@ -160,6 +160,14 @@ def test_count_partitions_matches_enumeration():
         assert count_partitions(n) == len(enumerate_partitions(n))
 
 
+def test_count_partitions_reads_the_generating_function():
+    # formerly len(enumerate_partitions(n)), which cached every partition of
+    # every size up to n: 1.7 s and 491 MB at n = 60.  p(200) is the
+    # Hardy-Ramanujan-MacMahon value, OEIS A000041
+    assert count_partitions(200) == 3_972_999_029_388
+    assert [count_partitions(n) for n in (-3, -1, 0, 1, 60)] == [0, 0, 1, 1, 966_467]
+
+
 def test_enumerate_compositions():
     comps = enumerate_compositions(2, 2)
     assert set(comps) == {(2, 0), (1, 1), (0, 2)}

@@ -80,8 +80,28 @@ def _mm(a: Matrix, b: Matrix, cols: int) -> Matrix:
 
 def _arrow_matrices(m: QuiverModule) -> dict[int, Matrix]:
     """Every arrow's matrix: the stored ones of the live arrows and, read
-    through ``m.action``, the empty one of each dead arrow's shape."""
-    return {g: m.action(g) for g in m.algebra.arrows()}
+    through ``m.actions``, the empty one of each dead arrow's shape."""
+    return {g: m.actions[g] for g in m.algebra.arrows()}
+
+
+def _module(alg, dims, act) -> QuiverModule:
+    # the module with N dims and arrows keyed by basis index, the form the
+    # ``dims`` and ``act`` views give back: placed at lo = 1, where the key
+    # of a(i, j) relative to lo is its basis index minus N
+    return QuiverModule(alg, 1, dims, {g - alg.N: mat for g, mat in act.items()})
+
+
+def _n_length(ambient: QuiverModule, cols, lo=None) -> list[Matrix]:
+    """Basis columns given per vertex from ``lo`` (by default the ambient
+    module's lo) in the N-length route's form: at each of the N vertices the
+    matrix with those columns, which has the ambient module's dim as its
+    row count, and [] where that dim is 0."""
+    lo = ambient.lo if lo is None else lo
+    return [
+        el.transpose(cols[v - lo]) if 0 <= v - lo < len(cols) and cols[v - lo]
+        else [[] for _ in range(ambient.dim_at(v))]
+        for v in range(1, ambient.algebra.N + 1)
+    ]
 
 
 def _live_arrows(alg, dims) -> set[int]:
@@ -92,7 +112,7 @@ def _module_from_arrows(alg, dims, full: dict[int, Matrix]) -> QuiverModule:
     # the module acting by ``full`` on every arrow: the live matrices are
     # stored, and each dead one must be the matrix the module derives
     live = _live_arrows(alg, dims)
-    m = QuiverModule(alg, dims, {g: mat for g, mat in full.items() if g in live})
+    m = _module(alg, dims, {g: mat for g, mat in full.items() if g in live})
     assert _arrow_matrices(m) == full, dims
     return m
 
@@ -448,7 +468,7 @@ def test_standards_by_translation_match_quotients(n):
     got_down = {i: standard(down, i) for i in range(n, 0, -1)}
     for i in range(1, n + 1):
         p = projective(up, i)
-        want = quotient(p, qe._padded(p, qe._trace_span(p, i - 1)))[0] if i > 1 else p
+        want = quotient(p, qe._trace_span(p, i - 1))[0] if i > 1 else p
         got = standard(up, i)
         assert _same_module(got, want) and got.verify(), i
         assert _content(got_down[i]) == _content(got), i
@@ -611,8 +631,8 @@ def test_hom_complex_reads_the_signs_of_the_images():
     alg = build_model_algebra(3)
     ps = _projective_sum(alg, (2, 2))
     e2, l2 = alg.index[("e", 2)], alg.index[("loop", 2)]
-    assert ps.basis_pos[1] == [(0, e2), (0, l2), (1, e2), (1, l2)]
-    zero = QuiverModule(alg, (0, 0, 0), {})
+    assert ps._pos[2 - ps.module.lo] == [(0, e2), (0, l2), (1, e2), (1, l2)]
+    zero = QuiverModule(alg, 1, (0, 0, 0), {})
 
     def ext(images):
         res = qe.Resolution(alg, zero, [(2, 2), (2, 2)], [[], images], True)
@@ -722,7 +742,7 @@ def test_derived_action_matches_full_action_oracle(n):
         assert set(p.act) == _live_arrows(alg, p.dims)
         assert set(_arrow_matrices(p)) == arrows
         for b in range(alg.dim):
-            assert p.action(b) == _path_action(alg, i, b), (i, alg.labels[b])
+            assert p.actions[b] == _path_action(alg, i, b), (i, alg.labels[b])
         for make in (standard, costandard, simple):
             m = make(alg, i)
             assert set(m.act) == _live_arrows(alg, m.dims)
@@ -742,13 +762,13 @@ def test_derived_action_matches_full_action_oracle(n):
                     ]
                 else:
                     want = full[b]
-                assert m.action(b) == want, (make.__name__, i, lab)
+                assert m.actions[b] == want, (make.__name__, i, lab)
     # a sum of projectives is the block-diagonal sum of the path actions
     for gens in [(1,), (2, 2, 3), (n, 1, n), tuple(range(1, n + 1))]:
         if max(gens) > n:
             continue
         ps = ProjectiveSum(alg, gens)
-        assert set(ps.module.act) == _live_arrows(alg, ps.dims)
+        assert set(ps.module.act) == _live_arrows(alg, ps.module.dims)
         full = _arrow_matrices(ps.module)
         assert set(full) == arrows
         for g in alg.arrows():
@@ -823,7 +843,7 @@ def _verify_all_composable_pairs(m):
         rows, cols = m.dim_at(a.tgt[g]), m.dim_at(a.src[g])
         if len(mat) != rows or any(len(r) != cols for r in mat):
             return False
-    acts = [m.action(b) for b in range(a.dim)]
+    acts = [m.actions[b] for b in range(a.dim)]
     for x, y in a.composable:
         lhs = _mm(acts[x], acts[y], m.dim_at(a.src[y]))
         z = a.product(x, y)
@@ -887,7 +907,7 @@ def test_verify_arrow_pairs_matches_all_pairs_on_corruptions(n):
                         act = dict(m.act)
                         act[g] = [list(x) for x in m.act[g]]
                         act[g][r][c] += 1
-                        bad = QuiverModule(alg, m.dims, act)
+                        bad = _module(alg, m.dims, act)
                         ok = bad.verify()
                         assert ok == _verify_all_composable_pairs(bad), (
                             make.__name__, i, alg.labels[g], r, c
@@ -929,15 +949,19 @@ def _delta_multiplicities_by_grid_scan(alg, module):
         if prev_dim == module.total_dim:
             mults.append(0)
             continue
-        sub_j, incl_j = trace_submodule(module, j)
+        sub_j, cols_j = trace_submodule(module, j)
+        incl_j = _n_length(module, cols_j)
         if sub_j.total_dim == prev_dim:
             mults.append(0)
             continue
         if prev_incl is None:
             layer = sub_j
         else:
+            # the previous trace's basis in coordinates of this one, as the
+            # columns quotient takes at the vertices of sub_j
             inner = [_solve(incl_j[v], prev_incl[v]) for v in range(n)]
-            layer, _ = quotient(sub_j, inner)
+            cols = [el.transpose(inner[v - 1]) for v in range(sub_j.lo, sub_j.hi + 1)]
+            layer, _ = quotient(sub_j, cols)
         d = standard(alg, j)
         if not (layer.dims == d.dims and is_isomorphic(layer, d)):
             return None
@@ -975,8 +999,9 @@ def test_quotient_rejects_dependent_inclusion_columns(alg3):
     _, incl = trace_submodule(p2, 1)
     # repeat the one column at vertex 2: the span is the same, the columns
     # are not independent
-    doubled = [list(m) for m in incl]
-    doubled[1] = [row + row for row in incl[1]]
+    assert p2.lo == 1 and len(incl[1]) == 1
+    doubled = list(incl)
+    doubled[1] = incl[1] + incl[1]
     with pytest.raises(ValueError, match="vertex 2"):
         quotient(p2, doubled)
 
@@ -1015,7 +1040,7 @@ def test_quotient_by_a_sublattice_with_fractional_coordinates():
     sub, incl = submodule(m, [(2, [-1, 1]), (3, [1, 0, 1, 0])])
     q, proj = quotient(m, incl)
     assert q.dims == (0, 0, 1)
-    assert proj[2] == [[1, 0, -1, 0]]
+    assert m.lo == 2 and proj[1] == [[1, 0, -1, 0]]  # at vertex 3
     assert q.verify() and sub.verify()
 
 
@@ -1035,13 +1060,14 @@ def test_quotients_of_seeded_submodules_of_two_projectives():
         q, proj = quotient(m, incl)
         assert q.verify() and sub.verify()
         assert all(a + b == c for a, b, c in zip(sub.dims, q.dims, m.dims))
-        for v, (d, p) in enumerate(zip(m.dims, proj)):
+        assert len(proj) == len(incl) == len(m._dims)
+        for v, d, p, cols in zip(range(m.lo, m.hi + 1), m._dims, proj, incl):
             # the projection kills the submodule and is onto the quotient
-            assert len(p) == q.dims[v]
-            if d and p and sub.dims[v]:
-                assert el.mat_mul(p, incl[v]) == el.zeros(q.dims[v], sub.dims[v])
+            assert len(p) == q.dim_at(v) and len(cols) == sub.dim_at(v)
+            if d and p and cols:
+                assert el.mat_mul(p, el.transpose(cols)) == el.zeros(q.dim_at(v), len(cols))
             if p:
-                assert el.rank(p) == q.dims[v]
+                assert el.rank(p) == q.dim_at(v)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -1107,7 +1133,7 @@ def test_action_cache_holds_no_reference_to_its_module():
     # reference counting alone frees a module whose actions were read
     alg = build_model_algebra(3)
     m = dual_module(dual_module(projective(alg, 3)))  # a copy the algebra does not keep
-    assert m.verify() and m.action(alg.index[("loop", 3)]) == [[0, 0], [1, 0]]
+    assert m.verify() and m.actions[alg.index[("loop", 3)]] == [[0, 0], [1, 0]]
     ref = weakref.ref(m)
     gc.disable()
     try:
@@ -1140,7 +1166,7 @@ def test_vertex_out_of_range_raises():
     # the top of P_2 is L_2, and the vertices in range still answer
     assert ext_to_simple(alg, p2, 2, 2).dims == (1, 0, 0)
     assert res.multiplicity(0, 2) == 1 and res.multiplicity(0, 3) == 0
-    assert ProjectiveSum(alg, (3, 1)).dims == (1, 2, 2)
+    assert ProjectiveSum(alg, (3, 1)).module.dims == (1, 2, 2)
     assert submodule(projective(alg, 3), [(3, [0, 1])])[0].dims == (0, 0, 1)
 
 
@@ -1271,9 +1297,10 @@ def _dense_verify(m):
 
 def trace_submodule(module, max_vertex):
     # the submodule generated by everything at vertices <= max_vertex, with
-    # its N inclusion matrices; the engine reads only their dimensions
+    # its basis columns at the module's vertices lo..hi; the engine reads
+    # only their number
     incl = qe._trace_span(module, max_vertex)
-    return _restrict(module, incl), qe._padded(module, incl)
+    return _restrict(module, incl), incl
 
 
 def _content(module):
@@ -1316,14 +1343,17 @@ def test_sparse_route_matches_dense_route_on_report_modules(n, monkeypatch):
 
     def checked_restrict(module, incl):
         got = restrict(module, incl)
-        assert _same_module(got, _dense_restrict(module, qe._padded(module, incl))), got.dims
+        assert _same_module(got, _dense_restrict(module, _n_length(module, incl))), got.dims
         calls["restrict"] += 1
         return got
 
     def checked_quotient(module, incl):
         got, proj = quot(module, incl)
-        want, want_proj = _dense_quotient(module, incl)
-        assert _same_module(got, want) and proj == want_proj, got.dims
+        want, want_proj = _dense_quotient(module, _n_length(module, incl))
+        # the projections at the module's vertices lo..hi, and none off them
+        lo, hi = module.lo, module.hi
+        assert want_proj[: lo - 1] + want_proj[hi:] == [[]] * (len(want_proj) - len(proj))
+        assert _same_module(got, want) and proj == want_proj[lo - 1 : hi], got.dims
         assert all(type(x) is int for mat in proj for row in mat for x in row)
         calls["quotient"] += 1
         return got, proj
@@ -1408,10 +1438,10 @@ def test_sparse_verify_matches_dense_verify_on_corruptions(n):
             for kind, act in _corruptions(m):
                 if kind in REJECTED_KINDS:
                     with pytest.raises(InvariantError, match="live arrow"):
-                        QuiverModule(alg, m.dims, act)
+                        _module(alg, m.dims, act)
                     ok = False
                 else:
-                    bad = QuiverModule(alg, m.dims, act)
+                    bad = _module(alg, m.dims, act)
                     ok = bad.verify()
                     assert ok == _dense_verify(bad), (make.__name__, i, kind, bad.dims)
                 if kind == "widened":
@@ -1429,7 +1459,7 @@ def test_verify_checks_relation_through_empty_vertex():
     # passes through the empty vertex 3 and is zero
     alg = build_model_algebra(3)
     bad = _module_n3((1, 2, 0), a12=[[1, 0]], a21=[[0], [1]])
-    l2 = bad.action(alg.index[("loop", 2)])
+    l2 = bad.actions[alg.index[("loop", 2)]]
     assert l2 == [[0, 0], [1, 0]]
     assert not bad.verify() and not _dense_verify(bad)
     # with a(2,1) = 0, l_2 = 0 and the same shapes make a module
@@ -1519,11 +1549,13 @@ def test_shared_steps_match_plain_resolution(n, monkeypatch):
             m = make(alg, i)
             res = minimal_projective_resolution(alg, m, n + 2)
             # each d_t is the module map its generator images determine
-            targets = [m] + [ps.module for ps in res.terms]
-            diffs = [nl.cover_map(*d) for d in zip(res.terms, targets, res.images)]
-            got = (res.gens, [ps.dims for ps in res.terms], diffs, res.terminated)
+            terms = [_projective_sum(alg, g).module for g in res.gens]
+            diffs = [
+                nl.cover_map(nl.ProjectiveSum(alg, g), target, images)
+                for g, target, images in zip(res.gens, [m] + terms, res.images)
+            ]
+            got = (res.gens, [p.dims for p in terms], diffs, res.terminated)
             assert got == _plain_resolution(alg, m, n + 2), (make.__name__, i)
-            assert all(ps is _projective_sum(alg, ps.gen_vertices) for ps in res.terms)
     assert len(alg._steps) < len(steps)
 
 
@@ -1599,7 +1631,7 @@ def _content_keyed_step(algebra, module, memo):
         ps = nl.ProjectiveSum(algebra, tuple(v for v, _ in tops))
         cov = nl.cover_map(ps, module, [(v, qe._unit(module.dims[v - 1], t)) for v, t in tops])
         incl = [
-            qe._from_cols(el.nullspace(c), d) if d and m else el.identity(d) if d else []
+            nl._from_cols(el.nullspace(c), d) if d and m else el.identity(d) if d else []
             for c, d, m in zip(cov, ps.dims, module.dims)
         ]
         memo[key] = (ps, tops, incl, nl._restrict(ps.module, incl))
@@ -1636,7 +1668,9 @@ def test_translation_keyed_steps_match_content_keyed_steps(n, monkeypatch):
             # the engine keeps the inclusions at the syzygy's vertices; off
             # them the kernel is zero
             lo, hi = syzygy.lo, syzygy.hi
-            assert incl == want_incl[lo - 1 : hi], module.dims
+            ps = _projective_sum(alg, tuple(v for v, _ in tops))
+            got_incl = _n_length(ps.module, incl, lo)
+            assert got_incl[lo - 1 : hi] == want_incl[lo - 1 : hi], module.dims
             assert not any(m and m[0] for m in want_incl[: lo - 1] + want_incl[hi:])
             assert _content(syzygy) == _content(want_syzygy) and syzygy.verify(), module.dims
         else:
@@ -1805,7 +1839,7 @@ def _bfs_span_matrices(module, vectors):
                     if add(w, img):
                         new_frontier.append((w, img))
         frontier = new_frontier
-    return [qe._from_cols(sp, d) for sp, d in zip(spans, module.dims)]
+    return [nl._from_cols(sp, d) for sp, d in zip(spans, module.dims)]
 
 
 def _same_column_spaces(got, want, dims):
@@ -1849,7 +1883,7 @@ def test_one_pass_spans_match_bfs_closure(n, monkeypatch):
     def checked_span(module, vectors):
         got = span(module, vectors)
         want = _bfs_span_matrices(module, vectors)
-        _same_column_spaces(qe._padded(module, got), want, module.dims)
+        _same_column_spaces(_n_length(module, got), want, module.dims)
         calls.append(module)
         return got
 
@@ -1863,7 +1897,7 @@ def test_one_pass_spans_match_bfs_closure(n, monkeypatch):
             continue
         for count in (1, 2, 4):
             seeds = _random_seeds(rng, m, count)
-            got = qe._padded(m, span(m, seeds))
+            got = _n_length(m, span(m, seeds))
             _same_column_spaces(got, _bfs_span_matrices(m, seeds), m.dims)
 
 
@@ -1875,11 +1909,11 @@ def test_one_pass_spans_on_sums_of_projectives():
         m = ProjectiveSum(alg, gens).module
         for count in (1, 3, 6):
             seeds = _random_seeds(rng, m, count)
-            got = qe._padded(m, qe._span_matrices(m, seeds))
+            got = _n_length(m, qe._span_matrices(m, seeds))
             _same_column_spaces(got, _bfs_span_matrices(m, seeds), m.dims)
         for j in range(1, 6):
             want = _bfs_span_matrices(m, _trace_seeds(m, j))
-            _same_column_spaces(qe._padded(m, qe._trace_span(m, j)), want, m.dims)
+            _same_column_spaces(_n_length(m, qe._trace_span(m, j)), want, m.dims)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -1994,11 +2028,11 @@ def _direct_sum(alg, modules):
     for g in _live_arrows(alg, dims):
         s, t = alg.src[g] - 1, alg.tgt[g] - 1
         act[g] = _block_diag(
-            [m.action(g) for m in modules],
+            [m.actions[g] for m in modules],
             [m.dims[t] for m in modules],
             [m.dims[s] for m in modules],
         )
-    return QuiverModule(alg, dims, act)
+    return _module(alg, dims, act)
 
 
 def _ext_by_hom_spaces(alg, plain, target, max_degree):
@@ -2038,10 +2072,13 @@ def test_direct_sums_resolve_and_ext_like_the_plain_route(n):
     for m in sums:
         assert m.verify()
         res = minimal_projective_resolution(alg, m, 4)
-        terms = [m] + [ps.module for ps in res.terms]
-        diffs = [nl.cover_map(*d) for d in zip(res.terms, terms, res.images)]
+        terms = [_projective_sum(alg, g).module for g in res.gens]
+        diffs = [
+            nl.cover_map(nl.ProjectiveSum(alg, g), target, images)
+            for g, target, images in zip(res.gens, [m] + terms, res.images)
+        ]
         plain = _plain_resolution(alg, m, 4)
-        assert (res.gens, [ps.dims for ps in res.terms], diffs, res.terminated) == plain
+        assert (res.gens, [p.dims for p in terms], diffs, res.terminated) == plain
         wide += any(len(set(g)) < len(g) for g in res.gens[1:])
         for x in targets:
             want = _ext_by_hom_spaces(alg, plain, x, 2)
@@ -2126,11 +2163,9 @@ def test_moving_a_module_sets_lo_only():
         d = standard(alg, i)
         assert d.lo == d3.lo + i - 3 and d._dims is d3._dims and d._act is d3._act
         assert d.dims == d3.dims[-(i - 3):] + d3.dims[: -(i - 3)]
-    # the public form: N dims and keys by basis index, trimmed to the support
-    m = QuiverModule(alg, standard(alg, 5).dims, standard(alg, 5).act)
+    # the views read back at lo = 1 place the same data, trimmed to the support
+    m = _module(alg, standard(alg, 5).dims, standard(alg, 5).act)
     assert (m.lo, m.hi, m._dims, m._act) == (5, 6, d3._dims, d3._act)
-    with pytest.raises(InvariantError, match="one dimension per vertex"):
-        QuiverModule(alg, m.dims[1:], m.act)
 
 
 def test_resolution_reaching_an_end_in_a_later_term():
@@ -2191,3 +2226,92 @@ def test_linear_order_check_matches_the_dense_comparison(n, monkeypatch):
         dense = out["report"]["standard_multiplicities"] == expected
         assert out["checks"]["i_linear_order"] == dense, (i, j, d)
         assert dense == (i is None)
+
+
+@pytest.mark.parametrize(
+    "dims, vertex",
+    [((1, 0, 0, 0.5), 4), ((1, -1, 0, 0), 2), ((True, 0), 1), ((1, "2"), 2), ((0, None), 2)],
+)
+def test_constructor_rejects_dims_that_are_not_non_negative_ints(dims, vertex):
+    # formerly a module of dimension 0.5 at vertex 4, and for -1 the
+    # misleading "one matrix per live arrow"; True is not an int here
+    alg = build_model_algebra(4)
+    with pytest.raises(ValueError, match=f"vertex {vertex} "):
+        QuiverModule(alg, 1, dims, {})
+    with pytest.raises(ValueError, match=f"vertex {vertex + 1} "):
+        QuiverModule(alg, 2, dims, {})
+
+
+def test_constructor_rejects_support_outside_the_quiver():
+    alg = build_model_algebra(4)
+    d3 = standard(alg, 3)  # dims (1, 1) on [3, 4]
+    for lo in (-1, 0, 4, 9):
+        with pytest.raises(ValueError, match=r"does not fit in 1\.\.4"):
+            QuiverModule(alg, lo, d3._dims, d3._act)
+    with pytest.raises(ValueError, match="does not fit"):
+        QuiverModule(alg, 1, (1, 0, 0, 0, 1), {})
+    # zero ends may hang over, and the zero module sits at vertex 1 wherever it is put
+    m = QuiverModule(alg, 0, (0, 1, 1, 0, 0), {2: [[0]], 3: [[1]]})  # P_1
+    assert (m.lo, m.hi, m.dims, m._act) == (1, 2, (1, 1, 0, 0), {0: [[0]], 1: [[1]]})
+    assert _content(m) == _content(projective(alg, 1)) and m.verify()
+    for lo in (-5, 1, 7):
+        zero = QuiverModule(alg, lo, (0, 0), {})
+        assert (zero.lo, zero.hi, zero.dims, zero.total_dim) == (1, 0, (0,) * 4, 0)
+    assert QuiverModule(alg, 3, d3._dims, d3._act).dims == d3.dims
+    # lo is an int too: a float lo broke the dims view on read, and True
+    # passed for 1
+    for lo in (3.0, True, "3", None):
+        with pytest.raises(ValueError, match="lo is not an int"):
+            QuiverModule(alg, lo, d3._dims, d3._act)
+
+
+def test_quotient_needs_one_column_list_per_support_vertex():
+    # formerly a bare IndexError
+    alg = build_model_algebra(4)
+    p2 = projective(alg, 2)  # on [1, 3]
+    for incl in ([], [[]] * 2, [[]] * 4):
+        with pytest.raises(ValueError, match=r"one column list per vertex 1\.\.3"):
+            quotient(p2, incl)
+    q, proj = quotient(p2, [[]] * 3)
+    assert _content(q) == _content(p2) and proj == [el.identity(d) for d in p2._dims]
+    # a column of the wrong length was reported as dependent columns
+    for incl, v in (([[[1, 0]], [], []], 1), ([[], [[1]], []], 2), ([[], [[1, 0, 0]], []], 2)):
+        with pytest.raises(ValueError, match=f"column at vertex {v} does not have length"):
+            quotient(p2, incl)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_submodule_columns_match_the_n_length_route(n):
+    # submodule's basis columns on the module's [lo, hi], and quotient's
+    # projections there, against the inclusion and projection matrices of
+    # the N-length route
+    alg = build_model_algebra(n)
+    rng = random.Random(n)
+    seen = 0
+    for m in _small_modules(alg):
+        for count in (1, 2, 3):
+            seeds = _random_seeds(rng, m, count)
+            want_incl = nl._span_matrices(m, seeds)
+            # a span that is not saturated over the integers makes both routes raise
+            try:
+                sub, incl = submodule(m, seeds)
+            except InvariantError:
+                assert _n_length(m, qe._span_matrices(m, seeds)) == want_incl
+                with pytest.raises(InvariantError):
+                    nl.submodule(m, seeds)
+                continue
+            want_sub, _ = nl.submodule(m, seeds)
+            assert len(incl) == len(m._dims)
+            assert _n_length(m, incl) == want_incl, (m.dims, seeds)
+            assert _content(sub) == _content(want_sub)
+            try:
+                q, proj = quotient(m, incl)
+            except InvariantError:
+                with pytest.raises(InvariantError):
+                    nl.quotient(m, want_incl)
+                continue
+            want_q, want_proj = nl.quotient(m, want_incl)
+            assert _content(q) == _content(want_q)
+            assert [[]] * (m.lo - 1) + proj + [[]] * (n - m.hi) == want_proj
+            seen += 1
+    assert seen > 0

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import gieseker.partitions as partitions
 from gieseker import (
     Cocharacter,
     RegimeError,
@@ -224,6 +225,21 @@ def test_fixed_components_regime_checks():
         fixed_components_k0(Cocharacter((1, 0), 1), n=2)
     with pytest.raises(RegimeError):
         fixed_components_k0(Cocharacter((1, 1), 0), n=2)
+
+
+def test_fixed_components_build_no_partition(monkeypatch):
+    # the counts come from p(n)'s generating function: at n = 55 the
+    # enumeration route took 4.0 s and 915 MB, and n = 200 is out of its reach
+    def refuse(n):
+        raise AssertionError("a partition was enumerated")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
+    comps = fixed_components_k0(Cocharacter((1, 0), 0), n=200)
+    assert [c.composition for c in comps] == [(200 - a, a) for a in range(201)]
+    p200 = 3_972_999_029_388
+    assert comps[0].fixed_point_count == comps[-1].fixed_point_count == p200
+    assert comps[100].fixed_point_count == 190_569_292**2  # p(100)^2
+    assert all(c.dimension == 400 for c in comps)
 
 
 def test_fixed_point_grand_total():
