@@ -30,11 +30,13 @@ starting and ending there, so it is built and checked in O(N).  The path
 basis spans the algebra, so the paths acting on a submodule's seeds span it,
 and a resolution keeps each differential as the images of its generators.
 
-Each ``ModelAlgebra`` builds every sum of projectives once, builds at most
-three standards by quotient and places Delta_3's data at the other offsets,
-and computes one resolution step per translation class: moving a module
-along the quiver sets a new lo.  A truncated resolution reads its last
-term's top generators only; modules are never mutated.
+Each ``ModelAlgebra`` builds every sum of projectives once and builds at
+most three standards by quotient, placing Delta_3's data at the other
+offsets.  A process computes one resolution step per translation class,
+for every algebra it builds: moving a module along the quiver sets a new lo,
+and the step memo holds local data only, so no report re-derives a step an
+earlier one computed.  A truncated resolution reads its last term's top
+generators only; modules are never mutated.
 """
 
 from __future__ import annotations
@@ -103,10 +105,9 @@ class ModelAlgebra:
             [(g, self.tgt[g] - 1) for g in starts if labels[g][0] == "a"]
             for starts in self._starting
         ]
-        # sums by generator vertices, standards by vertex, steps by translation class
+        # sums by generator vertices, standards by vertex
         self._sums: dict[tuple[int, ...], ProjectiveSum] = {}
         self._standards: dict[int, QuiverModule] = {}
-        self._steps: dict[tuple, tuple] = {}
 
     def _mult_labels(self, xl: Label, yl: Label) -> Label | None:
         if xl[0] == "e":
@@ -378,9 +379,13 @@ def _restrict(module: QuiverModule, incl: list[list[Vector]]) -> QuiverModule:
 
 def submodule(module: QuiverModule, vectors) -> tuple[QuiverModule, list[list[Vector]]]:
     """Submodule generated by (vertex, vector) seeds, with its basis columns
-    in the module at each vertex lo..hi of the module."""
-    for v, _ in vectors:
+    in the module at each vertex lo..hi of the module.  An int seed (v, c)
+    is the c-th unit vector at v, so c must be an int in 0..dim - 1 there."""
+    for v, c in vectors:
         _check_vertex(module.algebra, v)
+        if isinstance(c, int) and not (type(c) is int and 0 <= c < module.dim_at(v)):
+            raise ValueError(f"seed coordinate {c!r} at vertex {v} is not an int "
+                             f"with 0 <= c < {module.dim_at(v)}")
     incl = _span_matrices(module, vectors)
     return _restrict(module, incl), incl
 
@@ -542,11 +547,19 @@ class Resolution:
         return self.gens[degree].count(vertex) if degree < len(self.gens) else 0
 
 
+# Resolution steps by translation class, shared by every algebra in the
+# process: a class and its step do not depend on N (see ``_syzygy_step``).
+# A value is local data only, so the memo keeps no algebra or module alive;
+# a miss that would pass the bound empties it first.
+_STEPS: dict[tuple, list] = {}
+_STEPS_BOUND = 4096
+
+
 def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule, full: bool = True) -> tuple:
     """(the top generators of ``module``, basis columns in P of the kernel of
     its projective cover P, at the kernel's vertices lo..hi, that kernel):
     one step of a minimal resolution of the nonzero ``module``, computed once
-    per algebra for each translation class.  With ``full`` false only the
+    per process for each translation class.  With ``full`` false only the
     generators are read, and the other two are None; a later full read
     completes such a step in place.
 
@@ -554,14 +567,19 @@ def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule, full: bool = True)
     whether hi = N.  P_v lives on [v - 1, v + 1], so the step reads the
     algebra on [lo - 1, hi + 1] only, where every vertex looks alike but the
     ends: vertex 1 has no loop and a(1,2) a(2,1) = 0, and vertex N has no
-    upper neighbour.  So a module moved by d vertices has its step moved by
-    d: the memo keeps the generators and the kernel's lo as offsets from lo."""
+    upper neighbour.  Algebras of different N differ in that window only at
+    vertex 1 and, when hi = N, at vertex N, and the class records both.  So
+    a module moved by d vertices, in this algebra or another, has its step
+    moved by d: the memo keeps the generators and the kernel's lo as offsets
+    from lo, and the kernel is placed in the caller's algebra."""
     lo = module.lo
     key = (min(lo, 3), module.hi == algebra.N, module._dims,
            *((k, tuple(map(tuple, mat))) for k, mat in sorted(module._act.items())))
-    step = algebra._steps.get(key)
+    step = _STEPS.get(key)
     if step is None:
-        step = algebra._steps[key] = [[(v - lo, t) for v, t in top_generators(module)], None]
+        if len(_STEPS) >= _STEPS_BOUND:
+            _STEPS.clear()
+        step = _STEPS[key] = [[(v - lo, t) for v, t in top_generators(module)], None]
     tops = [(lo + r, t) for r, t in step[0]]
     if not full:
         return tops, None, None
@@ -575,11 +593,10 @@ def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule, full: bool = True)
         ]
         syzygy = _restrict(ps.module, incl)
         p0 = syzygy.lo - ps.module.lo  # keep the inclusions at the kernel's vertices
-        step[1] = incl[p0 : p0 + len(syzygy._dims)], syzygy.lo - lo, syzygy
-    incl, at, syzygy = step[1]
-    if syzygy.lo != lo + at:  # the same local data, placed at this module's offset
-        syzygy = QuiverModule(algebra, lo + at, syzygy._dims, syzygy._act)
-    return tops, incl, syzygy
+        step[1] = incl[p0 : p0 + len(syzygy._dims)], syzygy.lo - lo, syzygy._dims, syzygy._act
+        return tops, step[1][0], syzygy
+    incl, at, dims, act = step[1]
+    return tops, incl, QuiverModule(algebra, lo + at, dims, act)
 
 
 def minimal_projective_resolution(
@@ -719,9 +736,10 @@ def verify_model_properties(n_vertices: int) -> dict:
     and each simple to two terms for the Ext^1 table (multiplicity route).
     ``iv_two_routes_agree`` compares both routes on the resolution of T_N,
     which is the top standard.  A tilting resolution that fails to terminate
-    raises ``InvariantError``.  Modules equal up to translation share their
-    resolution steps, a cut-off resolution reads its last term's generators
-    only, and Delta_i for 4 <= i <= N - 1 is Delta_3 moved.
+    raises ``InvariantError``.  Modules equal up to translation, in this
+    report or an earlier one in the process, share their resolution steps, a
+    cut-off resolution reads its last term's generators only, and Delta_i
+    for 4 <= i <= N - 1 is Delta_3 moved.
     """
     a = ModelAlgebra(n_vertices)
     n = a.N
@@ -853,7 +871,6 @@ def verify_model_properties(n_vertices: int) -> dict:
     # reference counting free them now rather than at a later cycle collection
     a._sums.clear()
     a._standards.clear()
-    a._steps.clear()
     all_pass = all(checks.values())
     return {"n_vertices": n, "checks": checks, "report": report, "all_pass": all_pass}
 

@@ -2,7 +2,10 @@
 
 import io
 import contextlib
+import hashlib
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +233,21 @@ def test_every_payload_names_its_hypothesis():
     ):
         payload = run_json(argv)
         assert payload.get("hypothesis"), argv
+
+
+# ------------------------------------------------------------ pinned bytes
+
+CLI_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json"
+
+
+def test_pinned_cli_pool_replays_in_one_process():
+    # every pinned invocation (exit code and the sha256 of both streams, taken
+    # once in a process per invocation) replayed in one process in a seeded
+    # order, so later reports run with what earlier ones left in the process
+    entries = json.loads(CLI_POOL.read_text())["entries"]
+    random.Random(216).shuffle(entries)
+    for e in entries:
+        code, *streams = run(e["argv"])
+        digests = [hashlib.sha256(x.encode()).hexdigest() for x in streams]
+        assert [code, *digests] == [e["exit"], e["stdout_sha256"], e["stderr_sha256"]], e["argv"]
+    assert len(entries) == 216

@@ -11,7 +11,9 @@ terms on the loop that steps every term in full, standards moved from Delta_3
 on their quotients, the pruned tilting test on every standard-tilting pair,
 one-pass spans on the breadth-first closure under the arrows, and interval
 modules (an offset plus data on the support) on the N-length route they
-replaced, kept in ``n_length_engine``: same report, modules and resolutions.
+replaced, kept in ``n_length_engine``: same report, modules and resolutions,
+and the step memo shared by every report of a process on that route's cold
+memo of one algebra.
 """
 
 import ast
@@ -1126,7 +1128,7 @@ def test_report_builds_each_action_once_and_empties_the_caches(monkeypatch):
         _, lo, dims, _ = parts_of[key]
         ends = [alg.src[b] - lo, alg.tgt[b] - lo]
         assert all(0 <= p < len(dims) and dims[p] for p in ends), (lo, dims, alg.labels[b])
-    assert alg._sums == {} and alg._standards == {} and alg._steps == {}
+    assert alg._sums == {} and alg._standards == {} and _plain_data(qe._STEPS)
 
 
 def test_action_cache_holds_no_reference_to_its_module():
@@ -1168,6 +1170,21 @@ def test_vertex_out_of_range_raises():
     assert res.multiplicity(0, 2) == 1 and res.multiplicity(0, 3) == 0
     assert ProjectiveSum(alg, (3, 1)).module.dims == (1, 2, 2)
     assert submodule(projective(alg, 3), [(3, [0, 1])])[0].dims == (0, 0, 1)
+
+
+def test_submodule_rejects_int_seeds_outside_the_dim():
+    # formerly (2, -1) read the last column, giving the (2, 1) submodule;
+    # (2, 5) raised a bare IndexError and (2, True) a TypeError
+    alg = build_model_algebra(3)
+    p2 = projective(alg, 2)  # dims (1, 2, 1), the coordinates 0 and 1 at vertex 2
+    for c in (-1, 5, 2, True, False):
+        with pytest.raises(ValueError, match="at vertex 2 "):
+            submodule(p2, [(1, 0), (2, c)])
+    with pytest.raises(ValueError, match="at vertex 3 "):
+        submodule(p2, [(3, 1)])
+    sub, incl = submodule(p2, [(2, 1)])
+    assert sub.dims == (0, 1, 0) and incl == [[], [[0, 1]], []]
+    assert submodule(p2, [(2, 0)])[0].dims == p2.dims
 
 
 ALGEBRA_MISMATCHES = {
@@ -1556,41 +1573,41 @@ def test_shared_steps_match_plain_resolution(n, monkeypatch):
             ]
             got = (res.gens, [p.dims for p in terms], diffs, res.terminated)
             assert got == _plain_resolution(alg, m, n + 2), (make.__name__, i)
-    assert len(alg._steps) < len(steps)
+    assert len(qe._STEPS) < len(steps)
 
 
 class _CountingSteps(dict):
-    # a step memo that records its misses and its size when cleared
+    # a step memo that records its misses and the largest size it reached
     def __init__(self):
         super().__init__()
         self.misses = []
-        self.size_at_clear = None
+        self.peak = 0
 
     def __setitem__(self, key, value):
         self.misses.append(key)
         super().__setitem__(key, value)
-
-    def clear(self):
-        self.size_at_clear = len(self)
-        super().clear()
+        self.peak = max(self.peak, len(self))
 
 
-def _algebras_counting_steps(monkeypatch):
-    # every algebra built from now on, each with a _CountingSteps memo
-    algebras = []
-    init = ModelAlgebra.__init__
+def _counting_steps(monkeypatch):
+    # an empty _CountingSteps in place of the process's step memo
+    memo = _CountingSteps()
+    monkeypatch.setattr(qe, "_STEPS", memo)
+    return memo
 
-    def recording_init(self, *args):
-        init(self, *args)
-        self._steps = _CountingSteps()
-        algebras.append(self)
 
-    monkeypatch.setattr(ModelAlgebra, "__init__", recording_init)
-    return algebras
+def _plain_data(x):
+    # built of ints, bools, None and containers of them alone: no algebra,
+    # module or other engine object
+    if isinstance(x, dict):
+        return all(map(_plain_data, [*x, *x.values()]))
+    if isinstance(x, (list, tuple)):
+        return all(map(_plain_data, x))
+    return x is None or type(x) in (int, bool)
 
 
 def test_report_computes_each_step_once(monkeypatch):
-    algebras = _algebras_counting_steps(monkeypatch)
+    memo = _counting_steps(monkeypatch)
     reads = []
     step = qe._syzygy_step
 
@@ -1600,22 +1617,86 @@ def test_report_computes_each_step_once(monkeypatch):
 
     monkeypatch.setattr(qe, "_syzygy_step", counting_step)
     assert verify_model_properties(8)["all_pass"]
-    (alg,) = algebras
-    misses = alg._steps.misses
-    assert len(set(misses)) == len(misses) == alg._steps.size_at_clear
-    assert alg._steps == {}
+    misses = list(memo.misses)
+    assert len(set(misses)) == len(misses) == len(memo)
     # the report reads some steps more than once
     assert len(misses) < len(reads)
+    # the memo outlives the report: the same report again computes no step
+    assert verify_model_properties(8)["all_pass"]
+    assert memo.misses == misses
 
 
 def test_report_step_count_does_not_grow_with_n(monkeypatch):
     # steps are keyed by translation class, and the classes the report meets
-    # are the same at every large N (the content-keyed memo held 4N - 4)
-    algebras = _algebras_counting_steps(monkeypatch)
+    # are the same at every large N (the content-keyed memo held 4N - 4): a
+    # report at 16 computes 17 steps, those at 32 and 64 none.  The memo
+    # holds local data only, no algebra or module
+    memo = _counting_steps(monkeypatch)
+    counts = []
     for n in (16, 32, 64):
         assert verify_model_properties(n)["all_pass"]
-    counts = [alg._steps.size_at_clear for alg in algebras]
-    assert counts[0] == counts[1] == counts[2] < 4 * 16 - 4, counts
+        counts.append(len(memo))
+        assert _plain_data(memo), n
+    assert counts == [17] * 3, counts
+
+
+def _resolutions(engine, n):
+    # every simple, standard, projective, costandard and tilting resolved to
+    # N + 2 terms on a new algebra: generators, images and termination
+    alg = engine.build_model_algebra(n)
+    out = {}
+    for make in ("simple", "standard", "projective", "costandard", "tilting"):
+        for i in range(1, n + 1):
+            res = engine.minimal_projective_resolution(alg, getattr(engine, make)(alg, i), n + 2)
+            out[make, i] = res.gens, res.images, res.terminated
+    return out
+
+
+def test_warm_memo_gives_cold_answers():
+    # reports at N = 1..16 in a shuffled order and then in reverse, each
+    # followed by every resolution above, against the N-length route, whose
+    # step memo belongs to its algebra and so starts cold each time
+    order = list(range(1, 17))
+    random.Random(18).shuffle(order)
+    want: dict = {}
+    for n in order + order[::-1]:
+        if n not in want:
+            want[n] = nl.verify_model_properties(n), _resolutions(nl, n)
+        assert verify_model_properties(n) == want[n][0], n
+        assert _resolutions(qe, n) == want[n][1], n
+    assert 17 <= len(qe._STEPS) <= qe._STEPS_BOUND and _plain_data(qe._STEPS)
+
+
+def test_report_algebra_dies_when_the_report_returns(monkeypatch):
+    # the memo keeps no algebra alive, so reference counting alone frees it
+    refs = []
+    init = ModelAlgebra.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(ModelAlgebra, "__init__", recording_init)
+    gc.disable()
+    try:
+        for n in (1, 9):
+            assert verify_model_properties(n)["all_pass"]
+            assert refs[-1]() is None, n
+    finally:
+        gc.enable()
+    assert len(refs) == 2
+
+
+def test_bounded_step_memo_gives_the_same_answers(monkeypatch):
+    # a miss that would pass the bound empties the memo, mid-resolution too
+    monkeypatch.setattr(qe, "_STEPS_BOUND", 3)
+    memo = _counting_steps(monkeypatch)
+    for n in (1, 2, 3, 5, 8, 12, 16):
+        blob = json.dumps(verify_model_properties(n), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[n], n
+    for n in (3, 7):
+        assert _resolutions(qe, n) == _resolutions(nl, n), n
+    assert memo.peak == 3 and len(memo.misses) > 17
 
 
 # The step memo before it was keyed by translation class: one step per
@@ -2003,6 +2084,7 @@ def test_ii_reads_tops_off_the_tilting_resolutions(n, monkeypatch):
         return tops(module)
 
     monkeypatch.setattr(qe, "top_generators", recording_tops)
+    qe._STEPS.clear()  # a cold memo, which the resolutions above warmed
     assert verify_model_properties(n)["checks"]["ii_universal_extensions"]
     assert callers and set(callers) == {"_syzygy_step"}
     if n == 1:
@@ -2093,10 +2175,15 @@ def test_direct_sums_resolve_and_ext_like_the_plain_route(n):
 
 
 def _recording(monkeypatch, engine):
-    # the content of every module the engine builds, and the module, max_terms,
-    # generators, images and termination of every resolution, in call order
-    built, resolved = [], []
+    # the content of every module the engine builds but the kernels a step
+    # returns; the module, max_terms, generators, images and termination of
+    # every resolution; and the module, generators and kernel of every step,
+    # in call order.  A step's kernel is left out of the built list, because
+    # the engine builds one on every read of a stored step and the N-length
+    # route only when it moves one; ``stepped`` compares it instead
+    built, resolved, stepped = [], [], []
     init, resolve = engine.QuiverModule.__init__, engine.minimal_projective_resolution
+    step = engine._syzygy_step
 
     def recording_init(self, *args):
         init(self, *args)
@@ -2107,18 +2194,26 @@ def _recording(monkeypatch, engine):
         resolved.append((_content(module), max_terms, res.gens, res.images, res.terminated))
         return res
 
+    def recording_step(alg, module, full=True):
+        start = len(built)
+        tops, incl, syzygy = step(alg, module, full)
+        built[start:] = [m for m in built[start:] if m is not syzygy]
+        stepped.append((_content(module), tops, syzygy and _content(syzygy)))
+        return tops, incl, syzygy
+
     monkeypatch.setattr(engine.QuiverModule, "__init__", recording_init)
     monkeypatch.setattr(engine, "minimal_projective_resolution", recording_resolve)
-    return built, resolved
+    monkeypatch.setattr(engine, "_syzygy_step", recording_step)
+    return built, resolved, stepped
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_interval_modules_match_the_n_length_route(n, monkeypatch):
-    built, resolved = _recording(monkeypatch, qe)
-    want_built, want_resolved = _recording(monkeypatch, nl)
+    built, resolved, stepped = _recording(monkeypatch, qe)
+    want_built, want_resolved, want_stepped = _recording(monkeypatch, nl)
     got = json.dumps(verify_model_properties(n), sort_keys=True)
     assert got == json.dumps(nl.verify_model_properties(n), sort_keys=True)
-    assert resolved == want_resolved
+    assert resolved == want_resolved and stepped == want_stepped
     assert [_content(m) for m in built] == [_content(m) for m in want_built]
     assert all(m.total_dim == sum(m.dims) for m in built)
 
@@ -2226,6 +2321,31 @@ def test_linear_order_check_matches_the_dense_comparison(n, monkeypatch):
         dense = out["report"]["standard_multiplicities"] == expected
         assert out["checks"]["i_linear_order"] == dense, (i, j, d)
         assert dense == (i is None)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_linear_order_check_reads_where_each_standard_starts(n, monkeypatch):
+    # the multiplicity rows patched to the right ones, and Delta_j placed a
+    # vertex low: its top is still a 1, so only the lo == j clause of (i) can
+    # see it
+    rows = [[int(j in (i - 1, i)) for j in range(n)] for i in range(n)]
+    def right_rows(alg, module):  # the report asks for those of each projective
+        (i,) = [i for i in range(n) if projective(alg, i + 1) is module]
+        return rows[i]
+
+    monkeypatch.setattr(qe, "delta_multiplicities", right_rows)
+    assert verify_model_properties(n)["checks"]["i_linear_order"]
+    make = qe.standard
+    for low in range(2, n + 1):
+        def placed_low(alg, i, _low=low):
+            s = make(alg, i)
+            return QuiverModule(alg, s.lo - 1, s._dims, s._act) if i == _low else s
+
+        monkeypatch.setattr(qe, "standard", placed_low)
+        out = verify_model_properties(n)
+        assert out["report"]["standard_multiplicities"] == rows, low
+        assert out["report"]["standard_dim_vectors"][low - 1][low - 2] == 1, low
+        assert not out["checks"]["i_linear_order"], low
 
 
 @pytest.mark.parametrize(
