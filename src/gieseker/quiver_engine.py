@@ -32,11 +32,12 @@ and a resolution keeps each differential as the images of its generators.
 
 Each ``ModelAlgebra`` builds every sum of projectives once and builds at
 most three standards by quotient, placing Delta_3's data at the other
-offsets.  A process computes one resolution step per translation class,
-for every algebra it builds: moving a module along the quiver sets a new lo,
-and the step memo holds local data only, so no report re-derives a step an
-earlier one computed.  A truncated resolution reads its last term's top
-generators only; modules are never mutated.
+offsets.  A process computes one resolution step, one ``verify``, one
+``delta_multiplicities`` and one Hom-complex Ext per translation class
+(``QuiverModule.key``), for every algebra it builds: moving a module along
+the quiver sets a new lo, and both memos hold local data only, so no report
+re-derives what an earlier one computed.  A truncated resolution reads its
+last term's top generators only; modules are never mutated.
 """
 
 from __future__ import annotations
@@ -142,12 +143,13 @@ class ModelAlgebra:
         """(xy)z = x(yz) for every basis triple.  Only composable pairs extend
         to triples: associativity with the idempotents forces each product to
         keep the outer endpoints, so any other triple is zero on both sides."""
+        prod = self.table.get
         for x, y in self.composable:
-            xy = self.table.get((x, y))
+            xy = prod((x, y))
             for z in self._ending[self.src[y] - 1]:
-                yz = self.table.get((y, z))
-                left = self.product(xy, z) if xy is not None else None
-                right = self.product(x, yz) if yz is not None else None
+                yz = prod((y, z))
+                left = prod((xy, z)) if xy is not None else None
+                right = prod((x, yz)) if yz is not None else None
                 if left != right:
                     return False
         return True
@@ -195,12 +197,13 @@ class ModelAlgebra:
 
     def opposite_swap_is_antiautomorphism(self) -> bool:
         # the swap reverses endpoints: non-composable pairs stay non-composable
+        prod, swap = self.table.get, self.swap
         for x, y in self.composable:
-            xy = self.product(x, y)
-            yx = self.product(self.swap(y), self.swap(x))
+            xy = prod((x, y))
+            yx = prod((swap(y), swap(x)))
             if (xy is None) != (yx is None):
                 return False
-            if xy is not None and self.swap(xy) != yx:
+            if xy is not None and swap(xy) != yx:
                 return False
         return True
 
@@ -287,6 +290,19 @@ class QuiverModule:
         if set(self._act) != {k for k, _, _ in _live(self._dims)}:
             raise InvariantError("a module needs one matrix per live arrow")
         self.actions = _Actions(algebra, self.lo, self._dims, self._act)
+        self._key = None
+
+    @property
+    def key(self) -> tuple:
+        """The translation class, built on first read: whether lo is 1, 2 or
+        >= 3, whether hi = N, the dims and live arrow matrices.  Every vertex
+        looks alike but vertex 1 (no loop, a(1,2) a(2,1) = 0) and vertex N (no
+        upper neighbour), so work reading the algebra on [lo - 1, hi + 1] only
+        gives equal keys, in any algebras, one answer up to translation."""
+        if self._key is None:
+            self._key = (min(self.lo, 3), self.hi == self.algebra.N, self._dims,
+                         *((k, tuple(map(tuple, m))) for k, m in sorted(self._act.items())))
+        return self._key
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -314,7 +330,11 @@ class QuiverModule:
         Elements of the Representation Theory of Associative Algebras 1,
         Thm III.1.6): e_i acts by the identity and l_i by down·up, and every
         other product follows by associativity.  A pair y: s -> m, x: m -> t
-        with s or t outside the support has two empty sides and is skipped."""
+        with s or t outside the support has two empty sides and is skipped.
+        It reads the algebra on [lo - 1, hi + 1] only: once per ``key``."""
+        return _once((_VERIFY, self.key), self._verify)
+
+    def _verify(self) -> bool:
         a, lo, dims, acts = self.algebra, self.lo, self._dims, self.actions
         for k, mat in self._act.items():  # key 2p maps p + 1 to p, key 2p + 1 p to p + 1
             rows, cols = dims[(k >> 1) + (k & 1)], dims[(k >> 1) + 1 - (k & 1)]
@@ -539,6 +559,7 @@ class Resolution:
     gens: list[tuple[int, ...]]  # generator vertices per term, which fix it
     images: list[list[tuple[int, Vector]]]
     terminated: bool
+    key: tuple | None = None  # the keys of the modules covered, max_terms: its class
 
     def multiplicity(self, degree: int, vertex: int) -> int:
         """dim Ext^degree(M, L(vertex)): how often the vertex generates term degree."""
@@ -548,33 +569,38 @@ class Resolution:
 
 
 # Resolution steps by translation class, shared by every algebra in the
-# process: a class and its step do not depend on N (see ``_syzygy_step``).
+# process: a class and its step do not depend on N (see ``QuiverModule.key``).
 # A value is local data only, so the memo keeps no algebra or module alive;
 # a miss that would pass the bound empties it first.
 _STEPS: dict[tuple, list] = {}
 _STEPS_BOUND = 4096
+# The results of ``verify``, ``delta_multiplicities`` and ``_hom_complex_ext``
+# by class, tagged by the first entry of the key; the same rules and bound.
+_RESULTS: dict[tuple, object] = {}
+_VERIFY, _DELTA, _EXT = range(3)
+
+
+def _once(key: tuple, fn, *args):
+    """The memoized fn(*args) of the class ``key``, computed on a miss."""
+    if key not in _RESULTS:
+        value = fn(*args)
+        if len(_RESULTS) >= _STEPS_BOUND:
+            _RESULTS.clear()
+        _RESULTS[key] = value
+    return _RESULTS[key]
 
 
 def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule, full: bool = True) -> tuple:
     """(the top generators of ``module``, basis columns in P of the kernel of
-    its projective cover P, at the kernel's vertices lo..hi, that kernel):
-    one step of a minimal resolution of the nonzero ``module``, computed once
-    per process for each translation class.  With ``full`` false only the
-    generators are read, and the other two are None; a later full read
-    completes such a step in place.
-
-    The class of a module is its local data, whether lo is 1, 2 or >= 3 and
-    whether hi = N.  P_v lives on [v - 1, v + 1], so the step reads the
-    algebra on [lo - 1, hi + 1] only, where every vertex looks alike but the
-    ends: vertex 1 has no loop and a(1,2) a(2,1) = 0, and vertex N has no
-    upper neighbour.  Algebras of different N differ in that window only at
-    vertex 1 and, when hi = N, at vertex N, and the class records both.  So
-    a module moved by d vertices, in this algebra or another, has its step
-    moved by d: the memo keeps the generators and the kernel's lo as offsets
-    from lo, and the kernel is placed in the caller's algebra."""
-    lo = module.lo
-    key = (min(lo, 3), module.hi == algebra.N, module._dims,
-           *((k, tuple(map(tuple, mat))) for k, mat in sorted(module._act.items())))
+    its projective cover P, at the kernel's vertices lo..hi, that kernel or
+    None if it is zero): one step of a minimal resolution of the nonzero
+    ``module``, computed once per process for each ``module.key``.  With
+    ``full`` false only the generators are read, and the other two are None;
+    a later full read completes such a step in place.  P_v lives on
+    [v - 1, v + 1], so the step reads the algebra on [lo - 1, hi + 1] only:
+    the memo keeps the generators and the kernel's lo as offsets from lo,
+    and the kernel is placed in the caller's algebra."""
+    lo, key = module.lo, module.key
     step = _STEPS.get(key)
     if step is None:
         if len(_STEPS) >= _STEPS_BOUND:
@@ -594,9 +620,9 @@ def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule, full: bool = True)
         syzygy = _restrict(ps.module, incl)
         p0 = syzygy.lo - ps.module.lo  # keep the inclusions at the kernel's vertices
         step[1] = incl[p0 : p0 + len(syzygy._dims)], syzygy.lo - lo, syzygy._dims, syzygy._act
-        return tops, step[1][0], syzygy
+        return tops, step[1][0], syzygy if syzygy._dims else None
     incl, at, dims, act = step[1]
-    return tops, incl, QuiverModule(algebra, lo + at, dims, act)
+    return tops, incl, QuiverModule(algebra, lo + at, dims, act) if dims else None
 
 
 def minimal_projective_resolution(
@@ -608,12 +634,13 @@ def minimal_projective_resolution(
     _check_inputs(algebra, module)
     if max_terms < 0:
         raise ValueError("max_terms must be non-negative")
-    gens, images = [], []  # per term: generator vertices, images of generators
+    gens, images, keys = [], [], []  # per term: generator vertices, their images, cur's key
     cur, left = module, module.total_dim  # the module to cover next, its dim
     incl_prev = None  # cur's basis columns in the previous term, on cur's [lo, hi]
     for k in range(max_terms):
         if not left:
             break
+        keys.append(cur.key)
         tops, incl, syzygy = _syzygy_step(algebra, cur, k + 1 < max_terms)
         # generator (v, t) goes to coordinate t of cur at v, in the previous term
         images.append([(v, _unit(cur.dim_at(v), t) if incl_prev is None else
@@ -621,7 +648,7 @@ def minimal_projective_resolution(
         gens.append(tuple(v for v, _ in tops))
         left = sum(len(algebra.path_basis(v)) for v in gens[-1]) - left
         cur, incl_prev = syzygy, incl
-    return Resolution(algebra, module, gens, images, not left)
+    return Resolution(algebra, module, gens, images, not left, (*keys, max_terms))
 
 
 @dataclass(frozen=True)
@@ -642,7 +669,18 @@ def ext_groups(
 
 def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> ExtResult:
     """Ext^k(res.target, target) for k <= max_degree from the Hom complex of
-    ``res.images``; ``res`` must have max_degree + 2 terms or terminate."""
+    ``res.images``; ``res`` must have max_degree + 2 terms or terminate.
+    It reads the algebra only where P_t and the target live, which touch
+    vertex 1 or N only where a key in ``res.key`` or ``target.key`` says so,
+    so it is computed once per those keys, target.lo - res.target.lo and
+    max_degree.  A resolution without a key is computed directly."""
+    if res.key is None:
+        return ExtResult(*_hom_complex_dims(res, target, max_degree))
+    key = (_EXT, res.key, target.key, target.lo - res.target.lo, max_degree)
+    return ExtResult(*_once(key, _hom_complex_dims, res, target, max_degree))
+
+
+def _hom_complex_dims(res: Resolution, target: QuiverModule, max_degree: int) -> tuple:
     dim, acts = dict(enumerate(target._dims, target.lo)).get, target.actions
     hom_dims = [sum(dim(v, 0) for v in gens) for gens in res.gens]
     hom_dims += [0] * (max_degree + 2 - len(hom_dims))
@@ -680,7 +718,7 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
         rank_k = delta_rank(k)
         dims_out.append(hom_dims[k] - rank_k - prev_rank)  # kernel over image
         prev_rank = rank_k
-    return ExtResult(tuple(dims_out), not res.terminated)
+    return tuple(dims_out), not res.terminated
 
 
 def ext_to_simple(
@@ -737,9 +775,10 @@ def verify_model_properties(n_vertices: int) -> dict:
     ``iv_two_routes_agree`` compares both routes on the resolution of T_N,
     which is the top standard.  A tilting resolution that fails to terminate
     raises ``InvariantError``.  Modules equal up to translation, in this
-    report or an earlier one in the process, share their resolution steps, a
-    cut-off resolution reads its last term's generators only, and Delta_i
-    for 4 <= i <= N - 1 is Delta_3 moved.
+    report or an earlier one in the process, share their resolution steps,
+    module checks and standard multiplicities, and resolutions and targets
+    so equal share their Ext groups; a cut-off resolution reads its last
+    term's generators only, and Delta_i for 4 <= i <= N - 1 is Delta_3 moved.
     """
     a = ModelAlgebra(n_vertices)
     n = a.N
@@ -884,21 +923,32 @@ def delta_multiplicities(algebra: ModelAlgebra, module: QuiverModule):
     quotient of P_j^m killing the trace of the smaller vertices, hence of
     Delta_j^m (Cline-Parshall-Scott 1988); it is Delta_j^m exactly when the
     dimension vectors agree, so trace dimensions decide every layer.
+
+    The traces read the algebra on [lo - 1, hi + 1] only, and Delta_j there
+    has one shape unless j is 1 or N, which ``module.key`` records; so the
+    multiplicities on [lo, hi] are computed once per key and placed at lo.
     """
     _check_inputs(algebra, module)
+    local = _once((_DELTA, module.key), _layer_multiplicities, algebra, module)
+    if local is None:
+        return None
+    return [0] * (module.lo - 1) + [*local] + [0] * (algebra.N - module.hi)
+
+
+def _layer_multiplicities(algebra: ModelAlgebra, module: QuiverModule) -> tuple | None:
     lo, dims, total = module.lo, module._dims, module.total_dim
-    mults = [0] * algebra.N
+    mults = [0] * len(dims)  # at the vertices lo..hi
     prev = [0] * len(dims)  # the trace so far, at the vertices lo..hi
     for j, d in enumerate(dims, start=lo):
         if not d or sum(prev) == total:
             continue  # nothing at j, or the filtration is exhausted
         cur = list(map(len, _trace_span(module, j)))
         layer = [c - p for c, p in zip(cur, prev)]
-        m = mults[j - 1] = layer[j - lo]
+        m = mults[j - lo] = layer[j - lo]
         # m copies of Delta_j on [lo, hi], and nothing of them outside it
         delta = standard(algebra, j)
         want = [m * delta.dim_at(v) for v in range(lo, module.hi + 1)]
         if layer != want or m * delta.total_dim != sum(layer):
             return None
         prev = cur
-    return mults
+    return tuple(mults)

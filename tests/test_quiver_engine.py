@@ -13,7 +13,8 @@ one-pass spans on the breadth-first closure under the arrows, and interval
 modules (an offset plus data on the support) on the N-length route they
 replaced, kept in ``n_length_engine``: same report, modules and resolutions,
 and the step memo shared by every report of a process on that route's cold
-memo of one algebra.
+memo of one algebra; every stored class result (module check, standard
+multiplicities, Hom-complex Ext) on the same computation run afresh.
 """
 
 import ast
@@ -1699,6 +1700,84 @@ def test_bounded_step_memo_gives_the_same_answers(monkeypatch):
     assert memo.peak == 3 and len(memo.misses) > 17
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_class_results_match_fresh_computation(n, monkeypatch):
+    # every verify(), standard-multiplicity row and Hom-complex Ext the
+    # report asks for, stored or not, against the same computation run
+    # afresh on the caller's own module, resolution and target
+    once, seen = qe._once, Counter()
+
+    def checked_once(key, fn, *args):
+        seen[key[0], key in qe._RESULTS] += 1
+        got = once(key, fn, *args)
+        assert got == fn(*args), key
+        return got
+
+    monkeypatch.setattr(qe, "_once", checked_once)
+    assert verify_model_properties(n)["all_pass"]
+    assert {tag for tag, _ in seen} == {qe._VERIFY, qe._DELTA, qe._EXT} or n == 1
+    # from N = 8 on the report meets classes of each kind more than once
+    assert n < 8 or all(seen[tag, True] for tag in (qe._VERIFY, qe._DELTA, qe._EXT))
+
+
+def test_ext_memo_tells_apart_pairs_a_coarser_key_would_merge():
+    # pairs the report never makes: Delta_N resolved to five terms ends there
+    # at N = 5 and not at N = 6, from one first module's class, and
+    # Delta_{N-1} and its dual share their dims and place
+    ended = []
+    for n in (5, 6):
+        alg = build_model_algebra(n)
+        res = minimal_projective_resolution(alg, standard(alg, n), 5)
+        ended.append(res.terminated)
+        for x in (simple(alg, n - 2), standard(alg, n - 1), costandard(alg, n - 1)):
+            assert _hom_complex_ext(res, x, 3) == qe.ExtResult(*qe._hom_complex_dims(res, x, 3))
+    assert ended == [True, False] and len(qe._RESULTS) == 6
+
+
+@pytest.mark.parametrize("bound", (None, 3))
+def test_warm_class_results_give_cold_reports(bound, monkeypatch):
+    # reports at N = 1..24 in a shuffled order, every memo warm, against the
+    # same reports each computed with both memos emptied first; a miss that
+    # would pass a bound of 3 empties the class-result memo, mid-report too
+    order = list(range(1, 25))
+    random.Random(19).shuffle(order)
+    cold = {}
+    for n in order:
+        qe._STEPS.clear()
+        qe._RESULTS.clear()
+        cold[n] = verify_model_properties(n)
+    if bound:
+        monkeypatch.setattr(qe, "_STEPS_BOUND", bound)
+    memo = _CountingSteps()
+    monkeypatch.setattr(qe, "_RESULTS", memo)
+    for n in order:
+        assert verify_model_properties(n) == cold[n], n
+        if n in PINNED_REPORTS:
+            blob = json.dumps(cold[n], sort_keys=True).encode()
+            assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[n], n
+    assert _plain_data(memo) and memo.peak == (bound or len(memo))
+    assert len(memo.misses) > len(memo) if bound else len(set(memo.misses)) == len(memo.misses)
+
+
+def test_stored_zero_kernel_builds_no_module(monkeypatch):
+    # a projective's cover is an isomorphism: its one step ends in the zero
+    # kernel, which a read of the stored step, P_5 as P_4 moved, does not build
+    alg = build_model_algebra(7)
+    first = minimal_projective_resolution(alg, projective(alg, 4), 3)
+    p5 = projective(alg, 5)
+    built = []
+    init = QuiverModule.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(QuiverModule, "__init__", recording_init)
+    res = minimal_projective_resolution(alg, p5, 3)
+    assert res.terminated and res.gens == [(5,)] and built == []
+    assert res.key == first.key == (p5.key, 3)
+
+
 # The step memo before it was keyed by translation class: one step per
 # content, a module's dims and live arrow matrices, and the resolution loop
 # walking those steps, on the N-length route.
@@ -1745,7 +1824,9 @@ def test_translation_keyed_steps_match_content_keyed_steps(n, monkeypatch):
         tops, incl, syzygy = step(alg, module, full)
         _, want_tops, want_incl, want_syzygy = _content_keyed_step(alg, module, memo)
         assert tops == want_tops, module.dims
-        if full:
+        if full and syzygy is None:  # the zero kernel that ends a resolution
+            assert incl == [] and want_syzygy.total_dim == 0, module.dims
+        elif full:
             # the engine keeps the inclusions at the syzygy's vertices; off
             # them the kernel is zero
             lo, hi = syzygy.lo, syzygy.hi
@@ -2180,7 +2261,8 @@ def _recording(monkeypatch, engine):
     # every resolution; and the module, generators and kernel of every step,
     # in call order.  A step's kernel is left out of the built list, because
     # the engine builds one on every read of a stored step and the N-length
-    # route only when it moves one; ``stepped`` compares it instead
+    # route only when it moves one; ``stepped`` compares it instead.  The
+    # engine returns no zero kernel, so a zero kernel counts as none
     built, resolved, stepped = [], [], []
     init, resolve = engine.QuiverModule.__init__, engine.minimal_projective_resolution
     step = engine._syzygy_step
@@ -2197,8 +2279,9 @@ def _recording(monkeypatch, engine):
     def recording_step(alg, module, full=True):
         start = len(built)
         tops, incl, syzygy = step(alg, module, full)
-        built[start:] = [m for m in built[start:] if m is not syzygy]
-        stepped.append((_content(module), tops, syzygy and _content(syzygy)))
+        built[start:] = [m for m in built[start:] if m is not syzygy and m.total_dim]
+        kernel = _content(syzygy) if syzygy and syzygy.total_dim else None
+        stepped.append((_content(module), tops, kernel))
         return tops, incl, syzygy
 
     monkeypatch.setattr(engine.QuiverModule, "__init__", recording_init)
