@@ -30,14 +30,14 @@ starting and ending there, so it is built and checked in O(N).  The path
 basis spans the algebra, so the paths acting on a submodule's seeds span it,
 and a resolution keeps each differential as the images of its generators.
 
-Each ``ModelAlgebra`` builds every sum of projectives once and builds at
-most three standards by quotient, placing Delta_3's data at the other
-offsets.  A process computes one resolution step, one ``verify``, one
-``delta_multiplicities`` and one Hom-complex Ext per translation class
-(``QuiverModule.key``), for every algebra it builds: moving a module along
-the quiver sets a new lo, and both memos hold local data only, so no report
-re-derives what an earlier one computed.  A truncated resolution reads its
-last term's top generators only; modules are never mutated.
+Each ``ModelAlgebra`` builds every sum of projectives and every standard
+once.  A process computes one resolution step, one standard quotient, one
+``verify``, one ``delta_multiplicities`` and one Hom-complex Ext per
+translation class (``QuiverModule.key``), for every algebra it builds:
+moving a module along the quiver sets a new lo, and the one memo holds
+local data only, so no report re-derives what an earlier one computed.  A
+truncated resolution places no kernel for its last term; modules are never
+mutated.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ class ModelAlgebra:
     """The bound-quiver algebra of the model block on N vertices."""
 
     def __init__(self, n_vertices: int) -> None:
+        if type(n_vertices) is not int:
+            raise ValueError(f"the vertex count is not an int: {n_vertices!r}")
         if n_vertices < 1:
             raise ValueError("need at least one vertex")
         self.N = n_vertices
@@ -214,6 +216,8 @@ def build_model_algebra(n_vertices: int) -> ModelAlgebra:
 
 
 def _check_vertex(algebra: ModelAlgebra, i: int) -> None:
+    if type(i) is not int:  # True would pass for vertex 1
+        raise ValueError(f"vertex is not an int: {i!r}")
     if not 1 <= i <= algebra.N:
         raise ValueError("vertex out of range")
 
@@ -294,13 +298,18 @@ class QuiverModule:
 
     @property
     def key(self) -> tuple:
-        """The translation class, built on first read: whether lo is 1, 2 or
-        >= 3, whether hi = N, the dims and live arrow matrices.  Every vertex
-        looks alike but vertex 1 (no loop, a(1,2) a(2,1) = 0) and vertex N (no
-        upper neighbour), so work reading the algebra on [lo - 1, hi + 1] only
-        gives equal keys, in any algebras, one answer up to translation."""
+        """The translation class, built on first read: whether lo = 1 and
+        whether hi = N, the dims and the live arrow matrices.  Vertex N
+        differs only in having no upper neighbour, and vertex 1 in lacking
+        l_1 and in a(1,2) a(2,1) = 0, products acting on elements at vertex 1
+        only.  For v >= 2, P_v has one basis shape (e_v, a(v-1,v), a(v+1,v)
+        where it exists, l_v) and one action, and there, as in a module with
+        lo >= 2, each such product is already 0, loops killing arrows.  So
+        lo = 2 is generic, as hi = N - 1 is: work reading the algebra on
+        [lo - 1, hi + 1] only gives equal keys, in any algebras, one answer
+        up to translation."""
         if self._key is None:
-            self._key = (min(self.lo, 3), self.hi == self.algebra.N, self._dims,
+            self._key = (self.lo == 1, self.hi == self.algebra.N, self._dims,
                          *((k, tuple(map(tuple, m))) for k, m in sorted(self._act.items())))
         return self._key
 
@@ -361,6 +370,7 @@ class QuiverModule:
 def projective(algebra: ModelAlgebra, i: int) -> QuiverModule:
     """P(p_i) = A e_i with its path basis; arrow matrices are 0/1.  Built
     once per algebra; every call returns the same module."""
+    _check_vertex(algebra, i)
     return _projective_sum(algebra, (i,)).module
 
 
@@ -448,19 +458,22 @@ def _trace_span(module: QuiverModule, max_vertex: int) -> list[list[Vector]]:
 
 def standard(algebra: ModelAlgebra, i: int) -> QuiverModule:
     """Delta(p_i): the i-th projective modulo the trace of the larger ones.
-    Built once per algebra; every call returns the same module.  For 3 <= i
-    < N, P_i, on [i - 1, i + 1] with basis e_i, a(i-1,i), a(i+1,i), l_i, is
-    P_3 moved by i - 3; Delta_i reads P_i only, so it is Delta_3 at lo + i - 3."""
-    if i not in algebra._standards:  # projective(algebra, i) checks the vertex
-        if 4 <= i < algebra.N:
-            d3 = standard(algebra, 3)
-            p = QuiverModule(algebra, d3.lo + i - 3, d3._dims, d3._act)
-        else:
-            p = projective(algebra, i)
-            if i > 1:
-                p, _ = quotient(p, _trace_span(p, i - 1))
+    Built once per algebra; every call returns the same module.  For i >= 2
+    it is P_i modulo the trace of vertex i - 1, P_i's lo, which reads P_i
+    only: that quotient is computed once per process for each ``key`` of P_i
+    and placed at P_i's lo."""
+    p = projective(algebra, i)  # checks i before the lookup: True would find Delta_1
+    if i not in algebra._standards:
+        if i > 1:
+            at, dims, act = _once((_STANDARD, p.key), _standard_quotient, p)
+            p = QuiverModule(algebra, p.lo + at, dims, act)
         algebra._standards[i] = p
     return algebra._standards[i]
+
+
+def _standard_quotient(p: QuiverModule) -> tuple:
+    q, _ = quotient(p, _trace_span(p, p.lo))
+    return q.lo - p.lo, q._dims, q._act  # Delta's offset from P_i's lo, dims and arrows
 
 
 def dual_module(module: QuiverModule) -> QuiverModule:
@@ -568,86 +581,73 @@ class Resolution:
         return self.gens[degree].count(vertex) if degree < len(self.gens) else 0
 
 
-# Resolution steps by translation class, shared by every algebra in the
-# process: a class and its step do not depend on N (see ``QuiverModule.key``).
-# A value is local data only, so the memo keeps no algebra or module alive;
-# a miss that would pass the bound empties it first.
-_STEPS: dict[tuple, list] = {}
-_STEPS_BOUND = 4096
-# The results of ``verify``, ``delta_multiplicities`` and ``_hom_complex_ext``
-# by class, tagged by the first entry of the key; the same rules and bound.
+# Class results, shared by every algebra in the process: resolution steps,
+# standard quotients and the results of ``verify``, ``delta_multiplicities``
+# and ``_hom_complex_ext``, keyed by a tag and the classes they depend on
+# (see ``QuiverModule.key``), which do not depend on N.  A value is local
+# data only, so the memo keeps no algebra or module alive; a miss that would
+# pass the bound empties it first.
 _RESULTS: dict[tuple, object] = {}
-_VERIFY, _DELTA, _EXT = range(3)
+_RESULTS_BOUND = 4096
+_STEP, _STANDARD, _VERIFY, _DELTA, _EXT = range(5)
 
 
 def _once(key: tuple, fn, *args):
-    """The memoized fn(*args) of the class ``key``, computed on a miss."""
-    if key not in _RESULTS:
+    """fn(*args) for the class ``key``, computed on a miss or a None value."""
+    value = _RESULTS.get(key)
+    if value is None:
         value = fn(*args)
-        if len(_RESULTS) >= _STEPS_BOUND:
+        if len(_RESULTS) >= _RESULTS_BOUND:
             _RESULTS.clear()
         _RESULTS[key] = value
-    return _RESULTS[key]
+    return value
 
 
-def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule, full: bool = True) -> tuple:
-    """(the top generators of ``module``, basis columns in P of the kernel of
-    its projective cover P, at the kernel's vertices lo..hi, that kernel or
-    None if it is zero): one step of a minimal resolution of the nonzero
-    ``module``, computed once per process for each ``module.key``.  With
-    ``full`` false only the generators are read, and the other two are None;
-    a later full read completes such a step in place.  P_v lives on
-    [v - 1, v + 1], so the step reads the algebra on [lo - 1, hi + 1] only:
-    the memo keeps the generators and the kernel's lo as offsets from lo,
-    and the kernel is placed in the caller's algebra."""
-    lo, key = module.lo, module.key
-    step = _STEPS.get(key)
-    if step is None:
-        if len(_STEPS) >= _STEPS_BOUND:
-            _STEPS.clear()
-        step = _STEPS[key] = [[(v - lo, t) for v, t in top_generators(module)], None]
-    tops = [(lo + r, t) for r, t in step[0]]
-    if not full:
-        return tops, None, None
-    if step[1] is None:  # complete a generators-only step
-        ps = _projective_sum(algebra, tuple(v for v, _ in tops))
-        cov = cover_map(ps, module, [(v, _unit(module.dim_at(v), t)) for v, t in tops])
-        # the cover is onto, so the module's support lies in P's; off it, ker = P
-        incl = [
-            el.nullspace(c) if d and c else el.identity(d) if d else []
-            for c, d in zip(cov, ps.module._dims)
-        ]
-        syzygy = _restrict(ps.module, incl)
-        p0 = syzygy.lo - ps.module.lo  # keep the inclusions at the kernel's vertices
-        step[1] = incl[p0 : p0 + len(syzygy._dims)], syzygy.lo - lo, syzygy._dims, syzygy._act
-        return tops, step[1][0], syzygy if syzygy._dims else None
-    incl, at, dims, act = step[1]
-    return tops, incl, QuiverModule(algebra, lo + at, dims, act) if dims else None
+def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule) -> tuple:
+    """One step of a minimal resolution of the nonzero ``module``, as local
+    data: its top generators as (offset from lo, coordinate), the basis
+    columns in its projective cover P of the kernel, at the kernel's
+    vertices lo..hi, and the kernel's offset from lo, dims and arrow
+    matrices, or None if the kernel is zero.  P_v lives on [v - 1, v + 1],
+    so the step reads the algebra on [lo - 1, hi + 1] only, and a resolution
+    computes it once per process for each ``module.key``."""
+    lo, tops = module.lo, top_generators(module)
+    ps = _projective_sum(algebra, tuple(v for v, _ in tops))
+    cov = cover_map(ps, module, [(v, _unit(module.dim_at(v), t)) for v, t in tops])
+    # the cover is onto, so the module's support lies in P's; off it, ker = P
+    incl = [
+        el.nullspace(c) if d and c else el.identity(d) if d else []
+        for c, d in zip(cov, ps.module._dims)
+    ]
+    kernel = _restrict(ps.module, incl)
+    p0 = kernel.lo - ps.module.lo  # keep the inclusions at the kernel's vertices
+    return ([(v - lo, t) for v, t in tops], incl[p0 : p0 + len(kernel._dims)],
+            (kernel.lo - lo, kernel._dims, kernel._act) if kernel._dims else None)
 
 
 def minimal_projective_resolution(
     algebra: ModelAlgebra, module: QuiverModule, max_terms: int
 ) -> Resolution:
     """The first ``max_terms`` terms of a minimal projective resolution of
-    ``module``, the last read for its top generators only: each cover is
-    onto, so dim Omega = dim P - dim M tells whether the resolution ends."""
+    ``module``, with no kernel placed for the last: each cover is onto, so
+    dim Omega = dim P - dim M tells whether the resolution ends."""
     _check_inputs(algebra, module)
     if max_terms < 0:
         raise ValueError("max_terms must be non-negative")
     gens, images, keys = [], [], []  # per term: generator vertices, their images, cur's key
     cur, left = module, module.total_dim  # the module to cover next, its dim
     incl_prev = None  # cur's basis columns in the previous term, on cur's [lo, hi]
-    for k in range(max_terms):
-        if not left:
-            break
+    while left and len(gens) < max_terms:
         keys.append(cur.key)
-        tops, incl, syzygy = _syzygy_step(algebra, cur, k + 1 < max_terms)
-        # generator (v, t) goes to coordinate t of cur at v, in the previous term
-        images.append([(v, _unit(cur.dim_at(v), t) if incl_prev is None else
-                        list(incl_prev[v - cur.lo][t])) for v, t in tops])
-        gens.append(tuple(v for v, _ in tops))
+        tops, incl, kernel = _once((_STEP, cur.key), _syzygy_step, algebra, cur)
+        # generator (r, t) goes to coordinate t of cur at lo + r, in the previous term
+        images.append([(cur.lo + r, _unit(cur._dims[r], t) if incl_prev is None else
+                        list(incl_prev[r][t])) for r, t in tops])
+        gens.append(tuple(cur.lo + r for r, _ in tops))
         left = sum(len(algebra.path_basis(v)) for v in gens[-1]) - left
-        cur, incl_prev = syzygy, incl
+        if left and len(gens) < max_terms:
+            at, dims, act = kernel
+            cur, incl_prev = QuiverModule(algebra, cur.lo + at, dims, act), incl
     return Resolution(algebra, module, gens, images, not left, (*keys, max_terms))
 
 
@@ -670,8 +670,8 @@ def ext_groups(
 def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> ExtResult:
     """Ext^k(res.target, target) for k <= max_degree from the Hom complex of
     ``res.images``; ``res`` must have max_degree + 2 terms or terminate.
-    It reads the algebra only where P_t and the target live, which touch
-    vertex 1 or N only where a key in ``res.key`` or ``target.key`` says so,
+    It reads the algebra only where P_t and the target live, which differ
+    from their translates only where a key in ``res.key`` or ``target.key`` says so,
     so it is computed once per those keys, target.lo - res.target.lo and
     max_degree.  A resolution without a key is computed directly."""
     if res.key is None:
@@ -776,9 +776,8 @@ def verify_model_properties(n_vertices: int) -> dict:
     which is the top standard.  A tilting resolution that fails to terminate
     raises ``InvariantError``.  Modules equal up to translation, in this
     report or an earlier one in the process, share their resolution steps,
-    module checks and standard multiplicities, and resolutions and targets
-    so equal share their Ext groups; a cut-off resolution reads its last
-    term's generators only, and Delta_i for 4 <= i <= N - 1 is Delta_3 moved.
+    standard quotients, module checks and standard multiplicities, and
+    resolutions and targets so equal share their Ext groups.
     """
     a = ModelAlgebra(n_vertices)
     n = a.N

@@ -6,15 +6,17 @@ counting projective multiplicities in resolution terms (valid for simple
 targets); standard multiplicities are replayed against the Cartan matrix,
 and their dimension certificate against the former grid-scan isomorphism test;
 resolutions built from shared steps are replayed on the per-step loop,
-translation-keyed steps on the content-keyed memo, generators-only last
-terms on the loop that steps every term in full, standards moved from Delta_3
-on their quotients, the pruned tilting test on every standard-tilting pair,
-one-pass spans on the breadth-first closure under the arrows, and interval
-modules (an offset plus data on the support) on the N-length route they
-replaced, kept in ``n_length_engine``: same report, modules and resolutions,
-and the step memo shared by every report of a process on that route's cold
-memo of one algebra; every stored class result (module check, standard
-multiplicities, Hom-complex Ext) on the same computation run afresh.
+translation-keyed steps on the content-keyed memo, resolutions that place
+no last kernel on the loop that steps every term in full, standards placed
+by the class of P_i on their quotients, the pruned tilting test on every
+standard-tilting pair, one-pass spans on the breadth-first closure under the
+arrows, and interval modules (an offset plus data on the support) on the
+N-length route they replaced, kept in ``n_length_engine``: same report,
+modules and resolutions, and the memo shared by every report of a process
+on that route's cold memo of one algebra; every stored class result
+(resolution step, standard quotient, module check, standard multiplicities,
+Hom-complex Ext) on the same computation run afresh, and at every placement
+of its class.
 """
 
 import ast
@@ -464,9 +466,9 @@ def test_standard_multiplicity_table_is_unitriangular():
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_standards_by_translation_match_quotients(n):
-    # Delta_i for 4 <= i <= N - 1 is Delta_3 moved; built in either order,
-    # every standard equals the quotient of P_i by the trace of the smaller
-    # vertices entry for entry
+    # Delta_i is the quotient computed once per class of P_i, placed at P_i's
+    # lo; built in either order, every standard equals the quotient of P_i by
+    # the trace of the smaller vertices entry for entry
     down, up = build_model_algebra(n), build_model_algebra(n)
     got_down = {i: standard(down, i) for i in range(n, 0, -1)}
     for i in range(1, n + 1):
@@ -477,8 +479,10 @@ def test_standards_by_translation_match_quotients(n):
         assert _content(got_down[i]) == _content(got), i
 
 
-def test_report_makes_at_most_three_quotients(monkeypatch):
-    # Delta_2, Delta_3 and Delta_N; formerly one per standard past the first
+def test_report_makes_one_quotient_per_standard_class(monkeypatch):
+    # one per class of P_i, i >= 2: P_2, the generic P_i, P_{N-1} and P_N,
+    # once per process, so the reports past the first make none; formerly
+    # three per report (Delta_2, Delta_3 and Delta_N)
     calls = Counter()
     quot = qe.quotient
 
@@ -489,7 +493,7 @@ def test_report_makes_at_most_three_quotients(monkeypatch):
     monkeypatch.setattr(qe, "quotient", counting_quotient)
     for n in (8, 16, 32, 64):
         assert verify_model_properties(n)["all_pass"]
-    assert calls == {8: 3, 16: 3, 32: 3, 64: 3}
+    assert calls == {8: 4}
 
 
 def test_projectives_and_standards_built_once_per_algebra():
@@ -1129,7 +1133,7 @@ def test_report_builds_each_action_once_and_empties_the_caches(monkeypatch):
         _, lo, dims, _ = parts_of[key]
         ends = [alg.src[b] - lo, alg.tgt[b] - lo]
         assert all(0 <= p < len(dims) and dims[p] for p in ends), (lo, dims, alg.labels[b])
-    assert alg._sums == {} and alg._standards == {} and _plain_data(qe._STEPS)
+    assert alg._sums == {} and alg._standards == {} and _plain_data(qe._RESULTS)
 
 
 def test_action_cache_holds_no_reference_to_its_module():
@@ -1144,6 +1148,35 @@ def test_action_cache_holds_no_reference_to_its_module():
         assert ref() is None
     finally:
         gc.enable()
+
+
+NON_INT_CALLS = {
+    "projective-True": lambda a: projective(a, True),
+    "projective-float": lambda a: projective(a, 2.0),
+    "standard-True": lambda a: standard(a, True),
+    "costandard-True": lambda a: costandard(a, True),
+    "tilting-True": lambda a: tilting(a, True),
+    "simple-True": lambda a: simple(a, True),
+    "ext_to_simple-True": lambda a: ext_to_simple(a, projective(a, 2), True, 1),
+    "multiplicity-True": lambda a: minimal_projective_resolution(
+        a, projective(a, 2), 2).multiplicity(0, True),
+    "ProjectiveSum-True": lambda a: ProjectiveSum(a, (2, True)),
+    "submodule-True": lambda a: submodule(projective(a, 3), [(True, 0)]),
+    "algebra-True": lambda a: build_model_algebra(True),
+    "algebra-float": lambda a: build_model_algebra(3.0),
+    "report-True": lambda a: verify_model_properties(True),
+}
+
+
+@pytest.mark.parametrize("name", NON_INT_CALLS)
+def test_vertices_and_vertex_counts_must_be_ints(name):
+    # formerly True passed for 1: projective gave P_1, tilting P_2, standard
+    # found the stored Delta_1, ext_to_simple read vertex 1 and the report
+    # printed "n_vertices": true; a float vertex raised TypeError
+    alg = build_model_algebra(3)
+    assert [standard(alg, i).lo for i in (1, 2, 3)] == [1, 2, 3]
+    with pytest.raises(ValueError, match="not an int"):
+        NON_INT_CALLS[name](alg)
 
 
 def test_vertex_out_of_range_raises():
@@ -1330,12 +1363,12 @@ def _content(module):
 
 def _translation_class(module):
     # the content moved to start at vertex 1, and whether the support starts
-    # at vertex 1, 2 or later and ends at N
+    # at vertex 1 and ends at N
     dims = module.dims
     support = [v for v, d in enumerate(dims) if d]
     lo, hi = support[0], support[-1]
     moved = tuple((g - 2 * lo, mat) for g, mat in _content(module)[1])
-    return min(lo, 2), hi == len(dims) - 1, dims[lo : hi + 1], moved
+    return lo == 0, hi == len(dims) - 1, dims[lo : hi + 1], moved
 
 
 def _all_int(module):
@@ -1383,23 +1416,23 @@ def test_sparse_route_matches_dense_route_on_report_modules(n, monkeypatch):
         init(self, *args)
         built.append(self)
 
-    # the translation class of each module the report resolves a step of
-    stepped = set()
+    # the translation class of each module the report computes a step of
+    stepped = []
     step = qe._syzygy_step
 
-    def recording_step(alg, module, full=True):
-        if full:
-            stepped.add(_translation_class(module))
-        return step(alg, module, full)
+    def recording_step(alg, module):
+        stepped.append(_translation_class(module))
+        return step(alg, module)
 
     monkeypatch.setattr(qe, "_restrict", checked_restrict)
     monkeypatch.setattr(qe, "quotient", checked_quotient)
     monkeypatch.setattr(qe, "_syzygy_step", recording_step)
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     assert verify_model_properties(n)["all_pass"]
-    # one _restrict, the syzygy's, per translation class stepped in full;
-    # the quotients of Delta_2, Delta_3 and Delta_N, the others moved from Delta_3
-    assert calls["restrict"] == len(stepped) and calls["quotient"] == min(n - 1, 3)
+    # one _restrict, the kernel's, per translation class stepped, each once;
+    # one quotient per class of P_i, i >= 2: P_2, P_{N-1}, P_N and the generic
+    assert calls["restrict"] == len(stepped) == len(set(stepped))
+    assert calls["quotient"] == min(n - 1, 4)
     # most modules leave some vertex empty, so the sparse paths are exercised
     assert sum(0 in m.dims for m in built) > len(built) // 2 or n < 3
     for m in built:
@@ -1554,12 +1587,12 @@ def test_shared_steps_match_plain_resolution(n, monkeypatch):
     # standards first: projectives, tiltings and the later standards' and
     # costandards' syzygies then meet steps resolved before
     alg = build_model_algebra(n)
-    steps = []
+    steps, covered = [], 0
     step = qe._syzygy_step
 
-    def counting_step(a, module, full=True):
-        steps.append(module)
-        return step(a, module, full)
+    def counting_step(a, module):
+        steps.append(module.key)
+        return step(a, module)
 
     monkeypatch.setattr(qe, "_syzygy_step", counting_step)
     for make in (standard, tilting, projective, costandard, simple):
@@ -1574,11 +1607,13 @@ def test_shared_steps_match_plain_resolution(n, monkeypatch):
             ]
             got = (res.gens, [p.dims for p in terms], diffs, res.terminated)
             assert got == _plain_resolution(alg, m, n + 2), (make.__name__, i)
-    assert len(qe._STEPS) < len(steps)
+            covered += len(res.gens)
+    # each class stepped once, and fewer steps computed than terms covered
+    assert len(set(steps)) == len(steps) < covered
 
 
-class _CountingSteps(dict):
-    # a step memo that records its misses and the largest size it reached
+class _CountingMemo(dict):
+    # a class-result memo that records its misses and the largest size it reached
     def __init__(self):
         super().__init__()
         self.misses = []
@@ -1590,11 +1625,16 @@ class _CountingSteps(dict):
         self.peak = max(self.peak, len(self))
 
 
-def _counting_steps(monkeypatch):
-    # an empty _CountingSteps in place of the process's step memo
-    memo = _CountingSteps()
-    monkeypatch.setattr(qe, "_STEPS", memo)
+def _counting_memo(monkeypatch):
+    # an empty _CountingMemo in place of the process's class-result memo
+    memo = _CountingMemo()
+    monkeypatch.setattr(qe, "_RESULTS", memo)
     return memo
+
+
+def _steps_in(keys):
+    # the step entries among class-result keys
+    return [k for k in keys if k[0] == qe._STEP]
 
 
 def _plain_data(x):
@@ -1608,37 +1648,50 @@ def _plain_data(x):
 
 
 def test_report_computes_each_step_once(monkeypatch):
-    memo = _counting_steps(monkeypatch)
-    reads = []
-    step = qe._syzygy_step
+    memo = _counting_memo(monkeypatch)
+    reads, computed = [], []
+    once, step = qe._once, qe._syzygy_step
 
-    def counting_step(a, module, full=True):
-        reads.append(module)
-        return step(a, module, full)
+    def counting_once(key, fn, *args):
+        if key[0] == qe._STEP:
+            reads.append(key)
+        return once(key, fn, *args)
 
+    def counting_step(a, module):
+        computed.append((qe._STEP, module.key))
+        return step(a, module)
+
+    monkeypatch.setattr(qe, "_once", counting_once)
     monkeypatch.setattr(qe, "_syzygy_step", counting_step)
     assert verify_model_properties(8)["all_pass"]
     misses = list(memo.misses)
     assert len(set(misses)) == len(misses) == len(memo)
+    assert _steps_in(misses) == computed
     # the report reads some steps more than once
-    assert len(misses) < len(reads)
-    # the memo outlives the report: the same report again computes no step
+    assert len(computed) < len(reads)
+    # the memo outlives the report: the same report again computes nothing
     assert verify_model_properties(8)["all_pass"]
-    assert memo.misses == misses
+    assert memo.misses == misses and len(computed) == len(_steps_in(misses))
 
 
 def test_report_step_count_does_not_grow_with_n(monkeypatch):
     # steps are keyed by translation class, and the classes the report meets
     # are the same at every large N (the content-keyed memo held 4N - 4): a
-    # report at 16 computes 17 steps, those at 32 and 64 none.  The memo
-    # holds local data only, no algebra or module
-    memo = _counting_steps(monkeypatch)
+    # report at 16 computes 13 steps, those at 32 and 64 none.  Reports at
+    # N = 1..64 meet 18 classes, all of them by N = 5.  The memo holds local
+    # data only, no algebra or module
+    memo = _counting_memo(monkeypatch)
     counts = []
     for n in (16, 32, 64):
         assert verify_model_properties(n)["all_pass"]
-        counts.append(len(memo))
+        counts.append(len(_steps_in(memo)))
         assert _plain_data(memo), n
-    assert counts == [17] * 3, counts
+    assert counts == [13] * 3, counts
+    memo.clear()
+    for n in range(1, 65):
+        assert verify_model_properties(n)["all_pass"]
+        counts.append(len(_steps_in(memo)))
+    assert counts[3:] == [1, 5, 11, 16] + [18] * 60, counts
 
 
 def _resolutions(engine, n):
@@ -1665,7 +1718,8 @@ def test_warm_memo_gives_cold_answers():
             want[n] = nl.verify_model_properties(n), _resolutions(nl, n)
         assert verify_model_properties(n) == want[n][0], n
         assert _resolutions(qe, n) == want[n][1], n
-    assert 17 <= len(qe._STEPS) <= qe._STEPS_BOUND and _plain_data(qe._STEPS)
+    assert 18 <= len(_steps_in(qe._RESULTS)) and len(qe._RESULTS) <= qe._RESULTS_BOUND
+    assert _plain_data(qe._RESULTS)
 
 
 def test_report_algebra_dies_when_the_report_returns(monkeypatch):
@@ -1690,8 +1744,8 @@ def test_report_algebra_dies_when_the_report_returns(monkeypatch):
 
 def test_bounded_step_memo_gives_the_same_answers(monkeypatch):
     # a miss that would pass the bound empties the memo, mid-resolution too
-    monkeypatch.setattr(qe, "_STEPS_BOUND", 3)
-    memo = _counting_steps(monkeypatch)
+    monkeypatch.setattr(qe, "_RESULTS_BOUND", 3)
+    memo = _counting_memo(monkeypatch)
     for n in (1, 2, 3, 5, 8, 12, 16):
         blob = json.dumps(verify_model_properties(n), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[n], n
@@ -1702,9 +1756,10 @@ def test_bounded_step_memo_gives_the_same_answers(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_class_results_match_fresh_computation(n, monkeypatch):
-    # every verify(), standard-multiplicity row and Hom-complex Ext the
-    # report asks for, stored or not, against the same computation run
-    # afresh on the caller's own module, resolution and target
+    # every resolution step, standard quotient, verify(), standard-
+    # multiplicity row and Hom-complex Ext the report asks for, stored or
+    # not, against the same computation run afresh on the caller's own
+    # module, resolution and target
     once, seen = qe._once, Counter()
 
     def checked_once(key, fn, *args):
@@ -1715,9 +1770,64 @@ def test_class_results_match_fresh_computation(n, monkeypatch):
 
     monkeypatch.setattr(qe, "_once", checked_once)
     assert verify_model_properties(n)["all_pass"]
-    assert {tag for tag, _ in seen} == {qe._VERIFY, qe._DELTA, qe._EXT} or n == 1
+    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT}
+    assert {tag for tag, _ in seen} == (tags - {qe._STANDARD} if n == 1 else tags)
     # from N = 8 on the report meets classes of each kind more than once
-    assert n < 8 or all(seen[tag, True] for tag in (qe._VERIFY, qe._DELTA, qe._EXT))
+    assert n < 8 or all(seen[tag, True] for tag in tags)
+
+
+def _class_results(alg, module):
+    # the step, verify(), standard multiplicities on [lo, hi] and quotient by
+    # the trace of vertex lo of a module, from an empty memo and no stored
+    # standards; a zero quotient, which sits at vertex 1, counts as None
+    qe._RESULTS.clear()
+    alg._standards.clear()
+    step, ok = qe._syzygy_step(alg, module), module._verify()
+    mults, quotient = qe._layer_multiplicities(alg, module), qe._standard_quotient(module)
+    return step, ok, mults, quotient if quotient[1] else None
+
+
+@pytest.mark.parametrize("n", (6, 9, 12))
+def test_class_results_agree_at_every_placement(n, monkeypatch):
+    # each module the report resolves (its kernels too), verifies or filters,
+    # moved to every lo' with the same (lo == 1, hi == N) flags in algebras
+    # with N and N + 3 vertices, gives the same class results at each
+    # placement; lo = 2 stands beside lo = 3, and hi = N - 1 beside a
+    # generic hi, as QuiverModule.key says
+    modules = {}
+    once, verify = qe._once, QuiverModule.verify
+
+    def recording_once(key, fn, *args):
+        if key[0] in (qe._STEP, qe._DELTA):
+            modules.setdefault(args[1].key, args[1])
+        return once(key, fn, *args)
+
+    def recording_verify(self):
+        modules.setdefault(self.key, self)
+        return verify(self)
+
+    monkeypatch.setattr(qe, "_once", recording_once)
+    monkeypatch.setattr(QuiverModule, "verify", recording_verify)
+    assert verify_model_properties(n)["all_pass"]
+    monkeypatch.setattr(qe, "_once", once)
+    monkeypatch.setattr(QuiverModule, "verify", verify)
+    algebras = [build_model_algebra(n), build_model_algebra(n + 3)]
+    seen = Counter()
+    for m in modules.values():
+        flags, width = (m.lo == 1, m.hi == n), len(m._dims)
+        want = None
+        for alg in algebras:
+            for lo in range(1, alg.N - width + 2):
+                hi = lo + width - 1
+                if (lo == 1, hi == alg.N) != flags:
+                    continue
+                got = _class_results(alg, QuiverModule(alg, lo, m._dims, m._act))
+                want = want or got
+                assert got == want, (m.lo, m._dims, alg.N, lo)
+                seen["lo", min(lo, 3)] += 1
+                seen["hi", min(alg.N - hi, 2)] += 1
+    # lo = 1, 2 and >= 3, and hi = N, N - 1 and below, each met
+    assert len(modules) > 10 and len(seen) == 6, seen
 
 
 def test_ext_memo_tells_apart_pairs_a_coarser_key_would_merge():
@@ -1731,24 +1841,23 @@ def test_ext_memo_tells_apart_pairs_a_coarser_key_would_merge():
         ended.append(res.terminated)
         for x in (simple(alg, n - 2), standard(alg, n - 1), costandard(alg, n - 1)):
             assert _hom_complex_ext(res, x, 3) == qe.ExtResult(*qe._hom_complex_dims(res, x, 3))
-    assert ended == [True, False] and len(qe._RESULTS) == 6
+    assert ended == [True, False] and sum(k[0] == qe._EXT for k in qe._RESULTS) == 6
 
 
 @pytest.mark.parametrize("bound", (None, 3))
 def test_warm_class_results_give_cold_reports(bound, monkeypatch):
-    # reports at N = 1..24 in a shuffled order, every memo warm, against the
-    # same reports each computed with both memos emptied first; a miss that
-    # would pass a bound of 3 empties the class-result memo, mid-report too
+    # reports at N = 1..24 in a shuffled order, the memo warm, against the
+    # same reports each computed with the memo emptied first; a miss that
+    # would pass a bound of 3 empties the memo, mid-report too
     order = list(range(1, 25))
     random.Random(19).shuffle(order)
     cold = {}
     for n in order:
-        qe._STEPS.clear()
         qe._RESULTS.clear()
         cold[n] = verify_model_properties(n)
     if bound:
-        monkeypatch.setattr(qe, "_STEPS_BOUND", bound)
-    memo = _CountingSteps()
+        monkeypatch.setattr(qe, "_RESULTS_BOUND", bound)
+    memo = _CountingMemo()
     monkeypatch.setattr(qe, "_RESULTS", memo)
     for n in order:
         assert verify_model_properties(n) == cold[n], n
@@ -1814,31 +1923,34 @@ def _content_keyed_resolution(algebra, module, max_terms, memo):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_translation_keyed_steps_match_content_keyed_steps(n, monkeypatch):
-    # every step and every resolution of the report, in the report's order,
-    # against the content-keyed route, which steps every term in full
+    # every step read and every resolution of the report, in the report's
+    # order, against the content-keyed route, which steps every term in full
     memo: dict = {}
     stepped = []
-    resolve, step = qe.minimal_projective_resolution, qe._syzygy_step
+    resolve, once = qe.minimal_projective_resolution, qe._once
 
-    def checked_step(alg, module, full=True):
-        tops, incl, syzygy = step(alg, module, full)
+    def checked_once(key, fn, *args):
+        got = once(key, fn, *args)
+        if key[0] != qe._STEP:
+            return got
+        alg, module = args
+        tops, incl, kernel = got
         _, want_tops, want_incl, want_syzygy = _content_keyed_step(alg, module, memo)
-        assert tops == want_tops, module.dims
-        if full and syzygy is None:  # the zero kernel that ends a resolution
+        assert [(module.lo + r, t) for r, t in tops] == want_tops, module.dims
+        if kernel is None:  # the zero kernel that ends a resolution
             assert incl == [] and want_syzygy.total_dim == 0, module.dims
-        elif full:
-            # the engine keeps the inclusions at the syzygy's vertices; off
+        else:
+            # the engine keeps the inclusions at the kernel's vertices; off
             # them the kernel is zero
+            syzygy = QuiverModule(alg, module.lo + kernel[0], *kernel[1:])
             lo, hi = syzygy.lo, syzygy.hi
-            ps = _projective_sum(alg, tuple(v for v, _ in tops))
+            ps = _projective_sum(alg, tuple(v for v, _ in want_tops))
             got_incl = _n_length(ps.module, incl, lo)
             assert got_incl[lo - 1 : hi] == want_incl[lo - 1 : hi], module.dims
             assert not any(m and m[0] for m in want_incl[: lo - 1] + want_incl[hi:])
             assert _content(syzygy) == _content(want_syzygy) and syzygy.verify(), module.dims
-        else:
-            assert incl is syzygy is None
         stepped.append(module)
-        return tops, incl, syzygy
+        return got
 
     def checked_resolve(alg, module, max_terms):
         res = resolve(alg, module, max_terms)
@@ -1846,7 +1958,7 @@ def test_translation_keyed_steps_match_content_keyed_steps(n, monkeypatch):
         assert (res.gens, res.images, res.terminated) == want, module.dims
         return res
 
-    monkeypatch.setattr(qe, "_syzygy_step", checked_step)
+    monkeypatch.setattr(qe, "_once", checked_once)
     monkeypatch.setattr(qe, "minimal_projective_resolution", checked_resolve)
     assert verify_model_properties(n)["all_pass"]
     # supports starting at vertex 1 and at vertex 2 and ending at N, and
@@ -1870,11 +1982,11 @@ def _small_modules(alg):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_generators_only_last_terms_match_full_step_loop(n):
     # the content-keyed loop covers, and restricts the kernel of, every term,
-    # the last too; the engine reads the last term's generators only and
-    # takes termination from dim P - dim M.  Ascending max_terms completes
-    # generators-only steps later, descending meets completed ones first, and
-    # one-term resolutions in reverse order leave generators-only steps that
-    # translates further down complete
+    # the last too; the engine places no kernel for the last term and takes
+    # termination from dim P - dim M.  Ascending max_terms reads stored steps
+    # further down each resolution, descending reads them all first, and
+    # one-term resolutions in reverse order store steps that translates
+    # further down read
     ends = Counter()
     for plan in ("up", "down", "moved"):
         alg, memo = build_model_algebra(n), {}
@@ -1896,41 +2008,40 @@ def test_generators_only_last_terms_match_full_step_loop(n):
 
 @pytest.mark.parametrize("n", (3, 5, 8, 12))
 def test_report_computes_no_syzygy_of_a_last_term(n, monkeypatch):
-    # a resolution cut off at max_terms steps its last term for generators
-    # only: no cover, kernel or syzygy there, and some classes the report
-    # meets only as last terms never get one
-    step, resolve = qe._syzygy_step, qe.minimal_projective_resolution
-    counts = Counter()
-    reads = []
+    # a resolution places the kernel of each term it goes on to cover, and
+    # none for its last term; each class's step is computed once per process,
+    # with one _restrict, its kernel's
+    resolve, step, init = qe.minimal_projective_resolution, qe._syzygy_step, QuiverModule.__init__
+    restricts, builders = [0], Counter()
+    computed = []
 
-    for name in ("cover_map", "_restrict"):
-        def counted(*args, _fn=getattr(qe, name), _name=name):
-            counts[_name] += 1
-            return _fn(*args)
+    def counted_restrict(*args, _fn=qe._restrict):
+        restricts[0] += 1
+        return _fn(*args)
 
-        monkeypatch.setattr(qe, name, counted)
+    def recording_init(self, *args):
+        init(self, *args)
+        builders[sys._getframe(1).f_code.co_name] += 1
 
-    def recording_step(alg, module, full=True):
-        before = dict(counts)
-        out = step(alg, module, full)
-        assert full or counts == before, module.dims
-        reads.append((_translation_class(module), full))
-        return out
+    def recording_step(alg, module):
+        computed.append(module.key)
+        return step(alg, module)
 
     def recording_resolve(alg, module, max_terms):
-        start = len(reads)
+        before = builders["minimal_projective_resolution"]
         res = resolve(alg, module, max_terms)
-        flags = [full for _, full in reads[start:]]
-        cut = len(res.gens) == max_terms
-        assert flags == [True] * (len(res.gens) - cut) + [False] * cut, module.dims
+        placed = builders["minimal_projective_resolution"] - before
+        assert placed == max(len(res.gens) - 1, 0), module.dims
         return res
 
+    monkeypatch.setattr(qe, "_restrict", counted_restrict)
+    monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     monkeypatch.setattr(qe, "_syzygy_step", recording_step)
     monkeypatch.setattr(qe, "minimal_projective_resolution", recording_resolve)
-    assert verify_model_properties(n)["all_pass"]
-    in_full = {c for c, full in reads if full}
-    assert counts["_restrict"] == len(in_full)
-    assert {c for c, full in reads if not full} - in_full
+    for _ in range(2):
+        assert verify_model_properties(n)["all_pass"]
+        assert len(set(computed)) == len(computed) == restricts[0]
+    assert 0 < len(computed) <= 13
 
 
 def test_each_resolution_owns_its_images():
@@ -2165,7 +2276,7 @@ def test_ii_reads_tops_off_the_tilting_resolutions(n, monkeypatch):
         return tops(module)
 
     monkeypatch.setattr(qe, "top_generators", recording_tops)
-    qe._STEPS.clear()  # a cold memo, which the resolutions above warmed
+    qe._RESULTS.clear()  # a cold memo, which the resolutions above warmed
     assert verify_model_properties(n)["checks"]["ii_universal_extensions"]
     assert callers and set(callers) == {"_syzygy_step"}
     if n == 1:
@@ -2256,37 +2367,59 @@ def test_direct_sums_resolve_and_ext_like_the_plain_route(n):
 
 
 def _recording(monkeypatch, engine):
-    # the content of every module the engine builds but the kernels a step
-    # returns; the module, max_terms, generators, images and termination of
-    # every resolution; and the module, generators and kernel of every step,
-    # in call order.  A step's kernel is left out of the built list, because
-    # the engine builds one on every read of a stored step and the N-length
-    # route only when it moves one; ``stepped`` compares it instead.  The
-    # engine returns no zero kernel, so a zero kernel counts as none
+    # in call order: every module the engine builds, with whether a class
+    # computation built it (a step; on the interval route also a standard's
+    # quotient); the module, max_terms, generators, images and termination
+    # of every resolution; and the module and generators of every step read.
+    # A resolution's reads after its first are of the kernels of the terms
+    # before, so the reads compare every kernel a resolution goes on to cover
     built, resolved, stepped = [], [], []
+    depth = [0]
     init, resolve = engine.QuiverModule.__init__, engine.minimal_projective_resolution
-    step = engine._syzygy_step
 
     def recording_init(self, *args):
         init(self, *args)
-        built.append(self)
+        built.append((self, depth[0] > 0))
+
+    def inside(fn):
+        def wrapper(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
 
     def recording_resolve(alg, module, max_terms):
         res = resolve(alg, module, max_terms)
         resolved.append((_content(module), max_terms, res.gens, res.images, res.terminated))
         return res
 
-    def recording_step(alg, module, full=True):
-        start = len(built)
-        tops, incl, syzygy = step(alg, module, full)
-        built[start:] = [m for m in built[start:] if m is not syzygy and m.total_dim]
-        kernel = _content(syzygy) if syzygy and syzygy.total_dim else None
-        stepped.append((_content(module), tops, kernel))
-        return tops, incl, syzygy
+    if engine is qe:
+        once = qe._once
 
+        def recording_once(key, fn, *args):
+            got = once(key, fn, *args)
+            if key[0] == qe._STEP:
+                module = args[1]
+                stepped.append((_content(module), [(module.lo + r, t) for r, t in got[0]]))
+            return got
+
+        monkeypatch.setattr(qe, "_once", recording_once)
+        for name in ("_syzygy_step", "_standard_quotient"):
+            monkeypatch.setattr(qe, name, inside(getattr(qe, name)))
+    else:
+        step = inside(nl._syzygy_step)
+
+        def recording_step(alg, module, full=True):
+            out = step(alg, module, full)
+            stepped.append((_content(module), out[0]))
+            return out
+
+        monkeypatch.setattr(nl, "_syzygy_step", recording_step)
     monkeypatch.setattr(engine.QuiverModule, "__init__", recording_init)
     monkeypatch.setattr(engine, "minimal_projective_resolution", recording_resolve)
-    monkeypatch.setattr(engine, "_syzygy_step", recording_step)
     return built, resolved, stepped
 
 
@@ -2297,8 +2430,12 @@ def test_interval_modules_match_the_n_length_route(n, monkeypatch):
     got = json.dumps(verify_model_properties(n), sort_keys=True)
     assert got == json.dumps(nl.verify_model_properties(n), sort_keys=True)
     assert resolved == want_resolved and stepped == want_stepped
-    assert [_content(m) for m in built] == [_content(m) for m in want_built]
-    assert all(m.total_dim == sum(m.dims) for m in built)
+    # class computations run once per process, so the interval route builds
+    # fewer modules; every module it builds outside them, the N-length route
+    # builds too
+    outside = {_content(m) for m, inside in built if not inside}
+    assert outside and outside <= {_content(m) for m, _ in want_built}
+    assert all(m.total_dim == sum(m.dims) for m, _ in built)
 
 
 def test_report_modules_store_data_on_their_support_only(monkeypatch):
@@ -2337,7 +2474,7 @@ def test_report_modules_store_data_on_their_support_only(monkeypatch):
 def test_moving_a_module_sets_lo_only():
     alg = build_model_algebra(9)
     d3 = standard(alg, 3)
-    for i in range(4, 9):
+    for i in range(4, 8):  # P_i for 3 <= i <= N - 2 has one class
         d = standard(alg, i)
         assert d.lo == d3.lo + i - 3 and d._dims is d3._dims and d._act is d3._act
         assert d.dims == d3.dims[-(i - 3):] + d3.dims[: -(i - 3)]
