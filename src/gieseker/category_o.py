@@ -6,17 +6,21 @@ parameter with denominator m > 1 and a dominant cocharacter, the support
 dimension of the simple at sigma is rn - |q|(rm - 1) where q is the partition
 quotient of the first component sigma^(1) divided by m; the annihilator of
 that simple is the |q|-th ideal of the chain (index 0 = zero ideal).
+
+The box-removal recursion of the restriction argument (Bezrukavnikov-Etingof,
+Selecta Math. 14, 2009) is a second route that reads no quotient; which box
+it removes does not matter, as ``support_recursion_values`` proves.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
 
 from .diagnostics import (
     Parameter,
     _Irrational,
+    _check_nr,
     as_parameter,
     has_finite_dimensional_rep,
     has_finite_global_dimension,
@@ -58,8 +62,7 @@ def poincare_polynomial(n: int, r: int) -> tuple[int, ...]:
     Its x^n coefficient is expanded factor by factor, one geometric series
     at a time, in O(r n^2 rn) integer additions.
     """
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    _check_nr(n, r)
     # series[k]: t-coefficients of x^k; a fixed point of size k >= 1 has
     # weight at most rk - 1
     series = [[1]] + [[0] * (r * k) for k in range(1, n + 1)]
@@ -118,8 +121,7 @@ def semisimplicity(n: int, r: int, lam: Parameter) -> str:
     m (its support dimension rn - |q|(rm-1) < rn separates its block from the
     semisimple ones).  Anything else: unknown.
     """
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    _check_nr(n, r)
     lam = as_parameter(lam)
     m = reduced_denominator(lam)
     if m is None or m > n:
@@ -144,8 +146,7 @@ class SupportReport:
 
 def _support_regime(n: int, r: int, lam: Parameter) -> int | None:
     """Validate the support-formula hypotheses, returning the denominator."""
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    _check_nr(n, r)
     lam = as_parameter(lam)
     if isinstance(lam, _Irrational):
         return None
@@ -218,12 +219,18 @@ def legal_removals(sigma: Multipartition, m: int) -> list[tuple[int, int]]:
 
 
 def _legal_removals(sigma: Multipartition, m: int) -> Iterator[tuple[int, int]]:
-    # Removing a box from row i lowers lam_i - lam_{i+1} by one and raises
-    # lam_{i-1} - lam_i by one; the quotient's closed form (see
-    # divide_with_remainder) is unchanged iff neither floor by m moves:
-    # (lam_i - lam_{i+1}) mod m != 0 and, for i > 0, (lam_{i-1} - lam_i + 1)
-    # mod m != 0.  The first test also makes row i a corner, and no row passes
-    # it when the remainder is empty (every part divisible by m).
+    """Removing a box from row i lowers lam_i - lam_{i+1} by one and raises
+    lam_{i-1} - lam_i by one; the quotient's closed form (see
+    divide_with_remainder) is unchanged iff neither floor by m moves:
+    (lam_i - lam_{i+1}) mod m != 0 and, for i > 0, (lam_{i-1} - lam_i + 1)
+    mod m != 0.  The first test also makes row i a corner, and no row passes
+    it when the remainder is empty (every part divisible by m).
+
+    So a legal removal exists whenever some part is not divisible by m: in
+    its component the first row i with (lam_i - lam_{i+1}) mod m != 0 exists,
+    as every lam_j is a sum of those differences, and is legal, as for i > 0
+    m divides lam_{i-1} - lam_i, so (lam_{i-1} - lam_i + 1) mod m = 1.
+    """
     for ci, comp in enumerate(sigma):
         for row, part in enumerate(comp):
             below = comp[row + 1] if row + 1 < len(comp) else 0
@@ -242,6 +249,7 @@ def _checked_recursion_input(
 ) -> Multipartition:
     if not isinstance(m, int) or m < 2:
         raise ValueError("need integer m >= 2")
+    _check_nr(n, r)
     if len(sigma) != r:
         raise ValueError(f"expected {r} components in sigma")
     sigma = tuple(check_partition(comp) for comp in sigma)
@@ -271,6 +279,8 @@ def support_dimension_recursive(
     by m (empty remainder), the first component contributes |q^(1)| and every
     other component |q^(i)| * rm; otherwise remove one legal box (any choice
     gives the same value) and add r.  sigma is validated once, here.
+    The ``InvariantError`` is unreachable, since ``_legal_removals`` yields a
+    box off an end state; it stays to catch a change to the removal rule.
     """
     sigma = _checked_recursion_input(n, r, m, sigma)
     removed = 0
@@ -284,25 +294,17 @@ def support_dimension_recursive(
 
 
 def support_recursion_values(n: int, r: int, m: int, sigma: Multipartition) -> frozenset[int]:
-    """Set of values the recursion can reach over ALL legal corner choices.
-
-    A singleton certifies corner-choice independence for this input (the
-    tested contract); memoized over multipartition states.  The inputs are
-    checked as in ``support_dimension_recursive``.
+    """Set of values the recursion can reach over ALL legal corner choices:
+    the one value of ``support_dimension_recursive``, which validates sigma.
+    Off an end state a legal removal exists (see ``_legal_removals``) and
+    each takes a box, so every path ends at an end state.  A legal removal
+    keeps q^(1), and with ``total`` boxes left both ends give r * total -
+    |q^(1)|(rm - 1): below m boxes q^(1) is empty, and with every part
+    divisible by m that is |sigma^(1)|/m + (total - |sigma^(1)|)/m * rm.
+    With r per box removed, every path ends at rn - |q^(1)|(rm - 1).  The
+    tests keep the search over every path as the oracle of this.
     """
-    sigma = _checked_recursion_input(n, r, m, sigma)
-
-    @cache
-    def go(state: Multipartition, total: int) -> frozenset[int]:
-        value = _end_value(total, r, m, state)
-        if value is not None:
-            return frozenset({value})
-        out = set()
-        for ci, row in _legal_removals(state, m):
-            out.update(r + v for v in go(_remove(state, ci, row), total - 1))
-        return frozenset(out)
-
-    return go(sigma, n)
+    return frozenset({support_dimension_recursive(n, r, m, sigma)})
 
 
 HOOKS_BLOCK = "hooks_block"
@@ -333,8 +335,7 @@ def block_structure(
     nu only the label SET is known and the finite-dimensional simple narrows
     to a one-component (n) or (1^n).  1 < m < n: partial information only.
     """
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    _check_nr(n, r)
     lam = as_parameter(lam)
     if nu.r != r:
         raise ValueError("cocharacter rank must equal r")

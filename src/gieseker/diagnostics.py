@@ -261,5 +261,7 @@ def diagnose(n: int, r: int, lam: Parameter) -> DiagnosticsReport:
 
 
 def _check_nr(n: int, r: int) -> None:
+    if type(n) is not int or type(r) is not int:  # True would pass for 1
+        raise ValueError(f"n and r must be ints, not {n!r} and {r!r}")
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")

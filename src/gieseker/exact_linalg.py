@@ -56,13 +56,6 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
 def _clear_rows(a: Matrix) -> list[list[int]]:
     # scale each row by the lcm of entry denominators; row scaling preserves
     # the row space and the kernel
@@ -138,12 +131,6 @@ def nullspace(a: Matrix) -> list[Vector]:
             x[c] = _divide(-sum(row[j] * x[j] for j in range(c + 1, n)), row[c])
         basis.append(x)
     return basis
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a·x = b, or None if inconsistent."""
-    x = solve_matrix(a, [[y] for y in b])
-    return None if x is None else [row[0] for row in x]
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:

@@ -222,11 +222,14 @@ def _check_vertex(algebra: ModelAlgebra, i: int) -> None:
         raise ValueError("vertex out of range")
 
 
-def _check_inputs(algebra: ModelAlgebra, *modules: QuiverModule, max_degree: int = 0) -> None:
+def _check_inputs(algebra: ModelAlgebra, *modules: QuiverModule, **counts: int) -> None:
     if any(m.algebra is not algebra for m in modules):
         raise ValueError("module belongs to another algebra")
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+    for name, x in counts.items():  # max_degree or max_terms
+        if type(x) is not int:  # True would pass for 1, 2.5 for 3 terms
+            raise ValueError(f"{name} is not an int: {x!r}")
+        if x < 0:
+            raise ValueError(f"{name} must be non-negative")
 
 
 def _live(dims) -> list[tuple[int, int, int]]:
@@ -572,7 +575,7 @@ class Resolution:
     gens: list[tuple[int, ...]]  # generator vertices per term, which fix it
     images: list[list[tuple[int, Vector]]]
     terminated: bool
-    key: tuple | None = None  # the keys of the modules covered, max_terms: its class
+    key: tuple  # the keys of the modules covered, max_terms: its class
 
     def multiplicity(self, degree: int, vertex: int) -> int:
         """dim Ext^degree(M, L(vertex)): how often the vertex generates term degree."""
@@ -631,9 +634,7 @@ def minimal_projective_resolution(
     """The first ``max_terms`` terms of a minimal projective resolution of
     ``module``, with no kernel placed for the last: each cover is onto, so
     dim Omega = dim P - dim M tells whether the resolution ends."""
-    _check_inputs(algebra, module)
-    if max_terms < 0:
-        raise ValueError("max_terms must be non-negative")
+    _check_inputs(algebra, module, max_terms=max_terms)
     gens, images, keys = [], [], []  # per term: generator vertices, their images, cur's key
     cur, left = module, module.total_dim  # the module to cover next, its dim
     incl_prev = None  # cur's basis columns in the previous term, on cur's [lo, hi]
@@ -673,9 +674,7 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
     It reads the algebra only where P_t and the target live, which differ
     from their translates only where a key in ``res.key`` or ``target.key`` says so,
     so it is computed once per those keys, target.lo - res.target.lo and
-    max_degree.  A resolution without a key is computed directly."""
-    if res.key is None:
-        return ExtResult(*_hom_complex_dims(res, target, max_degree))
+    max_degree."""
     key = (_EXT, res.key, target.key, target.lo - res.target.lo, max_degree)
     return ExtResult(*_once(key, _hom_complex_dims, res, target, max_degree))
 

@@ -295,7 +295,7 @@ class QuiverModule:
                     lhs = el.mat_mul(acts[x], acts[y]) if dims[m] else el.zeros(dims[t], d)
                     z = a.product(x, y)
                     rhs = acts[z] if z is not None else el.zeros(dims[t], d)
-                    if not el.mat_eq(lhs, rhs):
+                    if lhs != rhs:
                         return False
         return True
 

@@ -36,6 +36,7 @@ from gieseker import (
     to_sum_form,
     verify_model_properties,
 )
+import all_paths_search as search
 from test_partitions import dp_multipartition_counts
 
 
@@ -133,11 +134,12 @@ def test_criterion_3_support_formula_vs_recursion():
     cases = 0
     for n, r, m, lam, sig in _criterion_3_cases():
         closed = support_dimension(n, r, lam, sig).support_dim
-        values = support_recursion_values(n, r, m, sig)
-        # corner-choice independence: the recursion lands on a single value
-        # no matter which legal corner is removed at each step
+        values = search.support_recursion_values(n, r, m, sig)
+        # corner-choice independence: the search over every order of legal
+        # removals lands on a single value, the one the package returns
         assert len(values) == 1, (n, r, m, sig)
         assert values == frozenset({closed}), (n, r, m, sig)
+        assert support_recursion_values(n, r, m, sig) == values, (n, r, m, sig)
         assert support_dimension_recursive(n, r, m, sig) == closed
         cases += 1
     assert cases > 2000  # "thousands of cases"

@@ -4,7 +4,9 @@ annihilators, semisimplicity, block structure.
 The closed support formula is replayed against an independent recursion: peel
 one legal remainder box at a time until the components divide exactly, adding
 r per box.  The recursion never consults the closed formula, so agreement on
-the full enumeration is a real check, not a tautology.
+the full enumeration is a real check, not a tautology.  Which box the
+recursion removes does not matter, by the proof in ``support_recursion_values``;
+the search over every order of removals, ``all_paths_search``, checks it.
 
 The Poincare polynomial comes from the Nakajima-Yoshioka product; it is
 replayed against the former route, the histogram of fixed-point weights over
@@ -19,7 +21,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import all_paths_search as search
 import gieseker
 from gieseker import (
     IRRATIONAL,
@@ -45,6 +49,7 @@ from gieseker import (
     top_cohomology_check,
     violated_walls,
 )
+from gieseker.category_o import _end_value, _remove
 
 
 # ------------------------------------------------------------ poincare
@@ -169,6 +174,32 @@ def test_support_regime_errors():
         support_dimension(2, 1, Fraction(1, 2), ((1,),))  # wrong total
 
 
+NON_INT_NR_CALLS = {
+    "diagnose-float-n": lambda: diagnose(2.0, 1, Fraction(1, 2)),
+    "has_finite_global_dimension-True-r": lambda: gieseker.has_finite_global_dimension(
+        2, True, Fraction(1, 2)),
+    "support_dimension-float-n": lambda: support_dimension(
+        1.0, 2, Fraction(1, 3), ((1,), ())),
+    "support_dimension-True-r": lambda: support_dimension(1, True, Fraction(1, 2), ((1,),)),
+    "annihilator_index-float-n": lambda: annihilator_index(4.0, 1, Fraction(1, 2), ((4,),)),
+    "recursive-True-n": lambda: support_dimension_recursive(True, 1, 2, ((1,),)),
+    "recursive-float-r": lambda: support_dimension_recursive(1, 1.0, 2, ((1,),)),
+    "recursion_values-True-r": lambda: support_recursion_values(1, True, 2, ((1,),)),
+    "poincare-float-n": lambda: poincare_polynomial(2.0, 1),
+    "semisimplicity-True-n": lambda: semisimplicity(True, 1, Fraction(1, 2)),
+    "block_structure-float-n": lambda: block_structure(
+        2.0, 1, Fraction(1, 2), Cocharacter((5,), 1)),
+}
+
+
+@pytest.mark.parametrize("name", NON_INT_NR_CALLS)
+def test_n_and_r_must_be_ints(name):
+    # formerly a float n or r gave float answers (support_dim 2.0, ideal_count
+    # 1.0) or a TypeError, and True answered as 1
+    with pytest.raises(ValueError, match="must be ints"):
+        NON_INT_NR_CALLS[name]()
+
+
 def test_annihilator_examples():
     assert annihilator_index(4, 1, Fraction(1, 2), ((4,),)) == 2
     assert annihilator_index(4, 1, Fraction(1, 2), ((1, 1, 1, 1),)) == 0
@@ -242,6 +273,11 @@ def test_recursions_reject_non_partitions_below_m():
         support_recursion_values(1, 2, 2, ((1,),))
     with pytest.raises(ValueError, match="must equal n"):
         support_recursion_values(2, 1, 2, ((1,),))
+    # n and r are checked as in the closed formula (n = 0 formerly gave 0)
+    with pytest.raises(ValueError, match="need n >= 1 and r >= 1"):
+        support_dimension_recursive(0, 1, 2, ((),))
+    with pytest.raises(ValueError, match="need n >= 1 and r >= 1"):
+        support_recursion_values(0, 0, 2, ())
     # list components are read as their tuples
     assert support_recursion_values(3, 1, 2, [[2, 1]]) == frozenset({3})
     assert support_dimension_recursive(3, 1, 2, [[2, 1]]) == 3
@@ -257,17 +293,78 @@ def test_recursion_base_cases():
 def test_recursion_corner_independence_spot():
     vals = support_recursion_values(3, 1, 2, ((2, 1),))
     assert vals == frozenset({3})
+    assert search.support_recursion_values(3, 1, 2, ((2, 1),)) == vals
 
 
 def test_closed_formula_equals_recursion_exhaustive():
-    for m in (2, 3):
-        for n in range(1, 9):
+    # corner independence through the oracle: every order of legal removals
+    # reaches one value, the one path's and the closed formula's
+    cases = 0
+    for m in (2, 3, 4, 5):
+        for n in range(1, 11):
             for r in range(1, 4):
                 lam = Fraction(1, m)
                 for sig in enumerate_multipartitions(n, r):
                     closed = support_dimension(n, r, lam, sig).support_dim
                     rec = support_dimension_recursive(n, r, m, sig)
                     assert closed == rec, (n, r, m, sig)
+                    values = search.support_recursion_values(n, r, m, sig)
+                    assert values == support_recursion_values(n, r, m, sig), (n, r, m, sig)
+                    assert values == frozenset({closed}), (n, r, m, sig)
+                    cases += 1
+    assert cases == 28496
+
+
+def _proof_witness(sigma, m):
+    # the removal the proof in support_recursion_values names: in the first
+    # component with a part not divisible by m, the first row i with
+    # (lam_i - lam_{i+1}) mod m != 0
+    for ci, comp in enumerate(sigma):
+        for i, part in enumerate(comp):
+            if (part - (comp[i + 1] if i + 1 < len(comp) else 0)) % m:
+                return ci, i
+    return None
+
+
+def test_every_non_end_state_has_a_legal_removal():
+    states = 0
+    for r in range(1, 4):
+        for n in range(1, 13):
+            for sig in enumerate_multipartitions(n, r):
+                for m in range(2, 7):
+                    if _end_value(n, r, m, sig) is None:
+                        assert _proof_witness(sig, m) in legal_removals(sig, m), (sig, m)
+                        states += 1
+    assert states == 106888  # pairs (sigma, m) off an end state
+
+
+@st.composite
+def multipartitions_and_moduli(draw):
+    # r <= 4 components holding 1..30 boxes, and a modulus m <= 7
+    r, m = draw(st.integers(1, 4)), draw(st.integers(2, 7))
+    comps, total = [[] for _ in range(r)], 0
+    parts = st.tuples(st.integers(0, r - 1), st.integers(1, 30))
+    for ci, part in draw(st.lists(parts, min_size=1, max_size=15)):
+        part = min(part, 30 - total)
+        if part:
+            comps[ci].append(part)
+            total += part
+    return tuple(tuple(sorted(c, reverse=True)) for c in comps), m
+
+
+@given(multipartitions_and_moduli(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_random_path_of_legal_removals_ends_at_the_closed_form(case, data):
+    sigma, m = case
+    n, r = multipartition_size(sigma), len(sigma)
+    state, removed = sigma, 0
+    while (value := _end_value(n - removed, r, m, state)) is None:
+        choices = legal_removals(state, m)
+        assert choices, (state, m)
+        state = _remove(state, *data.draw(st.sampled_from(choices)))
+        removed += 1
+    closed = support_dimension(n, r, Fraction(1, m), sigma).support_dim
+    assert r * removed + value == closed == support_dimension_recursive(n, r, m, sigma)
 
 
 def test_holonomicity_bound():

@@ -642,8 +642,11 @@ def test_hom_complex_reads_the_signs_of_the_images():
     zero = QuiverModule(alg, 1, (0, 0, 0), {})
 
     def ext(images):
-        res = qe.Resolution(alg, zero, [(2, 2), (2, 2)], [[], images], True)
-        return _hom_complex_ext(res, simple(alg, 2), 1).dims
+        # the Hom complex itself, not its memo; the two image lists share
+        # gens, so each gets a key of its own images
+        key = tuple((w, tuple(v)) for w, v in images)
+        res = qe.Resolution(alg, zero, [(2, 2), (2, 2)], [[], images], True, key)
+        return qe._hom_complex_dims(res, simple(alg, 2), 1)[0]
 
     assert ext([(2, [1, 0, 1, 0]), (2, [1, 0, -1, 0])]) == (0, 0)
     assert ext([(2, [1, 0, 1, 0]), (2, [1, 0, 1, 0])]) == (1, 1)
@@ -1165,6 +1168,13 @@ NON_INT_CALLS = {
     "algebra-True": lambda a: build_model_algebra(True),
     "algebra-float": lambda a: build_model_algebra(3.0),
     "report-True": lambda a: verify_model_properties(True),
+    "resolution-float": lambda a: minimal_projective_resolution(a, standard(a, 3), 2.5),
+    "resolution-True": lambda a: minimal_projective_resolution(a, standard(a, 3), True),
+    "ext_groups-float": lambda a: ext_groups(a, standard(a, 3), simple(a, 3), 1.0),
+    "ext_groups-True": lambda a: ext_groups(a, standard(a, 3), simple(a, 3), True),
+    "ext_to_simple-degree-True": lambda a: ext_to_simple(a, projective(a, 2), 2, True),
+    "multiplicity-degree-True": lambda a: minimal_projective_resolution(
+        a, projective(a, 2), 2).multiplicity(True, 2),
 }
 
 
@@ -1172,7 +1182,9 @@ NON_INT_CALLS = {
 def test_vertices_and_vertex_counts_must_be_ints(name):
     # formerly True passed for 1: projective gave P_1, tilting P_2, standard
     # found the stored Delta_1, ext_to_simple read vertex 1 and the report
-    # printed "n_vertices": true; a float vertex raised TypeError
+    # printed "n_vertices": true; a float vertex raised TypeError.  Term and
+    # degree counts likewise: 2.5 terms gave 3, True degrees answered as 1
+    # and a float degree raised TypeError
     alg = build_model_algebra(3)
     assert [standard(alg, i).lo for i in (1, 2, 3)] == [1, 2, 3]
     with pytest.raises(ValueError, match="not an int"):
@@ -1341,7 +1353,7 @@ def _dense_verify(m):
             rhs = el.zeros(m.dim_at(a.tgt[x]), m.dim_at(a.src[y]))
         else:
             rhs = m.actions[z]
-        if not el.mat_eq(lhs, rhs):
+        if lhs != rhs:
             return False
     return True
 
