@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .diagnostics import (
     Parameter,
     _Irrational,
-    _check_nr,
     as_parameter,
     has_finite_dimensional_rep,
     has_finite_global_dimension,
@@ -32,6 +31,7 @@ from .partitions import (
     Multipartition,
     Partition,
     _check_modulus,
+    _check_nr,
     _quotient_size,
     check_partition,
     hooks,

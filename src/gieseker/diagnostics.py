@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InvariantError
-from .partitions import enumerate_compositions
+from .partitions import _check_nr, enumerate_compositions
 
 
 class _Irrational:
@@ -259,9 +259,3 @@ def diagnose(n: int, r: int, lam: Parameter) -> DiagnosticsReport:
         ideal_count=ideal_count,
     )
 
-
-def _check_nr(n: int, r: int) -> None:
-    if type(n) is not int or type(r) is not int:  # True would pass for 1
-        raise ValueError(f"n and r must be ints, not {n!r} and {r!r}")
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")

@@ -28,7 +28,7 @@ from .diagnostics import (
     has_finite_global_dimension,
     reduced_denominator,
 )
-from .partitions import Partition, check_partition, enumerate_partitions
+from .partitions import Partition, _check_nr, check_partition, enumerate_partitions
 
 LeafLabel = Partition  # unordered collection of positive ints, stored sorted desc
 
@@ -60,8 +60,7 @@ def leaf_dimension(leaf: LeafLabel, n: int, r: int, reduced: bool = True) -> int
     leaf = check_partition(leaf)
     if sum(leaf) > n:
         raise ValueError("leaf collection exceeds total n")
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    _check_nr(n, r)
     dim = (2 * r * n - 2) - sum(2 * r * a - 2 for a in leaf)
     return dim if reduced else dim + 2
 
@@ -90,8 +89,7 @@ def ideal_chain(n: int, r: int, lam: Parameter) -> IdealChain:
     sitting over the leaf with i collection entries equal to m.  Variety
     dimensions use the reduced convention and are only defined for r >= 2.
     """
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    _check_nr(n, r)
     lam = as_parameter(lam)
     m = reduced_denominator(lam)
     if not has_finite_global_dimension(n, r, lam):

@@ -225,14 +225,20 @@ def hook_partition(n: int, d: int) -> Partition:
     return (n + 1 - d,) + (1,) * (d - 1)
 
 
+def _check_nr(n: int, r: int) -> None:  # every (n, r) entry point's check
+    if type(n) is not int or type(r) is not int:  # True would pass for 1
+        raise ValueError(f"n and r must be ints, not {n!r} and {r!r}")
+    if n < 1 or r < 1:
+        raise ValueError("need n >= 1 and r >= 1")
+
+
 def hooks(n: int, r: int) -> list[Hook]:
     """All rn hook labels, slot-major with leg descending within each slot.
 
     h[1,n], ..., h[1,1], h[2,n], ..., h[r,1]: this is the linear order on the
     block poset, largest first.
     """
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    _check_nr(n, r)
     return [Hook(n, r, i, d) for i in range(1, r + 1) for d in range(n, 0, -1)]
 
 

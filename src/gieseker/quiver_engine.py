@@ -30,14 +30,14 @@ starting and ending there, so it is built and checked in O(N).  The path
 basis spans the algebra, so the paths acting on a submodule's seeds span it,
 and a resolution keeps each differential as the images of its generators.
 
-Each ``ModelAlgebra`` builds every sum of projectives and every standard
-once.  A process computes one resolution step, one standard quotient, one
-``verify``, one ``delta_multiplicities`` and one Hom-complex Ext per
-translation class (``QuiverModule.key``), for every algebra it builds:
-moving a module along the quiver sets a new lo, and the one memo holds
-local data only, so no report re-derives what an earlier one computed.  A
-truncated resolution places no kernel for its last term; modules are never
-mutated.
+Each ``ModelAlgebra`` builds every sum of projectives, standard and
+costandard once.  A process computes one resolution step, one standard
+quotient, one ``verify``, one ``delta_multiplicities`` and one Hom-complex
+Ext per translation class (``QuiverModule.key``), for every algebra it
+builds: moving a module along the quiver sets a new lo, and the one memo
+holds local data only, so no report re-derives what an earlier one
+computed.  A resolution walks class keys, building a kernel module only on
+a miss, and places no kernel for its last term; modules are never mutated.
 """
 
 from __future__ import annotations
@@ -108,9 +108,10 @@ class ModelAlgebra:
             [(g, self.tgt[g] - 1) for g in starts if labels[g][0] == "a"]
             for starts in self._starting
         ]
-        # sums by generator vertices, standards by vertex
+        # sums by generator vertices, standards and costandards by vertex
         self._sums: dict[tuple[int, ...], ProjectiveSum] = {}
         self._standards: dict[int, QuiverModule] = {}
+        self._costandards: dict[int, QuiverModule] = {}
 
     def _mult_labels(self, xl: Label, yl: Label) -> Label | None:
         if xl[0] == "e":
@@ -144,15 +145,20 @@ class ModelAlgebra:
     def is_associative(self) -> bool:
         """(xy)z = x(yz) for every basis triple.  Only composable pairs extend
         to triples: associativity with the idempotents forces each product to
-        keep the outer endpoints, so any other triple is zero on both sides."""
-        prod = self.table.get
+        keep the outer endpoints, so any other triple is zero on both sides.
+        A zero product has no table entry, so it multiplies to zero."""
+        by_left = [{} for _ in self.labels]  # x -> {y: xy}, read off the table
+        for (x, y), xy in self.table.items():
+            by_left[x][y] = xy
+        # each y's right products (z, yz), over the z ending where y starts
+        rights = [[(z, by_left[y].get(z)) for z in self._ending[s - 1]]
+                  for y, s in enumerate(self.src)]
         for x, y in self.composable:
-            xy = prod((x, y))
-            for z in self._ending[self.src[y] - 1]:
-                yz = prod((y, z))
-                left = prod((xy, z)) if xy is not None else None
-                right = prod((x, yz)) if yz is not None else None
-                if left != right:
+            row = by_left[x]
+            xy = row.get(y)
+            row_xy = by_left[xy] if xy is not None else {}
+            for z, yz in rights[y]:
+                if row_xy.get(z) != row.get(yz):
                     return False
         return True
 
@@ -177,16 +183,17 @@ class ModelAlgebra:
                 return False
         # loops annihilate every arrow and loop; a pair that is not composable
         # has no table entry
+        kind = [lab[0] for lab in self.labels]
         for x, y in self.composable:
-            kinds = {self.labels[x][0], self.labels[y][0]}
+            kinds = (kind[x], kind[y])
             if "loop" in kinds and "e" not in kinds and prod(x, y) is not None:
                 return False
         # Hom-space dimensions: 1 off-diagonal at distance one, dual numbers on
-        # the diagonal past the first vertex, zero further away
+        # the diagonal past the first vertex (e_j and l_j), zero further away;
+        # compared as the sorted targets of the paths from j
         for j in range(1, self.N + 1):
-            want = {i: 1 for i in (j - 1, j + 1) if 1 <= i <= self.N}
-            want[j] = 1 if j == 1 else 2
-            if Counter(self.tgt[b] for b in self.path_basis(j)) != want:
+            want = [i for i in (j - 1, j, j if j >= 2 else 0, j + 1) if 1 <= i <= self.N]
+            if sorted(self.tgt[b] for b in self.path_basis(j)) != want:
                 return False
         return True
 
@@ -199,13 +206,13 @@ class ModelAlgebra:
 
     def opposite_swap_is_antiautomorphism(self) -> bool:
         # the swap reverses endpoints: non-composable pairs stay non-composable
-        prod, swap = self.table.get, self.swap
+        prod, swap = self.table.get, [self.swap(b) for b in range(self.dim)]
         for x, y in self.composable:
             xy = prod((x, y))
-            yx = prod((swap(y), swap(x)))
+            yx = prod((swap[y], swap[x]))
             if (xy is None) != (yx is None):
                 return False
-            if xy is not None and swap(xy) != yx:
+            if xy is not None and swap[xy] != yx:
                 return False
         return True
 
@@ -488,7 +495,11 @@ def dual_module(module: QuiverModule) -> QuiverModule:
 
 
 def costandard(algebra: ModelAlgebra, i: int) -> QuiverModule:
-    return dual_module(standard(algebra, i))
+    """Nabla(p_i), the dual of Delta(p_i), built once per algebra."""
+    delta = standard(algebra, i)  # checks i
+    if i not in algebra._costandards:
+        algebra._costandards[i] = dual_module(delta)
+    return algebra._costandards[i]
 
 
 def tilting(algebra: ModelAlgebra, i: int) -> QuiverModule:
@@ -606,15 +617,17 @@ def _once(key: tuple, fn, *args):
     return value
 
 
-def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule) -> tuple:
-    """One step of a minimal resolution of the nonzero ``module``, as local
-    data: its top generators as (offset from lo, coordinate), the basis
-    columns in its projective cover P of the kernel, at the kernel's
-    vertices lo..hi, and the kernel's offset from lo, dims and arrow
-    matrices, or None if the kernel is zero.  P_v lives on [v - 1, v + 1],
-    so the step reads the algebra on [lo - 1, hi + 1] only, and a resolution
-    computes it once per process for each ``module.key``."""
-    lo, tops = module.lo, top_generators(module)
+def _syzygy_step(algebra: ModelAlgebra, lo: int, dims, act: dict[int, Matrix]) -> tuple:
+    """One step of a minimal resolution of the nonzero module with this
+    local data, as local data: its top generators as (offset from lo,
+    coordinate), the basis columns in its projective cover P of the kernel,
+    at the kernel's vertices lo..hi, dim P, and the kernel's offset from lo,
+    arrow matrices and class key without its two end flags, or None if the
+    kernel is zero.  P_v lives on [v - 1, v + 1], so the step reads the
+    algebra on [lo - 1, hi + 1] only, and a resolution computes it once per
+    process for each class key; the module is built here, on a miss only."""
+    module = QuiverModule(algebra, lo, dims, act)
+    tops = top_generators(module)
     ps = _projective_sum(algebra, tuple(v for v, _ in tops))
     cov = cover_map(ps, module, [(v, _unit(module.dim_at(v), t)) for v, t in tops])
     # the cover is onto, so the module's support lies in P's; off it, ker = P
@@ -624,8 +637,8 @@ def _syzygy_step(algebra: ModelAlgebra, module: QuiverModule) -> tuple:
     ]
     kernel = _restrict(ps.module, incl)
     p0 = kernel.lo - ps.module.lo  # keep the inclusions at the kernel's vertices
-    return ([(v - lo, t) for v, t in tops], incl[p0 : p0 + len(kernel._dims)],
-            (kernel.lo - lo, kernel._dims, kernel._act) if kernel._dims else None)
+    return ([(v - lo, t) for v, t in tops], incl[p0 : p0 + len(kernel._dims)], ps.module.total_dim,
+            (kernel.lo - lo, kernel._act, kernel.key[2:]) if kernel._dims else None)
 
 
 def minimal_projective_resolution(
@@ -633,22 +646,26 @@ def minimal_projective_resolution(
 ) -> Resolution:
     """The first ``max_terms`` terms of a minimal projective resolution of
     ``module``, with no kernel placed for the last: each cover is onto, so
-    dim Omega = dim P - dim M tells whether the resolution ends."""
+    dim Omega = dim P - dim M tells whether the resolution ends.  It walks
+    class keys, a stored kernel's key with the end flags of its new lo being
+    the next step's, and builds no kernel module unless a step is computed."""
     _check_inputs(algebra, module, max_terms=max_terms)
-    gens, images, keys = [], [], []  # per term: generator vertices, their images, cur's key
-    cur, left = module, module.total_dim  # the module to cover next, its dim
-    incl_prev = None  # cur's basis columns in the previous term, on cur's [lo, hi]
+    gens, images, keys = [], [], []  # per term: generator vertices, their images, the key covered
+    # the module to cover next, its dim and its basis columns in the previous term
+    lo, dims, act, key = module.lo, module._dims, module._act, module.key
+    left, incl_prev = module.total_dim, None
     while left and len(gens) < max_terms:
-        keys.append(cur.key)
-        tops, incl, kernel = _once((_STEP, cur.key), _syzygy_step, algebra, cur)
-        # generator (r, t) goes to coordinate t of cur at lo + r, in the previous term
-        images.append([(cur.lo + r, _unit(cur._dims[r], t) if incl_prev is None else
+        keys.append(key)
+        tops, incl, cover, kernel = _once((_STEP, key), _syzygy_step, algebra, lo, dims, act)
+        # generator (r, t) goes to coordinate t at lo + r, in the previous term
+        images.append([(lo + r, _unit(dims[r], t) if incl_prev is None else
                         list(incl_prev[r][t])) for r, t in tops])
-        gens.append(tuple(cur.lo + r for r, _ in tops))
-        left = sum(len(algebra.path_basis(v)) for v in gens[-1]) - left
+        gens.append(tuple(lo + r for r, _ in tops))
+        left = cover - left
         if left and len(gens) < max_terms:
-            at, dims, act = kernel
-            cur, incl_prev = QuiverModule(algebra, cur.lo + at, dims, act), incl
+            at, act, tail = kernel
+            lo, dims, incl_prev = lo + at, tail[0], incl
+            key = (lo == 1, lo + len(dims) - 1 == algebra.N, *tail)
     return Resolution(algebra, module, gens, images, not left, (*keys, max_terms))
 
 
@@ -908,6 +925,7 @@ def verify_model_properties(n_vertices: int) -> dict:
     # reference counting free them now rather than at a later cycle collection
     a._sums.clear()
     a._standards.clear()
+    a._costandards.clear()
     all_pass = all(checks.values())
     return {"n_vertices": n, "checks": checks, "report": report, "all_pass": all_pass}
 

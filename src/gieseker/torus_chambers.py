@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import RegimeError
-from .partitions import count_partitions, enumerate_compositions
+from .partitions import _check_nr, count_partitions, enumerate_compositions
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def walls(n: int, r: int) -> WallSet:
     1 + r(r-1)/2 * (2n-1) forms, pairwise non-proportional by construction
     (distinct (i, j, s) give distinct forms), so none coincide.
     """
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    _check_nr(n, r)
     forms = (Wall("k_zero"),) + tuple(
         Wall("pair", i, j, s)
         for i in range(1, r + 1)

@@ -37,7 +37,9 @@ from gieseker import (
     size,
     transpose,
 )
+from gieseker.ideal_lattice import ideal_chain, leaf_dimension
 from gieseker.partitions import _quotient_size
+from gieseker.torus_chambers import walls
 
 
 # ---------------------------------------------------------------- oracles
@@ -386,3 +388,30 @@ def test_parse_partition_rejects_increasing():
 def test_format_parse_round_trip_enumerated(n):
     for lam in enumerate_partitions(n):
         assert parse_partition(format_partition(lam)) == lam
+
+
+# every (n, r) entry point checks both with partitions._check_nr: ints >= 1,
+# so True no longer answers as 1 and a float no longer gets a bare TypeError
+NR_ENTRY_POINTS = {
+    "walls": walls,
+    "hooks": hooks,
+    "leaf_dimension": lambda n, r: leaf_dimension((), n, r),
+    "ideal_chain": lambda n, r: ideal_chain(n, r, Fraction(1, 2)),
+}
+BAD_NR = {
+    "True-n": (True, 1, "must be ints"),
+    "True-r": (2, True, "must be ints"),
+    "float-n": (2.0, 1, "must be ints"),
+    "float-r": (2, 1.0, "must be ints"),
+    "zero-n": (0, 2, "need n >= 1 and r >= 1"),
+    "zero-r": (2, 0, "need n >= 1 and r >= 1"),
+    "negative-r": (3, -1, "need n >= 1 and r >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NR)
+@pytest.mark.parametrize("entry", NR_ENTRY_POINTS)
+def test_entry_points_check_n_and_r(entry, case):
+    n, r, message = BAD_NR[case]
+    with pytest.raises(ValueError, match=message):
+        NR_ENTRY_POINTS[entry](n, r)

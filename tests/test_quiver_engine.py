@@ -16,7 +16,9 @@ modules and resolutions, and the memo shared by every report of a process
 on that route's cold memo of one algebra; every stored class result
 (resolution step, standard quotient, module check, standard multiplicities,
 Hom-complex Ext) on the same computation run afresh, and at every placement
-of its class.
+of its class; the keys a resolution walks on the keys of the modules built
+from the same data; and the three algebra checks on their N-length copies
+over single-entry corruptions of the multiplication table.
 """
 
 import ast
@@ -412,6 +414,15 @@ def test_dual_module_is_involutive_on_dims(alg3):
         assert is_isomorphic(dd, m)
 
 
+def test_k0_check_reads_the_stored_costandards(monkeypatch):
+    # each costandard is dualized once per algebra; the check dualizes none
+    alg = build_model_algebra(6)
+    nablas = [costandard(alg, i) for i in range(1, 7)]
+    monkeypatch.setattr(qe, "dual_module", None)
+    assert k0_class_check(alg)
+    assert all(costandard(alg, i) is m for i, m in enumerate(nablas, 1))
+
+
 def test_k0_classes():
     for n in (1, 2, 3, 4, 5, 6):
         assert k0_class_check(build_model_algebra(n))
@@ -501,6 +512,8 @@ def test_projectives_and_standards_built_once_per_algebra():
     for i in range(1, 5):
         assert projective(alg, i) is projective(alg, i)
         assert standard(alg, i) is standard(alg, i)
+        assert costandard(alg, i) is costandard(alg, i)
+        assert _same_module(costandard(alg, i), dual_module(standard(alg, i)))
     assert tilting(alg, 2) is projective(alg, 3)
     assert tilting(alg, 4) is standard(alg, 4)
     # a fresh algebra builds its own copies
@@ -839,6 +852,64 @@ def test_is_associative_detects_corrupted_table():
     assert not alg.is_associative()
 
 
+ALGEBRA_CHECKS = ("is_associative", "relations_hold", "opposite_swap_is_antiautomorphism")
+
+
+def _table_corruptions(alg, rng):
+    # single-entry changes of the table: each entry deleted, and redirected
+    # to its swap and to two seeded other basis elements; and each composable
+    # pair without an entry given one
+    for pair, z in sorted(alg.table.items()):
+        yield pair, None
+        for other in sorted({alg.swap(z), *rng.choices(range(alg.dim), k=2)} - {z}):
+            yield pair, other
+    for pair in alg.composable:
+        if pair not in alg.table:
+            yield pair, rng.randrange(alg.dim)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_algebra_checks_match_the_n_length_copies_on_corrupted_tables(n):
+    # the three checks read per-element data built once per call; on every
+    # corruption they give the booleans of the unchanged copies in
+    # n_length_engine, which read the table pair by pair
+    rng = random.Random(n)
+    got_alg, want_alg = build_model_algebra(n), nl.build_model_algebra(n)
+    assert got_alg.table == want_alg.table
+    rejected = Counter()
+    for pair, z in _table_corruptions(got_alg, rng):
+        saved = got_alg.table.get(pair)
+        for alg in (got_alg, want_alg):
+            if z is None:
+                del alg.table[pair]
+            else:
+                alg.table[pair] = z
+        got = [getattr(got_alg, name)() for name in ALGEBRA_CHECKS]
+        assert got == [getattr(want_alg, name)() for name in ALGEBRA_CHECKS], (pair, z)
+        rejected.update(name for name, ok in zip(ALGEBRA_CHECKS, got) if not ok)
+        for alg in (got_alg, want_alg):
+            if saved is None:
+                del alg.table[pair]
+            else:
+                alg.table[pair] = saved
+    assert got_alg.table == want_alg.table
+    # every check rejects some corruption, wherever the table has entries
+    assert n == 1 or set(rejected) == set(ALGEBRA_CHECKS), rejected
+
+
+def test_opposite_swap_check_detects_corrupted_table():
+    ix = build_model_algebra(3).index
+    e2, a12, a21 = ix[("e", 2)], ix[("a", 1, 2)], ix[("a", 2, 1)]
+    # e_2 a(2,1) = a(1,2), while its mirror a(1,2) e_2 = a(1,2) is not its swap
+    alg = build_model_algebra(3)
+    alg.table[(e2, a21)] = a12
+    assert not alg.opposite_swap_is_antiautomorphism()
+    # e_2 a(2,1) = 0, while its mirror stays nonzero
+    alg = build_model_algebra(3)
+    del alg.table[(e2, a21)]
+    assert not alg.opposite_swap_is_antiautomorphism()
+
+
 def test_cover_map_rejects_image_at_wrong_vertex(alg3):
     ps = ProjectiveSum(alg3, (2,))
     with pytest.raises(ValueError):
@@ -866,10 +937,33 @@ def _verify_all_composable_pairs(m):
     return True
 
 
+def _report_families(monkeypatch):
+    # every projective, standard, costandard, tilting and simple the engine
+    # hands out, in call order
+    made = []
+    for name in ("projective", "standard", "costandard", "tilting", "simple"):
+
+        def recording(alg, i, _fn=getattr(qe, name)):
+            made.append(_fn(alg, i))
+            return made[-1]
+
+        monkeypatch.setattr(qe, name, recording)
+    return made
+
+
+def _all_recorded(made, built, n):
+    # the report's 4N - 1 distinct family modules (the tiltings are
+    # projectives or the last standard, and Delta_1 is P_1), each built
+    # while the constructor was recorded
+    ids = {id(m) for m in made}
+    return len(ids) == 4 * n - 1 and ids <= {id(m) for m in built}
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_verify_arrow_pairs_matches_all_pairs_on_report_modules(n, monkeypatch):
     # every module verify_model_properties builds: projectives, standards,
-    # costandards, simples, trace submodules, quotients and resolution kernels
+    # costandards, simples, trace submodules, quotients, and the modules of
+    # the steps and Ext groups it computes rather than reads
     built = []
     init = QuiverModule.__init__
 
@@ -877,9 +971,10 @@ def test_verify_arrow_pairs_matches_all_pairs_on_report_modules(n, monkeypatch):
         init(self, *args)
         built.append(self)
 
+    made = _report_families(monkeypatch)
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     assert verify_model_properties(n)["all_pass"]
-    assert len(built) > 4 * n
+    assert _all_recorded(made, built, n)
     for m in built:
         assert m.verify() and _verify_all_composable_pairs(m), m.dims
 
@@ -1089,9 +1184,10 @@ def test_report_modules_have_int_arrow_matrices(n, monkeypatch):
         init(self, *args)
         built.append(self)
 
+    made = _report_families(monkeypatch)
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     assert verify_model_properties(n)["all_pass"]
-    assert len(built) > 4 * n
+    assert _all_recorded(made, built, n)
     for m in built:
         for mat in m.act.values():
             assert all(type(x) is int for row in mat for x in row), m.dims
@@ -1136,7 +1232,7 @@ def test_report_builds_each_action_once_and_empties_the_caches(monkeypatch):
         _, lo, dims, _ = parts_of[key]
         ends = [alg.src[b] - lo, alg.tgt[b] - lo]
         assert all(0 <= p < len(dims) and dims[p] for p in ends), (lo, dims, alg.labels[b])
-    assert alg._sums == {} and alg._standards == {} and _plain_data(qe._RESULTS)
+    assert alg._sums == alg._standards == alg._costandards == {} and _plain_data(qe._RESULTS)
 
 
 def test_action_cache_holds_no_reference_to_its_module():
@@ -1383,6 +1479,17 @@ def _translation_class(module):
     return lo == 0, hi == len(dims) - 1, dims[lo : hi + 1], moved
 
 
+_MODULE_INIT = QuiverModule.__init__  # the constructor no test has wrapped
+
+
+def _step_module(args):
+    # the module whose step ``_once`` reads, from its arguments (algebra, lo,
+    # dims, act), built without any recording constructor
+    module = QuiverModule.__new__(QuiverModule)
+    _MODULE_INIT(module, *args)
+    return module
+
+
 def _all_int(module):
     return all(type(x) is int for mat in module.act.values() for row in mat for x in row)
 
@@ -1432,9 +1539,9 @@ def test_sparse_route_matches_dense_route_on_report_modules(n, monkeypatch):
     stepped = []
     step = qe._syzygy_step
 
-    def recording_step(alg, module):
-        stepped.append(_translation_class(module))
-        return step(alg, module)
+    def recording_step(*args):
+        stepped.append(_translation_class(_step_module(args)))
+        return step(*args)
 
     monkeypatch.setattr(qe, "_restrict", checked_restrict)
     monkeypatch.setattr(qe, "quotient", checked_quotient)
@@ -1602,9 +1709,9 @@ def test_shared_steps_match_plain_resolution(n, monkeypatch):
     steps, covered = [], 0
     step = qe._syzygy_step
 
-    def counting_step(a, module):
-        steps.append(module.key)
-        return step(a, module)
+    def counting_step(*args):
+        steps.append(_step_module(args).key)
+        return step(*args)
 
     monkeypatch.setattr(qe, "_syzygy_step", counting_step)
     for make in (standard, tilting, projective, costandard, simple):
@@ -1669,9 +1776,9 @@ def test_report_computes_each_step_once(monkeypatch):
             reads.append(key)
         return once(key, fn, *args)
 
-    def counting_step(a, module):
-        computed.append((qe._STEP, module.key))
-        return step(a, module)
+    def counting_step(*args):
+        computed.append((qe._STEP, _step_module(args).key))
+        return step(*args)
 
     monkeypatch.setattr(qe, "_once", counting_once)
     monkeypatch.setattr(qe, "_syzygy_step", counting_step)
@@ -1794,7 +1901,7 @@ def _class_results(alg, module):
     # standards; a zero quotient, which sits at vertex 1, counts as None
     qe._RESULTS.clear()
     alg._standards.clear()
-    step, ok = qe._syzygy_step(alg, module), module._verify()
+    step, ok = qe._syzygy_step(alg, module.lo, module._dims, module._act), module._verify()
     mults, quotient = qe._layer_multiplicities(alg, module), qe._standard_quotient(module)
     return step, ok, mults, quotient if quotient[1] else None
 
@@ -1811,7 +1918,8 @@ def test_class_results_agree_at_every_placement(n, monkeypatch):
 
     def recording_once(key, fn, *args):
         if key[0] in (qe._STEP, qe._DELTA):
-            modules.setdefault(args[1].key, args[1])
+            module = _step_module(args) if key[0] == qe._STEP else args[1]
+            modules.setdefault(module.key, module)
         return once(key, fn, *args)
 
     def recording_verify(self):
@@ -1899,6 +2007,71 @@ def test_stored_zero_kernel_builds_no_module(monkeypatch):
     assert res.key == first.key == (p5.key, 3)
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_walked_keys_are_the_keys_of_the_stepped_modules(n, monkeypatch):
+    # every step a report reads, the module's own and each kernel's: the key
+    # the walk carries (a stored kernel key and the end flags of its new lo)
+    # is the key of the module built from the same lo, dims and arrows
+    once, reads = qe._once, []
+
+    def checked_once(key, fn, *args):
+        if key[0] == qe._STEP:
+            module = _step_module(args)
+            assert key[1] == module.key, (module.lo, module._dims)
+            reads.append(module.lo)
+        return once(key, fn, *args)
+
+    monkeypatch.setattr(qe, "_once", checked_once)
+    assert verify_model_properties(n)["all_pass"]
+    # reads at vertex 1, at N and in between, wherever n allows
+    assert reads and {1, n} <= set(reads) and (n < 3 or set(reads) - {1, n})
+
+
+def test_a_warm_report_builds_no_module_in_a_resolution(monkeypatch):
+    # a second report at N = 16 reads every step from the memo, so its
+    # resolutions walk class keys and build no QuiverModule at all
+    assert verify_model_properties(16)["all_pass"]
+    depth, built = [0], []
+    init, resolve = QuiverModule.__init__, qe.minimal_projective_resolution
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(depth[0])
+
+    def counted_resolve(*args):
+        depth[0] += 1
+        try:
+            return resolve(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(QuiverModule, "__init__", recording_init)
+    monkeypatch.setattr(qe, "minimal_projective_resolution", counted_resolve)
+    assert verify_model_properties(16)["all_pass"]
+    assert built and not any(built)
+
+
+def test_a_model_block_pass_builds_at_most_1353_modules(monkeypatch):
+    # the 42 reports of the benchmark's model_block pass at seed 1 (the
+    # ladder of perfbench/workloads.py), from an empty memo as in the fresh
+    # interpreter of a pass: 2,733 modules when each resolution built its
+    # kernels, 1,298 when it walks class keys
+    ladder = list(range(2, 17)) + list(range(2, 7)) * 2 + [7] * 12 + [13] * 5
+    random.Random("model_block:1").shuffle(ladder)
+    built = [0]
+    init = QuiverModule.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        built[0] += 1
+
+    monkeypatch.setattr(qe, "_RESULTS", {})
+    monkeypatch.setattr(QuiverModule, "__init__", counting_init)
+    for n in ladder:
+        assert verify_model_properties(n)["all_pass"], n
+    assert built[0] <= 1353, built[0]
+
+
 # The step memo before it was keyed by translation class: one step per
 # content, a module's dims and live arrow matrices, and the resolution loop
 # walking those steps, on the N-length route.
@@ -1945,16 +2118,19 @@ def test_translation_keyed_steps_match_content_keyed_steps(n, monkeypatch):
         got = once(key, fn, *args)
         if key[0] != qe._STEP:
             return got
-        alg, module = args
-        tops, incl, kernel = got
-        _, want_tops, want_incl, want_syzygy = _content_keyed_step(alg, module, memo)
+        alg, module = args[0], _step_module(args)
+        tops, incl, cover, kernel = got
+        want_ps, want_tops, want_incl, want_syzygy = _content_keyed_step(alg, module, memo)
         assert [(module.lo + r, t) for r, t in tops] == want_tops, module.dims
+        assert cover == want_ps.module.total_dim, module.dims
         if kernel is None:  # the zero kernel that ends a resolution
             assert incl == [] and want_syzygy.total_dim == 0, module.dims
         else:
             # the engine keeps the inclusions at the kernel's vertices; off
             # them the kernel is zero
-            syzygy = QuiverModule(alg, module.lo + kernel[0], *kernel[1:])
+            at, act, tail = kernel
+            syzygy = QuiverModule(alg, module.lo + at, tail[0], act)
+            assert tail == syzygy.key[2:], module.dims
             lo, hi = syzygy.lo, syzygy.hi
             ps = _projective_sum(alg, tuple(v for v, _ in want_tops))
             got_incl = _n_length(ps.module, incl, lo)
@@ -2020,10 +2196,12 @@ def test_generators_only_last_terms_match_full_step_loop(n):
 
 @pytest.mark.parametrize("n", (3, 5, 8, 12))
 def test_report_computes_no_syzygy_of_a_last_term(n, monkeypatch):
-    # a resolution places the kernel of each term it goes on to cover, and
-    # none for its last term; each class's step is computed once per process,
-    # with one _restrict, its kernel's
+    # a resolution places the kernel of each term it goes on to cover, as the
+    # class key of its next step read, and none for its last term, building
+    # no module itself; each class's step is computed once per process, with
+    # one _restrict, its kernel's
     resolve, step, init = qe.minimal_projective_resolution, qe._syzygy_step, QuiverModule.__init__
+    once, reads = qe._once, [0]
     restricts, builders = [0], Counter()
     computed = []
 
@@ -2035,25 +2213,31 @@ def test_report_computes_no_syzygy_of_a_last_term(n, monkeypatch):
         init(self, *args)
         builders[sys._getframe(1).f_code.co_name] += 1
 
-    def recording_step(alg, module):
-        computed.append(module.key)
-        return step(alg, module)
+    def recording_step(*args):
+        computed.append(_step_module(args).key)
+        return step(*args)
+
+    def counting_once(key, fn, *args):
+        reads[0] += key[0] == qe._STEP
+        return once(key, fn, *args)
 
     def recording_resolve(alg, module, max_terms):
-        before = builders["minimal_projective_resolution"]
+        before = reads[0]
         res = resolve(alg, module, max_terms)
-        placed = builders["minimal_projective_resolution"] - before
+        placed = reads[0] - before - 1 if res.gens else 0  # the first read is the module's
         assert placed == max(len(res.gens) - 1, 0), module.dims
         return res
 
     monkeypatch.setattr(qe, "_restrict", counted_restrict)
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     monkeypatch.setattr(qe, "_syzygy_step", recording_step)
+    monkeypatch.setattr(qe, "_once", counting_once)
     monkeypatch.setattr(qe, "minimal_projective_resolution", recording_resolve)
     for _ in range(2):
         assert verify_model_properties(n)["all_pass"]
         assert len(set(computed)) == len(computed) == restricts[0]
     assert 0 < len(computed) <= 13
+    assert builders["minimal_projective_resolution"] == 0
 
 
 def test_each_resolution_owns_its_images():
@@ -2414,7 +2598,7 @@ def _recording(monkeypatch, engine):
         def recording_once(key, fn, *args):
             got = once(key, fn, *args)
             if key[0] == qe._STEP:
-                module = args[1]
+                module = _step_module(args)
                 stepped.append((_content(module), [(module.lo + r, t) for r, t in got[0]]))
             return got
 
