@@ -38,6 +38,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         raise _UsageError(message)
 
+    def _check_value(self, action, value) -> None:
+        # quote the choices on every Python build, as 3.10-3.12 do; later
+        # 3.12 and 3.13 releases list them unquoted
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})"
+            )
+
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))

@@ -5,6 +5,9 @@ sentinel; every classification below depends on lambda only through window
 conditions on its denominator.  A window "lam = s/m for some modulus
 1 <= m <= n" holds exactly when the reduced denominator of lam is at most n,
 so each test is O(1) in n.
+
+``CartanFactor`` and ``CartanSummand`` are named tuples, cheap to define and
+to build; ``DiagnosticsReport`` stays a dataclass (see the package docstring).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import InvariantError
 from .partitions import _check_nr, enumerate_compositions
@@ -160,8 +163,7 @@ def singular_set(n: int, r: int) -> list[Fraction]:
     return sorted(values)
 
 
-@dataclass(frozen=True)
-class CartanFactor:
+class CartanFactor(NamedTuple):
     """Rank-one tensor factor attached to slot ``slot`` of a composition."""
 
     slot: int  # 1-based position i in the composition
@@ -170,8 +172,7 @@ class CartanFactor:
     has_finite_dimensional_rep: bool
 
 
-@dataclass(frozen=True)
-class CartanSummand:
+class CartanSummand(NamedTuple):
     composition: tuple[int, ...]
     factors: tuple[CartanFactor, ...]
 

@@ -14,13 +14,17 @@ family an int over 2^k bits; antichain members stay frozensets.
 Conventions: the whole algebra is the EMPTY antichain (empty intersection);
 the zero ideal is the antichain {{}} whose single member is the empty set
 (empty sum).  Minimal-transversal duality swaps the two.
+
+``IdealChainEntry``, ``IdealChain`` and ``IdealAntichain`` are named tuples,
+cheap to define and to build (see the package docstring).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
+from typing import NamedTuple
 
 from .diagnostics import (
     Parameter,
@@ -65,15 +69,13 @@ def leaf_dimension(leaf: LeafLabel, n: int, r: int, reduced: bool = True) -> int
     return dim if reduced else dim + 2
 
 
-@dataclass(frozen=True)
-class IdealChainEntry:
+class IdealChainEntry(NamedTuple):
     index: int  # position i in the chain, 1-based from the smallest ideal
     leaf: LeafLabel  # i copies of the denominator
     variety_dim: int | None  # reduced convention; None when r = 1
 
 
-@dataclass(frozen=True)
-class IdealChain:
+class IdealChain(NamedTuple):
     n: int
     r: int
     denominator: int | None  # None = +infinity
@@ -109,8 +111,7 @@ def ideal_chain(n: int, r: int, lam: Parameter) -> IdealChain:
 Subset = frozenset[int]
 
 
-@dataclass(frozen=True)
-class IdealAntichain:
+class IdealAntichain(namedtuple("IdealAntichain", "k members form", defaults=["intersection"])):
     """An ideal of the k-fold tensor power, as the antichain of a set family.
 
     ``members`` are pairwise incomparable subsets of {1..k}.  The form tag
@@ -118,22 +119,23 @@ class IdealAntichain:
     over the members, or the sum of the basic products I^Lambda.
     """
 
-    k: int
-    members: frozenset[Subset]
-    form: str = "intersection"  # "intersection" | "sum"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __new__(cls, k: int, members: frozenset[Subset], form: str = "intersection"):
+        if k < 1:
             raise ValueError("need k >= 1")
-        if self.form not in ("intersection", "sum"):
-            raise ValueError(f"unknown form {self.form!r}")
-        for s in self.members:
-            if not all(isinstance(x, int) and 1 <= x <= self.k for x in s):
-                raise ValueError(f"member {sorted(s)} not within 1..{self.k}")
-        for a in self.members:
-            for b in self.members:
+        if form not in ("intersection", "sum"):
+            raise ValueError(f"unknown form {form!r}")
+        for s in members:
+            if not all(isinstance(x, int) and 1 <= x <= k for x in s):
+                raise ValueError(f"member {sorted(s)} not within 1..{k}")
+        for a in members:
+            for b in members:
                 if a != b and a <= b:
                     raise ValueError("members must be pairwise incomparable")
+        return super().__new__(cls, k, members, form)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def to_lists(self) -> list[list[int]]:
         return sorted([sorted(s) for s in self.members], key=lambda c: (len(c), c))

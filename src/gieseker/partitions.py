@@ -7,11 +7,14 @@ Conventions used throughout the package:
 * an r-multipartition is an r-tuple of partitions;
 * text form: parts joined by commas (``"8,6,1"``), empty partition ``"-"``,
   multipartition components joined by ``"|"`` (``"8,6,1|2|-"``).
+
+``Hook`` is a named tuple, cheap to define and to build (see the package
+docstring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 Partition = tuple[int, ...]
@@ -189,21 +192,20 @@ def quotient_size(lam: Partition, m: int) -> int:
     return size(q)
 
 
-@dataclass(frozen=True)
-class Hook:
+class Hook(namedtuple("Hook", "n r slot leg")):
     """Hook-shaped multipartition label: slot ``slot`` carries (n+1-d, 1^(d-1)).
 
     ``slot`` is 1-based in [1, r]; ``leg`` = d is in [1, n].
     """
 
-    n: int
-    r: int
-    slot: int
-    leg: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.slot <= self.r and 1 <= self.leg <= self.n):
+    def __new__(cls, n: int, r: int, slot: int, leg: int) -> Hook:
+        if not (1 <= slot <= r and 1 <= leg <= n):
             raise ValueError("hook indices out of range")
+        return super().__new__(cls, n, r, slot, leg)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     @property
     def shape(self) -> Partition:

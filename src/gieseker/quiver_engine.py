@@ -38,13 +38,16 @@ builds: moving a module along the quiver sets a new lo, and the one memo
 holds local data only, so no report re-derives what an earlier one
 computed.  A resolution walks class keys, building a kernel module only on
 a miss, and places no kernel for its last term; modules are never mutated.
+
+``Resolution`` and ``ExtResult`` are named tuples, cheap to define and to
+build (see the package docstring).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import exact_linalg as el
 from .errors import InvariantError
@@ -575,8 +578,7 @@ def cover_map(ps: ProjectiveSum, target: QuiverModule, images: list[tuple[int, V
     return mats
 
 
-@dataclass
-class Resolution:
+class Resolution(NamedTuple):
     """Minimal projective resolution data: ... -> P_1 -> P_0 -> M -> 0.
     ``images[t]`` holds d_t of each generator of P_t as ``cover_map`` takes
     it: a unit vector of M for t = 0, a vector of P_{t-1} after that."""
@@ -669,8 +671,7 @@ def minimal_projective_resolution(
     return Resolution(algebra, module, gens, images, not left, (*keys, max_terms))
 
 
-@dataclass(frozen=True)
-class ExtResult:
+class ExtResult(NamedTuple):
     dims: tuple[int, ...]  # dim Ext^k for k = 0..max_degree
     truncated: bool  # resolution ran past max_degree without terminating
 

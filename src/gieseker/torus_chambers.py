@@ -3,28 +3,36 @@
 A cocharacter nu = ((d_1, ..., d_r); k) acts on the framing torus and on the
 base plane; its fixed locus on the moduli space is finite exactly off a finite
 wall arrangement: the hyperplane k = 0 and the hyperplanes d_i - d_j = s*k
-with i < j and |s| < n.
+with i < j and |s| < n.  A listed arrangement holds at most MAX_LISTED_WALLS
+walls.
+
+``Cocharacter``, ``Wall`` and ``FixedComponent`` are named tuples, cheap to
+define and to build; ``WallSet`` stays a dataclass (see the package docstring).
 """
 
 from __future__ import annotations
 
+from collections import Counter, namedtuple
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
+from typing import NamedTuple
 
 from .errors import RegimeError
 from .partitions import _check_nr, count_partitions, enumerate_compositions
 
 
-@dataclass(frozen=True)
-class Cocharacter:
-    d: tuple[int, ...]
-    k: int
+class Cocharacter(namedtuple("Cocharacter", "d k")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.d) < 1:
+    def __new__(cls, d: tuple[int, ...], k: int) -> Cocharacter:
+        if len(d) < 1:
             raise ValueError("need at least one framing weight")
-        if not all(isinstance(x, int) for x in self.d) or not isinstance(self.k, int):
+        if not all(isinstance(x, int) for x in d) or not isinstance(k, int):
             raise ValueError("cocharacter entries must be integers")
+        return super().__new__(cls, d, k)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     @property
     def r(self) -> int:
@@ -49,8 +57,7 @@ def format_cocharacter(nu: Cocharacter) -> str:
     return ",".join(str(x) for x in nu.d) + f";{nu.k}"
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """Linear form on (d, k)-space: either k itself or d_i - d_j - s*k."""
 
     kind: str  # "k_zero" | "pair"
@@ -77,6 +84,8 @@ class Wall:
         return f"d{self.i}-d{self.j}={rhs}"
 
 
+# WallSet stays a dataclass, as do the reports of diagnostics and
+# category_o: perfbench/selfcheck.py rebuilds them with dataclasses.replace
 @dataclass(frozen=True)
 class WallSet:
     n: int
@@ -85,20 +94,33 @@ class WallSet:
     count_with_multiplicity: int
 
 
+# the most walls a list may hold: `walls 304 20` lists 115,331 (2.2 MB of
+# JSON), `walls 2000 40` would list 3,119,221
+MAX_LISTED_WALLS = 150_000
+
+
+def _check_listed(count: int, what: str) -> None:
+    if count > MAX_LISTED_WALLS:
+        raise ValueError(f"{what} has {count} walls, above MAX_LISTED_WALLS = {MAX_LISTED_WALLS}")
+
+
 def walls(n: int, r: int) -> WallSet:
     """The full wall arrangement for rank r at n points.
 
     1 + r(r-1)/2 * (2n-1) forms, pairwise non-proportional by construction
-    (distinct (i, j, s) give distinct forms), so none coincide.
+    (distinct (i, j, s) give distinct forms), so none coincide.  That count
+    is checked against MAX_LISTED_WALLS before any wall is built.
     """
     _check_nr(n, r)
+    count = 1 + r * (r - 1) // 2 * (2 * n - 1)
+    _check_listed(count, f"the arrangement at n = {n}, r = {r}")
     forms = (Wall("k_zero"),) + tuple(
         Wall("pair", i, j, s)
         for i in range(1, r + 1)
         for j in range(i + 1, r + 1)
         for s in range(-(n - 1), n)
     )
-    return WallSet(n, r, forms, 1 + r * (r - 1) // 2 * (2 * n - 1))
+    return WallSet(n, r, forms, count)
 
 
 def _walls_through(nu: Cocharacter, n: int):
@@ -125,8 +147,16 @@ def violated_walls(nu: Cocharacter, n: int) -> list[Wall]:
     """Walls the cocharacter lies on, in the order of ``walls(n, nu.r)``.
 
     Found by divisibility of d_i - d_j by k (see ``_walls_through``) without
-    building the arrangement.
+    building the arrangement, after their count is checked against
+    MAX_LISTED_WALLS: at k = 0, the k = 0 wall and 2n - 1 walls per pair of
+    equal weights; otherwise at most one wall per pair.
     """
+    k = nu.k
+    if k == 0:
+        count = 1 + (2 * n - 1) * sum(c * (c - 1) // 2 for c in Counter(nu.d).values())
+    else:
+        count = sum((a - b) % k == 0 and abs((a - b) // k) < n for a, b in combinations(nu.d, 2))
+    _check_listed(count, f"the list of walls through {format_cocharacter(nu)} at n = {n}")
     return list(_walls_through(nu, n))
 
 
@@ -175,8 +205,7 @@ def same_chamber(nu: Cocharacter, nu2: Cocharacter, n: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(NamedTuple):
     composition: tuple[int, ...]  # (n_1, ..., n_r), one Hilbert factor each
     dimension: int  # always 2n
     fixed_point_count: int  # product of partition counts of the n_i

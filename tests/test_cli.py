@@ -53,6 +53,31 @@ def test_exit_one_on_parse_error():
         assert code == 1, argv
 
 
+def test_invalid_choice_lists_the_choices_quoted():
+    # the same text on every Python build; later 3.12 and 3.13 releases of
+    # argparse drop the quotes
+    code, _, err = run(["frobnicate", "1"])
+    assert code == 1 and err == (
+        "error: argument subcommand: invalid choice: 'frobnicate' (choose from "
+        "'diagnose', 'walls', 'generic', 'poincare', 'supports', 'block', "
+        "'ideal-lattice', 'leaves', 'model-block')\n"
+    )
+    code, _, err = run(["ideal-lattice", "2", "--op", "union"])
+    assert code == 1 and err.startswith(
+        "error: argument --op: invalid choice: 'union' (choose from 'count', 'normalize', "
+    )
+
+
+def test_lists_of_walls_above_the_named_limit_exit_one():
+    for argv, count in (
+        (["walls", "2000", "40"], 3119221),
+        (["generic", "100000", "5,5;0"], 200000),
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f" has {count} walls, above MAX_LISTED_WALLS = 150000\n"), err
+
+
 def test_negative_fraction_positional():
     # "-1/2" must parse as a value, not be eaten as a flag
     payload = run_json(["diagnose", "2", "1", "-1/2"])

@@ -11,6 +11,7 @@ import random
 import pytest
 
 import gieseker.partitions as partitions
+import gieseker.torus_chambers as tc
 from gieseker import (
     Cocharacter,
     RegimeError,
@@ -147,6 +148,43 @@ def test_violated_walls_name_the_offenders():
     vio = violated_walls(Cocharacter((1, 0), 1), n=2)
     assert {str(w) for w in vio} == {"d1-d2=k"}
     assert violated_walls(Cocharacter((3, 0), 1), n=2) == []
+
+
+def test_each_list_is_checked_by_its_own_length(monkeypatch):
+    # the count checked before building is the list's length: a limit equal
+    # to it passes, one below it refuses
+    cases = [(lambda n=n, r=r: walls(n, r).walls) for n in range(1, 5) for r in range(1, 5)]
+    cases += [
+        (lambda n=n, nu=Cocharacter(d, k): violated_walls(nu, n))
+        for n in range(1, 4)
+        for d in itertools.product(range(-2, 3), repeat=3)
+        for k in range(-2, 3)
+    ]
+    for listed, want in [(listed, list(listed())) for listed in cases]:
+        monkeypatch.setattr(tc, "MAX_LISTED_WALLS", len(want))
+        assert list(listed()) == want
+        monkeypatch.setattr(tc, "MAX_LISTED_WALLS", len(want) - 1)
+        with pytest.raises(ValueError, match=f"has {len(want)} walls, above MAX_LISTED_WALLS"):
+            listed()
+
+
+def test_lists_above_the_named_limit_are_refused_before_a_wall_is_built(monkeypatch):
+    assert len(walls(304, 20).walls) == 115_331 <= tc.MAX_LISTED_WALLS
+    # the decisions list nothing and answer at every n
+    assert not is_generic(Cocharacter((5, 5), 0), 10**9)
+    assert same_chamber(Cocharacter((10**10, 0), 1), Cocharacter((3 * 10**10, 7), 3), 10**9)
+
+    def no_wall(*args):
+        raise AssertionError("a wall was built")
+
+    monkeypatch.setattr(tc, "Wall", no_wall)
+    for listed, count in (
+        (lambda: walls(2000, 40), 3_119_221),
+        (lambda: violated_walls(Cocharacter((5, 5), 0), 100_000), 200_000),
+        (lambda: violated_walls(Cocharacter((0,) * 600, 1), 2), 179_700),
+    ):
+        with pytest.raises(ValueError, match=f"has {count} walls, above MAX_LISTED_WALLS = "):
+            listed()
 
 
 def test_dominance_examples():
