@@ -14,7 +14,7 @@ it removes does not matter, as ``support_recursion_values`` proves.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .diagnostics import (
@@ -219,29 +219,62 @@ def legal_removals(sigma: Multipartition, m: int) -> list[tuple[int, int]]:
 
 
 def _legal_removals(sigma: Multipartition, m: int) -> Iterator[tuple[int, int]]:
-    """Removing a box from row i lowers lam_i - lam_{i+1} by one and raises
+    """Every legal removal, component by component, rows as ``_legal_rows``
+    gives them.  Legality reads a row's own component only, so a removal
+    leaves every other component's legal rows as they were, and the first
+    legal removal stays in one component until its legal rows run out:
+    until all its parts are divisible by m (the lemma in ``_legal_rows``).
+    """
+    for ci, comp in enumerate(sigma):
+        for row in _legal_rows(comp, m):
+            yield ci, row
+
+
+def _legal_rows(comp: Sequence[int], m: int) -> list[int]:
+    """Rows of one partition whose box removal keeps its quotient by m.
+
+    Removing a box from row i lowers lam_i - lam_{i+1} by one and raises
     lam_{i-1} - lam_i by one; the quotient's closed form (see
     divide_with_remainder) is unchanged iff neither floor by m moves:
     (lam_i - lam_{i+1}) mod m != 0 and, for i > 0, (lam_{i-1} - lam_i + 1)
     mod m != 0.  The first test also makes row i a corner, and no row passes
     it when the remainder is empty (every part divisible by m).
 
-    So a legal removal exists whenever some part is not divisible by m: in
-    its component the first row i with (lam_i - lam_{i+1}) mod m != 0 exists,
-    as every lam_j is a sum of those differences, and is legal, as for i > 0
-    m divides lam_{i-1} - lam_i, so (lam_{i-1} - lam_i + 1) mod m = 1.
+    So a legal removal exists whenever some part is not divisible by m: the
+    first row i with (lam_i - lam_{i+1}) mod m != 0 exists, as every lam_j
+    is a sum of those differences, and is legal, as for i > 0 m divides
+    lam_{i-1} - lam_i, so (lam_{i-1} - lam_i + 1) mod m = 1.
     """
-    for ci, comp in enumerate(sigma):
-        for row, part in enumerate(comp):
-            below = comp[row + 1] if row + 1 < len(comp) else 0
-            if (part - below) % m and (row == 0 or (comp[row - 1] - part + 1) % m):
-                yield ci, row
+    rows, above = [], None
+    for row, part in enumerate(comp):
+        below = comp[row + 1] if row + 1 < len(comp) else 0
+        if (part - below) % m and (above is None or (above - part + 1) % m):
+            rows.append(row)
+        above = part
+    return rows
 
 
 def _remove(sigma: Multipartition, ci: int, row: int) -> Multipartition:
+    # one removal on a whole multipartition, for searches over every path;
+    # ``_walk`` edits its components in place instead
     comp = sigma[ci]
     kept = (comp[row] - 1,) if comp[row] > 1 else ()
     return sigma[:ci] + (comp[:row] + kept + comp[row + 1 :],) + sigma[ci + 1 :]
+
+
+def _walk(comps: list[list[int]], m: int, total: int) -> Iterator[tuple[int, int]]:
+    """Remove the first legal box from ``comps`` (lists of parts holding
+    ``total`` boxes) in place, yielding (component, row), until fewer than
+    m boxes or no legal removal is left."""
+    for ci, comp in enumerate(comps):
+        while total >= m and (rows := _legal_rows(comp, m)):
+            row = rows[0]
+            if comp[row] > 1:
+                comp[row] -= 1
+            else:  # a legal part 1 has no part below it: the last row
+                del comp[row]
+            total -= 1
+            yield ci, row
 
 
 def _checked_recursion_input(
@@ -279,17 +312,22 @@ def support_dimension_recursive(
     by m (empty remainder), the first component contributes |q^(1)| and every
     other component |q^(i)| * rm; otherwise remove one legal box (any choice
     gives the same value) and add r.  sigma is validated once, here.
-    The ``InvariantError`` is unreachable, since ``_legal_removals`` yields a
-    box off an end state; it stays to catch a change to the removal rule.
+
+    The path removes the first legal box each time: by ``_legal_removals``
+    the legal rows of the first component, then of the second, and so on,
+    so ``_walk`` takes it one mutable component at a time.  The
+    ``InvariantError`` is unreachable, since a legal box exists off an end
+    state; it stays to catch a change to the removal rule.
     """
     sigma = _checked_recursion_input(n, r, m, sigma)
+    comps = [list(comp) for comp in sigma]
     removed = 0
-    while (value := _end_value(n - removed, r, m, sigma)) is None:
-        choice = next(_legal_removals(sigma, m), None)
-        if choice is None:
-            raise InvariantError(f"no legal box removal from {sigma} at m = {m}")
-        sigma = _remove(sigma, *choice)
+    for _ in _walk(comps, m, n):
         removed += 1
+    value = _end_value(n - removed, r, m, comps)
+    if value is None:
+        state = tuple(map(tuple, comps))
+        raise InvariantError(f"no legal box removal from {state} at m = {m}")
     return r * removed + value
 
 

@@ -22,16 +22,21 @@ Multipartition = tuple[Partition, ...]
 
 
 def is_partition(parts: tuple[int, ...]) -> bool:
-    """True iff ``parts`` is weakly decreasing with all entries positive."""
-    return all(isinstance(p, int) and p > 0 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    """True iff ``parts`` is weakly decreasing with all entries positive ints;
+    ``type(p) is int``, as in ``_check_nr``, since True would pass for 1."""
+    above = None
+    for part in parts:
+        if type(part) is not int or part < 1 or (above is not None and part > above):
+            return False
+        above = part
+    return True
 
 
 def check_partition(parts: tuple[int, ...]) -> Partition:
-    if not is_partition(tuple(parts)):
+    lam = tuple(parts)
+    if not is_partition(lam):
         raise ValueError(f"not a partition: {parts!r}")
-    return tuple(parts)
+    return lam
 
 
 def size(lam: Partition) -> int:

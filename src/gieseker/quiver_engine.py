@@ -32,8 +32,9 @@ and a resolution keeps each differential as the images of its generators.
 
 Each ``ModelAlgebra`` builds every sum of projectives, standard and
 costandard once.  A process computes one resolution step, one standard
-quotient, one ``verify``, one ``delta_multiplicities`` and one Hom-complex
-Ext per translation class (``QuiverModule.key``), for every algebra it
+quotient, one set of arrow matrices of a sum of projectives, one
+``verify``, one ``delta_multiplicities`` and one Hom-complex Ext per
+translation class (``QuiverModule.key``), for every algebra it
 builds: moving a module along the quiver sets a new lo, and the one memo
 holds local data only, so no report re-derives what an earlier one
 computed.  A resolution walks class keys, building a kernel module only on
@@ -208,13 +209,14 @@ class ModelAlgebra:
         return b
 
     def opposite_swap_is_antiautomorphism(self) -> bool:
-        # the swap reverses endpoints: non-composable pairs stay non-composable
+        # the swap reverses endpoints, so non-composable pairs stay
+        # non-composable, and it is an involution on composable pairs: a pair
+        # with a zero product and a nonzero mirror product is the mirror of a
+        # pair that fails the test below, so zero against nonzero needs no test
         prod, swap = self.table.get, [self.swap(b) for b in range(self.dim)]
         for x, y in self.composable:
             xy = prod((x, y))
             yx = prod((swap[y], swap[x]))
-            if (xy is None) != (yx is None):
-                return False
             if xy is not None and swap[xy] != yx:
                 return False
         return True
@@ -542,9 +544,18 @@ class ProjectiveSum:
         for s, v in enumerate(self.gen_vertices):
             for b in algebra.path_basis(v):  # each path sits at its target
                 self._pos[algebra.tgt[b] - lo].append((s, b))
-        where = [{sb: c for c, sb in enumerate(pos)} for pos in self._pos]
         dims = tuple(len(p) for p in self._pos)
+        # the arrows read the algebra on [lo, hi] only: one computation per
+        # class (see QuiverModule.key) of the end flags, the dims, which tell
+        # a sum clipped at vertex N (gens (3,) at N = 3 and at N = 4 differ
+        # only there), and the generators relative to lo
+        key = (_SUM, lo == 1, hi == algebra.N, dims, tuple(v - lo for v in self.gen_vertices))
+        self.module = QuiverModule(algebra, lo, dims, _once(key, self._arrow_matrices, lo, dims))
+
+    def _arrow_matrices(self, lo: int, dims: tuple[int, ...]) -> dict[int, Matrix]:
         # arrow g sends path b of a summand to path g·b of that summand, or to 0
+        algebra = self.algebra
+        where = [{sb: c for c, sb in enumerate(pos)} for pos in self._pos]
         g0 = algebra.N + 2 * lo - 2
         act: dict[int, Matrix] = {}
         for k, s_p, t_p in _live(dims):
@@ -554,7 +565,7 @@ class ProjectiveSum:
                 if z is not None:
                     mat[where[t_p][(s, z)]][col] = 1
             act[k] = mat
-        self.module = QuiverModule(algebra, lo, dims, act)
+        return act
 
 
 def _projective_sum(algebra: ModelAlgebra, gen_vertices: tuple[int, ...]) -> ProjectiveSum:
@@ -598,14 +609,14 @@ class Resolution(NamedTuple):
 
 
 # Class results, shared by every algebra in the process: resolution steps,
-# standard quotients and the results of ``verify``, ``delta_multiplicities``
-# and ``_hom_complex_ext``, keyed by a tag and the classes they depend on
-# (see ``QuiverModule.key``), which do not depend on N.  A value is local
-# data only, so the memo keeps no algebra or module alive; a miss that would
-# pass the bound empties it first.
+# standard quotients, the arrows of sums of projectives and the results of
+# ``verify``, ``delta_multiplicities`` and ``_hom_complex_ext``, keyed by a
+# tag and the classes they depend on (see ``QuiverModule.key``), which do
+# not depend on N.  A value is local data only, so the memo keeps no algebra
+# or module alive; a miss that would pass the bound empties it first.
 _RESULTS: dict[tuple, object] = {}
 _RESULTS_BOUND = 4096
-_STEP, _STANDARD, _VERIFY, _DELTA, _EXT = range(5)
+_STEP, _STANDARD, _VERIFY, _DELTA, _EXT, _SUM = range(6)
 
 
 def _once(key: tuple, fn, *args):

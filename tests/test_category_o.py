@@ -6,7 +6,9 @@ one legal remainder box at a time until the components divide exactly, adding
 r per box.  The recursion never consults the closed formula, so agreement on
 the full enumeration is a real check, not a tautology.  Which box the
 recursion removes does not matter, by the proof in ``support_recursion_values``;
-the search over every order of removals, ``all_paths_search``, checks it.
+the search over every order of removals, ``all_paths_search``, checks it.  The
+one path, walked a component at a time, is checked removal by removal against
+a copy of the former walk over the whole multipartition, ``whole_sigma_walk``.
 
 The Poincare polynomial comes from the Nakajima-Yoshioka product; it is
 replayed against the former route, the histogram of fixed-point weights over
@@ -49,7 +51,9 @@ from gieseker import (
     top_cohomology_check,
     violated_walls,
 )
-from gieseker.category_o import _end_value, _remove
+import gieseker.category_o as co
+from gieseker.category_o import _end_value, _remove, _walk
+from gieseker.errors import InvariantError
 
 
 # ------------------------------------------------------------ poincare
@@ -296,6 +300,37 @@ def test_recursion_corner_independence_spot():
     assert search.support_recursion_values(3, 1, 2, ((2, 1),)) == vals
 
 
+def _former_first_removal(sigma, m):
+    # the former scan: the whole multipartition from component 0, every step
+    for ci, comp in enumerate(sigma):
+        for row, part in enumerate(comp):
+            below = comp[row + 1] if row + 1 < len(comp) else 0
+            if (part - below) % m and (row == 0 or (comp[row - 1] - part + 1) % m):
+                return ci, row
+
+
+def whole_sigma_walk(n, r, m, sigma):
+    """The former one-path walk, kept as the path oracle: rescan the whole
+    multipartition for its first legal removal and rebuild it without that
+    box until an end state.  Returns the removals, the end state and the
+    value."""
+    path = []
+    while (value := _end_value(n - len(path), r, m, sigma)) is None:
+        ci, row = _former_first_removal(sigma, m)
+        comp = sigma[ci]
+        kept = (comp[row] - 1,) if comp[row] > 1 else ()
+        sigma = sigma[:ci] + (comp[:row] + kept + comp[row + 1 :],) + sigma[ci + 1 :]
+        path.append((ci, row))
+    return path, sigma, r * len(path) + value
+
+
+def _component_walk(n, r, m, sigma):
+    comps = [list(comp) for comp in sigma]
+    path = list(_walk(comps, m, n))
+    state = tuple(map(tuple, comps))
+    return path, state, r * len(path) + _end_value(n - len(path), r, m, state)
+
+
 def test_closed_formula_equals_recursion_exhaustive():
     # corner independence through the oracle: every order of legal removals
     # reaches one value, the one path's and the closed formula's
@@ -311,6 +346,9 @@ def test_closed_formula_equals_recursion_exhaustive():
                     values = search.support_recursion_values(n, r, m, sig)
                     assert values == support_recursion_values(n, r, m, sig), (n, r, m, sig)
                     assert values == frozenset({closed}), (n, r, m, sig)
+                    # the component walk's path is the former whole-sigma one
+                    want = whole_sigma_walk(n, r, m, sig)
+                    assert _component_walk(n, r, m, sig) == want, (n, r, m, sig)
                     cases += 1
     assert cases == 28496
 
@@ -365,6 +403,42 @@ def test_a_random_path_of_legal_removals_ends_at_the_closed_form(case, data):
         removed += 1
     closed = support_dimension(n, r, Fraction(1, m), sigma).support_dim
     assert r * removed + value == closed == support_dimension_recursive(n, r, m, sigma)
+
+
+@given(multipartitions_and_moduli())
+@settings(max_examples=300, deadline=None)
+def test_component_walk_takes_the_whole_sigma_path_up_to_30_boxes(case):
+    sigma, m = case
+    n, r = multipartition_size(sigma), len(sigma)
+    want = whole_sigma_walk(n, r, m, sigma)
+    assert _component_walk(n, r, m, sigma) == want
+    assert support_dimension_recursive(n, r, m, sigma) == want[2]
+
+
+def test_walk_and_legal_removals_read_one_rule(monkeypatch):
+    # with no row ever legal, legal_removals offers nothing and the walk
+    # stops off an end state, where the recursion raises
+    monkeypatch.setattr(co, "_legal_rows", lambda comp, m: [])
+    assert legal_removals(((2, 1),), 2) == []
+    with pytest.raises(InvariantError, match=r"^no legal box removal from \(\(2, 1\),\) at m = 2$"):
+        support_dimension_recursive(3, 1, 2, ((2, 1),))
+    assert support_dimension_recursive(2, 1, 2, ((2,),)) == 1  # an end state needs no rule
+
+
+BOOL_PART_CALLS = {
+    "support_dimension": lambda: support_dimension(2, 1, Fraction(1, 2), ((True, True),)),
+    "annihilator_index": lambda: annihilator_index(2, 1, Fraction(1, 2), ((True, True),)),
+    "legal_removals": lambda: legal_removals(((2, True),), 2),
+    "recursive": lambda: support_dimension_recursive(3, 1, 2, ((2, True),)),
+    "recursion_values": lambda: support_recursion_values(1, 2, 2, ((), (True,))),
+}
+
+
+@pytest.mark.parametrize("name", BOOL_PART_CALLS)
+def test_bool_parts_are_not_partitions(name):
+    # True passed for the part 1 and the report came back
+    with pytest.raises(ValueError, match="not a partition"):
+        BOOL_PART_CALLS[name]()
 
 
 def test_holonomicity_bound():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gieseker import (
+    check_partition,
     count_multipartitions,
     count_partitions,
     divide_with_remainder,
@@ -377,6 +378,62 @@ def test_multipartition_text_round_trip():
 def test_parse_multipartition_r_mismatch():
     with pytest.raises(ValueError):
         parse_multipartition("1|2", r=3)
+
+
+def reference_is_partition(parts):
+    """A partition by definition: every part an int (a bool is not one) of
+    at least 1, and no part larger than the part before it."""
+    ints = [p for p in parts if type(p) is int and p >= 1]
+    return len(ints) == len(parts) and sorted(ints, reverse=True) == ints
+
+
+NOT_PARTS = st.one_of(
+    st.integers(-3, 0),
+    st.booleans(),
+    st.floats(-2, 9),
+    st.fractions(-2, 9),
+    st.none(),
+    st.text(max_size=1),
+)
+
+
+@st.composite
+def near_partitions(draw):
+    # a partition, then up to two entries replaced by a non-part, a zero or
+    # negative int, or a larger part that starts an increasing run
+    parts = sorted(draw(st.lists(st.integers(1, 9), max_size=8)), reverse=True)
+    for _ in range(draw(st.integers(0, 2)) if parts else 0):
+        row = draw(st.integers(0, len(parts) - 1))
+        parts[row] = draw(st.one_of(NOT_PARTS, st.integers(1, 12)))
+    return tuple(parts)
+
+
+@given(st.one_of(near_partitions(), st.lists(st.one_of(NOT_PARTS, st.integers(1, 9))).map(tuple)))
+def test_is_partition_against_reference(parts):
+    assert is_partition(parts) is reference_is_partition(parts)
+    if reference_is_partition(parts):
+        assert check_partition(list(parts)) == parts
+    else:
+        with pytest.raises(ValueError, match="not a partition"):
+            check_partition(parts)
+
+
+BOOL_PART_CALLS = {
+    "check_partition": lambda: check_partition((True,)),
+    "transpose": lambda: transpose((2, True)),
+    "removable_corners": lambda: removable_corners((True, True)),
+    "remove_corner": lambda: remove_corner((2, True), 0),
+    "divide_with_remainder": lambda: divide_with_remainder((True,), 2),
+    "quotient_size": lambda: quotient_size((3, True), 2),
+    "leaf_dimension": lambda: leaf_dimension((True,), 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", BOOL_PART_CALLS)
+def test_bool_parts_are_not_partitions(name):
+    # True passed for the part 1 (check_partition((True,)) returned it)
+    with pytest.raises(ValueError, match="not a partition"):
+        BOOL_PART_CALLS[name]()
 
 
 def test_parse_partition_rejects_increasing():

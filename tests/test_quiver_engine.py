@@ -1875,10 +1875,10 @@ def test_bounded_step_memo_gives_the_same_answers(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_class_results_match_fresh_computation(n, monkeypatch):
-    # every resolution step, standard quotient, verify(), standard-
-    # multiplicity row and Hom-complex Ext the report asks for, stored or
-    # not, against the same computation run afresh on the caller's own
-    # module, resolution and target
+    # every resolution step, standard quotient, sum-of-projectives arrow
+    # set, verify(), standard-multiplicity row and Hom-complex Ext the report
+    # asks for, stored or not, against the same computation run afresh on
+    # the caller's own module, sum, resolution and target
     once, seen = qe._once, Counter()
 
     def checked_once(key, fn, *args):
@@ -1889,7 +1889,7 @@ def test_class_results_match_fresh_computation(n, monkeypatch):
 
     monkeypatch.setattr(qe, "_once", checked_once)
     assert verify_model_properties(n)["all_pass"]
-    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT}
+    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT, qe._SUM}
     assert {tag for tag, _ in seen} == (tags - {qe._STANDARD} if n == 1 else tags)
     # from N = 8 on the report meets classes of each kind more than once
     assert n < 8 or all(seen[tag, True] for tag in tags)
