@@ -49,7 +49,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    # with indent, json.dump and json.dumps run the same pure-Python encoder:
+    # these are print(json.dumps(...))'s bytes, not held as one string
+    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
 def _cmd_diagnose(args) -> int:
@@ -80,14 +83,14 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_walls(args) -> int:
-    ws = torus_chambers.walls(args.n, args.r)
+    labels = torus_chambers.wall_labels(args.n, args.r)
     _emit(
         {
-            "n": ws.n,
-            "r": ws.r,
-            "count": len(ws.walls),
-            "count_with_multiplicity": ws.count_with_multiplicity,
-            "walls": [str(w) for w in ws.walls],
+            "n": args.n,
+            "r": args.r,
+            "count": len(labels),
+            "count_with_multiplicity": len(labels),
+            "walls": labels,
             "hypothesis": "finite fixed locus fails exactly on these forms",
         }
     )

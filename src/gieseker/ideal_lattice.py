@@ -32,9 +32,19 @@ from .diagnostics import (
     has_finite_global_dimension,
     reduced_denominator,
 )
-from .partitions import Partition, _check_nr, check_partition, enumerate_partitions
+from .partitions import (
+    Partition,
+    _check_nr,
+    check_partition,
+    count_partitions,
+    enumerate_partitions,
+)
 
 LeafLabel = Partition  # unordered collection of positive ints, stored sorted desc
+
+# the most leaves a list may hold: n = 38 lists 146,785, n = 40 would list
+# 215,308
+MAX_LISTED_LEAVES = 150_000
 
 
 def enumerate_leaves(n: int, r: int) -> list[LeafLabel]:
@@ -43,12 +53,21 @@ def enumerate_leaves(n: int, r: int) -> list[LeafLabel]:
     Ordered by number of parts, then total, then the partition enumeration
     order (one stable sort by length).  The empty collection is the open
     leaf.  Requires r >= 2; the rank-one stratification is different and out
-    of scope.
+    of scope.  The count, sum of p(t) over t <= n, is checked against
+    MAX_LISTED_LEAVES before any leaf is built; it is summed only until it
+    passes the limit, so a large n costs no more than n = 40.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_nr(n, r)
     if r < 2:
         raise ValueError("leaf classification requires r >= 2")
+    count = 0
+    for t in range(n + 1):
+        count += count_partitions(t)
+        if count > MAX_LISTED_LEAVES:
+            raise ValueError(
+                f"the leaves at n = {n} number at least {count}, above "
+                f"MAX_LISTED_LEAVES = {MAX_LISTED_LEAVES}"
+            )
     return sorted(
         (lam for total in range(n + 1) for lam in enumerate_partitions(total)), key=len
     )
@@ -111,6 +130,11 @@ def ideal_chain(n: int, r: int, lam: Parameter) -> IdealChain:
 Subset = frozenset[int]
 
 
+def _check_k(k: int) -> None:
+    if type(k) is not int:  # True would pass for 1
+        raise ValueError(f"k must be an int, not {k!r}")
+
+
 class IdealAntichain(namedtuple("IdealAntichain", "k members form", defaults=["intersection"])):
     """An ideal of the k-fold tensor power, as the antichain of a set family.
 
@@ -122,12 +146,13 @@ class IdealAntichain(namedtuple("IdealAntichain", "k members form", defaults=["i
     __slots__ = ()
 
     def __new__(cls, k: int, members: frozenset[Subset], form: str = "intersection"):
+        _check_k(k)
         if k < 1:
             raise ValueError("need k >= 1")
         if form not in ("intersection", "sum"):
             raise ValueError(f"unknown form {form!r}")
         for s in members:
-            if not all(isinstance(x, int) and 1 <= x <= k for x in s):
+            if not all(type(x) is int and 1 <= x <= k for x in s):
                 raise ValueError(f"member {sorted(s)} not within 1..{k}")
         for a in members:
             for b in members:
@@ -244,6 +269,7 @@ def _up_sets(k: int) -> tuple[int, ...]:
 
 def enumerate_ideals(k: int) -> list[IdealAntichain]:
     """Every ideal of the k-fold tensor power, as intersection-form antichains."""
+    _check_k(k)
     if not 1 <= k <= 5:
         raise ValueError("enumeration supported for 1 <= k <= 5")
     return [
@@ -254,6 +280,7 @@ def enumerate_ideals(k: int) -> list[IdealAntichain]:
 
 def count_ideals(k: int) -> int:
     """Number of ideals (antichains on {1..k}, extremes included); k <= 5."""
+    _check_k(k)
     if not 1 <= k <= 5:
         raise ValueError("supported range is 1 <= k <= 5")
     return len(_up_sets(k))

@@ -4,7 +4,7 @@ A cocharacter nu = ((d_1, ..., d_r); k) acts on the framing torus and on the
 base plane; its fixed locus on the moduli space is finite exactly off a finite
 wall arrangement: the hyperplane k = 0 and the hyperplanes d_i - d_j = s*k
 with i < j and |s| < n.  A listed arrangement holds at most MAX_LISTED_WALLS
-walls.
+walls; ``wall_labels`` gives their text without building them.
 
 ``Cocharacter``, ``Wall`` and ``FixedComponent`` are named tuples, cheap to
 define and to build; ``WallSet`` stays a dataclass (see the package docstring).
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import prod
 from typing import NamedTuple
 
@@ -28,7 +28,7 @@ class Cocharacter(namedtuple("Cocharacter", "d k")):
     def __new__(cls, d: tuple[int, ...], k: int) -> Cocharacter:
         if len(d) < 1:
             raise ValueError("need at least one framing weight")
-        if not all(isinstance(x, int) for x in d) or not isinstance(k, int):
+        if not all(type(x) is int for x in d) or type(k) is not int:  # True is not 1
             raise ValueError("cocharacter entries must be integers")
         return super().__new__(cls, d, k)
 
@@ -73,15 +73,16 @@ class Wall(NamedTuple):
     def __str__(self) -> str:
         if self.kind == "k_zero":
             return "k=0"
-        if self.s == 0:
-            rhs = "0"
-        elif self.s == 1:
-            rhs = "k"
-        elif self.s == -1:
-            rhs = "-k"
-        else:
-            rhs = f"{self.s}k"
-        return f"d{self.i}-d{self.j}={rhs}"
+        return _head(self.i, self.j) + _rhs(self.s)
+
+
+# a pair wall's label is its head "d{i}-d{j}=" followed by s*k
+def _head(i: int, j: int) -> str:
+    return f"d{i}-d{j}="
+
+
+def _rhs(s: int) -> str:
+    return "0" if s == 0 else "k" if s == 1 else "-k" if s == -1 else f"{s}k"
 
 
 # WallSet stays a dataclass, as do the reports of diagnostics and
@@ -104,23 +105,43 @@ def _check_listed(count: int, what: str) -> None:
         raise ValueError(f"{what} has {count} walls, above MAX_LISTED_WALLS = {MAX_LISTED_WALLS}")
 
 
-def walls(n: int, r: int) -> WallSet:
-    """The full wall arrangement for rank r at n points.
-
-    1 + r(r-1)/2 * (2n-1) forms, pairwise non-proportional by construction
-    (distinct (i, j, s) give distinct forms), so none coincide.  That count
-    is checked against MAX_LISTED_WALLS before any wall is built.
-    """
+def _arrangement(n: int, r: int) -> tuple:
+    """The pairs (i, j) and shifts s of the pair walls of ``walls(n, r)``, in
+    its order, after the count 1 + r(r-1)/2 * (2n-1) is checked against
+    MAX_LISTED_WALLS."""
     _check_nr(n, r)
     count = 1 + r * (r - 1) // 2 * (2 * n - 1)
     _check_listed(count, f"the arrangement at n = {n}, r = {r}")
-    forms = (Wall("k_zero"),) + tuple(
-        Wall("pair", i, j, s)
-        for i in range(1, r + 1)
-        for j in range(i + 1, r + 1)
-        for s in range(-(n - 1), n)
-    )
-    return WallSet(n, r, forms, count)
+    return combinations(range(1, r + 1), 2), range(-(n - 1), n)
+
+
+def walls(n: int, r: int) -> WallSet:
+    """The full wall arrangement for rank r at n points.
+
+    The k = 0 wall, then d_i - d_j = s*k for each pair i < j and each
+    |s| < n: pairwise non-proportional by construction (distinct (i, j, s)
+    give distinct forms), so none coincide.  Each pair's walls are built by
+    ``tuple.__new__`` in one C-level pass, the same named tuples as
+    ``Wall("pair", i, j, s)``.
+    """
+    pairs, shifts = _arrangement(n, r)
+    new = tuple.__new__
+    forms = (Wall("k_zero"), *chain.from_iterable(
+        map(new, repeat(Wall), zip(repeat("pair"), repeat(i), repeat(j), shifts))
+        for i, j in pairs
+    ))
+    return WallSet(n, r, forms, len(forms))
+
+
+def wall_labels(n: int, r: int) -> list[str]:
+    """``[str(w) for w in walls(n, r).walls]`` without building a wall: each
+    pair's head joined to the 2n - 1 right-hand sides, made once."""
+    pairs, shifts = _arrangement(n, r)
+    rhs = [_rhs(s) for s in shifts]
+    labels = ["k=0"]
+    for i, j in pairs:
+        labels += map(_head(i, j).__add__, rhs)
+    return labels
 
 
 def _walls_through(nu: Cocharacter, n: int):
@@ -128,8 +149,7 @@ def _walls_through(nu: Cocharacter, n: int):
     pair in O(r^2): for k != 0 the pair (i, j) contributes the one wall
     s = (d_i - d_j) / k when k divides d_i - d_j and |s| < n; for k = 0 it
     contributes every s when d_i = d_j and nothing otherwise."""
-    if n < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    _check_nr(n, nu.r)
     k = nu.k
     if k == 0:
         yield Wall("k_zero")
@@ -151,6 +171,7 @@ def violated_walls(nu: Cocharacter, n: int) -> list[Wall]:
     MAX_LISTED_WALLS: at k = 0, the k = 0 wall and 2n - 1 walls per pair of
     equal weights; otherwise at most one wall per pair.
     """
+    _check_nr(n, nu.r)
     k = nu.k
     if k == 0:
         count = 1 + (2 * n - 1) * sum(c * (c - 1) // 2 for c in Counter(nu.d).values())
@@ -169,6 +190,7 @@ def is_generic(nu: Cocharacter, n: int) -> bool:
 
 def is_dominant(nu: Cocharacter, n: int) -> bool:
     """k >= 1 with gaps d_i - d_{i+1} > n*k (strict, scale-invariant)."""
+    _check_nr(n, nu.r)
     if nu.k < 1:
         return False
     return all(nu.d[i] - nu.d[i + 1] > n * nu.k for i in range(nu.r - 1))
@@ -218,8 +240,8 @@ def fixed_components_k0(nu0: Cocharacter, n: int) -> list[FixedComponent]:
     product of Hilbert schemes of n_i points, of total dimension 2n, with
     prod p(n_i) torus-fixed points.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
+    if type(n) is not int or n < 0:  # True would pass for 1
+        raise ValueError(f"need an int n >= 0, not {n!r}")
     if nu0.k != 0:
         raise RegimeError("fixed-component classification requires k = 0")
     if len(set(nu0.d)) != nu0.r:

@@ -4,7 +4,9 @@ import io
 import contextlib
 import hashlib
 import json
+import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,26 @@ def test_lists_of_walls_above_the_named_limit_exit_one():
         code, out, err = run(argv)
         assert (code, out) == (1, "")
         assert err.endswith(f" has {count} walls, above MAX_LISTED_WALLS = 150000\n"), err
+
+
+def test_leaf_lists_above_the_named_limit_exit_one():
+    code, out, err = run(["leaves", "40", "2"])
+    assert (code, out) == (1, "")
+    assert err.endswith(", above MAX_LISTED_LEAVES = 150000\n"), err
+
+
+def test_largest_pinned_wall_list_is_printed_without_its_walls():
+    # 115,331 labels: the list of strings and the encoder's chunks, written
+    # to the sink as they come; a list of walls or the whole text held as one
+    # string would pass 12 MB
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["walls", "304", "20"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak
 
 
 def test_negative_fraction_positional():

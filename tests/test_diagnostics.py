@@ -20,6 +20,7 @@ from gieseker import (
     diagnose,
     dual_parameter,
     findim_dimension_rank_one,
+    format_parameter,
     has_finite_dimensional_rep,
     has_finite_global_dimension,
     parse_parameter,
@@ -250,6 +251,12 @@ def test_cartan_zero_parts_have_no_factor():
     for s in cartan_decomposition(3, 2, Fraction(1, 3)):
         assert len(s.factors) == sum(1 for p in s.composition if p)
         assert sum(s.composition) == 3
+
+
+@given(st.one_of(st.fractions(), st.just(IRRATIONAL)))
+def test_parameter_text_round_trip(lam):
+    back = parse_parameter(format_parameter(lam))
+    assert back == lam and type(back) is type(lam)
 
 
 def test_parse_parameter_grammar():

@@ -45,10 +45,12 @@ from gieseker import (
     to_sum_form,
     up_closure,
 )
+import gieseker.ideal_lattice as il
 from gieseker.ideal_lattice import _up_sets
 from gieseker.partitions import enumerate_partitions
 
 import pytest
+from hypothesis import given, strategies as st
 
 
 UP_CLOSED_COUNTS = [3, 6, 20, 168]  # k = 1..4, recomputed below from scratch
@@ -337,7 +339,16 @@ def test_minimal_transversals_is_an_involution_on_antichains():
 # ---------------------------------------------------------------- text io
 
 
-def test_parse_format_round_trip():
+@st.composite
+def normalized_antichains(draw):
+    k = draw(st.integers(1, 5))
+    family = draw(st.lists(st.frozensets(st.integers(1, k)), max_size=8))
+    return antichain_normalize(family, k)
+
+
+@given(normalized_antichains())
+def test_parse_format_round_trip(drawn):
+    assert parse_antichain(format_antichain(drawn), drawn.k) == drawn
     a = parse_antichain("[[1], [2, 3]]", k=3)
     assert a.to_lists() == [[1], [2, 3]]
     assert format_antichain(a) == "[[1], [2, 3]]"
@@ -373,6 +384,23 @@ def test_enumerate_leaves_examples():
     assert enumerate_leaves(2, 2) == [(), (1,), (2,), (1, 1)]
     assert enumerate_leaves(1, 2) == [(), (1,)]
     assert enumerate_leaves(3, 2) == [(), (1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1)]
+
+
+def test_leaf_lists_are_checked_against_the_named_limit(monkeypatch):
+    assert il.MAX_LISTED_LEAVES == 150_000
+    assert len(enumerate_leaves(38, 2)) == 146_785
+    with pytest.raises(ValueError, match="above MAX_LISTED_LEAVES = 150000"):
+        enumerate_leaves(40, 2)  # 215,308 leaves
+    # the count is summed only until it passes the limit
+    with pytest.raises(ValueError, match="at n = 10000000 number at least 177970, above"):
+        enumerate_leaves(10**7, 2)
+    # a limit equal to the count passes, one below it refuses
+    for n, want in [(n, enumerate_leaves(n, 2)) for n in range(1, 9)]:
+        monkeypatch.setattr(il, "MAX_LISTED_LEAVES", len(want))
+        assert enumerate_leaves(n, 2) == want
+        monkeypatch.setattr(il, "MAX_LISTED_LEAVES", len(want) - 1)
+        with pytest.raises(ValueError, match=f"at least {len(want)}, above MAX_LISTED_LEAVES"):
+            enumerate_leaves(n, 2)
 
 
 def test_leaf_dimensions():

@@ -38,9 +38,23 @@ from gieseker import (
     size,
     transpose,
 )
-from gieseker.ideal_lattice import ideal_chain, leaf_dimension
+from gieseker.ideal_lattice import (
+    IdealAntichain,
+    count_ideals,
+    enumerate_ideals,
+    enumerate_leaves,
+    ideal_chain,
+    leaf_dimension,
+)
 from gieseker.partitions import _quotient_size
-from gieseker.torus_chambers import walls
+from gieseker.torus_chambers import (
+    Cocharacter,
+    fixed_components_k0,
+    is_dominant,
+    is_generic,
+    violated_walls,
+    walls,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -369,7 +383,12 @@ def test_partition_text_round_trip(text):
     assert format_partition(parse_partition(text)) == text
 
 
-def test_multipartition_text_round_trip():
+_PARTITIONS = st.lists(st.integers(1, 20), max_size=6).map(lambda p: tuple(sorted(p, reverse=True)))
+
+
+@given(st.lists(_PARTITIONS, min_size=1, max_size=4).map(tuple))
+def test_multipartition_text_round_trip(drawn):
+    assert parse_multipartition(format_multipartition(drawn), len(drawn)) == drawn
     mp = parse_multipartition("8,6,1|2|-")
     assert mp == ((8, 6, 1), (2,), ())
     assert format_multipartition(mp) == "8,6,1|2|-"
@@ -472,3 +491,35 @@ def test_entry_points_check_n_and_r(entry, case):
     n, r, message = BAD_NR[case]
     with pytest.raises(ValueError, match=message):
         NR_ENTRY_POINTS[entry](n, r)
+
+
+# the remaining entry points with an int argument hold it to the same rule,
+# type(x) is int: each of these calls answered for True as for 1, or raised a
+# bare TypeError for a float
+_NU = Cocharacter((1, 2), 0)
+NOT_INTS = {
+    "Cocharacter-k": (lambda: Cocharacter((3, 0), True), "must be integers"),
+    "Cocharacter-d": (lambda: Cocharacter((True, 0), 1), "must be integers"),
+    "IdealAntichain-member": (
+        lambda: IdealAntichain(2, frozenset({frozenset({True})})), r"member \[True\] not within"
+    ),
+    "IdealAntichain-k": (lambda: IdealAntichain(True, frozenset()), "k must be an int"),
+    "enumerate_leaves-True-n": (lambda: enumerate_leaves(True, 2), "must be ints"),
+    "enumerate_leaves-float-n": (lambda: enumerate_leaves(2.5, 2), "must be ints"),
+    "enumerate_leaves-True-r": (lambda: enumerate_leaves(2, True), "must be ints"),
+    "count_ideals-True": (lambda: count_ideals(True), "k must be an int"),
+    "count_ideals-float": (lambda: count_ideals(2.0), "k must be an int"),
+    "enumerate_ideals-True": (lambda: enumerate_ideals(True), "k must be an int"),
+    "fixed_components_k0-True": (lambda: fixed_components_k0(_NU, True), "need an int n >= 0"),
+    "fixed_components_k0-float": (lambda: fixed_components_k0(_NU, 1.5), "need an int n >= 0"),
+    "is_generic-True": (lambda: is_generic(Cocharacter((3, 0), 1), True), "must be ints"),
+    "is_dominant-True": (lambda: is_dominant(Cocharacter((9, 0), 1), True), "must be ints"),
+    "violated_walls-True": (lambda: violated_walls(_NU, True), "must be ints"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_INTS)
+def test_ints_must_be_ints(case):
+    call, message = NOT_INTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -2,13 +2,16 @@
 
 ``violated_walls``, ``is_generic`` and ``same_chamber`` decide pair by pair
 without building the arrangement; they are replayed against the former
-routes, which evaluate every form of ``walls(n, r)``.
+routes, which evaluate every form of ``walls(n, r)``.  ``walls`` itself is
+replayed against the per-wall generator it replaced, and ``wall_labels``
+against the labels of its walls.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import gieseker.partitions as partitions
 import gieseker.torus_chambers as tc
@@ -23,8 +26,10 @@ from gieseker import (
     parse_cocharacter,
     same_chamber,
     violated_walls,
+    wall_labels,
     walls,
 )
+from gieseker.torus_chambers import Wall
 
 
 def test_wall_sets():
@@ -40,6 +45,36 @@ def test_wall_count_formula():
             assert ws.count_with_multiplicity == 1 + r * (r - 1) // 2 * (2 * n - 1)
             # forms are pairwise distinct here, so dedup is a no-op
             assert len(ws.walls) == ws.count_with_multiplicity
+
+
+def per_wall_arrangement(n, r):
+    # the per-wall generator that the bulk construction replaced
+    return (Wall("k_zero"),) + tuple(
+        Wall("pair", i, j, s)
+        for i in range(1, r + 1)
+        for j in range(i + 1, r + 1)
+        for s in range(-(n - 1), n)
+    )
+
+
+def test_bulk_walls_equal_the_per_wall_generator():
+    for n in range(1, 9):
+        for r in range(1, 7):
+            built = walls(n, r).walls
+            assert built == per_wall_arrangement(n, r)
+            assert all(type(w) is Wall for w in built)
+
+
+def no_wall(*args):
+    raise AssertionError("a wall was built")
+
+
+def test_wall_labels_are_the_printed_walls(monkeypatch):
+    cases = [*itertools.product(range(1, 9), range(1, 7)), (304, 20)]
+    want = {(n, r): [str(w) for w in walls(n, r).walls] for n, r in cases}
+    monkeypatch.setattr(tc, "Wall", no_wall)
+    for n, r in cases:
+        assert wall_labels(n, r) == want[n, r], (n, r)
 
 
 def _form(wall, r):
@@ -153,7 +188,12 @@ def test_violated_walls_name_the_offenders():
 def test_each_list_is_checked_by_its_own_length(monkeypatch):
     # the count checked before building is the list's length: a limit equal
     # to it passes, one below it refuses
-    cases = [(lambda n=n, r=r: walls(n, r).walls) for n in range(1, 5) for r in range(1, 5)]
+    cases = [
+        listed
+        for n in range(1, 5)
+        for r in range(1, 5)
+        for listed in (lambda n=n, r=r: walls(n, r).walls, lambda n=n, r=r: wall_labels(n, r))
+    ]
     cases += [
         (lambda n=n, nu=Cocharacter(d, k): violated_walls(nu, n))
         for n in range(1, 4)
@@ -173,13 +213,10 @@ def test_lists_above_the_named_limit_are_refused_before_a_wall_is_built(monkeypa
     # the decisions list nothing and answer at every n
     assert not is_generic(Cocharacter((5, 5), 0), 10**9)
     assert same_chamber(Cocharacter((10**10, 0), 1), Cocharacter((3 * 10**10, 7), 3), 10**9)
-
-    def no_wall(*args):
-        raise AssertionError("a wall was built")
-
     monkeypatch.setattr(tc, "Wall", no_wall)
     for listed, count in (
         (lambda: walls(2000, 40), 3_119_221),
+        (lambda: wall_labels(2000, 40), 3_119_221),
         (lambda: violated_walls(Cocharacter((5, 5), 0), 100_000), 200_000),
         (lambda: violated_walls(Cocharacter((0,) * 600, 1), 2), 179_700),
     ):
@@ -288,7 +325,9 @@ def test_fixed_point_grand_total():
             assert sum(c.fixed_point_count for c in comps) == count_multipartitions(n, r)
 
 
-def test_cocharacter_text_round_trip():
+@given(st.builds(Cocharacter, st.lists(st.integers(), min_size=1, max_size=6).map(tuple), st.integers()))
+def test_cocharacter_text_round_trip(drawn):
+    assert parse_cocharacter(format_cocharacter(drawn)) == drawn
     nu = parse_cocharacter("10,5,0;1")
     assert nu == Cocharacter((10, 5, 0), 1)
     assert format_cocharacter(nu) == "10,5,0;1"
