@@ -42,9 +42,9 @@ from .partitions import (
 
 LeafLabel = Partition  # unordered collection of positive ints, stored sorted desc
 
-# the most leaves a list may hold: n = 38 lists 146,785, n = 40 would list
-# 215,308
-MAX_LISTED_LEAVES = 150_000
+# the most leaves a list may hold: n = 26 lists 11,732 (the CLI prints 1.79 MB
+# at r = 2, under the largest wall list's 2.22 MB), n = 27 would list 14,742
+MAX_LISTED_LEAVES = 12_000
 
 
 def enumerate_leaves(n: int, r: int) -> list[LeafLabel]:
@@ -55,7 +55,7 @@ def enumerate_leaves(n: int, r: int) -> list[LeafLabel]:
     leaf.  Requires r >= 2; the rank-one stratification is different and out
     of scope.  The count, sum of p(t) over t <= n, is checked against
     MAX_LISTED_LEAVES before any leaf is built; it is summed only until it
-    passes the limit, so a large n costs no more than n = 40.
+    passes the limit, so a large n costs no more than n = 27.
     """
     _check_nr(n, r)
     if r < 2:

@@ -25,10 +25,12 @@ derives per basis element on its first read and keeps, holding no module.
 
 Each module's work, and every per-vertex list the engine builds or returns,
 runs over its [lo, hi] only.  A subspace is its list of basis columns, [] at
-a vertex without any.  The algebra keeps, per vertex, the basis elements
-starting and ending there, so it is built and checked in O(N).  The path
-basis spans the algebra, so the paths acting on a submodule's seeds span it,
-and a resolution keeps each differential as the images of its generators.
+a vertex without any.  The algebra is its multiplication rule on basis
+indices, ``ModelAlgebra.product``, with no table, and the basis elements
+starting and ending at each vertex, so it is built in O(N); a report checks
+it once per window class, on at most six vertices.  The path basis spans the
+algebra, so the paths acting on a submodule's seeds span it, and a
+resolution keeps each differential as the images of its generators.
 
 Each ``ModelAlgebra`` builds every sum of projectives, standard and
 costandard once.  A process computes one resolution step, one standard
@@ -47,7 +49,8 @@ build (see the package docstring).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, chain
+from itertools import product as iproduct
 from typing import NamedTuple
 
 from . import exact_linalg as el
@@ -80,144 +83,133 @@ class ModelAlgebra:
             raise ValueError(f"the vertex count is not an int: {n_vertices!r}")
         if n_vertices < 1:
             raise ValueError("need at least one vertex")
-        self.N = n_vertices
-        labels: list[Label] = [("e", i) for i in range(1, self.N + 1)]
-        for i in range(1, self.N):
+        self.N = n = n_vertices
+        labels: list[Label] = [("e", i) for i in range(1, n + 1)]
+        for i in range(1, n):
             labels.append(("a", i, i + 1))
             labels.append(("a", i + 1, i))
-        labels.extend(("loop", i) for i in range(2, self.N + 1))
+        labels.extend(("loop", i) for i in range(2, n + 1))
         self.labels: tuple[Label, ...] = tuple(labels)
+        self.dim = len(labels)
         self.index: dict[Label, int] = {lab: i for i, lab in enumerate(labels)}
         self.src = tuple(lab[2] if lab[0] == "a" else lab[1] for lab in labels)
         self.tgt = tuple(lab[1] for lab in labels)
         # the basis elements starting / ending at each vertex, in basis order
-        self._starting: list[list[int]] = [[] for _ in range(self.N)]
-        self._ending: list[list[int]] = [[] for _ in range(self.N)]
+        self._starting: list[list[int]] = [[] for _ in range(n)]
+        self._ending: list[list[int]] = [[] for _ in range(n)]
         for b in range(self.dim):
             self._starting[self.src[b] - 1].append(b)
             self._ending[self.tgt[b] - 1].append(b)
-        # the pairs (x, y) with src x = tgt y; every other product is zero
-        self.composable: list[tuple[int, int]] = [
-            (x, y) for starts, ends in zip(self._starting, self._ending)
-            for x in starts for y in ends
-        ]
-        self.table: dict[tuple[int, int], int] = {}
-        for x, y in self.composable:
-            z = self._mult_labels(labels[x], labels[y])
-            if z is not None:
-                self.table[(x, y)] = self.index[z]
-        self._arrows = tuple(i for i, lab in enumerate(labels) if lab[0] == "a")
         # the arrows leaving each vertex as (arrow, other end), 0-based
-        self._out = [
-            [(g, self.tgt[g] - 1) for g in starts if labels[g][0] == "a"]
-            for starts in self._starting
-        ]
+        self._out = [[(g, self.tgt[g] - 1) for g in starts if n <= g < 3 * n - 2]
+                     for starts in self._starting]
         # sums by generator vertices, standards and costandards by vertex
         self._sums: dict[tuple[int, ...], ProjectiveSum] = {}
         self._standards: dict[int, QuiverModule] = {}
         self._costandards: dict[int, QuiverModule] = {}
 
-    def _mult_labels(self, xl: Label, yl: Label) -> Label | None:
-        if xl[0] == "e":
-            return yl
-        if yl[0] == "e":
-            return xl
-        if xl[0] == "a" and yl[0] == "a":
-            i = xl[1]
-            if i == yl[2]:  # back-and-forth composite landing where it started
-                return ("loop", i) if i >= 2 else None  # a(1,2) a(2,1) = 0
-            return None  # monotone length-2 path
-        return None  # any factor involving a loop
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
     def product(self, x: int, y: int) -> int | None:
-        """Index of the basis product x*y, or None when the product is zero."""
-        return self.table.get((x, y))
+        """Index of the basis product x*y, or None when it is zero or x or y is
+        not a basis index: zero unless src x = tgt y; then e_i y = y, x e_i = x,
+        two arrows out and back to a vertex i >= 2 give l_i, and all else is 0.
+
+        The rule reads only the kinds (e_i, arrows from N, l_i at 3N - 4 + i),
+        whether two ends are equal and whether i >= 2, and a composable triple
+        spans at most four consecutive vertices.  So each check below answers
+        on each window of four vertices by its class: at vertex 1, interior
+        (touching neither end) or at vertex N.  At N0 = 6 every class appears
+        ([1, 4], [2, 5], [3, 6]), so a report reads the checks per min(N, 6)."""
+        n = self.N
+        try:  # a negative index reads from the end, so it is refused after
+            if self.src[x] != self.tgt[y] or x < 0 or y < 0:
+                return None
+        except IndexError:  # past the basis
+            return None
+        if x < n:
+            return y
+        if y < n:
+            return x
+        i = self.tgt[x]
+        if x < 3 * n - 2 and y < 3 * n - 2 and i == self.src[y] and i >= 2:
+            return 3 * n - 4 + i
+        return None
 
     def arrows(self) -> tuple[int, ...]:
         """Basis indices of the arrows a(i,j), in basis order."""
-        return self._arrows
+        return tuple(range(self.N, 3 * self.N - 2))  # e_i come first, loops last
 
     def path_basis(self, i: int) -> list[int]:
         """Basis indices of the paths starting at vertex i, in basis order:
         the path basis of the i-th projective."""
         return self._starting[i - 1]
 
+    def _pairs(self):
+        # the pairs (x, y) with src x = tgt y, by vertex; any other product is 0
+        return chain.from_iterable(map(iproduct, self._starting, self._ending))
+
     def is_associative(self) -> bool:
         """(xy)z = x(yz) for every basis triple.  Only composable pairs extend
         to triples: associativity with the idempotents forces each product to
         keep the outer endpoints, so any other triple is zero on both sides.
-        A zero product has no table entry, so it multiplies to zero."""
-        by_left = [{} for _ in self.labels]  # x -> {y: xy}, read off the table
-        for (x, y), xy in self.table.items():
-            by_left[x][y] = xy
-        # each y's right products (z, yz), over the z ending where y starts
-        rights = [[(z, by_left[y].get(z)) for z in self._ending[s - 1]]
-                  for y, s in enumerate(self.src)]
-        for x, y in self.composable:
-            row = by_left[x]
-            xy = row.get(y)
-            row_xy = by_left[xy] if xy is not None else {}
-            for z, yz in rights[y]:
-                if row_xy.get(z) != row.get(yz):
-                    return False
+        Each pair's product is read once, through ``product``, into the row
+        {y: xy} of x; a triple with x at v reads the rows at v - 1..v + 1 only."""
+        prod, starting, ending = self.product, self._starting, self._ending
+
+        def rows_at(v: int) -> dict[int, dict[int, int | None]]:
+            return {x: {y: prod(x, y) for y in ending[v - 1]} for x in starting[v - 1]}
+
+        here, above = {}, rows_at(1)
+        for v in range(1, self.N + 1):
+            below, here, above = here, above, rows_at(v + 1) if v < self.N else {}
+            rows = {**below, **here, **above}
+            for x, row in here.items():
+                for y, xy in row.items():
+                    row_xy = rows.get(xy, {})
+                    for z, yz in rows[y].items():
+                        if row_xy.get(z) != row.get(yz):
+                            return False
         return True
 
     def relations_hold(self) -> bool:
-        ix = self.index
-        prod = self.product
-        for i in range(2, self.N + 1):
-            # through the lower neighbor: a(i,i-1) a(i-1,i) = l_i
-            if prod(ix[("a", i, i - 1)], ix[("a", i - 1, i)]) != ix[("loop", i)]:
+        n, ix, prod = self.N, self.index, self.product
+        for i in range(1, n + 1):
+            loop = ix.get(("loop", i))  # None at vertex 1
+            # back and forth through the lower neighbor gives l_i, through the
+            # upper one l_i too, or zero at vertex 1; monotone paths vanish
+            if i > 1 and prod(ix[("a", i, i - 1)], ix[("a", i - 1, i)]) != loop:
                 return False
-        for i in range(1, self.N):
-            # through the upper neighbor: l_i for i >= 2, zero at the end
-            got = prod(ix[("a", i, i + 1)], ix[("a", i + 1, i)])
-            want = ix[("loop", i)] if i >= 2 else None
-            if got != want:
+            if i < n and prod(ix[("a", i, i + 1)], ix[("a", i + 1, i)]) != loop:
                 return False
-        for i in range(2, self.N):
-            # monotone length-2 paths vanish
-            if prod(ix[("a", i + 1, i)], ix[("a", i, i - 1)]) is not None:
-                return False
-            if prod(ix[("a", i - 1, i)], ix[("a", i, i + 1)]) is not None:
+            if 1 < i < n and (prod(ix[("a", i + 1, i)], ix[("a", i, i - 1)]) is not None
+                              or prod(ix[("a", i - 1, i)], ix[("a", i, i + 1)]) is not None):
                 return False
         # loops annihilate every arrow and loop; a pair that is not composable
-        # has no table entry
-        kind = [lab[0] for lab in self.labels]
-        for x, y in self.composable:
-            kinds = (kind[x], kind[y])
-            if "loop" in kinds and "e" not in kinds and prod(x, y) is not None:
-                return False
+        # multiplies to zero
+        loops = 3 * n - 2  # the first loop's index
+        if any(n <= x and n <= y and (x >= loops or y >= loops) and prod(x, y) is not None
+               for x, y in self._pairs()):
+            return False
         # Hom-space dimensions: 1 off-diagonal at distance one, dual numbers on
         # the diagonal past the first vertex (e_j and l_j), zero further away;
         # compared as the sorted targets of the paths from j
-        for j in range(1, self.N + 1):
-            want = [i for i in (j - 1, j, j if j >= 2 else 0, j + 1) if 1 <= i <= self.N]
-            if sorted(self.tgt[b] for b in self.path_basis(j)) != want:
-                return False
-        return True
+        return all(sorted(self.tgt[b] for b in self.path_basis(j))
+                   == [i for i in (j - 1, j, j if j >= 2 else 0, j + 1) if 1 <= i <= n]
+                   for j in range(1, n + 1))
 
     def swap(self, b: int) -> int:
         """Arrow-reversing involution e_i -> e_i, a(i,j) -> a(j,i), l_i -> l_i."""
-        lab = self.labels[b]
-        if lab[0] == "a":
-            return self.index[("a", lab[2], lab[1])]
-        return b
+        n = self.N  # a(i,i+1) and a(i+1,i) sit at N + 2i - 2 and N + 2i - 1
+        return n + ((b - n) ^ 1) if n <= b < 3 * n - 2 else b
 
     def opposite_swap_is_antiautomorphism(self) -> bool:
         # the swap reverses endpoints, so non-composable pairs stay
         # non-composable, and it is an involution on composable pairs: a pair
         # with a zero product and a nonzero mirror product is the mirror of a
         # pair that fails the test below, so zero against nonzero needs no test
-        prod, swap = self.table.get, [self.swap(b) for b in range(self.dim)]
-        for x, y in self.composable:
-            xy = prod((x, y))
-            yx = prod((swap[y], swap[x]))
-            if xy is not None and swap[xy] != yx:
+        prod, swap = self.product, [self.swap(b) for b in range(self.dim)]
+        for x, y in self._pairs():
+            xy = prod(x, y)
+            if xy is not None and swap[xy] != prod(swap[y], swap[x]):
                 return False
         return True
 
@@ -347,7 +339,7 @@ class QuiverModule:
 
     def verify(self) -> bool:
         """Module axioms: each live arrow matrix has the shape of its arrow, and
-        every composable pair of arrows acts as the multiplication table says
+        every composable pair of arrows acts as ``product`` says
         (relations act by 0).  The algebra is the path algebra of the quiver
         modulo the ideal these length-two relations generate, so a
         representation satisfying them is a module (Assem-Simson-Skowronski,
@@ -610,13 +602,14 @@ class Resolution(NamedTuple):
 
 # Class results, shared by every algebra in the process: resolution steps,
 # standard quotients, the arrows of sums of projectives and the results of
-# ``verify``, ``delta_multiplicities`` and ``_hom_complex_ext``, keyed by a
-# tag and the classes they depend on (see ``QuiverModule.key``), which do
-# not depend on N.  A value is local data only, so the memo keeps no algebra
-# or module alive; a miss that would pass the bound empties it first.
+# ``verify``, ``delta_multiplicities``, ``_hom_complex_ext`` and the algebra
+# checks, keyed by a tag and the classes (``QuiverModule.key``, windows) they
+# depend on, not on N.  A value is local data only, so the memo keeps no
+# algebra or module alive; a miss that would pass the bound empties it first.
 _RESULTS: dict[tuple, object] = {}
 _RESULTS_BOUND = 4096
-_STEP, _STANDARD, _VERIFY, _DELTA, _EXT, _SUM = range(6)
+_STEP, _STANDARD, _VERIFY, _DELTA, _EXT, _SUM, _ALGEBRA = range(7)
+_ALGEBRA_WINDOW = 6  # N0: every window class of the algebra checks appears
 
 
 def _once(key: tuple, fn, *args):
@@ -628,6 +621,12 @@ def _once(key: tuple, fn, *args):
             _RESULTS.clear()
         _RESULTS[key] = value
     return value
+
+
+def _algebra_checks(n: int) -> tuple[bool, bool, bool]:
+    # the three algebra checks on the window algebra of n <= N0 vertices
+    a = ModelAlgebra(n)
+    return a.is_associative(), a.relations_hold(), a.opposite_swap_is_antiautomorphism()
 
 
 def _syzygy_step(algebra: ModelAlgebra, lo: int, dims, act: dict[int, Matrix]) -> tuple:
@@ -819,9 +818,10 @@ def verify_model_properties(n_vertices: int) -> dict:
     report: dict[str, object] = {}
 
     checks["dimension"] = a.dim == 4 * n - 3
-    checks["associative"] = a.is_associative()
-    checks["relations"] = a.relations_hold()
-    checks["opposite_antiautomorphism"] = a.opposite_swap_is_antiautomorphism()
+    window = min(n, _ALGEBRA_WINDOW)  # see ModelAlgebra.product
+    checks["associative"], checks["relations"], checks["opposite_antiautomorphism"] = _once(
+        (_ALGEBRA, window), _algebra_checks, window
+    )
     # every tilting is a projective or the last standard, and the first
     # standard is the first projective: verify each distinct module once
     modules = {id(m): m for m in projectives + standards + costandards + tiltings + simples}
@@ -935,9 +935,8 @@ def verify_model_properties(n_vertices: int) -> dict:
 
     # the cached modules point back at the algebra; emptying the cache lets
     # reference counting free them now rather than at a later cycle collection
-    a._sums.clear()
-    a._standards.clear()
-    a._costandards.clear()
+    for cache in (a._sums, a._standards, a._costandards):
+        cache.clear()
     all_pass = all(checks.values())
     return {"n_vertices": n, "checks": checks, "report": report, "all_pass": all_pass}
 

@@ -81,9 +81,20 @@ def test_lists_of_walls_above_the_named_limit_exit_one():
 
 
 def test_leaf_lists_above_the_named_limit_exit_one():
-    code, out, err = run(["leaves", "40", "2"])
+    code, out, err = run(["leaves", "27", "2"])
     assert (code, out) == (1, "")
-    assert err.endswith(", above MAX_LISTED_LEAVES = 150000\n"), err
+    assert err.endswith(" number at least 14742, above MAX_LISTED_LEAVES = 12000\n"), err
+
+
+def test_largest_leaf_list_prints_less_than_the_largest_wall_list():
+    # the leaves limit bounds the printed size as well as the count: the
+    # 11,732 leaves of n = 26 print 1.79 MB at r = 2 and 1.80 MB at r = 20,
+    # under the 2.22 MB of walls 304 20
+    walls = len(run(["walls", "304", "20"])[1])
+    for r in ("2", "20"):
+        code, out, _ = run(["leaves", "26", r])
+        assert code == 0 and len(json.loads(out)["leaves"]) == 11_732
+        assert len(out) < walls, (r, len(out), walls)
 
 
 def test_largest_pinned_wall_list_is_printed_without_its_walls():

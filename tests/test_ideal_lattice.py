@@ -387,15 +387,16 @@ def test_enumerate_leaves_examples():
 
 
 def test_leaf_lists_are_checked_against_the_named_limit(monkeypatch):
-    assert il.MAX_LISTED_LEAVES == 150_000
-    assert len(enumerate_leaves(38, 2)) == 146_785
-    with pytest.raises(ValueError, match="above MAX_LISTED_LEAVES = 150000"):
-        enumerate_leaves(40, 2)  # 215,308 leaves
+    assert il.MAX_LISTED_LEAVES == 12_000
+    assert len(enumerate_leaves(26, 2)) == 11_732
+    with pytest.raises(ValueError, match="at n = 27 number at least 14742, above MAX_LISTED_LEAVES = 12000"):
+        enumerate_leaves(27, 2)
     # the count is summed only until it passes the limit
-    with pytest.raises(ValueError, match="at n = 10000000 number at least 177970, above"):
+    with pytest.raises(ValueError, match="at n = 10000000 number at least 14742, above"):
         enumerate_leaves(10**7, 2)
-    # a limit equal to the count passes, one below it refuses
-    for n, want in [(n, enumerate_leaves(n, 2)) for n in range(1, 9)]:
+    # a limit equal to the count passes, one below it refuses, at the
+    # boundary n = 26 too
+    for n, want in [(n, enumerate_leaves(n, 2)) for n in (*range(1, 9), 26)]:
         monkeypatch.setattr(il, "MAX_LISTED_LEAVES", len(want))
         assert enumerate_leaves(n, 2) == want
         monkeypatch.setattr(il, "MAX_LISTED_LEAVES", len(want) - 1)

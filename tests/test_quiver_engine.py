@@ -17,11 +17,14 @@ on that route's cold memo of one algebra; every stored class result
 (resolution step, standard quotient, module check, standard multiplicities,
 Hom-complex Ext) on the same computation run afresh, and at every placement
 of its class; the keys a resolution walks on the keys of the modules built
-from the same data; and the three algebra checks on their N-length copies
-over single-entry corruptions of the multiplication table.
+from the same data; the three algebra checks on their N-length copies
+over single-entry corruptions of the multiplication rule; ``product`` on the
+label-level rule over every index pair; and the report's algebra checks,
+read once per window class, on the full scans of ``ModelAlgebra(N)``.
 """
 
 import ast
+import functools
 import gc
 import hashlib
 import json
@@ -29,6 +32,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -191,8 +195,16 @@ def is_isomorphic(module: QuiverModule, target: QuiverModule) -> bool:
 
 
 # The algebra's former construction: every one of the (4N - 3)^2 label pairs
-# tested for composability, and an N x N grid of the paths between vertices.
+# of the N-length copy tested for composability, with its label-level rule
+# ``_mult_labels`` on each; the composable pairs in the order the engine once
+# stored them, by vertex; and an N x N grid of the paths between vertices.
 def _label_pair_scan(alg):
+    return _label_pair_scan_at(alg.N)
+
+
+@functools.cache
+def _label_pair_scan_at(n):
+    alg = nl.build_model_algebra(n)
     composable, table = [], {}
     for x, xl in enumerate(alg.labels):
         for y, yl in enumerate(alg.labels):
@@ -202,7 +214,15 @@ def _label_pair_scan(alg):
             z = alg._mult_labels(xl, yl)
             if z is not None:
                 table[(x, y)] = alg.index[z]
-    return composable, table
+    composable.sort(key=lambda pair: (alg.src[pair[0]], *pair))
+    return tuple(composable), table
+
+
+def _corrupt(alg, pair, z):
+    # an instance-patched ``product`` of alg whose one entry at pair is z (None:
+    # zero); ``del alg.product`` restores the rule
+    prod = alg.product
+    alg.product = lambda x, y: z if (x, y) == pair else prod(x, y)
 
 
 def _path_grid(alg):
@@ -217,9 +237,13 @@ def _path_grid(alg):
 def test_per_vertex_algebra_matches_label_pair_scan_and_path_grid(n):
     alg = build_model_algebra(n)
     composable, table = _label_pair_scan(alg)
-    assert len(set(alg.composable)) == len(alg.composable)
-    assert set(alg.composable) == set(composable)
-    assert alg.table == table
+    assert alg.labels == nl.build_model_algebra(n).labels
+    # the pairs the checks walk, and the rule on every pair of basis indices
+    assert tuple(alg._pairs()) == composable
+    assert {
+        (x, y): z for x in range(alg.dim) for y in range(alg.dim)
+        if (z := alg.product(x, y)) is not None
+    } == table
     if n >= 2:
         assert len(composable) == 16 * n - 19 and len(table) == 9 * n - 9
     grid = _path_grid(alg)
@@ -236,8 +260,9 @@ def test_per_vertex_algebra_matches_label_pair_scan_and_path_grid(n):
 def test_algebra_checks_run_at_ten_thousand_vertices():
     n = 10_000
     alg = build_model_algebra(n)
-    assert len(alg.composable) == 16 * n - 19
-    assert len(alg.table) == 9 * n - 9
+    pairs = list(alg._pairs())
+    assert len(pairs) == 16 * n - 19
+    assert sum(alg.product(x, y) is not None for x, y in pairs) == 9 * n - 9
     assert alg.is_associative()
     assert alg.relations_hold()
     assert alg.opposite_swap_is_antiautomorphism()
@@ -249,7 +274,7 @@ def test_relations_hold_detects_corrupted_algebra(monkeypatch):
     # a loop that fails to annihilate an arrow or a loop
     for pair, value in (((l2, a21), a21), ((l3, l3), l3)):
         alg = build_model_algebra(4)
-        alg.table[pair] = value
+        _corrupt(alg, pair, value)
         assert not alg.relations_hold(), pair
     # a path from vertex 1 to vertex 3 breaks the Hom dimensions
     alg = build_model_algebra(4)
@@ -687,6 +712,25 @@ def test_verify_model_properties_same_under_python_O():
     assert proc.stdout.strip() == json.dumps(verify_model_properties(4), sort_keys=True)
 
 
+@pytest.mark.parametrize("flags", ([], ["-O"]))
+def test_verify_cli_in_fresh_processes_matches_pinned_reports(flags):
+    # the algebra checks are computed in a process's first report, so each
+    # ``gieseker model-block N --verify`` runs in its own interpreter: its
+    # report less ``hypothesis`` hashes, compact and sorted, as pinned
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gieseker.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for n in (1, 5, 8, 24):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "gieseker.cli", "model-block", str(n), "--verify"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report.pop("hypothesis").startswith("bound-quiver model")
+        blob = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[n], (flags, n)
+
+
 def test_solve_matrix_raises_instead_of_asserting():
     one, zero = [[1]], [[0]]
     assert _solve(one, [[5]]) == [[5]]
@@ -843,12 +887,12 @@ def test_is_associative_detects_corrupted_table():
     e2, l2 = ix[("e", 2)], ix[("loop", 2)]
     # l_2 e_2 = 0 breaks (a(2,1) a(1,2)) e_2 = a(2,1) (a(1,2) e_2)
     alg = build_model_algebra(3)
-    del alg.table[(l2, e2)]
+    _corrupt(alg, (l2, e2), None)
     assert not alg.is_associative()
     # a product leaving its endpoints: e_2 e_2 = a(3,2), caught through the
     # idempotents
     alg = build_model_algebra(3)
-    alg.table[(e2, e2)] = ix[("a", 3, 2)]
+    _corrupt(alg, (e2, e2), ix[("a", 3, 2)])
     assert not alg.is_associative()
 
 
@@ -856,43 +900,45 @@ ALGEBRA_CHECKS = ("is_associative", "relations_hold", "opposite_swap_is_antiauto
 
 
 def _table_corruptions(alg, rng):
-    # single-entry changes of the table: each entry deleted, and redirected
-    # to its swap and to two seeded other basis elements; and each composable
-    # pair without an entry given one
-    for pair, z in sorted(alg.table.items()):
+    # single-entry changes of the multiplication table: each entry deleted,
+    # and redirected to its swap and to two seeded other basis elements; and
+    # each composable pair without an entry given one
+    composable, table = _label_pair_scan(alg)
+    for pair, z in sorted(table.items()):
         yield pair, None
         for other in sorted({alg.swap(z), *rng.choices(range(alg.dim), k=2)} - {z}):
             yield pair, other
-    for pair in alg.composable:
-        if pair not in alg.table:
+    for pair in composable:
+        if pair not in table:
             yield pair, rng.randrange(alg.dim)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_algebra_checks_match_the_n_length_copies_on_corrupted_tables(n):
-    # the three checks read per-element data built once per call; on every
-    # corruption they give the booleans of the unchanged copies in
-    # n_length_engine, which read the table pair by pair
+    # the three checks read every product through ``product``, the rows of
+    # associativity once per pair; on every corruption, applied to the
+    # engine's ``product`` and to the table of the unchanged copies in
+    # n_length_engine, which read it pair by pair, they give the same booleans
     rng = random.Random(n)
     got_alg, want_alg = build_model_algebra(n), nl.build_model_algebra(n)
-    assert got_alg.table == want_alg.table
+    table = _label_pair_scan(got_alg)[1]
+    assert want_alg.table == table
     rejected = Counter()
     for pair, z in _table_corruptions(got_alg, rng):
-        saved = got_alg.table.get(pair)
-        for alg in (got_alg, want_alg):
-            if z is None:
-                del alg.table[pair]
-            else:
-                alg.table[pair] = z
+        _corrupt(got_alg, pair, z)
+        if z is None:
+            del want_alg.table[pair]
+        else:
+            want_alg.table[pair] = z
         got = [getattr(got_alg, name)() for name in ALGEBRA_CHECKS]
         assert got == [getattr(want_alg, name)() for name in ALGEBRA_CHECKS], (pair, z)
         rejected.update(name for name, ok in zip(ALGEBRA_CHECKS, got) if not ok)
-        for alg in (got_alg, want_alg):
-            if saved is None:
-                del alg.table[pair]
-            else:
-                alg.table[pair] = saved
-    assert got_alg.table == want_alg.table
+        del got_alg.product
+        if pair in table:
+            want_alg.table[pair] = table[pair]
+        else:
+            del want_alg.table[pair]
+    assert want_alg.table == table and "product" not in vars(got_alg)
     # every check rejects some corruption, wherever the table has entries
     assert n == 1 or set(rejected) == set(ALGEBRA_CHECKS), rejected
 
@@ -902,12 +948,105 @@ def test_opposite_swap_check_detects_corrupted_table():
     e2, a12, a21 = ix[("e", 2)], ix[("a", 1, 2)], ix[("a", 2, 1)]
     # e_2 a(2,1) = a(1,2), while its mirror a(1,2) e_2 = a(1,2) is not its swap
     alg = build_model_algebra(3)
-    alg.table[(e2, a21)] = a12
+    _corrupt(alg, (e2, a21), a12)
     assert not alg.opposite_swap_is_antiautomorphism()
     # e_2 a(2,1) = 0, while its mirror stays nonzero
     alg = build_model_algebra(3)
-    del alg.table[(e2, a21)]
+    _corrupt(alg, (e2, a21), None)
     assert not alg.opposite_swap_is_antiautomorphism()
+
+
+@pytest.mark.parametrize("n", (1, 2, 7))
+def test_product_is_zero_off_the_basis(n):
+    # an index outside 0..dim - 1 names no basis element, so its products are
+    # None, as the stored table's lookup gave; a negative index must not read
+    # from the end of the basis: product(-dim, 0) is not e_1 e_1 = e_1
+    alg = build_model_algebra(n)
+    table = _label_pair_scan(alg)[1]
+    span = [*range(-2 * alg.dim, 2 * alg.dim), -(10**12), 10**12]
+    for x in span:
+        for y in span:
+            assert alg.product(x, y) == table.get((x, y)), (x, y)
+    assert alg.product(-alg.dim, 0) is alg.product(0, -alg.dim) is None
+
+
+def _report_algebra_checks(report):
+    names = ("associative", "relations", "opposite_antiautomorphism")
+    return tuple(report["checks"][name] for name in names)
+
+
+def test_report_algebra_checks_equal_the_full_scans(monkeypatch):
+    # on a cold memo the report reads the three checks off the window
+    # algebra of min(N, 6) vertices; at every N <= 64 they equal the full
+    # scans of ModelAlgebra(N)
+    built = []
+    init = ModelAlgebra.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self.N)
+
+    monkeypatch.setattr(ModelAlgebra, "__init__", recording_init)
+    for n in range(1, 65):
+        monkeypatch.setattr(qe, "_RESULTS", {})
+        built.clear()
+        got = _report_algebra_checks(verify_model_properties(n))
+        assert built == [n, min(n, 6)], n
+        alg = build_model_algebra(n)
+        assert got == tuple(getattr(alg, name)() for name in ALGEBRA_CHECKS) == (True,) * 3, n
+
+
+def _window_corruption(where, rule):
+    # the multiplication rule changed alike in every window of one class:
+    # a(1,2) a(2,1) = e_1 at vertex 1; l_i l_i = l_i at every i whose
+    # neighbours 2 <= i - 1 and i + 1 <= N - 1 touch neither end; a(N,N-1)
+    # a(N-1,N) = 0 at vertex N
+    def product(alg, x, y):
+        n, ix = alg.N, alg.index
+        if where == "vertex 1" and (x, y) == (ix.get(("a", 1, 2)), ix.get(("a", 2, 1))):
+            return ix[("e", 1)]
+        if where == "interior" and x == y >= 3 * n - 2 and 3 <= alg.tgt[x] <= n - 2:
+            return x
+        if where == "vertex N" and (x, y) == (ix.get(("a", n, n - 1)), ix.get(("a", n - 1, n))):
+            return None
+        return rule(alg, x, y)
+
+    return product
+
+
+@pytest.mark.parametrize("where, sizes", [("vertex 1", (3, 9)), ("interior", (5, 9)), ("vertex N", (3, 9))])
+def test_report_algebra_checks_see_every_window_class(where, sizes, monkeypatch):
+    # a corruption of one window class turns the report's checks False below
+    # N0 = 6 and above it, where they are read off the window algebra; the
+    # report's modules come from the memo, warmed by a clean report first,
+    # so only the algebra checks read the corrupted rule
+    _counting_memo(monkeypatch)
+    rule = ModelAlgebra.product
+    for n in sizes:
+        assert verify_model_properties(n)["all_pass"]
+        _forget_algebra_checks()
+        monkeypatch.setattr(ModelAlgebra, "product", _window_corruption(where, rule))
+        report = verify_model_properties(n)
+        got = _report_algebra_checks(report)
+        alg = build_model_algebra(n)
+        assert got == tuple(getattr(alg, name)() for name in ALGEBRA_CHECKS), (where, n)
+        assert not all(got) and not report["all_pass"], (where, n)
+        monkeypatch.setattr(ModelAlgebra, "product", rule)
+        _forget_algebra_checks()
+
+
+def test_algebra_is_built_without_a_table():
+    # the rule is computed from basis indices: building ModelAlgebra(10**4)
+    # peaks at 12.6 MiB on CPython 3.11, and at 33.2 MiB when it stored the
+    # 9N - 9 products and the 16N - 19 composable pairs
+    tracemalloc.start()
+    try:
+        alg = build_model_algebra(10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == 4 * 10**4 - 3 and peak <= 16 * 2**20, peak
+    assert not {"table", "composable", "_mult_labels"} & {*vars(alg), *vars(ModelAlgebra)}
 
 
 def test_cover_map_rejects_image_at_wrong_vertex(alg3):
@@ -925,7 +1064,7 @@ def _verify_all_composable_pairs(m):
         if len(mat) != rows or any(len(r) != cols for r in mat):
             return False
     acts = [m.actions[b] for b in range(a.dim)]
-    for x, y in a.composable:
+    for x, y in _label_pair_scan(a)[0]:
         lhs = _mm(acts[x], acts[y], m.dim_at(a.src[y]))
         z = a.product(x, y)
         if z is None:
@@ -1223,10 +1362,14 @@ def test_report_builds_each_action_once_and_empties_the_caches(monkeypatch):
 
     monkeypatch.setattr(qe._Actions, "__missing__", counting_build)
     monkeypatch.setattr(ModelAlgebra, "__init__", recording_init)
+    _forget_algebra_checks()
     assert verify_model_properties(6)["all_pass"]
     assert calls and set(calls.values()) == {1}
-    # only elements with both ends in the module's support are built
-    (alg,) = algebras
+    # the report's algebra, then the window algebra of its checks, which
+    # builds no module; only elements with both ends in the module's
+    # support are built
+    alg, window = algebras
+    assert window.N == 6 and not window._sums
     parts_of = {id(c): c._parts for c in caches}
     for key, b in calls:
         _, lo, dims, _ = parts_of[key]
@@ -1440,7 +1583,7 @@ def _dense_verify(m):
         rows, cols = m.dim_at(a.tgt[g]), m.dim_at(a.src[g])
         if len(full[g]) != rows or any(len(r) != cols for r in full[g]):
             return False
-    for x, y in a.composable:
+    for x, y in _label_pair_scan(a)[0]:
         if x not in full or y not in full:
             continue
         lhs = _mm(full[x], full[y], m.dim_at(a.src[y]))
@@ -1751,6 +1894,12 @@ def _counting_memo(monkeypatch):
     return memo
 
 
+def _forget_algebra_checks():
+    # drop the stored algebra checks, so the next report computes them
+    for key in [k for k in qe._RESULTS if k[0] == qe._ALGEBRA]:
+        del qe._RESULTS[key]
+
+
 def _steps_in(keys):
     # the step entries among class-result keys
     return [k for k in keys if k[0] == qe._STEP]
@@ -1842,23 +1991,25 @@ def test_warm_memo_gives_cold_answers():
 
 
 def test_report_algebra_dies_when_the_report_returns(monkeypatch):
-    # the memo keeps no algebra alive, so reference counting alone frees it
+    # the memo keeps no algebra alive, so reference counting alone frees the
+    # report's algebra and, on a cold memo, the window algebra of its checks
     refs = []
     init = ModelAlgebra.__init__
 
     def recording_init(self, *args):
         init(self, *args)
-        refs.append(weakref.ref(self))
+        refs.append((self.N, weakref.ref(self)))
 
     monkeypatch.setattr(ModelAlgebra, "__init__", recording_init)
+    _counting_memo(monkeypatch)
     gc.disable()
     try:
         for n in (1, 9):
             assert verify_model_properties(n)["all_pass"]
-            assert refs[-1]() is None, n
+            assert all(ref() is None for _, ref in refs), n
     finally:
         gc.enable()
-    assert len(refs) == 2
+    assert [n for n, _ in refs] == [1, 1, 9, 6]
 
 
 def test_bounded_step_memo_gives_the_same_answers(monkeypatch):
@@ -1878,21 +2029,27 @@ def test_class_results_match_fresh_computation(n, monkeypatch):
     # every resolution step, standard quotient, sum-of-projectives arrow
     # set, verify(), standard-multiplicity row and Hom-complex Ext the report
     # asks for, stored or not, against the same computation run afresh on
-    # the caller's own module, sum, resolution and target
+    # the caller's own module, sum, resolution and target; and the algebra
+    # checks, read once per report, against the window algebra's afresh and
+    # the full scans of the report's own algebra
     once, seen = qe._once, Counter()
+    full = build_model_algebra(n)
+    full = tuple(getattr(full, name)() for name in ALGEBRA_CHECKS)
 
     def checked_once(key, fn, *args):
         seen[key[0], key in qe._RESULTS] += 1
         got = once(key, fn, *args)
         assert got == fn(*args), key
+        assert key[0] != qe._ALGEBRA or (key, got) == ((qe._ALGEBRA, min(n, 6)), full)
         return got
 
     monkeypatch.setattr(qe, "_once", checked_once)
     assert verify_model_properties(n)["all_pass"]
-    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT, qe._SUM}
+    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT, qe._SUM, qe._ALGEBRA}
     assert {tag for tag, _ in seen} == (tags - {qe._STANDARD} if n == 1 else tags)
-    # from N = 8 on the report meets classes of each kind more than once
-    assert n < 8 or all(seen[tag, True] for tag in tags)
+    assert seen[qe._ALGEBRA, False] + seen[qe._ALGEBRA, True] == 1
+    # from N = 8 on the report meets classes of each other kind more than once
+    assert n < 8 or all(seen[tag, True] for tag in tags - {qe._ALGEBRA})
 
 
 def _class_results(alg, module):
