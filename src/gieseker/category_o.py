@@ -97,7 +97,11 @@ def top_cohomology_check(n: int, r: int) -> bool:
     Coefficient 1 means exactly one fixed point has weight rn-1, so when
     ((n), (), ...) has that weight it is the unique maximizer.
     """
-    coeffs = poincare_polynomial(n, r)
+    return _top_cohomology_holds(poincare_polynomial(n, r), n, r)
+
+
+def _top_cohomology_holds(coeffs: tuple[int, ...], n: int, r: int) -> bool:
+    # the check on the coefficients of poincare_polynomial(n, r)
     expected: Multipartition = ((n,),) + ((),) * (r - 1)
     return (
         len(coeffs) == r * n
@@ -280,8 +284,7 @@ def _walk(comps: list[list[int]], m: int, total: int) -> Iterator[tuple[int, int
 def _checked_recursion_input(
     n: int, r: int, m: int, sigma: Multipartition
 ) -> Multipartition:
-    if not isinstance(m, int) or m < 2:
-        raise ValueError("need integer m >= 2")
+    _check_modulus(m)
     _check_nr(n, r)
     if len(sigma) != r:
         raise ValueError(f"expected {r} components in sigma")

@@ -124,7 +124,7 @@ def _cmd_poincare(args) -> int:
             "coefficients": list(coeffs),
             "polynomial": category_o.polynomial_string(coeffs),
             "top_degree": len(coeffs) - 1,
-            "top_cohomology_check": category_o.top_cohomology_check(args.n, args.r),
+            "top_cohomology_check": category_o._top_cohomology_holds(coeffs, args.n, args.r),
             "hypothesis": (
                 "graded character of the fixed-point weights of the "
                 "multipartition labels"
@@ -287,19 +287,14 @@ def _cmd_model_block(args) -> int:
         payload = quiver_engine.verify_model_properties(args.N)
     else:
         a = quiver_engine.build_model_algebra(args.N)
+        projectives, standards, _, tiltings = quiver_engine.model_families(a)
         payload = {
             "n_vertices": a.N,
             "algebra_dim": a.dim,
-            "projective_dims": [
-                quiver_engine.projective(a, i).total_dim for i in range(1, a.N + 1)
-            ],
-            "standard_dims": [
-                quiver_engine.standard(a, i).total_dim for i in range(1, a.N + 1)
-            ],
-            "tilting_dims": [
-                quiver_engine.tilting(a, i).total_dim for i in range(1, a.N + 1)
-            ],
-            "cartan_matrix": quiver_engine.cartan_matrix(a),
+            "projective_dims": [m.total_dim for m in projectives],
+            "standard_dims": [m.total_dim for m in standards],
+            "tilting_dims": [m.total_dim for m in tiltings],
+            "cartan_matrix": [list(p.dims) for p in projectives],
         }
     payload["hypothesis"] = (
         "bound-quiver model of the unique nontrivial block at denominator n"

@@ -141,6 +141,8 @@ def findim_dimension_rank_one(n: int, s: int) -> int:
     (s+n-1)! / (s! n!), the rational Catalan number.  Refuses other inputs
     rather than extrapolating.
     """
+    if type(n) is not int or type(s) is not int:  # True would pass for 1
+        raise ValueError(f"n and s must be ints, not {n!r} and {s!r}")
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1")
     if math.gcd(s, n) != 1:

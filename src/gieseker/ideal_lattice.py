@@ -45,6 +45,9 @@ LeafLabel = Partition  # unordered collection of positive ints, stored sorted de
 # the most leaves a list may hold: n = 26 lists 11,732 (the CLI prints 1.79 MB
 # at r = 2, under the largest wall list's 2.22 MB), n = 27 would list 14,742
 MAX_LISTED_LEAVES = 12_000
+# the most digits a list's dimensions, each at most 2rn, may print: the rest
+# of n = 26's list prints 1.77 MB at any r, so no list passes 2.18 MB
+MAX_LISTED_DIGITS = 400_000
 
 
 def enumerate_leaves(n: int, r: int) -> list[LeafLabel]:
@@ -55,7 +58,9 @@ def enumerate_leaves(n: int, r: int) -> list[LeafLabel]:
     leaf.  Requires r >= 2; the rank-one stratification is different and out
     of scope.  The count, sum of p(t) over t <= n, is checked against
     MAX_LISTED_LEAVES before any leaf is built; it is summed only until it
-    passes the limit, so a large n costs no more than n = 27.
+    passes the limit, so a large n costs no more than n = 27.  The list is
+    the same at every r, whose printed dimensions are checked first: the
+    count times the digits of 2rn against MAX_LISTED_DIGITS.
     """
     _check_nr(n, r)
     if r < 2:
@@ -68,6 +73,13 @@ def enumerate_leaves(n: int, r: int) -> list[LeafLabel]:
                 f"the leaves at n = {n} number at least {count}, above "
                 f"MAX_LISTED_LEAVES = {MAX_LISTED_LEAVES}"
             )
+    digits = MAX_LISTED_DIGITS // count  # the most each dimension may print
+    top = 2 * r * n  # 8^d < 10^d: at most 3d bits make at most d digits
+    if top.bit_length() > 3 * digits and top >= 10**digits:
+        raise ValueError(
+            f"the {count} leaves at n = {n} would print dimensions of more than "
+            f"{digits} digits, above MAX_LISTED_DIGITS = {MAX_LISTED_DIGITS} in all"
+        )
     return sorted(
         (lam for total in range(n + 1) for lam in enumerate_partitions(total)), key=len
     )

@@ -47,9 +47,10 @@ def multipartition_size(sigma: Multipartition) -> int:
     return sum(sum(comp) for comp in sigma)
 
 
-@cache
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, lexicographically decreasing: (n) first, (1^n) last."""
+    if type(n) is not int:  # checked before the cache, which keys True as 1
+        raise ValueError(f"n must be an int, not {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     return _partitions_bounded(n, n)
@@ -68,11 +69,10 @@ def _partitions_bounded(n: int, max_part: int) -> tuple[Partition, ...]:
 
 
 def count_partitions(n: int) -> int:
-    """p(n) from its generating function, building no partition; 0 for n < 0."""
-    return count_multipartitions(n, 1) if n >= 0 else 0
+    """p(n) from its generating function, building no partition; 0 for an int n < 0."""
+    return 0 if type(n) is int and n < 0 else count_multipartitions(n, 1)
 
 
-@cache
 def enumerate_multipartitions(n: int, r: int) -> tuple[Multipartition, ...]:
     """All r-multipartitions of n.
 
@@ -81,14 +81,18 @@ def enumerate_multipartitions(n: int, r: int) -> tuple[Multipartition, ...]:
     recursively.  For (n, r) = (2, 2) this gives
     ((2),()) ((1,1),()) ((1),(1)) ((),(2)) ((),(1,1)).
     """
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
+    _check_nr(n, r, 0)  # before the cache, which keys True as 1
+    return _multipartitions(n, r)
+
+
+@cache
+def _multipartitions(n: int, r: int) -> tuple[Multipartition, ...]:
     if r == 1:
-        return tuple((lam,) for lam in enumerate_partitions(n))
+        return tuple((lam,) for lam in _partitions_bounded(n, n))
     out: list[Multipartition] = []
     for s in range(n, -1, -1):
-        for lam in enumerate_partitions(s):
-            for rest in enumerate_multipartitions(n - s, r - 1):
+        for lam in _partitions_bounded(s, s):
+            for rest in _multipartitions(n - s, r - 1):
                 out.append((lam,) + rest)
     return tuple(out)
 
@@ -96,8 +100,7 @@ def enumerate_multipartitions(n: int, r: int) -> tuple[Multipartition, ...]:
 def count_multipartitions(n: int, r: int) -> int:
     """The x^n coefficient of prod_{d>=1} (1 - x^d)^(-r), expanded one
     geometric series at a time in O(r n^2) integer additions."""
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
+    _check_nr(n, r, 0)
     coeffs = [1] + [0] * n
     for _ in range(r):
         for d in range(1, n + 1):
@@ -106,17 +109,20 @@ def count_multipartitions(n: int, r: int) -> int:
     return coeffs[n]
 
 
-@cache
 def enumerate_compositions(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Ordered r-tuples of nonnegative ints summing to n, first entry n down to 0."""
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
+    _check_nr(n, r, 0)  # before the cache, which keys True as 1
+    return _compositions(n, r)
+
+
+@cache
+def _compositions(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     if r == 1:
         return ((n,),)
     return tuple(
         (s,) + rest
         for s in range(n, -1, -1)
-        for rest in enumerate_compositions(n - s, r - 1)
+        for rest in _compositions(n - s, r - 1)
     )
 
 
@@ -148,10 +154,10 @@ def remove_corner(lam: Partition, row: int) -> Partition:
 
 
 def _check_modulus(m: int) -> None:
+    if type(m) is not int:  # as in _check_nr: True would pass for 1, 2.0 for 2
+        raise ValueError(f"modulus m must be an int, not {m!r}")
     if m < 2:
         raise ValueError("modulus m must be >= 2")
-    if not isinstance(m, int):
-        raise TypeError(f"modulus m must be an int, not {type(m).__name__}")
 
 
 def divide_with_remainder(lam: Partition, m: int) -> tuple[Partition, Partition]:
@@ -227,16 +233,18 @@ class Hook(namedtuple("Hook", "n r slot leg")):
 
 def hook_partition(n: int, d: int) -> Partition:
     """The hook partition of n with arm n-d and leg d-1, i.e. (n+1-d, 1^(d-1))."""
+    if type(n) is not int or type(d) is not int:
+        raise ValueError(f"n and d must be ints, not {n!r} and {d!r}")
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     return (n + 1 - d,) + (1,) * (d - 1)
 
 
-def _check_nr(n: int, r: int) -> None:  # every (n, r) entry point's check
+def _check_nr(n: int, r: int, least_n: int = 1) -> None:  # every (n, r) entry point's check
     if type(n) is not int or type(r) is not int:  # True would pass for 1
         raise ValueError(f"n and r must be ints, not {n!r} and {r!r}")
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    if n < least_n or r < 1:
+        raise ValueError(f"need n >= {least_n} and r >= 1")
 
 
 def hooks(n: int, r: int) -> list[Hook]:

@@ -282,7 +282,7 @@ class QuiverModule:
         Thm III.1.6): e_i acts by the identity and l_i by down·up, and every
         other product follows by associativity.  A pair y: s -> m, x: m -> t
         with s or t outside the support has two empty sides and is skipped."""
-        a, dims, acts = self.algebra, self.dims, self.actions
+        a, dims, action = self.algebra, self.dims, self.action
         for g, mat in self.act.items():
             rows, cols = dims[a.tgt[g] - 1], dims[a.src[g] - 1]
             if len(mat) != rows or any(len(r) != cols for r in mat):
@@ -292,9 +292,9 @@ class QuiverModule:
                 for x, t in a._out[m]:
                     if not dims[t]:
                         continue
-                    lhs = el.mat_mul(acts[x], acts[y]) if dims[m] else el.zeros(dims[t], d)
+                    lhs = el.mat_mul(action(x), action(y)) if dims[m] else el.zeros(dims[t], d)
                     z = a.product(x, y)
-                    rhs = acts[z] if z is not None else el.zeros(dims[t], d)
+                    rhs = action(z) if z is not None else el.zeros(dims[t], d)
                     if lhs != rhs:
                         return False
         return True
@@ -317,13 +317,13 @@ def _span_matrices(module: QuiverModule, vectors: list[tuple[int, Vector | int]]
     paths b from v to t span it at t, and one elimination keeps their pivots.
     A seed (v, c) with an int c is the c-th unit vector at v, and b sends it
     to column c of b's matrix."""
-    a, dims, acts = module.algebra, module.dims, module.actions
+    a, dims, action = module.algebra, module.dims, module.action
     cands: list[list[Vector]] = [[] for _ in dims]
     for v, vec in vectors:
         for b in a.path_basis(v):
             t = a.tgt[b] - 1
             if dims[t]:
-                m = acts[b]
+                m = action(b)
                 cands[t].append([r[vec] for r in m] if type(vec) is int else el.mat_vec(m, vec))
     spans = []
     for cols, d in zip(cands, dims):
@@ -496,10 +496,10 @@ def cover_map(
     returns per-vertex matrices."""
     if [v for v, _ in images] != list(ps.gen_vertices):
         raise ValueError("each image must sit at the vertex of its generator")
-    acts = target.actions
+    action = target.action
     mats = []
     for v, d in enumerate(target.dims):
-        cols = [el.mat_vec(acts[b], images[s][1]) for s, b in ps.basis_pos[v]] if d else []
+        cols = [el.mat_vec(action(b), images[s][1]) for s, b in ps.basis_pos[v]] if d else []
         mats.append(_from_cols(cols, d))
     return mats
 
@@ -615,7 +615,7 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
     ``res.images``; ``res`` must have max_degree + 2 terms or terminate."""
     hom_dims = [sum(target.dims[v - 1] for v in gens) for gens in res.gens]
     hom_dims += [0] * (max_degree + 2 - len(hom_dims))
-    acts = target.actions
+    action = target.action
 
     def delta_rank(t: int) -> int:
         # Hom(P_t, X) -> Hom(P_{t+1}, X), phi -> phi . d_{t+1}.  A generator
@@ -636,7 +636,7 @@ def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> 
                 if not coeff or col_start[s] == col_start[s + 1]:  # X is 0 at s's top
                     continue
                 col0 = col_start[s]
-                for r, act_row in enumerate(acts[b]):
+                for r, act_row in enumerate(action(b)):
                     out = mat[row0 + r]
                     for u, x in enumerate(act_row):
                         if x:

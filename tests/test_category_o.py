@@ -260,7 +260,7 @@ def test_legal_removals_validate_inputs():
         legal_removals(((1, 2),), 2)
     with pytest.raises(ValueError, match="modulus m must be >= 2"):
         legal_removals(((2, 1),), 1)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="modulus m must be an int, not 2.0"):
         legal_removals(((2, 1),), 2.0)
 
 
@@ -270,8 +270,9 @@ def test_recursions_reject_non_partitions_below_m():
         support_dimension_recursive(1, 1, 2, ((1, 0),))
     with pytest.raises(ValueError, match=r"not a partition: \(0, 1\)"):
         support_recursion_values(1, 1, 2, ((0, 1),))
-    for bad_m in (1, 2.0):
-        with pytest.raises(ValueError, match="need integer m >= 2"):
+    # m is checked by the one modulus rule of legal_removals
+    for bad_m, message in ((1, "modulus m must be >= 2"), (2.0, "modulus m must be an int")):
+        with pytest.raises(ValueError, match=message):
             support_recursion_values(1, 1, bad_m, ((1,),))
     with pytest.raises(ValueError, match="expected 2 components"):
         support_recursion_values(1, 2, 2, ((1,),))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from gieseker import category_o
 from gieseker.cli import main
 
 
@@ -87,14 +88,19 @@ def test_leaf_lists_above_the_named_limit_exit_one():
 
 
 def test_largest_leaf_list_prints_less_than_the_largest_wall_list():
-    # the leaves limit bounds the printed size as well as the count: the
+    # the leaves limits bound the printed size as well as the count: the
     # 11,732 leaves of n = 26 print 1.79 MB at r = 2 and 1.80 MB at r = 20,
-    # under the 2.22 MB of walls 304 20
+    # and 2.10 MB at the largest r whose dimensions print 34 digits each,
+    # under the 2.22 MB of walls 304 20; r = 10**1000 printed 11.1 MB
     walls = len(run(["walls", "304", "20"])[1])
-    for r in ("2", "20"):
-        code, out, _ = run(["leaves", "26", r])
+    largest = str((10**34 - 1) // 52)  # 2rn < 10**34 at n = 26
+    for extra in (["2"], ["20"], [largest], [largest, "--unreduced", "--lambda", "1"]):
+        code, out, _ = run(["leaves", "26", *extra])
         assert code == 0 and len(json.loads(out)["leaves"]) == 11_732
-        assert len(out) < walls, (r, len(out), walls)
+        assert len(out) < walls, (extra, len(out), walls)
+    code, out, err = run(["leaves", "26", str(10**1000)])
+    assert (code, out) == (1, "")
+    assert err.endswith(" more than 34 digits, above MAX_LISTED_DIGITS = 400000 in all\n"), err
 
 
 def test_largest_pinned_wall_list_is_printed_without_its_walls():
@@ -146,6 +152,22 @@ def test_poincare_output():
     payload = run_json(["poincare", "2", "2"])
     assert payload["polynomial"] == "1 + t + 2t^2 + t^3"
     assert payload["coefficients"] == [1, 1, 2, 1]
+
+
+def test_poincare_computes_the_polynomial_once(monkeypatch):
+    # the top-degree check reads the printed coefficients; the report used
+    # to compute the whole polynomial a second time for it
+    calls = []
+    poly = category_o.poincare_polynomial
+
+    def counted(n, r):
+        calls.append((n, r))
+        return poly(n, r)
+
+    monkeypatch.setattr(category_o, "poincare_polynomial", counted)
+    payload = run_json(["poincare", "16", "3"])
+    assert calls == [(16, 3)] and payload["top_cohomology_check"] is True
+    assert payload["top_degree"] == 47 and category_o.top_cohomology_check(16, 3)
 
 
 def test_supports_output():

@@ -404,6 +404,29 @@ def test_leaf_lists_are_checked_against_the_named_limit(monkeypatch):
             enumerate_leaves(n, 2)
 
 
+def test_leaf_lists_are_checked_against_the_digit_limit(monkeypatch):
+    # r enters a leaf list only through the digits of 2rn, which bound each
+    # printed dimension: the largest r within the limit passes and the next
+    # refuses, and the limit itself reads count * digits(2rn)
+    assert il.MAX_LISTED_DIGITS == 400_000
+    for n in (1, 2, 8, 26):
+        want = enumerate_leaves(n, 2)
+        digits = il.MAX_LISTED_DIGITS // len(want)
+        largest = (10**digits - 1) // (2 * n)
+        assert enumerate_leaves(n, largest) == want
+        message = f"the {len(want)} leaves at n = {n} would print dimensions of more than {digits} digits"
+        with pytest.raises(ValueError, match=message):
+            enumerate_leaves(n, largest + 1)
+    cases = ((1, 2), (2, 2), (8, 10**5), (26, 20), (3, 10**4000))
+    for (n, r), want in [(case, enumerate_leaves(case[0], 2)) for case in cases]:
+        printed = len(str(2 * r * n))
+        monkeypatch.setattr(il, "MAX_LISTED_DIGITS", len(want) * printed)
+        assert enumerate_leaves(n, r) == want
+        monkeypatch.setattr(il, "MAX_LISTED_DIGITS", len(want) * printed - 1)
+        with pytest.raises(ValueError, match="above MAX_LISTED_DIGITS"):
+            enumerate_leaves(n, r)
+
+
 def test_leaf_dimensions():
     assert leaf_dimension((), 2, 2) == 6
     assert leaf_dimension((1,), 2, 2) == 4

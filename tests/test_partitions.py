@@ -46,7 +46,9 @@ from gieseker.ideal_lattice import (
     ideal_chain,
     leaf_dimension,
 )
-from gieseker.partitions import _quotient_size
+from gieseker.category_o import _checked_recursion_input
+from gieseker.diagnostics import findim_dimension_rank_one
+from gieseker.partitions import _check_modulus, _quotient_size, hook_partition
 from gieseker.torus_chambers import (
     Cocharacter,
     fixed_components_k0,
@@ -292,13 +294,15 @@ def test_divide_errors_match_fresh_dp(lam, m):
 
 def test_divide_cache_keeps_float_modulus_apart():
     # 2.0 == 2, but the division has only ever been defined for an int
-    # modulus, and floor division would accept a float: it still fails
+    # modulus, and floor division would accept a float: it still fails, with
+    # the ValueError of every other non-int (the former route's TypeError
+    # came from its range over a float)
     assert divide_with_remainder((4,), 2) == ((2,), ())
-    for call in (fresh_division_dp, divide_with_remainder):
-        with pytest.raises(TypeError):
-            call((4,), 2.0)
     with pytest.raises(TypeError):
-        divide_with_remainder((), 3.0)
+        fresh_division_dp((4,), 2.0)
+    for lam, m in (((4,), 2.0), ((), 3.0)):
+        with pytest.raises(ValueError, match="modulus m must be an int, not"):
+            divide_with_remainder(lam, m)
 
 
 def test_divide_reconstructs():
@@ -523,3 +527,30 @@ def test_ints_must_be_ints(case):
     call, message = NOT_INTS[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_counts_and_moduli_are_ints_before_any_cache():
+    # each call answered for True as for 1 or for 1.0 and 2.0 as for 1 and 2,
+    # or raised a bare TypeError; functools.cache keys True, 1 and 1.0 alike,
+    # so each is asked after the int it would pass for has been answered
+    assert enumerate_compositions(2, 1) == ((2,),) and hook_partition(2, 1) == (2,)
+    assert enumerate_partitions(1) == ((1,),) and enumerate_multipartitions(1, 1) == (((1,),),)
+    assert count_multipartitions(1, 1) == 1 == findim_dimension_rank_one(1, 1)
+    cases = [
+        (lambda: enumerate_compositions(2, 1.0), "n and r must be ints, not 2 and 1.0"),
+        (lambda: hook_partition(2.0, 1), "n and d must be ints, not 2.0 and 1"),
+        (lambda: enumerate_partitions(True), "n must be an int, not True"),
+        (lambda: enumerate_multipartitions(1, True), "n and r must be ints, not 1 and True"),
+        (lambda: count_multipartitions(True, 1), "n and r must be ints, not True and 1"),
+        (lambda: count_partitions(True), "n and r must be ints, not True and 1"),
+        (lambda: findim_dimension_rank_one(True, 1), "n and s must be ints, not True and 1"),
+        (lambda: divide_with_remainder((3,), "2"), "modulus m must be an int, not '2'"),
+        # one modulus rule: the recursions' input check raised ValueError for
+        # a float m where _check_modulus raised TypeError
+        (lambda: _check_modulus(2.0), "modulus m must be an int, not 2.0"),
+        (lambda: _checked_recursion_input(1, 1, 2.0, ((1,),)), "modulus m must be an int, not 2.0"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
