@@ -159,14 +159,10 @@ def column_space_completion(span: list[Vector], dim: int) -> list[int]:
     """Indices of standard basis vectors extending ``span`` to all of Q^dim.
 
     These are the t with e_t outside span + <e_0, ..., e_{t-1}>, the set a
-    greedy left-to-right scan would pick: exactly the t where some functional
-    vanishing on span and on e_0..e_{t-1} is nonzero at e_t, i.e. the pivot
-    columns of a basis of the annihilator of span, the kernel of the matrix
-    whose rows are span.
+    greedy left-to-right scan would pick.  A column is a pivot exactly when it
+    lies outside the span of the columns before it, so they are the pivot
+    columns past span in one elimination of the columns [span | e_0 ... e_{dim-1}].
     """
-    kernel = nullspace(span) if span else identity(dim)
-    pivots = fraction_free_echelon(kernel)[1]
-    if len(pivots) != len(kernel):
-        rank_reached = dim - len(kernel) + len(pivots)
-        raise InvariantError(f"completion reached rank {rank_reached}, not {dim}")
-    return pivots
+    k = len(span)
+    cols = [[v[i] for v in span] + [int(j == i) for j in range(dim)] for i in range(dim)]
+    return [c - k for c in fraction_free_echelon(cols)[1] if c >= k]

@@ -121,6 +121,8 @@ def ideal_chain(n: int, r: int, lam: Parameter) -> IdealChain:
     there are floor(n/m) proper ideals, all prime, linearly ordered, the i-th
     sitting over the leaf with i collection entries equal to m.  Variety
     dimensions use the reduced convention and are only defined for r >= 2.
+    The leaves print count(count + 1)/2 numbers m, whose digits are checked
+    against MAX_LISTED_DIGITS before any entry is built.
     """
     _check_nr(n, r)
     lam = as_parameter(lam)
@@ -128,6 +130,12 @@ def ideal_chain(n: int, r: int, lam: Parameter) -> IdealChain:
     if not has_finite_global_dimension(n, r, lam):
         return IdealChain(n, r, m, simple=True, entries=())
     count = 0 if m is None else n // m
+    digits = MAX_LISTED_DIGITS // max(count * (count + 1) // 2, 1)  # the most m may print
+    if count and m.bit_length() > 3 * digits and m >= 10**digits:  # 8^d < 10^d
+        raise ValueError(
+            f"the {count} ideals at n = {n} would print leaves of more than "
+            f"MAX_LISTED_DIGITS = {MAX_LISTED_DIGITS} digits in all"
+        )
     entries = tuple(
         IdealChainEntry(
             index=i,

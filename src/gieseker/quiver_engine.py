@@ -33,14 +33,8 @@ algebra, so the paths acting on a submodule's seeds span it, and a
 resolution keeps each differential as the images of its generators.
 
 The one memo, ``_RESULTS``, is the engine's only cache: an algebra holds no
-module, and each call that returns a module builds it.  A process computes
-one resolution step, one standard quotient, one set of arrow matrices of a
-sum of projectives, one ``verify``, one ``delta_multiplicities`` and one
-Hom-complex Ext per translation class (``QuiverModule.key``): moving a
-module along the quiver sets a new lo, and the memo holds local data only,
-so no report re-derives what an earlier one computed.  A resolution walks
-class keys, building a kernel module only on a miss, and places no kernel
-for its last term; modules are never mutated.
+module, each call that returns a module builds it, and modules are never
+mutated.  It holds one result per translation class (``QuiverModule.key``).
 
 ``Resolution`` and ``ExtResult`` are named tuples, cheap to define and to
 build (see the package docstring).
@@ -146,24 +140,14 @@ class ModelAlgebra:
     def is_associative(self) -> bool:
         """(xy)z = x(yz) for every basis triple.  Only composable pairs extend
         to triples: associativity with the idempotents forces each product to
-        keep the outer endpoints, so any other triple is zero on both sides.
-        Each pair's product is read once, through ``product``, into the row
-        {y: xy} of x; a triple with x at v reads the rows at v - 1..v + 1 only."""
-        prod, starting, ending = self.product, self._starting, self._ending
-
-        def rows_at(v: int) -> dict[int, dict[int, int | None]]:
-            return {x: {y: prod(x, y) for y in ending[v - 1]} for x in starting[v - 1]}
-
-        here, above = {}, rows_at(1)
-        for v in range(1, self.N + 1):
-            below, here, above = here, above, rows_at(v + 1) if v < self.N else {}
-            rows = {**below, **here, **above}
-            for x, row in here.items():
-                for y, xy in row.items():
-                    row_xy = rows.get(xy, {})
-                    for z, yz in rows[y].items():
-                        if row_xy.get(z) != row.get(yz):
-                            return False
+        keep the outer endpoints, so any other triple is zero on both sides."""
+        prod, src, ending = self.product, self.src, self._ending
+        for x, y in self._pairs():
+            xy = prod(x, y)
+            for z in ending[src[y] - 1]:
+                yz = prod(y, z)
+                if (None if xy is None else prod(xy, z)) != (None if yz is None else prod(x, yz)):
+                    return False
         return True
 
     def relations_hold(self) -> bool:
@@ -278,7 +262,14 @@ class QuiverModule:
         lo >= 2, each such product is already 0, loops killing arrows.  So
         lo = 2 is generic, as hi = N - 1 is: work reading the algebra on
         [lo - 1, hi + 1] only gives equal keys, in any algebras, one answer
-        up to translation."""
+        up to translation.
+
+        So a process computes such work once per key, through ``_RESULTS``,
+        as local data that a module with that key places at its lo: a
+        resolution step, a standard quotient, the arrows of a sum of
+        projectives, ``verify``, ``delta_multiplicities`` and the Hom-complex
+        Ext.  Moving a module along the quiver sets a new lo, so no report
+        re-derives what an earlier one computed."""
         if self._key is None:
             self._key = (self.lo == 1, self.hi == self.algebra.N, self._dims,
                          *((k, tuple(map(tuple, m))) for k, m in sorted(self._act.items())))
@@ -329,7 +320,7 @@ class QuiverModule:
         Thm III.1.6): e_i acts by the identity and l_i by down·up, and every
         other product follows by associativity.  A pair y: s -> m, x: m -> t
         with s or t outside the support has two empty sides and is skipped.
-        It reads the algebra on [lo - 1, hi + 1] only: once per ``key``."""
+        Computed once per ``key``."""
         return _once((_VERIFY, self.key), self._verify)
 
     def _verify(self) -> bool:
@@ -447,8 +438,7 @@ def _trace_span(module: QuiverModule, max_vertex: int) -> list[list[Vector]]:
 def standard(algebra: ModelAlgebra, i: int) -> QuiverModule:
     """Delta(p_i): the i-th projective modulo the trace of the larger ones,
     built from P_i on each call.  For i >= 2 it is P_i modulo the trace of
-    vertex i - 1, P_i's lo, which reads P_i only: that quotient is computed
-    once per process for each ``key`` of P_i and placed at P_i's lo."""
+    vertex i - 1, P_i's lo: one quotient per ``key`` of P_i."""
     return _standard(projective(algebra, i), i)  # projective checks i
 
 
@@ -508,23 +498,31 @@ def top_generators(module: QuiverModule) -> list[tuple[int, int]]:
     return gens
 
 
+def _sum_basis(algebra: ModelAlgebra, gen_vertices) -> tuple[int, list[list[tuple[int, int]]]]:
+    # the path basis of the sum of the P_v, v in gen_vertices: P_v lives on
+    # [v - 1, v + 1], so the sum on [lo, hi] = [min gen - 1, max gen + 1]
+    # within 1..N; returns lo and the (summand, path) pairs at each vertex lo..hi
+    lo = max(min(gen_vertices, default=2) - 1, 1)
+    hi = min(max(gen_vertices, default=-1) + 1, algebra.N)
+    pos: list[list[tuple[int, int]]] = [[] for _ in range(lo, hi + 1)]
+    for s, v in enumerate(gen_vertices):
+        for b in algebra.path_basis(v):  # each path sits at its target
+            pos[algebra.tgt[b] - lo].append((s, b))
+    return lo, pos
+
+
 class ProjectiveSum:
     """Direct sum of indecomposable projectives, one per generator vertex, on
-    its path basis.  P_v lives on [v - 1, v + 1], so the sum lives on
-    [lo, hi] = [min gen - 1, max gen + 1] within 1..N; ``_pos[p]`` lists the
-    (summand, path) pairs at vertex lo + p."""
+    its path basis; ``_pos[p]`` lists the (summand, path) pairs at vertex
+    lo + p of its support [lo, hi]."""
 
     def __init__(self, algebra: ModelAlgebra, gen_vertices: tuple[int, ...]) -> None:
         for v in gen_vertices:
             _check_vertex(algebra, v)
         self.algebra = algebra
         self.gen_vertices = tuple(gen_vertices)
-        lo = max(min(gen_vertices, default=2) - 1, 1)
-        hi = min(max(gen_vertices, default=-1) + 1, algebra.N)
-        self._pos: list[list[tuple[int, int]]] = [[] for _ in range(lo, hi + 1)]
-        for s, v in enumerate(self.gen_vertices):
-            for b in algebra.path_basis(v):  # each path sits at its target
-                self._pos[algebra.tgt[b] - lo].append((s, b))
+        lo, self._pos = _sum_basis(algebra, self.gen_vertices)
+        hi = lo + len(self._pos) - 1
         dims = tuple(len(p) for p in self._pos)
         # the arrows read the algebra on [lo, hi] only: one computation per
         # class (see QuiverModule.key) of the end flags, the dims, which tell
@@ -581,12 +579,10 @@ class Resolution(NamedTuple):
         return self.gens[degree].count(vertex) if degree < len(self.gens) else 0
 
 
-# Class results, shared by every algebra in the process: resolution steps,
-# standard quotients, the arrows of sums of projectives and the results of
-# ``verify``, ``delta_multiplicities``, ``_hom_complex_ext`` and the algebra
-# checks, keyed by a tag and the classes (``QuiverModule.key``, windows) they
-# depend on, not on N.  A value is local data only, so the memo keeps no
-# algebra or module alive; a miss that would pass the bound empties it first.
+# Class results, shared by every algebra in the process and keyed by a tag and
+# the classes they depend on (see QuiverModule.key and ModelAlgebra.product).
+# A value is local data only, so the memo keeps no algebra or module alive; a
+# miss that would pass the bound empties it first.
 _RESULTS: dict[tuple, object] = {}
 _RESULTS_BOUND = 4096
 _STEP, _STANDARD, _VERIFY, _DELTA, _EXT, _SUM, _ALGEBRA = range(7)
@@ -616,9 +612,7 @@ def _syzygy_step(algebra: ModelAlgebra, lo: int, dims, act: dict[int, Matrix]) -
     coordinate), the basis columns in its projective cover P of the kernel,
     at the kernel's vertices lo..hi, dim P, and the kernel's offset from lo,
     arrow matrices and class key without its two end flags, or None if the
-    kernel is zero.  P_v lives on [v - 1, v + 1], so the step reads the
-    algebra on [lo - 1, hi + 1] only, and a resolution computes it once per
-    process for each class key; the module is built here, on a miss only."""
+    kernel is zero.  Computed once per class key, building the module then."""
     module = QuiverModule(algebra, lo, dims, act)
     tops = top_generators(module)
     ps = ProjectiveSum(algebra, tuple(v for v, _ in tops))
@@ -680,17 +674,13 @@ def ext_groups(
 def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> ExtResult:
     """Ext^k(res.target, target) for k <= max_degree from the Hom complex of
     ``res.images``; ``res`` must have max_degree + 2 terms or terminate.
-    It reads the algebra only where P_t and the target live, which differ
-    from their translates only where a key in ``res.key`` or ``target.key`` says so,
-    so it is computed once per those keys, target.lo - res.target.lo and
-    max_degree."""
+    Computed once per ``res.key``, ``target.key``, their offset and max_degree."""
     key = (_EXT, res.key, target.key, target.lo - res.target.lo, max_degree)
     return ExtResult(*_once(key, _hom_complex_dims, res, target, max_degree))
 
 
 def _hom_complex_dims(res: Resolution, target: QuiverModule, max_degree: int) -> tuple:
     dim, action = dict(enumerate(target._dims, target.lo)).get, target.action
-    path_basis, tgt = res.algebra.path_basis, res.algebra.tgt
     hom_dims = [sum(dim(v, 0) for v in gens) for gens in res.gens]
     hom_dims += [0] * (max_degree + 2 - len(hom_dims))
 
@@ -704,15 +694,13 @@ def _hom_complex_dims(res: Resolution, target: QuiverModule, max_degree: int) ->
             return 0
         mat = el.zeros(hom_dims[t + 1], hom_dims[t])
         col_start = [0, *accumulate(dim(v, 0) for v in res.gens[t])]
+        lo, pos = _sum_basis(res.algebra, res.gens[t])
         row0 = 0
         for w, image in res.images[t + 1]:
             if not dim(w):
                 continue
-            # a generator's image lies in P_t at w: its coordinates are the
-            # paths to w from P_t's generators, in ProjectiveSum's order
-            paths = [(s, b) for s, v in enumerate(res.gens[t]) for b in path_basis(v)
-                     if tgt[b] == w]
-            for (s, b), coeff in zip(paths, image):
+            # a generator's image lies in P_t at w, on the paths pos[w - lo]
+            for (s, b), coeff in zip(pos[w - lo], image):
                 if not coeff or col_start[s] == col_start[s + 1]:  # X is 0 at s's top
                     continue
                 col0 = col_start[s]
@@ -785,10 +773,8 @@ def verify_model_properties(n_vertices: int) -> dict:
     and each simple to two terms for the Ext^1 table (multiplicity route).
     ``iv_two_routes_agree`` compares both routes on the resolution of T_N,
     which is the top standard.  A tilting resolution that fails to terminate
-    raises ``InvariantError``.  Modules equal up to translation, in this
-    report or an earlier one in the process, share their resolution steps,
-    standard quotients, module checks and standard multiplicities, and
-    resolutions and targets so equal share their Ext groups.
+    raises ``InvariantError``.  Work on modules equal up to translation is
+    shared, in one report and across reports (see ``QuiverModule.key``).
     """
     a = ModelAlgebra(n_vertices)
     n = a.N
@@ -926,10 +912,7 @@ def delta_multiplicities(algebra: ModelAlgebra, module: QuiverModule):
     quotient of P_j^m killing the trace of the smaller vertices, hence of
     Delta_j^m (Cline-Parshall-Scott 1988); it is Delta_j^m exactly when the
     dimension vectors agree, so trace dimensions decide every layer.
-
-    The traces read the algebra on [lo - 1, hi + 1] only, and Delta_j there
-    has one shape unless j is 1 or N, which ``module.key`` records; so the
-    multiplicities on [lo, hi] are computed once per key and placed at lo.
+    Computed once per ``module.key`` and placed at lo.
     """
     _check_inputs(algebra, module)
     local = _once((_DELTA, module.key), _layer_multiplicities, algebra, module)

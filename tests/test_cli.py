@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -79,6 +81,20 @@ def test_lists_of_walls_above_the_named_limit_exit_one():
         code, out, err = run(argv)
         assert (code, out) == (1, "")
         assert err.endswith(f" has {count} walls, above MAX_LISTED_WALLS = 150000\n"), err
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # a reader that stops after a few bytes, as `| head -c 100` does: the
+    # command exits 1 and prints no traceback, at the write or at exit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gieseker.cli", "leaves", "300", "1", "--lambda", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1 and b"Traceback" not in err, err
 
 
 def test_leaf_lists_above_the_named_limit_exit_one():

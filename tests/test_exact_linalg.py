@@ -4,12 +4,14 @@ Everything here is checked by substitution (multiply back and compare),
 which is the one oracle linear algebra always grants for free.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gieseker.exact_linalg as el
 from gieseker.exact_linalg import (
     _clear_rows,
     column_space_completion,
@@ -164,6 +166,16 @@ def spans_with_dependencies(draw):
 def test_column_space_completion_matches_greedy_rank_loop(case):
     span, dim = case
     assert column_space_completion(span, dim) == _greedy_completion(span, dim)
+
+
+def test_column_space_completion_is_one_elimination(monkeypatch):
+    # the pivots past span of [span | e_0 ... e_{d-1}], with no kernel taken
+    calls = Counter()
+    for name in ("fraction_free_echelon", "nullspace"):
+        real = getattr(el, name)
+        monkeypatch.setattr(el, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    assert column_space_completion([[1, 1, 0], [2, 2, 0]], 3) == [0, 2]
+    assert calls == Counter(fraction_free_echelon=1)
 
 
 def test_shape_mismatch_raises_value_error():

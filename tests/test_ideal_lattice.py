@@ -481,6 +481,22 @@ def test_chain_lengths_lambda_one_over_m():
             assert len(ch.entries) == n // m, (n, m)
 
 
+def test_chain_is_checked_against_the_digit_limit(monkeypatch):
+    # the i-th entry prints i parts m, so a chain of count entries prints
+    # count(count + 1)/2 numbers m; that many digits are checked before any
+    # entry is built, and r = 1 has no leaves limit to stop it first
+    assert len(ideal_chain(893, 1, 1).entries) == 893  # 399,171 digits
+    for n in (894, 2000):
+        with pytest.raises(ValueError, match="MAX_LISTED_DIGITS = 400000"):
+            ideal_chain(n, 1, 1)
+    # n = 20 at m = 10: three numbers of two digits
+    monkeypatch.setattr(il, "MAX_LISTED_DIGITS", 6)
+    assert len(ideal_chain(20, 2, Fraction(1, 10)).entries) == 2
+    monkeypatch.setattr(il, "MAX_LISTED_DIGITS", 5)
+    with pytest.raises(ValueError, match="MAX_LISTED_DIGITS = 5"):
+        ideal_chain(20, 2, Fraction(1, 10))
+
+
 def test_chain_variety_dims_strictly_decreasing_positive():
     for n in range(2, 9):
         for m in range(2, n + 1):

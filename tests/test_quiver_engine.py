@@ -680,6 +680,19 @@ def test_pruned_tilting_pairs_match_all_pairs(n, monkeypatch):
     assert checks["iii_tiltings"] == _unpruned_nabla_filtered(build_model_algebra(n)) == (n == 1)
 
 
+def test_sum_basis_is_the_projective_sums_layout():
+    # the one (summand, path) order that ProjectiveSum and the Hom complex
+    # read: at each vertex w, the paths to w of each summand in turn
+    for n in range(1, 6):
+        alg = build_model_algebra(n)
+        for gens in (g for k in range(4) for g in iproduct(range(1, n + 1), repeat=k)):
+            ps = ProjectiveSum(alg, gens)
+            lo, pos = qe._sum_basis(alg, gens)
+            assert (lo, pos) == (ps.module.lo, ps._pos), (n, gens)
+            assert pos == [[(s, b) for s, v in enumerate(gens) for b in alg.path_basis(v)
+                            if alg.tgt[b] == w] for w in range(lo, lo + len(pos))], (n, gens)
+
+
 def test_hom_complex_reads_the_signs_of_the_images():
     # a hand-built image list: d: P_2^2 -> P_2^2 sends the generators to
     # e + e' and e - e', the tops of the two summands.  Over Q, d is
