@@ -26,6 +26,11 @@ from .partitions import (
 # tokens like "-1/2" or "-3,0;1" are values, not option names
 _VALUE_TOKEN = re.compile(r"^-\d[\d,;/-]*$")
 
+# the most vertices a model-block report may have: its four N x N tables
+# print 2,215,935 B at N = 223 with --verify (455,153 B without), under the
+# 2,218,560 B of walls 304 20, the largest listed wall arrangement
+MAX_REPORTED_VERTICES = 223
+
 
 class _UsageError(Exception):
     pass
@@ -284,6 +289,11 @@ def _cmd_leaves(args) -> int:
 
 
 def _cmd_model_block(args) -> int:
+    if args.N > MAX_REPORTED_VERTICES:
+        raise ValueError(
+            f"a report on N = {args.N} vertices is above "
+            f"MAX_REPORTED_VERTICES = {MAX_REPORTED_VERTICES}"
+        )
     if args.verify:
         payload = quiver_engine.verify_model_properties(args.N)
     else:

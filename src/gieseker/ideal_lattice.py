@@ -48,6 +48,10 @@ MAX_LISTED_LEAVES = 12_000
 # the most digits a list's dimensions, each at most 2rn, may print: the rest
 # of n = 26's list prints 1.77 MB at any r, so no list passes 2.18 MB
 MAX_LISTED_DIGITS = 400_000
+# the most bytes the parts of an ideal chain's leaves may print, each on an
+# indented line of 12 bytes and the digits of m: the longest chain at m = 1,
+# n = 554, prints 2.05 MB in all, under the 2.09 MB of the largest leaf list
+MAX_CHAIN_BYTES = 2_000_000
 
 
 def enumerate_leaves(n: int, r: int) -> list[LeafLabel]:
@@ -121,8 +125,9 @@ def ideal_chain(n: int, r: int, lam: Parameter) -> IdealChain:
     there are floor(n/m) proper ideals, all prime, linearly ordered, the i-th
     sitting over the leaf with i collection entries equal to m.  Variety
     dimensions use the reduced convention and are only defined for r >= 2.
-    The leaves print count(count + 1)/2 numbers m, whose digits are checked
-    against MAX_LISTED_DIGITS before any entry is built.
+    The leaves print count(count + 1)/2 parts m, each on a line of 12 bytes
+    and the digits of m, checked against MAX_CHAIN_BYTES before any entry is
+    built.
     """
     _check_nr(n, r)
     lam = as_parameter(lam)
@@ -130,11 +135,12 @@ def ideal_chain(n: int, r: int, lam: Parameter) -> IdealChain:
     if not has_finite_global_dimension(n, r, lam):
         return IdealChain(n, r, m, simple=True, entries=())
     count = 0 if m is None else n // m
-    digits = MAX_LISTED_DIGITS // max(count * (count + 1) // 2, 1)  # the most m may print
-    if count and m.bit_length() > 3 * digits and m >= 10**digits:  # 8^d < 10^d
+    parts = count * (count + 1) // 2
+    digits = MAX_CHAIN_BYTES // max(parts, 1) - 12  # the most m may print
+    if count and (digits < 1 or m.bit_length() > 3 * digits and m >= 10**digits):  # 8^d < 10^d
         raise ValueError(
-            f"the {count} ideals at n = {n} would print leaves of more than "
-            f"MAX_LISTED_DIGITS = {MAX_LISTED_DIGITS} digits in all"
+            f"the {count} ideals at n = {n} would print {parts} leaf parts of 12 "
+            f"bytes and the digits of m each, above MAX_CHAIN_BYTES = {MAX_CHAIN_BYTES}"
         )
     entries = tuple(
         IdealChainEntry(

@@ -119,6 +119,44 @@ def test_largest_leaf_list_prints_less_than_the_largest_wall_list():
     assert err.endswith(" more than 34 digits, above MAX_LISTED_DIGITS = 400000 in all\n"), err
 
 
+def test_longest_chain_prints_less_than_the_largest_leaf_list():
+    # each part of a chain leaf prints on an indented line of 13 bytes at
+    # m = 1: the longest chain, n = 554, prints 2.05 MB, under the 2.09 MB of
+    # the largest leaf list (n = 26 at the largest r whose dimensions print
+    # 34 digits); n = 893, allowed by the former digit count, printed 5.27 MB
+    largest = str((10**34 - 1) // 52)
+    leaves = len(run(["leaves", "26", largest])[1].encode())
+    code, out, _ = run(["leaves", "554", "1", "--lambda", "1"])
+    assert code == 0 and len(json.loads(out)["chain"]["entries"]) == 554
+    assert len(out.encode()) < leaves, (len(out.encode()), leaves)
+    for n in ("555", "893"):
+        code, out, err = run(["leaves", n, "1", "--lambda", "1"])
+        assert (code, out) == (1, "")
+        assert err.endswith(" each, above MAX_CHAIN_BYTES = 2000000\n"), err
+
+
+def test_model_block_reports_above_the_named_limit_exit_one(monkeypatch):
+    # N = 223 prints 2,215,935 B with --verify and 455,153 B without, under
+    # the 2,218,560 B of walls 304 20, the largest listed arrangement; N = 224
+    # and N = 99999999999, once killed for memory, exit 1 before any algebra
+    from gieseker import quiver_engine
+
+    walls = len(run(["walls", "304", "20"])[1].encode())
+    for flags in ([], ["--verify"]):
+        code, out, _ = run(["model-block", "223", *flags])
+        assert code == 0 and json.loads(out)["n_vertices"] == 223
+        assert len(out.encode()) < walls, (flags, len(out.encode()), walls)
+    def no_algebra(*args):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(quiver_engine.ModelAlgebra, "__init__", no_algebra)
+    for flags in ([], ["--verify"]):
+        for n in ("224", "99999999999"):
+            code, out, err = run(["model-block", n, *flags])
+            assert (code, out) == (1, "")
+            assert err == f"error: a report on N = {n} vertices is above MAX_REPORTED_VERTICES = 223\n"
+
+
 def test_largest_pinned_wall_list_is_printed_without_its_walls():
     # 115,331 labels: the list of strings and the encoder's chunks, written
     # to the sink as they come; a list of walls or the whole text held as one

@@ -481,20 +481,31 @@ def test_chain_lengths_lambda_one_over_m():
             assert len(ch.entries) == n // m, (n, m)
 
 
-def test_chain_is_checked_against_the_digit_limit(monkeypatch):
-    # the i-th entry prints i parts m, so a chain of count entries prints
-    # count(count + 1)/2 numbers m; that many digits are checked before any
-    # entry is built, and r = 1 has no leaves limit to stop it first
-    assert len(ideal_chain(893, 1, 1).entries) == 893  # 399,171 digits
-    for n in (894, 2000):
-        with pytest.raises(ValueError, match="MAX_LISTED_DIGITS = 400000"):
+def test_chain_is_checked_against_the_byte_limit(monkeypatch):
+    # the i-th entry prints i parts m, each on a line of 12 bytes and the
+    # digits of m, so a chain of count entries prints count(count + 1)/2 such
+    # lines; their bytes are checked before any entry is built, and r = 1 has
+    # no leaves limit to stop it first.  n = 893, the longest chain the
+    # former digit count allowed, printed 5.27 MB
+    assert len(ideal_chain(554, 1, 1).entries) == 554  # 153,735 lines of 13 bytes
+    for n in (555, 893, 2000):
+        with pytest.raises(ValueError, match="MAX_CHAIN_BYTES = 2000000"):
             ideal_chain(n, 1, 1)
-    # n = 20 at m = 10: three numbers of two digits
-    monkeypatch.setattr(il, "MAX_LISTED_DIGITS", 6)
+    # n = 20 at m = 10: three parts of 12 + 2 bytes
+    monkeypatch.setattr(il, "MAX_CHAIN_BYTES", 42)
     assert len(ideal_chain(20, 2, Fraction(1, 10)).entries) == 2
-    monkeypatch.setattr(il, "MAX_LISTED_DIGITS", 5)
-    with pytest.raises(ValueError, match="MAX_LISTED_DIGITS = 5"):
+    monkeypatch.setattr(il, "MAX_CHAIN_BYTES", 41)
+    with pytest.raises(ValueError, match="MAX_CHAIN_BYTES = 41"):
         ideal_chain(20, 2, Fraction(1, 10))
+    # 100 ideals print 5,050 parts, each 12 bytes and at most 384 digits
+    monkeypatch.undo()
+    for digits, ok in ((384, True), (385, False)):
+        m = 10 ** (digits - 1)
+        if ok:
+            assert len(ideal_chain(100 * m, 1, Fraction(1, m)).entries) == 100
+        else:
+            with pytest.raises(ValueError, match="5050 leaf parts .* MAX_CHAIN_BYTES = 2000000"):
+                ideal_chain(100 * m, 1, Fraction(1, m))
 
 
 def test_chain_variety_dims_strictly_decreasing_positive():

@@ -19,8 +19,11 @@ Hom-complex Ext) on the same computation run afresh, and at every placement
 of its class; the keys a resolution walks on the keys of the modules built
 from the same data; the three algebra checks on their N-length copies
 over single-entry corruptions of the multiplication rule; ``product`` on the
-label-level rule over every index pair; and the report's algebra checks,
-read once per window class, on the full scans of ``ModelAlgebra(N)``.
+label-level rule over every index pair; the report's algebra checks,
+read once per window class, on the full scans of ``ModelAlgebra(N)``; and
+the report's rows, read once per vertex class, on the per-vertex report
+kept in ``per_vertex_report``, which the tests of that route's own calls
+and modules run on.
 """
 
 import ast
@@ -45,6 +48,7 @@ import gieseker
 import gieseker.exact_linalg as el
 import gieseker.quiver_engine as qe
 import n_length_engine as nl
+import per_vertex_report as pv
 from gieseker import (
     ProjectiveSum,
     QuiverModule,
@@ -651,8 +655,10 @@ def test_pruned_tilting_pairs_match_all_pairs(n, monkeypatch):
         calls.append((res.target.dims, target.dims, max_degree))
         return ext(res, target, max_degree)
 
+    # the pairs a per-vertex report makes, on that route, which the engine's
+    # report matches byte for byte (test_rows_by_class_match_the_per_vertex_route)
     monkeypatch.setattr(qe, "_hom_complex_ext", recording_ext)
-    checks = verify_model_properties(n)["checks"]
+    checks = pv.verify_model_properties(n)["checks"]
     monkeypatch.undo()
     alg = build_model_algebra(n)
     assert checks["iii_tiltings"] == _unpruned_nabla_filtered(alg)
@@ -676,7 +682,7 @@ def test_pruned_tilting_pairs_match_all_pairs(n, monkeypatch):
     # = 1 fails (iii) on both routes
     families = qe.model_families
     monkeypatch.setattr(qe, "model_families", lambda alg: (*families(alg)[:3], families(alg)[1]))
-    checks = verify_model_properties(n)["checks"]
+    checks = pv.verify_model_properties(n)["checks"]
     assert checks["iii_tiltings"] == _unpruned_nabla_filtered(build_model_algebra(n)) == (n == 1)
 
 
@@ -702,14 +708,10 @@ def test_hom_complex_reads_the_signs_of_the_images():
     ps = ProjectiveSum(alg, (2, 2))
     e2, l2 = alg.index[("e", 2)], alg.index[("loop", 2)]
     assert ps._pos[2 - ps.module.lo] == [(0, e2), (0, l2), (1, e2), (1, l2)]
-    zero = QuiverModule(alg, 1, (0, 0, 0), {})
 
     def ext(images):
-        # the Hom complex itself, not its memo; the two image lists share
-        # gens, so each gets a key of its own images
-        key = tuple((w, tuple(v)) for w, v in images)
-        res = qe.Resolution(alg, zero, [(2, 2), (2, 2)], [[], images], True, key)
-        return qe._hom_complex_dims(res, simple(alg, 2), 1)[0]
+        # the Hom complex itself, not its memo, into L_2: lo 2, dims (1,)
+        return qe._hom_complex_dims(alg, [(2, 2), (2, 2)], [[], images], 2, (1,), {}, 1)
 
     assert ext([(2, [1, 0, 1, 0]), (2, [1, 0, -1, 0])]) == (0, 0)
     assert ext([(2, [1, 0, 1, 0]), (2, [1, 0, 1, 0])]) == (1, 1)
@@ -1143,7 +1145,7 @@ def test_verify_arrow_pairs_matches_all_pairs_on_report_modules(n, monkeypatch):
 
     made = _report_families(monkeypatch)
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
-    assert verify_model_properties(n)["all_pass"]
+    assert pv.verify_model_properties(n)["all_pass"]
     assert _all_recorded(made, built, n)
     for m in built:
         assert m.verify() and _verify_all_composable_pairs(m), m.dims
@@ -1363,7 +1365,7 @@ def test_report_modules_have_int_arrow_matrices(n, monkeypatch):
 
     made = _report_families(monkeypatch)
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
-    assert verify_model_properties(n)["all_pass"]
+    assert pv.verify_model_properties(n)["all_pass"]
     assert _all_recorded(made, built, n)
     for m in built:
         for mat in m.act.values():
@@ -1899,13 +1901,13 @@ def _steps_in(keys):
 
 
 def _plain_data(x):
-    # built of ints, bools, None and containers of them alone: no algebra,
-    # module or other engine object
+    # built of ints, bools, None, strs (a row's report field names) and
+    # containers of them alone: no algebra, module or other engine object
     if isinstance(x, dict):
         return all(map(_plain_data, [*x, *x.values()]))
     if isinstance(x, (list, tuple)):
         return all(map(_plain_data, x))
-    return x is None or type(x) in (int, bool)
+    return x is None or type(x) in (int, bool, str)
 
 
 def test_report_computes_each_step_once(monkeypatch):
@@ -2038,11 +2040,15 @@ def test_class_results_match_fresh_computation(n, monkeypatch):
 
     monkeypatch.setattr(qe, "_once", checked_once)
     assert verify_model_properties(n)["all_pass"]
-    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT, qe._SUM, qe._ALGEBRA}
-    assert {tag for tag, _ in seen} == (tags - {qe._STANDARD} if n == 1 else tags)
+    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT, qe._SUM, qe._ALGEBRA, qe._ROW}
+    # at N = 1 there is no standard quotient, and no Ext^1 pair to make
+    assert {tag for tag, _ in seen} == (tags - {qe._STANDARD, qe._EXT} if n == 1 else tags)
     assert seen[qe._ALGEBRA, False] + seen[qe._ALGEBRA, True] == 1
-    # from N = 8 on the report meets classes of each other kind more than once
-    assert n < 8 or all(seen[tag, True] for tag in tags - {qe._ALGEBRA})
+    # each row class is read once per report; from N = 8 on the report meets
+    # classes of each other kind more than once
+    assert seen[qe._ROW, False] + seen[qe._ROW, True] == len({
+        (min(i, qe._ROW_REACH), min(n + 1 - i, qe._ROW_REACH)) for i in range(1, n + 1)})
+    assert n < 8 or all(seen[tag, True] for tag in tags - {qe._ALGEBRA, qe._ROW})
 
 
 def _class_results(alg, module):
@@ -2109,7 +2115,8 @@ def test_ext_memo_tells_apart_pairs_a_coarser_key_would_merge():
         res = minimal_projective_resolution(alg, standard(alg, n), 5)
         ended.append(res.terminated)
         for x in (simple(alg, n - 2), standard(alg, n - 1), costandard(alg, n - 1)):
-            assert _hom_complex_ext(res, x, 3) == qe.ExtResult(*qe._hom_complex_dims(res, x, 3))
+            fresh = qe._hom_complex_dims(alg, res.gens, res.images, x.lo, x._dims, x._act, 3)
+            assert _hom_complex_ext(res, x, 3) == qe.ExtResult(fresh, not res.terminated)
     assert ended == [True, False] and sum(k[0] == qe._EXT for k in qe._RESULTS) == 6
 
 
@@ -2197,16 +2204,22 @@ def test_a_warm_report_builds_no_module_in_a_resolution(monkeypatch):
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     monkeypatch.setattr(qe, "minimal_projective_resolution", counted_resolve)
     assert verify_model_properties(16)["all_pass"]
-    assert built and not any(built)
+    assert built == []  # its rows are read per vertex class: it builds no module at all
 
 
-def test_a_model_block_pass_builds_at_most_1353_modules(monkeypatch):
+def _seed_one_ladder():
     # the 42 reports of the benchmark's model_block pass at seed 1 (the
-    # ladder of perfbench/workloads.py), from an empty memo as in the fresh
-    # interpreter of a pass: 2,733 modules when each resolution built its
-    # kernels, 1,298 when it walks class keys
+    # ladder of perfbench/workloads.py)
     ladder = list(range(2, 17)) + list(range(2, 7)) * 2 + [7] * 12 + [13] * 5
     random.Random("model_block:1").shuffle(ladder)
+    return ladder
+
+
+def test_a_model_block_pass_builds_at_most_148_modules(monkeypatch):
+    # the seed-1 ladder from an empty memo, as in the fresh interpreter of a
+    # pass: 2,733 modules when each resolution built its kernels, 1,298 when
+    # it walks class keys, 1,334 before rows were read per vertex class
+    ladder = _seed_one_ladder()
     built = [0]
     init = QuiverModule.__init__
 
@@ -2218,7 +2231,54 @@ def test_a_model_block_pass_builds_at_most_1353_modules(monkeypatch):
     monkeypatch.setattr(QuiverModule, "__init__", counting_init)
     for n in ladder:
         assert verify_model_properties(n)["all_pass"], n
-    assert built[0] <= 1353, built[0]
+    assert built[0] <= 148, built[0]
+
+
+def test_a_report_at_an_unseen_n_builds_no_module():
+    # in a fresh interpreter, after the seed-1 ladder, the first report at
+    # N = 40 reads every row from its class and walks T_N on stored steps:
+    # no QuiverModule is built (4N - 1 = 159 when rows were per vertex)
+    script = f"""
+import json, random
+import gieseker.quiver_engine as qe
+for n in {_seed_one_ladder()!r}:
+    assert qe.verify_model_properties(n)["all_pass"]
+built, init = [], qe.QuiverModule.__init__
+def counting_init(self, *args):
+    init(self, *args)
+    built.append(args[1:])
+qe.QuiverModule.__init__ = counting_init
+report = qe.verify_model_properties(40)
+print(json.dumps([len(built), report["all_pass"]]))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gieseker.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, True]
+
+
+def _report_bytes(n):
+    return json.dumps(verify_model_properties(n), sort_keys=True)
+
+
+def test_rows_by_class_match_the_per_vertex_route(monkeypatch):
+    # the report with rows read per vertex class, against the per-vertex
+    # route, as JSON bytes, for every N <= 64 in two orders with the memo
+    # warm and at the pinned N; with C - 1 in place of C some N <= 64
+    # differs, so the class needs the C that _vertex_row proves
+    ns = list(range(1, 65))
+    want = {n: json.dumps(pv.verify_model_properties(n), sort_keys=True) for n in ns}
+    qe._RESULTS.clear()
+    shuffled = ns[:]
+    random.Random(29).shuffle(shuffled)
+    for n in ns + shuffled:
+        assert _report_bytes(n) == want[n], n
+    for n, digest in PINNED_REPORTS.items():
+        assert hashlib.sha256(_report_bytes(n).encode()).hexdigest() == digest, n
+    monkeypatch.setattr(qe, "_ROW_REACH", qe._ROW_REACH - 1)
+    qe._RESULTS.clear()
+    assert [n for n in ns if _report_bytes(n) != want[n]]
 
 
 # The step memo before it was keyed by translation class: one step per
@@ -2636,6 +2696,7 @@ def test_ii_reads_tops_off_the_tilting_resolutions(n, monkeypatch):
         return res
 
     monkeypatch.setattr(qe, "minimal_projective_resolution", doubled_top)
+    qe._RESULTS.clear()  # the rows of the report above would be read, not computed
     checks = verify_model_properties(n)["checks"]
     assert [k for k, ok in checks.items() if not ok] == ["ii_universal_extensions"]
 
@@ -2770,10 +2831,14 @@ def _recording(monkeypatch, engine):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_interval_modules_match_the_n_length_route(n, monkeypatch):
+    # the engine's rows by class give the N-length route's report, and the
+    # per-vertex route resolves, steps and builds as that route does
+    report = json.dumps(verify_model_properties(n), sort_keys=True)
+    qe._RESULTS.clear()
     built, resolved, stepped = _recording(monkeypatch, qe)
     want_built, want_resolved, want_stepped = _recording(monkeypatch, nl)
-    got = json.dumps(verify_model_properties(n), sort_keys=True)
-    assert got == json.dumps(nl.verify_model_properties(n), sort_keys=True)
+    got = json.dumps(pv.verify_model_properties(n), sort_keys=True)
+    assert report == got == json.dumps(nl.verify_model_properties(n), sort_keys=True)
     assert resolved == want_resolved and stepped == want_stepped
     # class computations run once per process, so the interval route builds
     # fewer modules; every module it builds outside them, the N-length route
@@ -2786,10 +2851,11 @@ def test_interval_modules_match_the_n_length_route(n, monkeypatch):
 def test_report_modules_store_data_on_their_support_only(monkeypatch):
     # every module and sum of projectives the report builds at N = 64 keeps
     # per-vertex data on its support interval [lo, hi] alone, and reads the
-    # action of a basis element with both ends there only
+    # action of a basis element with both ends there only, on the per-vertex
+    # route, which builds every module, and on the engine's from a cold memo
     n = 64
     built, sums, reads = [], [], []
-    init, ps_init, action = QuiverModule.__init__, ProjectiveSum.__init__, QuiverModule.action
+    init, ps_init, action = QuiverModule.__init__, ProjectiveSum.__init__, qe._action
 
     def recording_init(self, *args):
         init(self, *args)
@@ -2799,13 +2865,15 @@ def test_report_modules_store_data_on_their_support_only(monkeypatch):
         ps_init(self, *args)
         sums.append(self)
 
-    def recording_action(self, b):
-        reads.append((self, b))
-        return action(self, b)
+    def recording_action(alg, lo, dims, act, b):  # module and Hom-complex reads alike
+        reads.append((lo, dims, b))
+        return action(alg, lo, dims, act, b)
 
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     monkeypatch.setattr(ProjectiveSum, "__init__", recording_ps_init)
-    monkeypatch.setattr(QuiverModule, "action", recording_action)
+    monkeypatch.setattr(qe, "_action", recording_action)
+    assert pv.verify_model_properties(n)["all_pass"]
+    qe._RESULTS.clear()
     assert verify_model_properties(n)["all_pass"]
     alg = built[0].algebra
     assert len(built) > 4 * n and len(sums) >= n and reads
@@ -2814,9 +2882,9 @@ def test_report_modules_store_data_on_their_support_only(monkeypatch):
         assert len(m._dims) == w and (w == 0 or m._dims[0] and m._dims[-1]), (m.lo, m._dims)
         assert set(m._act) <= set(range(2 * w - 2))
         assert all(len(x) < n for x in vars(m).values() if hasattr(x, "__len__"))
-    for m, b in reads:
-        ends = [alg.src[b] - m.lo, alg.tgt[b] - m.lo]
-        assert all(0 <= p < len(m._dims) and m._dims[p] for p in ends), (m.lo, m._dims, alg.labels[b])
+    for lo, dims, b in reads:
+        ends = [alg.src[b] - lo, alg.tgt[b] - lo]
+        assert all(0 <= p < len(dims) and dims[p] for p in ends), (lo, dims, alg.labels[b])
     for ps in sums:
         lo, hi = max(min(ps.gen_vertices) - 1, 1), min(max(ps.gen_vertices) + 1, n)
         assert (ps.module.lo, ps.module.hi) == (lo, hi) and len(ps._pos) == hi - lo + 1
@@ -2889,6 +2957,7 @@ def test_linear_order_check_matches_the_dense_comparison(n, monkeypatch):
             return row
 
         monkeypatch.setattr(qe, "delta_multiplicities", altered)
+        qe._RESULTS.clear()  # rows stored by an earlier report would be read
         out = verify_model_properties(n)
         dense = out["report"]["standard_multiplicities"] == expected
         assert out["checks"]["i_linear_order"] == dense, (i, j, d)
@@ -2914,6 +2983,7 @@ def test_linear_order_check_reads_where_each_standard_starts(n, monkeypatch):
             return QuiverModule(s.algebra, s.lo - 1, s._dims, s._act) if i == _low else s
 
         monkeypatch.setattr(qe, "_standard", placed_low)
+        qe._RESULTS.clear()  # rows stored by an earlier report would be read
         out = verify_model_properties(n)
         assert out["report"]["standard_multiplicities"] == rows, low
         assert out["report"]["standard_dim_vectors"][low - 1][low - 2] == 1, low
