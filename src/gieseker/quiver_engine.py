@@ -760,11 +760,10 @@ def k0_class_check(algebra: ModelAlgebra) -> bool:
 def _k0_row(projectives, standards, costandards, i: int) -> bool:
     # at vertex i: Delta_i and Nabla_i share a class, and row i of D^T D, the
     # sum of D[j][i] D[j] over the standards j nonzero at i, is the dims of
-    # P_i (a Counter compares missing entries as 0).  Delta_j is a quotient
-    # of P_j, which lives on [j - 1, j + 1], so only j = i - 1, i, i + 1 count
+    # P_i (a Counter compares missing entries as 0)
     s, c, p = standards[i - 1], costandards[i - 1], projectives[i - 1]
     gram = Counter()
-    for d in standards[max(i - 2, 0) : i + 1]:
+    for d in (d for d in standards if d.dim_at(i)):
         for j, y in enumerate(d._dims, d.lo):
             gram[j] += d.dim_at(i) * y
     return (s.lo, s._dims) == (c.lo, c._dims) and gram == Counter(dict(enumerate(p._dims, p.lo)))
@@ -798,14 +797,19 @@ def _vertex_row(algebra: ModelAlgebra, projectives, standards, costandards, tilt
     but for (iii)'s pair of Delta_i with T_{i-3} = P_{i-2}, i >= 4 only, whose
     Ext^1 is 0: Hom(P_{i-1}, P_{i-2}) -> Hom(P_{i-2}, P_{i-2}) sends
     a(i-1, i-2) to a(i-2, i-1) a(i-1, i-2) = l_{i-2} != 0."""
-    n, p, s, c, t = algebra.N, *(x[i - 1] for x in (projectives, standards, costandards, tiltings))
-    simple_i, mults = simple(algebra, i), delta_multiplicities(algebra, p)
-    linear = mults == [int(j in (i - 1, i)) for j in range(1, n + 1)]  # (i): [P_i : Delta_j]
+    n = algebra.N
+    p, s, c, t = projectives[i - 1], standards[i - 1], costandards[i - 1], tiltings[i - 1]
+    simple_i = simple(algebra, i)
+    mults = delta_multiplicities(algebra, p)  # (i): [P_i : Delta_j] is 1 at j = i - 1, i
+    linear = mults == [int(j in (i - 1, i)) for j in range(1, n + 1)]
     # (ii), (iii): Ext^1 out of Delta_i off its three-term resolution.  A tilting
     # T zero at each generator of the second term P_1 has Hom(P_1, T) = 0: unpaired
     res = minimal_projective_resolution(algebra, s, 3)
-    # how often each vertex generates the second term of L_i's resolution
-    hits = Counter(sum(minimal_projective_resolution(algebra, simple_i, 2).gens[1:], ()))
+    second = res.gens[1] if len(res.gens) > 1 else ()
+    paired = [x for x in tiltings if any(x.dim_at(v) for v in second)]
+    # Ext^1(L_i, L_j): how often j generates the second term of L_i's resolution
+    simple_res = minimal_projective_resolution(algebra, simple_i, 2)
+    hits = Counter(v for term in simple_res.gens[1:] for v in term)
     e1 = [hits[j] for j in range(1, n + 1)]
     checks = {
         "module_axioms": all(m.verify() for m in (p, s, c, t, simple_i)),
@@ -815,17 +819,18 @@ def _vertex_row(algebra: ModelAlgebra, projectives, standards, costandards, tilt
         "ii_universal_extensions": linear and (i == 1 or (
             minimal_projective_resolution(algebra, tiltings[i - 2], n + 2).gens[0] == (i,)
             and _hom_complex_ext(res, standards[i - 2], 1).dims[1] == 1)),
-        "iii_tiltings": all(_hom_complex_ext(res, x, 1).dims[1] == 0
-                            for x in tiltings if any(map(x.dim_at, sum(res.gens[1:2], ())))),
+        "iii_tiltings": all(_hom_complex_ext(res, x, 1).dims[1] == 0 for x in paired),
         "ext1_no_self_extensions": e1[i - 1] == 0,
         "ext1_double_path": e1 == [int(abs(j - i) == 1) for j in range(1, n + 1)],
         "k0_classes": _k0_row(projectives, standards, costandards, i),
     }
     tables = {"standard_multiplicities": mults, "ext1_simples": e1,
               "cartan_matrix": p.dims, "standard_dim_vectors": s.dims}
-    res = i < n and minimal_projective_resolution(algebra, t, n + 2)
-    t_data = ((tuple(tuple(v - i for v in term) for term in res.gens), res.terminated) if res
-              else (t.lo - i, t._act, t.key[2:]))
+    if i < n:
+        t_res = minimal_projective_resolution(algebra, t, n + 2)
+        t_data = tuple(tuple(v - i for v in term) for term in t_res.gens), t_res.terminated
+    else:
+        t_data = t.lo - i, t._act, t.key[2:]
     dims = tuple(m.total_dim for m in (p, s, c, t))
     return dims, checks, {k: x and _local(i, x) for k, x in tables.items()}, t_data
 
@@ -834,6 +839,14 @@ def _local(i: int, row) -> tuple:
     # an N-length row as the offset from i of its first nonzero entry and the entries to its last
     nonzero = [j for j, x in enumerate(row, 1) if x] or [i]
     return nonzero[0] - i, tuple(row[nonzero[0] - 1 : nonzero[-1]])
+
+
+def _placed(n: int, i: int, local) -> list[int]:
+    # the N-length row that ``_local(i, row)`` keeps: its entries from their offset, zero elsewhere
+    offset, entries = local
+    row = [0] * n
+    row[i + offset - 1 : i + offset - 1 + len(entries)] = entries
+    return row
 
 
 def verify_model_properties(n_vertices: int) -> dict:
@@ -852,6 +865,7 @@ def verify_model_properties(n_vertices: int) -> dict:
     n = a.N
     classes = [(min(i, _ROW_REACH), min(n + 1 - i, _ROW_REACH)) for i in range(1, n + 1)]
     vertex = {c: i for i, c in enumerate(classes, 1)}  # a vertex of each class
+    # the families are built only when a class is new to the process
     families = model_families(a) if any((_ROW, *c) not in _RESULTS for c in vertex) else ()
     found = {c: _once((_ROW, *c), _vertex_row, a, *families, i) for c, i in vertex.items()}
     dims, verdicts, tables, t_data = zip(*(found[c] for c in classes))
@@ -866,16 +880,15 @@ def verify_model_properties(n_vertices: int) -> dict:
     checks["projectives_partition_algebra"] = sum(report["projective_dims"]) == a.dim
     for name in verdicts[0]:
         checks[name] = all(v[name] for v in verdicts)
-    for name in tables[0]:  # each row placed at its vertex, zero elsewhere
-        report[name] = [x and [0] * (i + x[0] - 1) + [*x[1]] + [0] * (n + 1 - i - x[0] - len(x[1]))
-                        for i, x in enumerate((t[name] for t in tables), 1)]
+    for name in tables[0]:
+        report[name] = [t[name] and _placed(n, i, t[name]) for i, t in enumerate(tables, 1)]
 
     # the tiltings' generators for (iv) and (v), T_N's walked one memo step per term
     max_deg = n + 1
     gens, images, done, _ = _walk(a, n, t_data[-1], max_deg + 1)
-    tilting_gens = [[tuple(i + v for v in term) for term in res[0]]
-                    for i, res in enumerate(t_data[:-1], 1)] + [gens]
-    if not (done and all(res[1] for res in t_data[:-1])):
+    tilting_gens = [[tuple(i + v for v in term) for term in offsets]
+                    for i, (offsets, _) in enumerate(t_data[:-1], 1)] + [gens]
+    if not (done and all(ends for _, ends in t_data[:-1])):
         raise InvariantError(f"a tilting resolution runs past {max_deg + 1} terms at N = {n}")
 
     # (iv) derived Hom from the full tilting to the first simple: dimensions

@@ -447,6 +447,23 @@ def test_k0_classes():
         assert k0_class_check(build_model_algebra(n))
 
 
+@pytest.mark.parametrize("j", (1, 3, 5))
+def test_k0_classes_fail_on_a_standard_nonzero_far_away(j, monkeypatch):
+    # Delta_j and Nabla_j both made nonzero also at a vertex three steps
+    # away: they still share a class, so only the Gram clause can fail
+    alg = build_model_algebra(8)
+    families = qe.model_families(alg)
+    far = j + 3
+    wrong = QuiverModule(alg, j, tuple(int(v in (j, far)) for v in range(j, far + 1)), {})
+    projectives, standards, costandards, tiltings = (list(f) for f in families)
+    standards[j - 1] = costandards[j - 1] = wrong
+    wrong_families = projectives, standards, costandards, tiltings
+    monkeypatch.setattr(qe, "model_families", lambda a: wrong_families)
+    assert not k0_class_check(alg)
+    monkeypatch.undo()
+    assert k0_class_check(alg)
+
+
 def test_verify_model_properties_all_pass():
     for n in (1, 2, 3, 4, 5, 6):
         out = verify_model_properties(n)
@@ -684,6 +701,9 @@ def test_pruned_tilting_pairs_match_all_pairs(n, monkeypatch):
     monkeypatch.setattr(qe, "model_families", lambda alg: (*families(alg)[:3], families(alg)[1]))
     checks = pv.verify_model_properties(n)["checks"]
     assert checks["iii_tiltings"] == _unpruned_nabla_filtered(build_model_algebra(n)) == (n == 1)
+    # and on the engine's route, whose rows are then computed from these families
+    qe._RESULTS.clear()
+    assert verify_model_properties(n)["checks"]["iii_tiltings"] == (n == 1)
 
 
 def test_sum_basis_is_the_projective_sums_layout():
