@@ -18,6 +18,7 @@ import sys
 from . import category_o, diagnostics, ideal_lattice, quiver_engine, torus_chambers
 from .errors import RegimeError
 from .partitions import (
+    _check_nr,
     format_multipartition,
     format_partition,
     parse_multipartition,
@@ -246,6 +247,7 @@ def _cmd_ideal_lattice(args) -> int:
 
 
 def _cmd_leaves(args) -> int:
+    _check_nr(args.n, args.r)  # r < 2 lists no leaves, but is checked all the same
     payload: dict = {"n": args.n, "r": args.r}
     dim_kind = "unreduced" if args.unreduced else "reduced"
     if args.r >= 2:

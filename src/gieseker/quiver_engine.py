@@ -27,15 +27,16 @@ Each module's work, and every per-vertex list the engine builds or returns,
 runs over its [lo, hi] only.  A subspace is its list of basis columns, [] at
 a vertex without any.  The algebra is its multiplication rule on basis
 indices, ``ModelAlgebra.product``, with no table, and the basis elements
-starting and ending at each vertex, so it is built in O(N); a report checks
-it once per window class, on at most six vertices.  The path basis spans the
-algebra, so the paths acting on a submodule's seeds span it, and a
-resolution keeps each differential as the images of its generators.
+starting and ending at each vertex, so it is built in O(N); a report reads
+its checks and rows off one algebra of min(N, 5) vertices (``_window_report``).
+The path basis spans the algebra, so the paths acting on a submodule's seeds
+span it, and a resolution keeps each differential as the images of its
+generators.
 
 The one memo, ``_RESULTS``, is the engine's only cache: an algebra holds no
 module, each call that returns a module builds it, and modules are never
 mutated.  It holds one result per translation class (``QuiverModule.key``),
-and a report's rows, one per vertex class (``_vertex_row``).
+and one window report per window size.
 
 ``Resolution`` and ``ExtResult`` are named tuples, cheap to define and to
 build (see the package docstring).
@@ -104,12 +105,12 @@ class ModelAlgebra:
         not a basis index: zero unless src x = tgt y; then e_i y = y, x e_i = x,
         two arrows out and back to a vertex i >= 2 give l_i, and all else is 0.
 
-        The rule reads only the kinds (e_i, arrows from N, l_i at 3N - 4 + i),
-        whether two ends are equal and whether i >= 2, and a composable triple
-        spans at most four consecutive vertices.  So each check below answers
-        on each window of four vertices by its class: at vertex 1, interior
-        (touching neither end) or at vertex N.  At N0 = 6 every class appears
-        ([1, 4], [2, 5], [3, 6]), so a report reads the checks per min(N, 6)."""
+        Read on labels, the rule sees the kinds (e_i, arrows from N, l_i at
+        3N - 4 + i), whether two ends are equal and whether i >= 2, never N.
+        So each check below answers on a composable pair or triple, which
+        spans at most four vertices, by whether it holds vertex 1 (in [1, 4],
+        or moved into [2, 5]), and on ``relations_hold``'s part at a vertex j
+        by whether j = 1 or j = N: at N >= 5 it has its value at N = 5."""
         n = self.N
         try:  # a negative index reads from the end, so it is refused after
             if self.src[x] != self.tgt[y] or x < 0 or y < 0:
@@ -287,8 +288,8 @@ class QuiverModule:
         as local data that a module with that key places at its lo: a
         resolution step, a standard quotient, the arrows of a sum of
         projectives, ``verify``, ``delta_multiplicities`` and the Hom-complex
-        Ext.  Moving a module along the quiver sets a new lo, so no report
-        re-derives what an earlier one computed."""
+        Ext.  A report meets them on its window algebra (``_window_report``)
+        and in T_N's walk, whose steps it reads at any N and any lo."""
         if self._key is None:
             self._key = (self.lo == 1, self.hi == self.algebra.N, self._dims,
                          *((k, tuple(map(tuple, m))) for k, m in sorted(self._act.items())))
@@ -590,9 +591,8 @@ class Resolution(NamedTuple):
 # miss that would pass the bound empties it first.
 _RESULTS: dict[tuple, object] = {}
 _RESULTS_BOUND = 4096
-_STEP, _STANDARD, _VERIFY, _DELTA, _EXT, _SUM, _ALGEBRA, _ROW = range(8)
-_ALGEBRA_WINDOW = 6  # N0: every window class of the algebra checks appears
-_ROW_REACH = 3  # C: rows are read per class (min(i, C), min(N + 1 - i, C)); see _vertex_row
+_STEP, _STANDARD, _VERIFY, _DELTA, _EXT, _SUM, _WINDOW = range(7)
+_WINDOW_VERTICES = 5  # the window algebra a report reads; see _window_report
 
 
 def _once(key: tuple, fn, *args):
@@ -604,12 +604,6 @@ def _once(key: tuple, fn, *args):
             _RESULTS.clear()
         _RESULTS[key] = value
     return value
-
-
-def _algebra_checks(n: int) -> tuple[bool, bool, bool]:
-    # the three algebra checks on the window algebra of n <= N0 vertices
-    a = ModelAlgebra(n)
-    return a.is_associative(), a.relations_hold(), a.opposite_swap_is_antiautomorphism()
 
 
 def _syzygy_step(algebra: ModelAlgebra, lo: int, dims, act: dict[int, Matrix]) -> tuple:
@@ -781,7 +775,8 @@ def _vertex_row(algebra: ModelAlgebra, projectives, standards, costandards, tilt
     each N x N table as ``_local`` keeps it (None if a layer fails); T_i's
     resolution (generator offsets per term, whether it ends) for i < N, and
     T_N's offset, arrows and key tail, to walk it.  It depends on i and N
-    only through (min(i, C), min(N + 1 - i, C)), C = 3 (``_ROW_REACH``).
+    only through (min(i, C), min(N + 1 - i, C)), C = 3: at N = 5 the vertices
+    carry the classes (1, 3), (2, 3), (3, 3), (3, 2), (3, 1) of any N >= 5.
 
     Proof.  The row reads modules on [i - 3, i + 2]: P_j, Delta_j, Nabla_j
     (|j - i| <= 1), L_i, T_i = P_{i+1}; Delta_i's resolution to three terms,
@@ -844,9 +839,17 @@ def _local(i: int, row) -> tuple:
 def _placed(n: int, i: int, local) -> list[int]:
     # the N-length row that ``_local(i, row)`` keeps: its entries from their offset, zero elsewhere
     offset, entries = local
-    row = [0] * n
-    row[i + offset - 1 : i + offset - 1 + len(entries)] = entries
-    return row
+    return [0] * (i + offset - 1) + [*entries] + [0] * (n + 1 - i - offset - len(entries))
+
+
+def _window_report(w: int) -> tuple:
+    """The three algebra checks and the rows of vertices 1..w on the window
+    algebra of w = min(N, 5) vertices: five suffice for the checks
+    (``ModelAlgebra.product``) and for the rows (``_vertex_row``)."""
+    a = ModelAlgebra(w)
+    families = model_families(a)
+    checks = a.is_associative(), a.relations_hold(), a.opposite_swap_is_antiautomorphism()
+    return checks, [_vertex_row(a, *families, i) for i in range(1, w + 1)]
 
 
 def verify_model_properties(n_vertices: int) -> dict:
@@ -857,22 +860,17 @@ def verify_model_properties(n_vertices: int) -> dict:
     The concentration degree of the derived Hom from the full tilting to the
     first simple is reported together with flags comparing it against both
     candidate values; only single-degree concentration enters ``checks``.
-    Rows are read per vertex class (``_vertex_row``); T_N alone is resolved
-    per report.  A tilting resolution that fails to end raises
-    ``InvariantError``.
+    The algebra checks and the rows come from one window algebra of min(N, 5)
+    vertices (``_window_report``); T_N alone is resolved per report.  A
+    tilting resolution that fails to end raises ``InvariantError``.
     """
     a = ModelAlgebra(n_vertices)
     n = a.N
-    classes = [(min(i, _ROW_REACH), min(n + 1 - i, _ROW_REACH)) for i in range(1, n + 1)]
-    vertex = {c: i for i, c in enumerate(classes, 1)}  # a vertex of each class
-    # the families are built only when a class is new to the process
-    families = model_families(a) if any((_ROW, *c) not in _RESULTS for c in vertex) else ()
-    found = {c: _once((_ROW, *c), _vertex_row, a, *families, i) for c, i in vertex.items()}
-    dims, verdicts, tables, t_data = zip(*(found[c] for c in classes))
-
-    window = min(n, _ALGEBRA_WINDOW)  # see ModelAlgebra.product
-    checks = dict(zip(("associative", "relations", "opposite_antiautomorphism"),
-                      _once((_ALGEBRA, window), _algebra_checks, window)))
+    w = min(n, _WINDOW_VERTICES)
+    algebra_checks, rows = _once((_WINDOW, w), _window_report, w)
+    # window vertex 3 stands for each of the vertices 3..N - 2 at N >= 5
+    dims, verdicts, tables, t_data = zip(*rows[:2], *rows[2:3] * (n - w + 1), *rows[3:])
+    checks = dict(zip(("associative", "relations", "opposite_antiautomorphism"), algebra_checks))
     checks["dimension"] = a.dim == 4 * n - 3
     report: dict[str, object] = {"algebra_dim": a.dim}
     for name, column in zip(("projective", "standard", "costandard", "tilting"), zip(*dims)):

@@ -1,13 +1,13 @@
 """The model-block report as it was when every row was computed per vertex.
 
-``gieseker.quiver_engine.verify_model_properties`` reads each vertex's row
-once per vertex class and places it at its vertex.  This is the route it
-replaced, kept as the oracle of that argument: every module of the report
-is built, each standard, tilting and simple is resolved, and each check
-runs over all N vertices, calling the engine's functions through the module
-so that a test's patch of one of them reaches this route too.  The K_0
-check is the whole-list Gram matrix of the standards.  Do not edit it to
-follow the engine.
+``gieseker.quiver_engine.verify_model_properties`` reads the algebra checks
+and each vertex's row off a window algebra of at most five vertices.  This
+is the route it replaced, kept as the oracle of that argument: every module
+of the report is built, each standard, tilting and simple is resolved, and
+each check runs over all N vertices, the algebra checks as full scans,
+calling the engine's functions through the module so that a test's patch of
+one of them reaches this route too.  The K_0 check is the whole-list Gram
+matrix of the standards.  Do not edit it to follow the engine.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ def verify_model_properties(n_vertices: int) -> dict:
     report: dict[str, object] = {}
 
     checks["dimension"] = a.dim == 4 * n - 3
-    window = min(n, qe._ALGEBRA_WINDOW)  # see ModelAlgebra.product
-    checks["associative"], checks["relations"], checks["opposite_antiautomorphism"] = qe._once(
-        (qe._ALGEBRA, window), qe._algebra_checks, window
-    )
+    # the full scans of the report's own algebra, which the engine reads off a window
+    checks["associative"] = a.is_associative()
+    checks["relations"] = a.relations_hold()
+    checks["opposite_antiautomorphism"] = a.opposite_swap_is_antiautomorphism()
     # a module met twice, such as a tilting, is verified once per class
     checks["module_axioms"] = all(
         m.verify() for m in projectives + standards + costandards + tiltings + simples

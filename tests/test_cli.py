@@ -266,6 +266,15 @@ def test_leaves_output():
     assert payload["dimension_convention"] == "reduced"
 
 
+def test_leaves_checks_n_and_r_below_r_2_too():
+    # r < 2 lists no leaves, yet a bad n or r exits 1 as with the chain and
+    # as every other (n, r) subcommand does; r = 1 keeps its note
+    for argv in (["0", "1"], ["-2", "1"], ["3", "0"], ["3", "-1"], ["3", "0", "--lambda", "1/2"]):
+        assert run(["leaves", *argv]) == (1, "", "error: need n >= 1 and r >= 1\n"), argv
+    payload = run_json(["leaves", "3", "1"])
+    assert payload["leaves"] is None and payload["note"] == "leaf classification requires r >= 2"
+
+
 def test_ideal_lattice_count():
     payload = run_json(["ideal-lattice", "3", "--op", "count"])
     assert payload["result"] == 20

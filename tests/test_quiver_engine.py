@@ -527,9 +527,10 @@ def test_standards_by_translation_match_quotients(n):
 
 
 def test_report_makes_one_quotient_per_standard_class(monkeypatch):
-    # one per class of P_i, i >= 2: P_2, the generic P_i, P_{N-1} and P_N,
-    # once per process, so the reports past the first make none; formerly
-    # three per report (Delta_2, Delta_3 and Delta_N)
+    # one per class of P_i, i >= 2: P_2, the generic P_3, P_{N-1} and P_N of
+    # the five-vertex window algebra, once per process, so the reports past
+    # the first make none; formerly three per report (Delta_2, Delta_3 and
+    # Delta_N)
     calls = Counter()
     quot = qe.quotient
 
@@ -540,7 +541,7 @@ def test_report_makes_one_quotient_per_standard_class(monkeypatch):
     monkeypatch.setattr(qe, "quotient", counting_quotient)
     for n in (8, 16, 32, 64):
         assert verify_model_properties(n)["all_pass"]
-    assert calls == {8: 4}
+    assert calls == {5: 4}
 
 
 def test_repeated_calls_return_equal_modules():
@@ -1024,7 +1025,7 @@ def _report_algebra_checks(report):
 
 def test_report_algebra_checks_equal_the_full_scans(monkeypatch):
     # on a cold memo the report reads the three checks off the window
-    # algebra of min(N, 6) vertices; at every N <= 64 they equal the full
+    # algebra of min(N, 5) vertices; at every N <= 64 they equal the full
     # scans of ModelAlgebra(N)
     built = []
     init = ModelAlgebra.__init__
@@ -1038,7 +1039,7 @@ def test_report_algebra_checks_equal_the_full_scans(monkeypatch):
         monkeypatch.setattr(qe, "_RESULTS", {})
         built.clear()
         got = _report_algebra_checks(verify_model_properties(n))
-        assert built == [n, min(n, 6)], n
+        assert built == [n, min(n, 5)], n
         alg = build_model_algebra(n)
         assert got == tuple(getattr(alg, name)() for name in ALGEBRA_CHECKS) == (True,) * 3, n
 
@@ -1063,10 +1064,11 @@ def _window_corruption(where, rule):
 
 @pytest.mark.parametrize("where, sizes", [("vertex 1", (3, 9)), ("interior", (5, 9)), ("vertex N", (3, 9))])
 def test_report_algebra_checks_see_every_window_class(where, sizes, monkeypatch):
-    # a corruption of one window class turns the report's checks False below
-    # N0 = 6 and above it, where they are read off the window algebra; the
-    # report's modules come from the memo, warmed by a clean report first,
-    # so only the algebra checks read the corrupted rule
+    # a corruption of one window class turns the report's checks False at
+    # N <= 5 and above it, where they are read off the five-vertex window
+    # algebra; the report's modules come from the memo, warmed by a clean
+    # report first.  A window of 4 holds no interior vertex, so at N = 9 its
+    # checks miss the interior corruption
     _counting_memo(monkeypatch)
     rule = ModelAlgebra.product
     for n in sizes:
@@ -1078,6 +1080,11 @@ def test_report_algebra_checks_see_every_window_class(where, sizes, monkeypatch)
         alg = build_model_algebra(n)
         assert got == tuple(getattr(alg, name)() for name in ALGEBRA_CHECKS), (where, n)
         assert not all(got) and not report["all_pass"], (where, n)
+        if where == "interior" and n == 9:
+            monkeypatch.setattr(qe, "_WINDOW_VERTICES", 4)
+            _forget_algebra_checks()
+            assert _report_algebra_checks(verify_model_properties(n)) == (True,) * 3
+            monkeypatch.setattr(qe, "_WINDOW_VERTICES", 5)
         monkeypatch.setattr(ModelAlgebra, "product", rule)
         _forget_algebra_checks()
 
@@ -1910,8 +1917,8 @@ def _counting_memo(monkeypatch):
 
 
 def _forget_algebra_checks():
-    # drop the stored algebra checks, so the next report computes them
-    for key in [k for k in qe._RESULTS if k[0] == qe._ALGEBRA]:
+    # drop the stored window reports, so the next report computes its checks
+    for key in [k for k in qe._RESULTS if k[0] == qe._WINDOW]:
         del qe._RESULTS[key]
 
 
@@ -2024,7 +2031,7 @@ def test_report_algebra_dies_when_the_report_returns(monkeypatch):
             assert all(ref() is None for _, ref in refs), n
     finally:
         gc.enable()
-    assert [n for n, _ in refs] == [1, 1, 9, 6]
+    assert [n for n, _ in refs] == [1, 1, 9, 5]
 
 
 def test_bounded_step_memo_gives_the_same_answers(monkeypatch):
@@ -2044,9 +2051,9 @@ def test_class_results_match_fresh_computation(n, monkeypatch):
     # every resolution step, standard quotient, sum-of-projectives arrow
     # set, verify(), standard-multiplicity row and Hom-complex Ext the report
     # asks for, stored or not, against the same computation run afresh on
-    # the caller's own module, sum, resolution and target; and the algebra
-    # checks, read once per report, against the window algebra's afresh and
-    # the full scans of the report's own algebra
+    # the caller's own module, sum, resolution and target; and the window
+    # report, read once per report, against the window algebra's afresh, its
+    # algebra checks against the full scans of the report's own algebra
     once, seen = qe._once, Counter()
     full = build_model_algebra(n)
     full = tuple(getattr(full, name)() for name in ALGEBRA_CHECKS)
@@ -2055,20 +2062,18 @@ def test_class_results_match_fresh_computation(n, monkeypatch):
         seen[key[0], key in qe._RESULTS] += 1
         got = once(key, fn, *args)
         assert got == fn(*args), key
-        assert key[0] != qe._ALGEBRA or (key, got) == ((qe._ALGEBRA, min(n, 6)), full)
+        assert key[0] != qe._WINDOW or (key, got[0]) == ((qe._WINDOW, min(n, 5)), full)
         return got
 
     monkeypatch.setattr(qe, "_once", checked_once)
     assert verify_model_properties(n)["all_pass"]
-    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT, qe._SUM, qe._ALGEBRA, qe._ROW}
+    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT, qe._SUM, qe._WINDOW}
     # at N = 1 there is no standard quotient, and no Ext^1 pair to make
     assert {tag for tag, _ in seen} == (tags - {qe._STANDARD, qe._EXT} if n == 1 else tags)
-    assert seen[qe._ALGEBRA, False] + seen[qe._ALGEBRA, True] == 1
-    # each row class is read once per report; from N = 8 on the report meets
-    # classes of each other kind more than once
-    assert seen[qe._ROW, False] + seen[qe._ROW, True] == len({
-        (min(i, qe._ROW_REACH), min(n + 1 - i, qe._ROW_REACH)) for i in range(1, n + 1)})
-    assert n < 8 or all(seen[tag, True] for tag in tags - {qe._ALGEBRA, qe._ROW})
+    assert seen[qe._WINDOW, False] + seen[qe._WINDOW, True] == 1
+    # from N = 5 on the window report meets step, standard, verify and sum
+    # classes more than once; it asks for each multiplicity row and Ext pair once
+    assert n < 5 or all(seen[tag, True] for tag in (qe._STEP, qe._STANDARD, qe._VERIFY, qe._SUM))
 
 
 def _class_results(alg, module):
@@ -2109,7 +2114,7 @@ def test_class_results_agree_at_every_placement(n, monkeypatch):
     algebras = [build_model_algebra(n), build_model_algebra(n + 3)]
     seen = Counter()
     for m in modules.values():
-        flags, width = (m.lo == 1, m.hi == n), len(m._dims)
+        flags, width = (m.lo == 1, m.hi == m.algebra.N), len(m._dims)
         want = None
         for alg in algebras:
             for lo in range(1, alg.N - width + 2):
@@ -2235,11 +2240,8 @@ def _seed_one_ladder():
     return ladder
 
 
-def test_a_model_block_pass_builds_at_most_148_modules(monkeypatch):
-    # the seed-1 ladder from an empty memo, as in the fresh interpreter of a
-    # pass: 2,733 modules when each resolution built its kernels, 1,298 when
-    # it walks class keys, 1,334 before rows were read per vertex class
-    ladder = _seed_one_ladder()
+def _counting_modules(monkeypatch):
+    # a list whose one entry counts the QuiverModules built from now on
     built = [0]
     init = QuiverModule.__init__
 
@@ -2247,11 +2249,33 @@ def test_a_model_block_pass_builds_at_most_148_modules(monkeypatch):
         init(self, *args)
         built[0] += 1
 
-    monkeypatch.setattr(qe, "_RESULTS", {})
     monkeypatch.setattr(QuiverModule, "__init__", counting_init)
-    for n in ladder:
+    return built
+
+
+def test_a_model_block_pass_builds_at_most_132_modules(monkeypatch):
+    # the seed-1 ladder from an empty memo, as in the fresh interpreter of a
+    # pass: 2,733 modules when each resolution built its kernels, 1,298 when
+    # it walks class keys, 1,334 before rows were read per vertex class and
+    # 148 before they were read off one five-vertex window
+    built = _counting_modules(monkeypatch)
+    for n in _seed_one_ladder():
         assert verify_model_properties(n)["all_pass"], n
-    assert built[0] <= 148, built[0]
+    assert built[0] <= 132, built[0]
+
+
+def test_a_cold_report_builds_as_many_modules_at_every_large_n(monkeypatch):
+    # the window report and T_N's steps, from an empty memo: the same count
+    # at N = 24, 223 and 1000 (135, 732 and 3,063 when the families of the
+    # whole algebra were built for a new vertex class)
+    built = _counting_modules(monkeypatch)
+    counts = []
+    for n in (24, 223, 1000):
+        qe._RESULTS.clear()
+        built[0] = 0
+        assert verify_model_properties(n)["all_pass"], n
+        counts.append(built[0])
+    assert counts == [counts[0]] * 3 and counts[0] <= 78, counts
 
 
 def test_a_report_at_an_unseen_n_builds_no_module():
@@ -2283,10 +2307,10 @@ def _report_bytes(n):
 
 
 def test_rows_by_class_match_the_per_vertex_route(monkeypatch):
-    # the report with rows read per vertex class, against the per-vertex
-    # route, as JSON bytes, for every N <= 64 in two orders with the memo
-    # warm and at the pinned N; with C - 1 in place of C some N <= 64
-    # differs, so the class needs the C that _vertex_row proves
+    # the report with rows read off the five-vertex window, against the
+    # per-vertex route, as JSON bytes, for every N <= 64 in two orders with
+    # the memo warm and at the pinned N; with a window of 4 some N <= 64
+    # differs, so the rows need the five classes that _vertex_row proves
     ns = list(range(1, 65))
     want = {n: json.dumps(pv.verify_model_properties(n), sort_keys=True) for n in ns}
     qe._RESULTS.clear()
@@ -2296,7 +2320,7 @@ def test_rows_by_class_match_the_per_vertex_route(monkeypatch):
         assert _report_bytes(n) == want[n], n
     for n, digest in PINNED_REPORTS.items():
         assert hashlib.sha256(_report_bytes(n).encode()).hexdigest() == digest, n
-    monkeypatch.setattr(qe, "_ROW_REACH", qe._ROW_REACH - 1)
+    monkeypatch.setattr(qe, "_WINDOW_VERTICES", 4)
     qe._RESULTS.clear()
     assert [n for n in ns if _report_bytes(n) != want[n]]
 
@@ -2631,8 +2655,8 @@ def test_trace_reads_columns_like_unit_vector_seeds(n, monkeypatch):
     alg = build_model_algebra(n)
     built += [ProjectiveSum(alg, gens).module for gens in [tuple(range(1, n + 1)), (n,) * 3]]
     monkeypatch.undo()
-    for m in built:
-        for j in range(1, n + 1):
+    for m in built:  # of the window algebra, or the report's own
+        for j in range(1, m.algebra.N + 1):
             assert qe._trace_span(m, j) == qe._span_matrices(m, _trace_seeds(m, j)), m.dims
     # a trace multiplies no vector through
     monkeypatch.setattr(el, "mat_vec", None)
@@ -2709,9 +2733,9 @@ def test_ii_reads_tops_off_the_tilting_resolutions(n, monkeypatch):
     # a second generator on the cover of P_2 = T_1 fails (ii) and nothing else
     resolve = qe.minimal_projective_resolution
 
-    def doubled_top(alg, module, max_terms):
+    def doubled_top(alg, module, max_terms):  # alg is the window algebra from N = 6 on
         res = resolve(alg, module, max_terms)
-        if max_terms == n + 2 and res.gens[0] == (2,):
+        if max_terms == alg.N + 2 and res.gens[0] == (2,):
             res.gens[0] = (2, 2)
         return res
 
@@ -2886,7 +2910,7 @@ def test_report_modules_store_data_on_their_support_only(monkeypatch):
         sums.append(self)
 
     def recording_action(alg, lo, dims, act, b):  # module and Hom-complex reads alike
-        reads.append((lo, dims, b))
+        reads.append((alg, lo, dims, b))
         return action(alg, lo, dims, act, b)
 
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
@@ -2895,18 +2919,17 @@ def test_report_modules_store_data_on_their_support_only(monkeypatch):
     assert pv.verify_model_properties(n)["all_pass"]
     qe._RESULTS.clear()
     assert verify_model_properties(n)["all_pass"]
-    alg = built[0].algebra
     assert len(built) > 4 * n and len(sums) >= n and reads
     for m in built:
         w = m.hi - m.lo + 1
         assert len(m._dims) == w and (w == 0 or m._dims[0] and m._dims[-1]), (m.lo, m._dims)
         assert set(m._act) <= set(range(2 * w - 2))
         assert all(len(x) < n for x in vars(m).values() if hasattr(x, "__len__"))
-    for lo, dims, b in reads:
+    for alg, lo, dims, b in reads:  # in the window algebra, or the report's own
         ends = [alg.src[b] - lo, alg.tgt[b] - lo]
         assert all(0 <= p < len(dims) and dims[p] for p in ends), (lo, dims, alg.labels[b])
     for ps in sums:
-        lo, hi = max(min(ps.gen_vertices) - 1, 1), min(max(ps.gen_vertices) + 1, n)
+        lo, hi = max(min(ps.gen_vertices) - 1, 1), min(max(ps.gen_vertices) + 1, ps.algebra.N)
         assert (ps.module.lo, ps.module.hi) == (lo, hi) and len(ps._pos) == hi - lo + 1
         assert all(len(x) < n for x in vars(ps).values() if hasattr(x, "__len__"))
 
