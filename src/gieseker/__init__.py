@@ -24,6 +24,8 @@ dataclasses, as ``perfbench/selfcheck.py`` rebuilds them with
 ``dataclasses.replace``.
 """
 
+from types import ModuleType as _ModuleType
+
 from .diagnostics import (
     IRRATIONAL,
     CartanFactor,
@@ -149,115 +151,6 @@ from .quiver_engine import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IRRATIONAL",
-    "BlockStructure",
-    "CartanFactor",
-    "CartanSummand",
-    "Cocharacter",
-    "DiagnosticsReport",
-    "ExtResult",
-    "FixedComponent",
-    "Hook",
-    "IdealAntichain",
-    "IdealChain",
-    "IdealChainEntry",
-    "ModelAlgebra",
-    "Multipartition",
-    "Parameter",
-    "Partition",
-    "ProjectiveSum",
-    "QuiverModule",
-    "RegimeError",
-    "Resolution",
-    "SupportReport",
-    "Wall",
-    "WallSet",
-    "abelian_localization_holds",
-    "annihilator_index",
-    "antichain_normalize",
-    "as_parameter",
-    "block_structure",
-    "build_model_algebra",
-    "cartan_decomposition",
-    "cartan_matrix",
-    "check_partition",
-    "contains",
-    "costandard",
-    "count_ideals",
-    "count_multipartitions",
-    "count_partitions",
-    "delta_multiplicities",
-    "diagnose",
-    "divide_with_remainder",
-    "dual_module",
-    "dual_parameter",
-    "enumerate_compositions",
-    "enumerate_ideals",
-    "enumerate_leaves",
-    "enumerate_multipartitions",
-    "enumerate_partitions",
-    "ext_groups",
-    "ext_to_simple",
-    "findim_dimension_rank_one",
-    "fixed_components_k0",
-    "fixed_point_weight",
-    "format_antichain",
-    "format_cocharacter",
-    "format_multipartition",
-    "format_parameter",
-    "format_partition",
-    "from_up_closure",
-    "has_finite_dimensional_rep",
-    "has_finite_global_dimension",
-    "hook_partition",
-    "hooks",
-    "ideal_chain",
-    "intersect",
-    "is_dominant",
-    "is_generic",
-    "is_partition",
-    "k0_class_check",
-    "leaf_dimension",
-    "legal_removals",
-    "minimal_members",
-    "minimal_projective_resolution",
-    "minimal_transversals",
-    "model_families",
-    "multipartition_size",
-    "parse_antichain",
-    "parse_cocharacter",
-    "parse_multipartition",
-    "parse_parameter",
-    "parse_partition",
-    "poincare_polynomial",
-    "polynomial_string",
-    "product",
-    "projective",
-    "quotient",
-    "quotient_size",
-    "reduced_denominator",
-    "removable_corners",
-    "remove_corner",
-    "same_chamber",
-    "semisimplicity",
-    "simple",
-    "singular_set",
-    "size",
-    "standard",
-    "submodule",
-    "sum_",
-    "support_dimension",
-    "support_dimension_recursive",
-    "support_recursion_values",
-    "tilting",
-    "to_intersection_form",
-    "to_sum_form",
-    "top_cohomology_check",
-    "transpose",
-    "up_closure",
-    "verify_model_properties",
-    "violated_walls",
-    "wall_labels",
-    "walls",
-]
+# every name imported above, the submodules that the imports bind aside
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

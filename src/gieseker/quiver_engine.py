@@ -28,7 +28,8 @@ runs over its [lo, hi] only.  A subspace is its list of basis columns, [] at
 a vertex without any.  The algebra is its multiplication rule on basis
 indices, ``ModelAlgebra.product``, with no table, and the basis elements
 starting and ending at each vertex, so it is built in O(N); a report reads
-its checks and rows off one algebra of min(N, 5) vertices (``_window_report``).
+its checks and rows off one algebra of min(N, 5) vertices (``_window_report``)
+and builds no N-vertex algebra unless a step it walks is missing.
 The path basis spans the algebra, so the paths acting on a submodule's seeds
 span it, and a resolution keeps each differential as the images of its
 generators.
@@ -45,7 +46,7 @@ build (see the package docstring).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, chain, repeat
 from itertools import product as iproduct
 from typing import NamedTuple
 
@@ -71,14 +72,18 @@ def _solve(a: Matrix, b: Matrix, skip: int = 0) -> Matrix:
     return x
 
 
+def _check_vertex_count(n_vertices: int) -> None:
+    if type(n_vertices) is not int:
+        raise ValueError(f"the vertex count is not an int: {n_vertices!r}")
+    if n_vertices < 1:
+        raise ValueError("need at least one vertex")
+
+
 class ModelAlgebra:
     """The bound-quiver algebra of the model block on N vertices."""
 
     def __init__(self, n_vertices: int) -> None:
-        if type(n_vertices) is not int:
-            raise ValueError(f"the vertex count is not an int: {n_vertices!r}")
-        if n_vertices < 1:
-            raise ValueError("need at least one vertex")
+        _check_vertex_count(n_vertices)
         self.N = n = n_vertices
         labels: list[Label] = [("e", i) for i in range(1, n + 1)]
         for i in range(1, n):
@@ -194,6 +199,22 @@ class ModelAlgebra:
             if xy is not None and swap[xy] != prod(swap[y], swap[x]):
                 return False
         return True
+
+
+class _AlgebraOnDemand(ModelAlgebra):
+    """ModelAlgebra(N) that builds its basis at the first read of anything
+    but N.  A walk on stored steps reads only N, so a warm report builds no
+    algebra; a step missing from the memo builds it there."""
+
+    def __init__(self, n_vertices: int) -> None:
+        _check_vertex_count(n_vertices)
+        self.N = n_vertices
+
+    def __getattr__(self, name: str):  # called only for an attribute not set yet
+        if name == "N" or "labels" in vars(self):
+            raise AttributeError(name)
+        ModelAlgebra.__init__(self, self.N)
+        return getattr(self, name)
 
 
 def build_model_algebra(n_vertices: int) -> ModelAlgebra:
@@ -645,18 +666,24 @@ def _walk(algebra: ModelAlgebra, lo: int, local: tuple, max_terms: int) -> tuple
     # gens, images, termination and key of the resolution of the module with
     # the local data (offset from lo, arrows, key without end flags) that a
     # step stores of a kernel: per term the generator vertices, their images
-    # and the key covered; left is the dim of the module to cover next
+    # and the key covered; left is the dim of the module to cover next.  A
+    # step whose kernel has its own key tail, Delta_i -> Delta_{i-1} inside
+    # the quiver, is its kernel's step too while the end flags stay the same
     gens, images, keys, (at, act, tail), incl_prev = [], [], [], local, None
-    left = sum(tail[0])
+    n, left, periodic = algebra.N, sum(tail[0]), False
     while left and len(gens) < max_terms:
         lo, dims = lo + at, tail[0]
-        key = (lo == 1, lo + len(dims) - 1 == algebra.N, *tail)
+        flags = lo == 1, lo + len(dims) - 1 == n
+        if not (periodic and flags == key[:2]):
+            key = (*flags, *tail)
+            step = _once((_STEP, key), _syzygy_step, algebra, lo, dims, act)
+            periodic = step[3] is not None and step[3][2] == tail
         keys.append(key)
-        tops, incl, cover, kernel = _once((_STEP, key), _syzygy_step, algebra, lo, dims, act)
+        tops, incl, cover, kernel = step
         # generator (r, t) goes to coordinate t at lo + r, in the previous term
         images.append([(lo + r, _unit(dims[r], t) if incl_prev is None else
                         list(incl_prev[r][t])) for r, t in tops])
-        gens.append(tuple(lo + r for r, _ in tops))
+        gens.append(tuple([lo + r for r, _ in tops]))
         left = cover - left
         if left and len(gens) < max_terms:
             (at, act, tail), incl_prev = kernel, incl
@@ -836,20 +863,38 @@ def _local(i: int, row) -> tuple:
     return nonzero[0] - i, tuple(row[nonzero[0] - 1 : nonzero[-1]])
 
 
-def _placed(n: int, i: int, local) -> list[int]:
-    # the N-length row that ``_local(i, row)`` keeps: its entries from their offset, zero elsewhere
-    offset, entries = local
-    return [0] * (i + offset - 1) + [*entries] + [0] * (n + 1 - i - offset - len(entries))
+def _table(n: int, rows, repeats) -> list:
+    # the N rows of an N x N table from its class rows as ``_local`` keeps
+    # them (None for a failed layer), class c spanning repeats[c] vertices:
+    # each vertex's row is a zero row with its class's entries put in place
+    out, i = [], 1
+    for local, r in zip(rows, repeats):
+        if local is None:
+            out += [None] * r
+        else:
+            offset, entries = local
+            for p in range(i + offset - 1, i + offset - 1 + r):
+                row = [0] * n
+                row[p : p + len(entries)] = entries
+                out.append(row)
+        i += r
+    return out
 
 
 def _window_report(w: int) -> tuple:
-    """The three algebra checks and the rows of vertices 1..w on the window
-    algebra of w = min(N, 5) vertices: five suffice for the checks
-    (``ModelAlgebra.product``) and for the rows (``_vertex_row``)."""
+    """The three algebra checks, the rows of vertices 1..w, each per-vertex
+    check's verdict on them all and the count of basis elements ending at
+    each vertex, on the window algebra of w = min(N, 5) vertices: five
+    suffice for the checks (``ModelAlgebra.product``) and for the rows
+    (``_vertex_row``), each row standing for one vertex class and so for at
+    least one vertex of every N >= w; a count depends only on whether its
+    vertex is 1 or N."""
     a = ModelAlgebra(w)
     families = model_families(a)
     checks = a.is_associative(), a.relations_hold(), a.opposite_swap_is_antiautomorphism()
-    return checks, [_vertex_row(a, *families, i) for i in range(1, w + 1)]
+    rows = [_vertex_row(a, *families, i) for i in range(1, w + 1)]
+    verdicts = {name: all(row[1][name] for row in rows) for name in rows[0][1]}
+    return checks, rows, verdicts, [*map(len, a._ending)]
 
 
 def verify_model_properties(n_vertices: int) -> dict:
@@ -860,56 +905,75 @@ def verify_model_properties(n_vertices: int) -> dict:
     The concentration degree of the derived Hom from the full tilting to the
     first simple is reported together with flags comparing it against both
     candidate values; only single-degree concentration enters ``checks``.
-    The algebra checks and the rows come from one window algebra of min(N, 5)
-    vertices (``_window_report``); T_N alone is resolved per report.  A
-    tilting resolution that fails to end raises ``InvariantError``.
+    The algebra checks, the basis counts and the rows come from one window
+    algebra of min(N, 5) vertices (``_window_report``), each read once per
+    vertex class; T_N alone is resolved per report, on stored steps, so a
+    warm report builds no algebra.  A tilting resolution that fails to end
+    raises ``InvariantError``.
     """
-    a = ModelAlgebra(n_vertices)
+    a = _AlgebraOnDemand(n_vertices)
     n = a.N
     w = min(n, _WINDOW_VERTICES)
-    algebra_checks, rows = _once((_WINDOW, w), _window_report, w)
+    algebra_checks, rows, verdicts, basis_counts = _once((_WINDOW, w), _window_report, w)
     # window vertex 3 stands for each of the vertices 3..N - 2 at N >= 5
-    dims, verdicts, tables, t_data = zip(*rows[:2], *rows[2:3] * (n - w + 1), *rows[3:])
+    repeats = (1, 1, n - w + 1, 1, 1)[:w]
+    dims, _, tables, t_data = zip(*rows)
     checks = dict(zip(("associative", "relations", "opposite_antiautomorphism"), algebra_checks))
-    checks["dimension"] = a.dim == 4 * n - 3
-    report: dict[str, object] = {"algebra_dim": a.dim}
-    for name, column in zip(("projective", "standard", "costandard", "tilting"), zip(*dims)):
+    algebra_dim = sum(c * r for c, r in zip(basis_counts, repeats))
+    checks["dimension"] = algebra_dim == 4 * n - 3
+    report: dict[str, object] = {"algebra_dim": algebra_dim}
+    # each class's dims once per vertex of its class
+    per_vertex = zip(*chain.from_iterable(map(repeat, dims, repeats)))
+    for name, column in zip(("projective", "standard", "costandard", "tilting"), per_vertex):
         report[f"{name}_dims"] = list(column)
-    checks["projectives_partition_algebra"] = sum(report["projective_dims"]) == a.dim
-    for name in verdicts[0]:
-        checks[name] = all(v[name] for v in verdicts)
+    checks["projectives_partition_algebra"] = sum(
+        d[0] * r for d, r in zip(dims, repeats)) == algebra_dim
+    checks.update(verdicts)
     for name in tables[0]:
-        report[name] = [t[name] and _placed(n, i, t[name]) for i, t in enumerate(tables, 1)]
+        report[name] = _table(n, [t[name] for t in tables], repeats)
 
-    # the tiltings' generators for (iv) and (v), T_N's walked one memo step per term
+    # the tiltings' generators for (iv) and (v): T_i for i < N once per
+    # vertex class, as T_f's for the class's first vertex f (T_{f+s} is T_f
+    # moved by s, 0 <= s < r), and T_N walked on stored steps
     max_deg = n + 1
     gens, images, done, _ = _walk(a, n, t_data[-1], max_deg + 1)
-    tilting_gens = [[tuple(i + v for v in term) for term in offsets]
-                    for i, (offsets, _) in enumerate(t_data[:-1], 1)] + [gens]
     if not (done and all(ends for _, ends in t_data[:-1])):
         raise InvariantError(f"a tilting resolution runs past {max_deg + 1} terms at N = {n}")
+    firsts = accumulate(repeats[:-1], initial=1)
+    tiltings = [(f, r, [tuple([f + v for v in term]) for term in offsets])
+                for f, r, (offsets, _) in zip(firsts, repeats, t_data[:-1])] + [(n, 1, gens)]
 
     # (iv) derived Hom from the full tilting to the first simple: dimensions
-    # per degree, checked for concentration in a single degree
-    full = [sum(t.count(1) for t in terms) for terms in zip_longest(*tilting_gens, fillvalue=())]
-    full += [0] * (max_deg + 1 - len(full))
+    # per degree, checked for concentration in a single degree.  T_N adds
+    # its generator multiplicities at vertex 1, and a class's T_f once per
+    # u in its term k with u + s = 1, vertex 1 in term k of T_{f+s}
+    ones = [gens[k].count(1) if k < len(gens) else 0 for k in range(max_deg + 1)]
+    full = ones.copy()
+    for _, r, terms in tiltings[:-1]:
+        for k, term in enumerate(terms):
+            full[k] += sum(1 - r < u <= 1 for u in term)
     nonzero = [k for k, d in enumerate(full) if d]
     degree = nonzero[0] if len(nonzero) == 1 else None
     checks["iv_single_degree"] = len(nonzero) == 1
     # the same Ext two ways on T_N = Delta_N: the Hom complex into L_1 (lo 1,
     # dims (1,), no arrows) and generator multiplicities
-    checks["iv_two_routes_agree"] = _hom_complex_dims(a, gens, images, 1, (1,), {}, max_deg) == (
-        tuple(gens[k].count(1) if k < len(gens) else 0 for k in range(max_deg + 1)))
+    checks["iv_two_routes_agree"] = (
+        _hom_complex_dims(a, gens, images, 1, (1,), {}, max_deg) == tuple(ones))
     report.update(iv_ext_dims=full, iv_degree=degree, iv_degree_matches_vertex_count=degree == n,
                   iv_degree_matches_vertex_count_minus_one=degree == n - 1)
 
     # (v) exactly one tilting summand carries higher extensions; the count of
     # simples hit by them is reported but not asserted
-    hits = [{j for term in g[1:] for j in term} for g in tilting_gens]  # degrees >= 1
-    report["v_summands_with_higher_ext"] = summands = [p for p, hit in enumerate(hits, 1) if hit]
+    summands, simples = [], set()
+    for f, r, terms in tiltings:
+        higher = {u for term in terms[1:] for u in term}  # degrees >= 1
+        if higher:
+            summands += range(f, f + r)
+            simples.update(u + s for u in higher for s in range(r))
+    report["v_summands_with_higher_ext"] = summands
     checks["v_unique_summand_with_higher_ext"] = summands == ([n] if n >= 2 else [])
-    report["v_simples_with_higher_ext"] = sorted(set().union(*hits))
-    report["v_unique_simple_with_higher_ext"] = len(report["v_simples_with_higher_ext"]) == 1
+    report["v_simples_with_higher_ext"] = sorted(simples)
+    report["v_unique_simple_with_higher_ext"] = len(simples) == 1
     all_pass = all(checks.values())
     return {"n_vertices": n, "checks": checks, "report": report, "all_pass": all_pass}
 
