@@ -37,7 +37,7 @@ generators.
 The one memo, ``_RESULTS``, is the engine's only cache: an algebra holds no
 module, each call that returns a module builds it, and modules are never
 mutated.  It holds one result per translation class (``QuiverModule.key``),
-and one window report per window size.
+one report row per vertex class and one window report per window size.
 
 ``Resolution`` and ``ExtResult`` are named tuples, cheap to define and to
 build (see the package docstring).
@@ -612,8 +612,9 @@ class Resolution(NamedTuple):
 # miss that would pass the bound empties it first.
 _RESULTS: dict[tuple, object] = {}
 _RESULTS_BOUND = 4096
-_STEP, _STANDARD, _VERIFY, _DELTA, _EXT, _SUM, _WINDOW = range(7)
-_WINDOW_VERTICES = 5  # the window algebra a report reads; see _window_report
+_STEP, _STANDARD, _VERIFY, _DELTA, _EXT, _SUM, _WINDOW, _ROW = range(8)
+_CLASS_BOUND = 3  # a row's vertex class bound C; see _vertex_row
+_WINDOW_VERTICES = 2 * _CLASS_BOUND - 1  # the window algebra a report reads; see _window_report
 
 
 def _once(key: tuple, fn, *args):
@@ -796,7 +797,7 @@ def cartan_matrix(algebra: ModelAlgebra) -> list[list[int]]:
     return [list(projective(algebra, i).dims) for i in range(1, algebra.N + 1)]
 
 
-def _vertex_row(algebra: ModelAlgebra, projectives, standards, costandards, tiltings, i) -> tuple:
+def _vertex_row(algebra: ModelAlgebra, families: list, i: int) -> tuple:
     """Vertex i's share of the report, offsets from i: the total dims of P_i,
     Delta_i, Nabla_i, T_i; each per-vertex check's verdict at i; row i of
     each N x N table as ``_local`` keeps it (None if a layer fails); T_i's
@@ -804,6 +805,8 @@ def _vertex_row(algebra: ModelAlgebra, projectives, standards, costandards, tilt
     T_N's offset, arrows and key tail, to walk it.  It depends on i and N
     only through (min(i, C), min(N + 1 - i, C)), C = 3: at N = 5 the vertices
     carry the classes (1, 3), (2, 3), (3, 3), (3, 2), (3, 1) of any N >= 5.
+    So the memo keeps one row per class for every window size; ``families``,
+    the algebra's ``model_families``, is built by the first row it lacks.
 
     Proof.  The row reads modules on [i - 3, i + 2]: P_j, Delta_j, Nabla_j
     (|j - i| <= 1), L_i, T_i = P_{i+1}; Delta_i's resolution to three terms,
@@ -819,6 +822,8 @@ def _vertex_row(algebra: ModelAlgebra, projectives, standards, costandards, tilt
     but for (iii)'s pair of Delta_i with T_{i-3} = P_{i-2}, i >= 4 only, whose
     Ext^1 is 0: Hom(P_{i-1}, P_{i-2}) -> Hom(P_{i-2}, P_{i-2}) sends
     a(i-1, i-2) to a(i-2, i-1) a(i-1, i-2) = l_{i-2} != 0."""
+    families[:] = families or model_families(algebra)
+    projectives, standards, costandards, tiltings = families
     n = algebra.N
     p, s, c, t = projectives[i - 1], standards[i - 1], costandards[i - 1], tiltings[i - 1]
     simple_i = simple(algebra, i)
@@ -888,11 +893,15 @@ def _window_report(w: int) -> tuple:
     suffice for the checks (``ModelAlgebra.product``) and for the rows
     (``_vertex_row``), each row standing for one vertex class and so for at
     least one vertex of every N >= w; a count depends only on whether its
-    vertex is 1 or N."""
+    vertex is 1 or N.  A row is read from the memo by its class, so a class
+    that a window of another size met is not computed again, and the
+    window's families are built only if some row is missing."""
     a = ModelAlgebra(w)
-    families = model_families(a)
+    families: list = []
     checks = a.is_associative(), a.relations_hold(), a.opposite_swap_is_antiautomorphism()
-    rows = [_vertex_row(a, *families, i) for i in range(1, w + 1)]
+    c = _CLASS_BOUND
+    rows = [_once((_ROW, min(i, c), min(w + 1 - i, c)), _vertex_row, a, families, i)
+            for i in range(1, w + 1)]
     verdicts = {name: all(row[1][name] for row in rows) for name in rows[0][1]}
     return checks, rows, verdicts, [*map(len, a._ending)]
 

@@ -38,7 +38,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
-from itertools import combinations_with_replacement, zip_longest
+from itertools import combinations_with_replacement, permutations, zip_longest
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -2183,9 +2183,11 @@ def test_class_results_match_fresh_computation(n, monkeypatch):
     # every resolution step, standard quotient, sum-of-projectives arrow
     # set, verify(), standard-multiplicity row and Hom-complex Ext the report
     # asks for, stored or not, against the same computation run afresh on
-    # the caller's own module, sum, resolution and target; and the window
+    # the caller's own module, sum, resolution and target; the window
     # report, read once per report, against the window algebra's afresh, its
-    # algebra checks against the full scans of the report's own algebra
+    # algebra checks against the full scans of the report's own algebra; and
+    # each window vertex's row, read once by its class, against the row
+    # computed afresh on the window algebra
     once, seen = qe._once, Counter()
     full = build_model_algebra(n)
     full = tuple(getattr(full, name)() for name in ALGEBRA_CHECKS)
@@ -2199,10 +2201,13 @@ def test_class_results_match_fresh_computation(n, monkeypatch):
 
     monkeypatch.setattr(qe, "_once", checked_once)
     assert verify_model_properties(n)["all_pass"]
-    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT, qe._SUM, qe._WINDOW}
+    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT, qe._SUM, qe._WINDOW, qe._ROW}
     # at N = 1 there is no standard quotient, and no Ext^1 pair to make
     assert {tag for tag, _ in seen} == (tags - {qe._STANDARD, qe._EXT} if n == 1 else tags)
     assert seen[qe._WINDOW, False] + seen[qe._WINDOW, True] == 1
+    # each window vertex's row is computed once, and read stored when the
+    # window report is computed afresh
+    assert seen[qe._ROW, False] == seen[qe._ROW, True] == min(n, 5)
     # from N = 5 on the window report meets step, standard, verify and sum
     # classes more than once; it asks for each multiplicity row and Ext pair once
     assert n < 5 or all(seen[tag, True] for tag in (qe._STEP, qe._STANDARD, qe._VERIFY, qe._SUM))
@@ -2385,15 +2390,41 @@ def _counting_modules(monkeypatch):
     return built
 
 
-def test_a_model_block_pass_builds_at_most_132_modules(monkeypatch):
+def test_a_model_block_pass_builds_at_most_115_modules(monkeypatch):
     # the seed-1 ladder from an empty memo, as in the fresh interpreter of a
     # pass: 2,733 modules when each resolution built its kernels, 1,298 when
-    # it walks class keys, 1,334 before rows were read per vertex class and
-    # 148 before they were read off one five-vertex window
+    # it walks class keys, 1,334 before rows were read per vertex class, 148
+    # before they were read off one five-vertex window and 132 before each
+    # window size computed only the rows of classes no other size had met
     built = _counting_modules(monkeypatch)
     for n in _seed_one_ladder():
         assert verify_model_properties(n)["all_pass"], n
-    assert built[0] <= 132, built[0]
+    assert built[0] <= 115, built[0]
+
+
+def test_a_model_block_pass_computes_each_row_class_once(monkeypatch):
+    # the seed-1 ladder from an empty memo meets the windows of 3, 5, 4 and
+    # 2 vertices in that order: 8 vertex classes, each row computed once,
+    # and the families built for the windows of 3, 5 and 2, the window of 4
+    # finding all its rows stored (14 rows, one per window vertex, and 4
+    # family builds when the rows were stored per window)
+    rows, families = [], []
+    vertex_row, model_families = qe._vertex_row, qe.model_families
+
+    def counting_row(algebra, fams, i):
+        rows.append((algebra.N, i))
+        return vertex_row(algebra, fams, i)
+
+    def counting_families(algebra):
+        families.append(algebra.N)
+        return model_families(algebra)
+
+    monkeypatch.setattr(qe, "_vertex_row", counting_row)
+    monkeypatch.setattr(qe, "model_families", counting_families)
+    for n in _seed_one_ladder():
+        assert verify_model_properties(n)["all_pass"], n
+    assert families == [3, 5, 2], families
+    assert rows == [(3, 1), (3, 2), (3, 3), (5, 2), (5, 3), (5, 4), (2, 1), (2, 2)], rows
 
 
 def test_a_cold_report_builds_as_many_modules_at_every_large_n(monkeypatch):
@@ -2438,13 +2469,17 @@ def _report_bytes(n):
     return json.dumps(verify_model_properties(n), sort_keys=True)
 
 
+def _per_vertex_bytes(ns):
+    return {n: json.dumps(pv.verify_model_properties(n), sort_keys=True) for n in ns}
+
+
 def test_rows_by_class_match_the_per_vertex_route(monkeypatch):
     # the report with rows read off the five-vertex window, against the
     # per-vertex route, as JSON bytes, for every N <= 64 in two orders with
     # the memo warm and at the pinned N; with a window of 4 some N <= 64
     # differs, so the rows need the five classes that _vertex_row proves
     ns = list(range(1, 65))
-    want = {n: json.dumps(pv.verify_model_properties(n), sort_keys=True) for n in ns}
+    want = _per_vertex_bytes(ns)
     qe._RESULTS.clear()
     shuffled = ns[:]
     random.Random(29).shuffle(shuffled)
@@ -2455,6 +2490,52 @@ def test_rows_by_class_match_the_per_vertex_route(monkeypatch):
     monkeypatch.setattr(qe, "_WINDOW_VERTICES", 4)
     qe._RESULTS.clear()
     assert [n for n in ns if _report_bytes(n) != want[n]]
+
+
+def test_rows_by_class_match_the_per_vertex_route_in_every_window_order():
+    # a row is computed by the first window, of whatever size, to meet its
+    # class, and read stored by every other: from an emptied memo, each of
+    # the 120 orders of first reports at N = 1..5, followed by N = 6..8,
+    # gives the per-vertex route's bytes
+    want = _per_vertex_bytes(range(1, 9))
+    for order in permutations(range(1, 6)):
+        qe._RESULTS.clear()
+        for n in (*order, 6, 7, 8):
+            assert _report_bytes(n) == want[n], (order, n)
+
+
+@pytest.mark.parametrize("bound", (3, 36))
+def test_rows_by_class_survive_a_memo_emptied_mid_window(bound, monkeypatch):
+    # the seed-1 ladder with the memo emptied at a bound of 3, and of 36, at
+    # which some window reads a row stored and then finds a later row
+    # missing, and builds its families there, at that row's read
+    ladder = _seed_one_ladder()
+    want = _per_vertex_bytes(set(ladder))
+    windows, window, once, families = [], qe._window_report, qe._once, qe.model_families
+
+    def recording_window(w):
+        windows.append([])
+        return window(w)
+
+    def recording_once(key, fn, *args):
+        if key[0] == qe._ROW:
+            windows[-1].append("stored" if key in qe._RESULTS else "missing")
+        return once(key, fn, *args)
+
+    def recording_families(algebra):
+        windows[-1].append("families")
+        return families(algebra)
+
+    monkeypatch.setattr(qe, "_window_report", recording_window)
+    monkeypatch.setattr(qe, "_once", recording_once)
+    monkeypatch.setattr(qe, "model_families", recording_families)
+    monkeypatch.setattr(qe, "_RESULTS_BOUND", bound)
+    memo = _counting_memo(monkeypatch)
+    for n in ladder:
+        assert _report_bytes(n) == want[n], n
+    assert memo.peak == bound
+    late = [w for w in windows if w[:1] == ["stored"] and "families" in w]
+    assert bool(late) == (bound == 36), windows
 
 
 # The step memo before it was keyed by translation class: one step per
