@@ -68,7 +68,6 @@ from .partitions import (
     quotient_size,
     removable_corners,
     remove_corner,
-    size,
     transpose,
 )
 from .ideal_lattice import (
@@ -80,8 +79,6 @@ from .ideal_lattice import (
     count_ideals,
     enumerate_ideals,
     enumerate_leaves,
-    format_antichain,
-    from_up_closure,
     ideal_chain,
     intersect,
     leaf_dimension,
@@ -130,14 +127,11 @@ from .quiver_engine import (
     ProjectiveSum,
     QuiverModule,
     Resolution,
-    build_model_algebra,
-    cartan_matrix,
     costandard,
     delta_multiplicities,
     dual_module,
     ext_groups,
     ext_to_simple,
-    k0_class_check,
     minimal_projective_resolution,
     model_families,
     projective,

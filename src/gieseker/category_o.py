@@ -258,14 +258,6 @@ def _legal_rows(comp: Sequence[int], m: int) -> list[int]:
     return rows
 
 
-def _remove(sigma: Multipartition, ci: int, row: int) -> Multipartition:
-    # one removal on a whole multipartition, for searches over every path;
-    # ``_walk`` edits its components in place instead
-    comp = sigma[ci]
-    kept = (comp[row] - 1,) if comp[row] > 1 else ()
-    return sigma[:ci] + (comp[:row] + kept + comp[row + 1 :],) + sigma[ci + 1 :]
-
-
 def _walk(comps: list[list[int]], m: int, total: int) -> Iterator[tuple[int, int]]:
     """Remove the first legal box from ``comps`` (lists of parts holding
     ``total`` boxes) in place, yielding (component, row), until fewer than

@@ -299,7 +299,7 @@ def _cmd_model_block(args) -> int:
     if args.verify:
         payload = quiver_engine.verify_model_properties(args.N)
     else:
-        a = quiver_engine.build_model_algebra(args.N)
+        a = quiver_engine.ModelAlgebra(args.N)
         projectives, standards, _, tiltings = quiver_engine.model_families(a)
         payload = {
             "n_vertices": a.N,

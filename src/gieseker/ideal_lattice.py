@@ -216,10 +216,6 @@ def up_closure(a: IdealAntichain) -> frozenset[Subset]:
     )
 
 
-def from_up_closure(family, k: int) -> IdealAntichain:
-    return antichain_normalize(family, k)
-
-
 def _require_compatible(a: IdealAntichain, b: IdealAntichain) -> None:
     if a.k != b.k:
         raise ValueError(f"mismatched tensor powers k={a.k} vs k={b.k}")
@@ -299,7 +295,7 @@ def enumerate_ideals(k: int) -> list[IdealAntichain]:
     if not 1 <= k <= 5:
         raise ValueError("enumeration supported for 1 <= k <= 5")
     return [
-        from_up_closure([_subset(s) for s in range(1 << k) if u >> s & 1], k)
+        antichain_normalize([_subset(s) for s in range(1 << k) if u >> s & 1], k)
         for u in _up_sets(k)
     ]
 
@@ -327,7 +323,3 @@ def parse_antichain(text: str, k: int, form: str = "intersection") -> IdealAntic
             raise ValueError(f"indices must be integers in 1..{k}: {c}")
         members.append(frozenset(c))
     return antichain_normalize(members, k, form)
-
-
-def format_antichain(a: IdealAntichain) -> str:
-    return json.dumps(a.to_lists())

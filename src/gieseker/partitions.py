@@ -39,10 +39,6 @@ def check_partition(parts: tuple[int, ...]) -> Partition:
     return lam
 
 
-def size(lam: Partition) -> int:
-    return sum(lam)
-
-
 def multipartition_size(sigma: Multipartition) -> int:
     return sum(sum(comp) for comp in sigma)
 
@@ -199,8 +195,10 @@ def _quotient_size(lam: Partition, m: int) -> int:
 
 
 def quotient_size(lam: Partition, m: int) -> int:
-    q, _ = divide_with_remainder(lam, m)
-    return size(q)
+    """|q| of ``divide_with_remainder(lam, m)``, by its closed form."""
+    lam = check_partition(lam)
+    _check_modulus(m)
+    return _quotient_size(lam, m)
 
 
 class Hook(namedtuple("Hook", "n r slot leg")):
@@ -226,9 +224,6 @@ class Hook(namedtuple("Hook", "n r slot leg")):
         comps = [()] * self.r
         comps[self.slot - 1] = self.shape
         return tuple(comps)
-
-    def label(self) -> str:
-        return f"h[{self.slot},{self.leg}]"
 
 
 def hook_partition(n: int, d: int) -> Partition:

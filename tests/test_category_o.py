@@ -43,6 +43,7 @@ from gieseker import (
     multipartition_size,
     poincare_polynomial,
     polynomial_string,
+    remove_corner,
     same_chamber,
     semisimplicity,
     support_dimension,
@@ -52,7 +53,7 @@ from gieseker import (
     violated_walls,
 )
 import gieseker.category_o as co
-from gieseker.category_o import _end_value, _remove, _walk
+from gieseker.category_o import _end_value, _walk
 from gieseker.errors import InvariantError
 
 
@@ -217,8 +218,6 @@ def test_legal_removals_keep_quotients():
     # exactly divisible components offer nothing to remove
     assert legal_removals(((2,),), 2) == []
     assert legal_removals(((4, 2),), 2) == []
-    from gieseker import divide_with_remainder, remove_corner
-
     for m in (2, 3):
         for sig in enumerate_multipartitions(5, 2):
             for slot, row in legal_removals(sig, m):
@@ -230,7 +229,7 @@ def test_legal_removals_keep_quotients():
 def former_legal_removals(sigma, m):
     """The former rule: remove each corner of a component with a nonempty
     remainder, divide again, and keep the corner if the quotient is unchanged."""
-    from gieseker import removable_corners, remove_corner
+    from gieseker import removable_corners
 
     out = []
     for ci, comp in enumerate(sigma):
@@ -400,7 +399,8 @@ def test_a_random_path_of_legal_removals_ends_at_the_closed_form(case, data):
     while (value := _end_value(n - removed, r, m, state)) is None:
         choices = legal_removals(state, m)
         assert choices, (state, m)
-        state = _remove(state, *data.draw(st.sampled_from(choices)))
+        ci, row = data.draw(st.sampled_from(choices))
+        state = state[:ci] + (remove_corner(state[ci], row),) + state[ci + 1 :]
         removed += 1
     closed = support_dimension(n, r, Fraction(1, m), sigma).support_dim
     assert r * removed + value == closed == support_dimension_recursive(n, r, m, sigma)

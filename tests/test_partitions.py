@@ -35,7 +35,6 @@ from gieseker import (
     quotient_size,
     removable_corners,
     remove_corner,
-    size,
     transpose,
 )
 from gieseker.ideal_lattice import (
@@ -214,7 +213,7 @@ def test_transpose_involution_exhaustive():
 @given(st.integers(min_value=0, max_value=30))
 def test_transpose_preserves_size(n):
     for lam in enumerate_partitions(min(n, 12)):
-        assert size(transpose(lam)) == size(lam)
+        assert sum(transpose(lam)) == sum(lam)
 
 
 # ---------------------------------------------------------------- division
@@ -241,8 +240,8 @@ def test_divide_against_brute_force():
                 q, rem = divide_with_remainder(lam, m)
                 candidates = brute_force_divisions(lam, m)
                 assert (q, rem) in candidates, (lam, m, q, rem)
-                best = max(size(c[0]) for c in candidates)
-                assert size(q) == best, (lam, m)
+                best = max(sum(c[0]) for c in candidates)
+                assert sum(q) == best, (lam, m)
 
 
 def test_closed_form_divide_against_fresh_dp():
@@ -263,8 +262,8 @@ def test_closed_form_quotient_size_against_brute_force():
         for lam in enumerate_partitions(total):
             for m in (2, 3, 4, 5, 7):
                 candidates = brute_force_divisions(lam, m)
-                best = max(size(c[0]) for c in candidates)
-                maximal = [c for c in candidates if size(c[0]) == best]
+                best = max(sum(c[0]) for c in candidates)
+                maximal = [c for c in candidates if sum(c[0]) == best]
                 assert maximal == [divide_with_remainder(lam, m)], (lam, m)
                 assert _quotient_size(lam, m) == best, (lam, m)
                 assert quotient_size(lam, m) == best, (lam, m)
@@ -345,7 +344,7 @@ def test_remove_corner_keeps_partition():
             for corner in removable_corners(lam):
                 smaller = remove_corner(lam, corner)
                 assert is_partition(smaller)
-                assert size(smaller) == n - 1
+                assert sum(smaller) == n - 1
 
 
 # ---------------------------------------------------------------- hooks

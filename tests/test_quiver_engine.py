@@ -52,14 +52,11 @@ import per_vertex_report as pv
 from gieseker import (
     ProjectiveSum,
     QuiverModule,
-    build_model_algebra,
-    cartan_matrix,
     costandard,
     delta_multiplicities,
     dual_module,
     ext_groups,
     ext_to_simple,
-    k0_class_check,
     minimal_projective_resolution,
     projective,
     quotient,
@@ -83,7 +80,7 @@ from gieseker.quiver_engine import (
 
 @pytest.fixture(scope="module")
 def alg3():
-    return build_model_algebra(3)
+    return ModelAlgebra(3)
 
 
 def _mm(a: Matrix, b: Matrix, cols: int) -> Matrix:
@@ -238,7 +235,7 @@ def _path_grid(alg):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_per_vertex_algebra_matches_label_pair_scan_and_path_grid(n):
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     composable, table = _label_pair_scan(alg)
     assert alg.labels == nl.build_model_algebra(n).labels
     # the pairs the checks walk, and the rule on every pair of basis indices
@@ -262,7 +259,7 @@ def test_per_vertex_algebra_matches_label_pair_scan_and_path_grid(n):
 
 def test_algebra_checks_run_at_ten_thousand_vertices():
     n = 10_000
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     pairs = list(alg._pairs())
     assert len(pairs) == 16 * n - 19
     assert sum(alg.product(x, y) is not None for x, y in pairs) == 9 * n - 9
@@ -272,15 +269,15 @@ def test_algebra_checks_run_at_ten_thousand_vertices():
 
 
 def test_relations_hold_detects_corrupted_algebra(monkeypatch):
-    ix = build_model_algebra(4).index
+    ix = ModelAlgebra(4).index
     l2, l3, a21 = ix[("loop", 2)], ix[("loop", 3)], ix[("a", 2, 1)]
     # a loop that fails to annihilate an arrow or a loop
     for pair, value in (((l2, a21), a21), ((l3, l3), l3)):
-        alg = build_model_algebra(4)
+        alg = ModelAlgebra(4)
         _corrupt(alg, pair, value)
         assert not alg.relations_hold(), pair
     # a path from vertex 1 to vertex 3 breaks the Hom dimensions
-    alg = build_model_algebra(4)
+    alg = ModelAlgebra(4)
     paths = {1: alg.path_basis(1) + [ix[("a", 3, 2)]]}
     monkeypatch.setattr(alg, "path_basis", lambda i: paths.get(i) or alg._starting[i - 1])
     assert not alg.relations_hold()
@@ -289,7 +286,7 @@ def test_relations_hold_detects_corrupted_algebra(monkeypatch):
 def test_dimension_and_associativity_sweep():
     # structure constants are all 0/1; check the whole multiplication table
     for n in range(1, 13):
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         assert alg.dim == 4 * n - 3
         assert alg.is_associative()
         assert alg.relations_hold()
@@ -297,7 +294,7 @@ def test_dimension_and_associativity_sweep():
 
 
 def test_basis_labels_n2():
-    alg = build_model_algebra(2)
+    alg = ModelAlgebra(2)
     assert alg.labels == (("e", 1), ("e", 2), ("a", 1, 2), ("a", 2, 1), ("loop", 2))
 
 
@@ -335,27 +332,31 @@ def test_simple_dimension_vectors(alg3):
     ]
 
 
+def _cartan_rows(n):
+    return verify_model_properties(n)["report"]["cartan_matrix"]
+
+
 def test_cartan_matrix_small():
-    assert cartan_matrix(build_model_algebra(2)) == [[1, 1], [1, 2]]
-    assert cartan_matrix(build_model_algebra(3)) == [[1, 1, 0], [1, 2, 1], [0, 1, 2]]
+    assert _cartan_rows(2) == [[1, 1], [1, 2]]
+    assert _cartan_rows(3) == [[1, 1, 0], [1, 2, 1], [0, 1, 2]]
 
 
 def test_cartan_is_gram_matrix_of_standards():
     # C = D^T D with D the standard-dimension matrix: reciprocity in rank form
     for n in (2, 3, 4, 5):
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         d = [standard(alg, j).dims for j in range(1, n + 1)]
         gram = [
             [sum(d[j][i] * d[j][l] for j in range(n)) for l in range(n)]
             for i in range(n)
         ]
-        assert cartan_matrix(alg) == gram
+        assert _cartan_rows(n) == gram
 
 
 def test_delta_multiplicities_of_projectives():
     # [P_i : Delta_j] = dim of Delta_j at vertex i (reciprocity, dual dims equal)
     for n in (2, 3, 4):
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         d = [standard(alg, j).dims for j in range(1, n + 1)]
         for i in range(1, n + 1):
             mults = delta_multiplicities(alg, projective(alg, i))
@@ -369,7 +370,7 @@ def test_first_standard_is_projective(alg3):
 
 def test_tiltings():
     for n in (2, 3, 4):
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         for i in range(1, n):
             assert is_isomorphic(tilting(alg, i), projective(alg, i + 1))
         assert is_isomorphic(tilting(alg, n), standard(alg, n))
@@ -377,7 +378,7 @@ def test_tiltings():
 
 def test_minimal_resolution_of_standards_marches_left():
     for n in (2, 3, 5):
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         for j in range(1, n + 1):
             res = minimal_projective_resolution(alg, standard(alg, j), max_terms=n + 2)
             assert res.terminated
@@ -387,7 +388,7 @@ def test_minimal_resolution_of_standards_marches_left():
 
 
 def test_ext_standard_to_bottom_simple_n2():
-    alg = build_model_algebra(2)
+    alg = ModelAlgebra(2)
     e = ext_groups(alg, standard(alg, 2), simple(alg, 1), max_degree=3)
     assert e.dims == (0, 1, 0, 0)
     assert not e.truncated
@@ -395,7 +396,7 @@ def test_ext_standard_to_bottom_simple_n2():
 
 def test_ext_simples_give_double_path_quiver():
     for n in (2, 3, 4):
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 e = ext_groups(alg, simple(alg, i), simple(alg, j), max_degree=1)
@@ -405,7 +406,7 @@ def test_ext_simples_give_double_path_quiver():
 
 def test_ext_two_routes_agree():
     # Hom-complex computation vs counting P_j multiplicities in the resolution
-    alg = build_model_algebra(4)
+    alg = ModelAlgebra(4)
     mods = [standard(alg, j) for j in range(1, 5)] + [
         simple(alg, j) for j in range(1, 5)
     ]
@@ -442,26 +443,31 @@ def test_dual_module_is_involutive_on_dims(alg3):
         assert is_isomorphic(dd, m)
 
 
+def _k0_rows(families):
+    # the report's K_0 check at every vertex of the given families
+    return all(qe._k0_row(*families[:3], i) for i in range(1, len(families[0]) + 1))
+
+
 def test_k0_classes():
+    # the report's rows and the whole-algebra oracle on the same families
     for n in (1, 2, 3, 4, 5, 6):
-        assert k0_class_check(build_model_algebra(n))
+        families = qe.model_families(ModelAlgebra(n))
+        assert _k0_rows(families) and pv.k0_classes(*families[:3])
 
 
 @pytest.mark.parametrize("j", (1, 3, 5))
-def test_k0_classes_fail_on_a_standard_nonzero_far_away(j, monkeypatch):
+def test_k0_classes_fail_on_a_standard_nonzero_far_away(j):
     # Delta_j and Nabla_j both made nonzero also at a vertex three steps
     # away: they still share a class, so only the Gram clause can fail
-    alg = build_model_algebra(8)
+    alg = ModelAlgebra(8)
     families = qe.model_families(alg)
     far = j + 3
     wrong = QuiverModule(alg, j, tuple(int(v in (j, far)) for v in range(j, far + 1)), {})
     projectives, standards, costandards, tiltings = (list(f) for f in families)
     standards[j - 1] = costandards[j - 1] = wrong
     wrong_families = projectives, standards, costandards, tiltings
-    monkeypatch.setattr(qe, "model_families", lambda a: wrong_families)
-    assert not k0_class_check(alg)
-    monkeypatch.undo()
-    assert k0_class_check(alg)
+    assert not _k0_rows(wrong_families) and not pv.k0_classes(*wrong_families[:3])
+    assert _k0_rows(families)
 
 
 def test_verify_model_properties_all_pass():
@@ -516,7 +522,7 @@ def test_standards_by_translation_match_quotients(n):
     # Delta_i is the quotient computed once per class of P_i, placed at P_i's
     # lo; built in either order, every standard equals the quotient of P_i by
     # the trace of the smaller vertices entry for entry
-    down, up = build_model_algebra(n), build_model_algebra(n)
+    down, up = ModelAlgebra(n), ModelAlgebra(n)
     got_down = {i: standard(down, i) for i in range(n, 0, -1)}
     for i in range(1, n + 1):
         p = projective(up, i)
@@ -547,7 +553,7 @@ def test_report_makes_one_quotient_per_standard_class(monkeypatch):
 def test_repeated_calls_return_equal_modules():
     # the algebra keeps no module: each call builds one, equal to the last,
     # and the report's lists hold the modules the public calls build
-    alg = build_model_algebra(4)
+    alg = ModelAlgebra(4)
     for make in (projective, standard, costandard, tilting, simple):
         for i in range(1, 5):
             first, again = make(alg, i), make(alg, i)
@@ -570,7 +576,7 @@ def test_an_algebra_and_its_modules_need_no_cycle_collection():
     try:
         alg = ModelAlgebra(8)
         mods = [make(alg, i) for make in (standard, costandard, tilting) for i in range(1, 9)]
-        assert k0_class_check(alg) and len(cartan_matrix(alg)) == 8
+        assert _k0_rows(qe.model_families(alg))
         del alg, mods
         assert gc.collect() == 0
     finally:
@@ -613,7 +619,7 @@ def test_shared_resolutions_match_per_call_route(n):
     # every value the report reads off a shared resolution, recomputed with
     # one fresh ext_to_simple / ext_groups call per value
     rep = verify_model_properties(n)["report"]
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     max_deg = n + 1
     simples = [simple(alg, j) for j in range(1, n + 1)]
     standards = [standard(alg, j) for j in range(1, n + 1)]
@@ -678,7 +684,7 @@ def test_pruned_tilting_pairs_match_all_pairs(n, monkeypatch):
     monkeypatch.setattr(qe, "_hom_complex_ext", recording_ext)
     checks = pv.verify_model_properties(n)["checks"]
     monkeypatch.undo()
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     assert checks["iii_tiltings"] == _unpruned_nabla_filtered(alg)
     # (ii) pairs each standard with the one below it and (iii) with the
     # tiltings nonzero at a generator of P_1; a tilting left out has
@@ -701,7 +707,7 @@ def test_pruned_tilting_pairs_match_all_pairs(n, monkeypatch):
     families = qe.model_families
     monkeypatch.setattr(qe, "model_families", lambda alg: (*families(alg)[:3], families(alg)[1]))
     checks = pv.verify_model_properties(n)["checks"]
-    assert checks["iii_tiltings"] == _unpruned_nabla_filtered(build_model_algebra(n)) == (n == 1)
+    assert checks["iii_tiltings"] == _unpruned_nabla_filtered(ModelAlgebra(n)) == (n == 1)
     # and on the engine's route, whose rows are then computed from these families
     qe._RESULTS.clear()
     assert verify_model_properties(n)["checks"]["iii_tiltings"] == (n == 1)
@@ -711,7 +717,7 @@ def test_sum_basis_is_the_projective_sums_layout():
     # the one (summand, path) order that ProjectiveSum and the Hom complex
     # read: at each vertex w, the paths to w of each summand in turn
     for n in range(1, 6):
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         for gens in (g for k in range(4) for g in iproduct(range(1, n + 1), repeat=k)):
             ps = ProjectiveSum(alg, gens)
             lo, pos = qe._sum_basis(alg, gens)
@@ -725,7 +731,7 @@ def test_hom_complex_reads_the_signs_of_the_images():
     # e + e' and e - e', the tops of the two summands.  Over Q, d is
     # invertible, so Hom(d, L_2) is too and both Ext groups vanish; read
     # with every coefficient +1, its matrix would have rank 1.
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     ps = ProjectiveSum(alg, (2, 2))
     e2, l2 = alg.index[("e", 2)], alg.index[("loop", 2)]
     assert ps._pos[2 - ps.module.lo] == [(0, e2), (0, l2), (1, e2), (1, l2)]
@@ -799,7 +805,7 @@ def test_no_assert_statements_in_src():
 
 
 def test_is_isomorphic_rejects_large_hom_space():
-    m = ProjectiveSum(build_model_algebra(3), (2, 2, 2)).module
+    m = ProjectiveSum(ModelAlgebra(3), (2, 2, 2)).module
     assert len(hom_space(m, m)) == 18
     with pytest.raises(ValueError, match="18"):
         is_isomorphic(m, m)
@@ -807,7 +813,7 @@ def test_is_isomorphic_rejects_large_hom_space():
 
 def test_certificate_reads_module_past_the_grid_scan_limit():
     # the module whose Hom space the grid scan refuses: three copies of P_2
-    m = ProjectiveSum(build_model_algebra(3), (2, 2, 2)).module
+    m = ProjectiveSum(ModelAlgebra(3), (2, 2, 2)).module
     assert delta_multiplicities(m.algebra, m) == [3, 3, 0]
 
 
@@ -819,22 +825,22 @@ PUBLIC_NAMES = {
     "IdealChainEntry", "ModelAlgebra", "Multipartition", "Parameter", "Partition",
     "ProjectiveSum", "QuiverModule", "RegimeError", "Resolution", "SupportReport", "Wall",
     "WallSet", "abelian_localization_holds", "annihilator_index", "antichain_normalize",
-    "as_parameter", "block_structure", "build_model_algebra", "cartan_decomposition",
-    "cartan_matrix", "check_partition", "contains", "costandard", "count_ideals",
+    "as_parameter", "block_structure", "cartan_decomposition",
+    "check_partition", "contains", "costandard", "count_ideals",
     "count_multipartitions", "count_partitions", "delta_multiplicities", "diagnose",
     "divide_with_remainder", "dual_module", "dual_parameter", "enumerate_compositions",
     "enumerate_ideals", "enumerate_leaves", "enumerate_multipartitions", "enumerate_partitions",
     "ext_groups", "ext_to_simple", "findim_dimension_rank_one", "fixed_components_k0",
-    "fixed_point_weight", "format_antichain", "format_cocharacter", "format_multipartition",
-    "format_parameter", "format_partition", "from_up_closure", "has_finite_dimensional_rep",
+    "fixed_point_weight", "format_cocharacter", "format_multipartition",
+    "format_parameter", "format_partition", "has_finite_dimensional_rep",
     "has_finite_global_dimension", "hook_partition", "hooks", "ideal_chain", "intersect",
-    "is_dominant", "is_generic", "is_partition", "k0_class_check", "leaf_dimension",
+    "is_dominant", "is_generic", "is_partition", "leaf_dimension",
     "legal_removals", "minimal_members", "minimal_projective_resolution",
     "minimal_transversals", "model_families", "multipartition_size", "parse_antichain",
     "parse_cocharacter", "parse_multipartition", "parse_parameter", "parse_partition",
     "poincare_polynomial", "polynomial_string", "product", "projective", "quotient",
     "quotient_size", "reduced_denominator", "removable_corners", "remove_corner",
-    "same_chamber", "semisimplicity", "simple", "singular_set", "size", "standard", "submodule",
+    "same_chamber", "semisimplicity", "simple", "singular_set", "standard", "submodule",
     "sum_", "support_dimension", "support_dimension_recursive", "support_recursion_values",
     "tilting", "to_intersection_form", "to_sum_form", "top_cohomology_check", "transpose",
     "up_closure", "verify_model_properties", "violated_walls", "wall_labels", "walls"
@@ -843,7 +849,7 @@ PUBLIC_NAMES = {
 
 def test_public_names_resolve():
     names = gieseker.__all__
-    assert len(names) == len(set(names)) == 110
+    assert len(names) == len(set(names)) == 104
     assert set(names) == PUBLIC_NAMES
     for name in names:
         assert hasattr(gieseker, name), name
@@ -881,7 +887,7 @@ def _block_diag(blocks, rows, cols):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_derived_action_matches_full_action_oracle(n):
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     arrows = set(alg.arrows())
     for i in range(1, n + 1):
         p = projective(alg, i)
@@ -929,7 +935,7 @@ def test_derived_action_matches_full_action_oracle(n):
 
 def _module_n3(dims, **arrows):
     # arrows named like a23 for a(2,3); unnamed arrows act by zero
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     act = {}
     for g in alg.arrows():
         _, i, j = alg.labels[g]
@@ -962,15 +968,15 @@ def test_verify_accepts_module_built_by_hand():
 
 
 def test_is_associative_detects_corrupted_table():
-    ix = build_model_algebra(3).index
+    ix = ModelAlgebra(3).index
     e2, l2 = ix[("e", 2)], ix[("loop", 2)]
     # l_2 e_2 = 0 breaks (a(2,1) a(1,2)) e_2 = a(2,1) (a(1,2) e_2)
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     _corrupt(alg, (l2, e2), None)
     assert not alg.is_associative()
     # a product leaving its endpoints: e_2 e_2 = a(3,2), caught through the
     # idempotents
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     _corrupt(alg, (e2, e2), ix[("a", 3, 2)])
     assert not alg.is_associative()
 
@@ -999,7 +1005,7 @@ def test_algebra_checks_match_the_n_length_copies_on_corrupted_tables(n):
     # engine's ``product`` and to the table of the unchanged copies in
     # n_length_engine, which read it pair by pair, they give the same booleans
     rng = random.Random(n)
-    got_alg, want_alg = build_model_algebra(n), nl.build_model_algebra(n)
+    got_alg, want_alg = ModelAlgebra(n), nl.build_model_algebra(n)
     table = _label_pair_scan(got_alg)[1]
     assert want_alg.table == table
     rejected = Counter()
@@ -1023,14 +1029,14 @@ def test_algebra_checks_match_the_n_length_copies_on_corrupted_tables(n):
 
 
 def test_opposite_swap_check_detects_corrupted_table():
-    ix = build_model_algebra(3).index
+    ix = ModelAlgebra(3).index
     e2, a12, a21 = ix[("e", 2)], ix[("a", 1, 2)], ix[("a", 2, 1)]
     # e_2 a(2,1) = a(1,2), while its mirror a(1,2) e_2 = a(1,2) is not its swap
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     _corrupt(alg, (e2, a21), a12)
     assert not alg.opposite_swap_is_antiautomorphism()
     # e_2 a(2,1) = 0, while its mirror stays nonzero
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     _corrupt(alg, (e2, a21), None)
     assert not alg.opposite_swap_is_antiautomorphism()
 
@@ -1040,7 +1046,7 @@ def test_product_is_zero_off_the_basis(n):
     # an index outside 0..dim - 1 names no basis element, so its products are
     # None, as the stored table's lookup gave; a negative index must not read
     # from the end of the basis: product(-dim, 0) is not e_1 e_1 = e_1
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     table = _label_pair_scan(alg)[1]
     span = [*range(-2 * alg.dim, 2 * alg.dim), -(10**12), 10**12]
     for x in span:
@@ -1071,7 +1077,7 @@ def test_report_algebra_checks_equal_the_full_scans(monkeypatch):
         built.clear()
         got = _report_algebra_checks(verify_model_properties(n))
         assert built == [min(n, 5)], n
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         assert got == tuple(getattr(alg, name)() for name in ALGEBRA_CHECKS) == (True,) * 3, n
 
 
@@ -1108,7 +1114,7 @@ def test_report_algebra_checks_see_every_window_class(where, sizes, monkeypatch)
         monkeypatch.setattr(ModelAlgebra, "product", _window_corruption(where, rule))
         report = verify_model_properties(n)
         got = _report_algebra_checks(report)
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         assert got == tuple(getattr(alg, name)() for name in ALGEBRA_CHECKS), (where, n)
         assert not all(got) and not report["all_pass"], (where, n)
         if where == "interior" and n == 9:
@@ -1126,7 +1132,7 @@ def test_algebra_is_built_without_a_table():
     # 9N - 9 products and the 16N - 19 composable pairs
     tracemalloc.start()
     try:
-        alg = build_model_algebra(10**4)
+        alg = ModelAlgebra(10**4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1237,7 +1243,7 @@ def test_report_verifies_each_module_once(n, monkeypatch):
 def test_verify_arrow_pairs_matches_all_pairs_on_corruptions(n):
     # every single-entry +1 corruption of an arrow matrix of each projective
     # and standard: both routes must give the same answer
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     rejected = 0
     for make in (projective, standard):
         for i in range(1, n + 1):
@@ -1263,7 +1269,7 @@ def test_ii_reads_trace_filtration_like_the_direct_route(n):
     # the former (ii): trace sub and quotient of each P_i (i >= 2) tested
     # against the adjacent standards, plus P_1 against Delta_1, simple tops
     # and a one-dimensional Ext^1 between the adjacent standards
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     ok = is_isomorphic(standard(alg, 1), projective(alg, 1))
     for i in range(2, n + 1):
         p = projective(alg, i)
@@ -1314,7 +1320,7 @@ def _delta_multiplicities_by_grid_scan(alg, module):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_layer_certificate_matches_grid_scan_route(n):
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     accepted = 0
     for make in (projective, standard, costandard, tilting, simple):
         for i in range(1, n + 1):
@@ -1328,7 +1334,7 @@ def test_layer_certificate_matches_grid_scan_route(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_delta_multiplicities_add_over_projective_sums(n):
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     rows = {i: delta_multiplicities(alg, projective(alg, i)) for i in range(1, n + 1)}
     for k in (1, 2, 3):
         for gens in combinations_with_replacement(range(1, n + 1), k):
@@ -1351,7 +1357,7 @@ def test_quotient_rejects_dependent_inclusion_columns(alg3):
 def test_non_integral_module_map_raises():
     # P(2) at N = 2 with the vertex-1 basis vector a(1,2) replaced by twice
     # itself: the arrow a(1,2) then sends e_2 to half the new basis vector
-    alg = build_model_algebra(2)
+    alg = ModelAlgebra(2)
     p2 = projective(alg, 2)
     assert p2.dims == (1, 2)
     whole = _restrict(p2, [[[1]], [[1, 0], [0, 1]]])
@@ -1378,7 +1384,7 @@ def test_solve_checks_only_the_rows_it_returns():
 def test_quotient_by_a_sublattice_with_fractional_coordinates():
     # [sub | units] has determinant +-2 at vertex 3, so its inverse is
     # fractional in the submodule rows; the projection row is integral
-    m = ProjectiveSum(build_model_algebra(3), (3, 3)).module
+    m = ProjectiveSum(ModelAlgebra(3), (3, 3)).module
     sub, incl = submodule(m, [(2, [-1, 1]), (3, [1, 0, 1, 0])])
     q, proj = quotient(m, incl)
     assert q.dims == (0, 0, 1)
@@ -1389,7 +1395,7 @@ def test_quotient_by_a_sublattice_with_fractional_coordinates():
 def test_quotients_of_seeded_submodules_of_two_projectives():
     # sums of two projectives at N = 3, each cut by two random seeds with
     # entries in -1..1; the parent route raised "non-integral" on some pairs
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     rng = random.Random(0)
     for _ in range(200):
         m = ProjectiveSum(alg, tuple(rng.choices((1, 2, 3), k=2))).module
@@ -1433,7 +1439,7 @@ def test_report_modules_have_int_arrow_matrices(n, monkeypatch):
 def test_action_cache_holds_no_reference_to_its_module():
     # reference counting alone frees a module whose actions were read: an
     # action is computed per call and kept by no one
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     m = dual_module(dual_module(projective(alg, 3)))
     assert m.verify() and m.action(alg.index[("loop", 3)]) == [[0, 0], [1, 0]]
     ref = weakref.ref(m)
@@ -1457,8 +1463,8 @@ NON_INT_CALLS = {
         a, projective(a, 2), 2).multiplicity(0, True),
     "ProjectiveSum-True": lambda a: ProjectiveSum(a, (2, True)),
     "submodule-True": lambda a: submodule(projective(a, 3), [(True, 0)]),
-    "algebra-True": lambda a: build_model_algebra(True),
-    "algebra-float": lambda a: build_model_algebra(3.0),
+    "algebra-True": lambda a: ModelAlgebra(True),
+    "algebra-float": lambda a: ModelAlgebra(3.0),
     "report-True": lambda a: verify_model_properties(True),
     "resolution-float": lambda a: minimal_projective_resolution(a, standard(a, 3), 2.5),
     "resolution-True": lambda a: minimal_projective_resolution(a, standard(a, 3), True),
@@ -1477,14 +1483,14 @@ def test_vertices_and_vertex_counts_must_be_ints(name):
     # printed "n_vertices": true; a float vertex raised TypeError.  Term and
     # degree counts likewise: 2.5 terms gave 3, True degrees answered as 1
     # and a float degree raised TypeError
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     assert [standard(alg, i).lo for i in (1, 2, 3)] == [1, 2, 3]
     with pytest.raises(ValueError, match="not an int"):
         NON_INT_CALLS[name](alg)
 
 
 def test_vertex_out_of_range_raises():
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     for make in (simple, projective, standard, costandard, tilting):
         for i in (0, 4, -1):
             with pytest.raises(ValueError, match="vertex out of range"):
@@ -1513,7 +1519,7 @@ def test_vertex_out_of_range_raises():
 def test_submodule_rejects_int_seeds_outside_the_dim():
     # formerly (2, -1) read the last column, giving the (2, 1) submodule;
     # (2, 5) raised a bare IndexError and (2, True) a TypeError
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     p2 = projective(alg, 2)  # dims (1, 2, 1), the coordinates 0 and 1 at vertex 2
     for c in (-1, 5, 2, True, False):
         with pytest.raises(ValueError, match="at vertex 2 "):
@@ -1537,18 +1543,18 @@ ALGEBRA_MISMATCHES = {
 @pytest.mark.parametrize("case", sorted(ALGEBRA_MISMATCHES))
 def test_module_of_another_algebra_raises(case):
     # formerly an answer about the wrong algebra, None or a bare IndexError
-    a3, a4 = build_model_algebra(3), build_model_algebra(4)
+    a3, a4 = ModelAlgebra(3), ModelAlgebra(4)
     with pytest.raises(ValueError, match="another algebra"):
         ALGEBRA_MISMATCHES[case](a3, a4)
     # an equal algebra that is a different object is another algebra too
     with pytest.raises(ValueError, match="another algebra"):
-        ALGEBRA_MISMATCHES[case](a3, build_model_algebra(3))
+        ALGEBRA_MISMATCHES[case](a3, ModelAlgebra(3))
 
 
 @pytest.mark.parametrize("route", ["ext_groups", "ext_to_simple"])
 def test_negative_max_degree_raises(route):
     # formerly ExtResult(dims=(), truncated=True)
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     m = standard(alg, 2)
     call = {
         "ext_groups": lambda k: ext_groups(alg, m, simple(alg, 1), k),
@@ -1562,7 +1568,7 @@ def test_negative_max_degree_raises(route):
 
 def test_negative_max_terms_raises():
     # formerly a resolution with no terms that had not terminated
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     m = standard(alg, 2)
     for k in (-1, -5):
         with pytest.raises(ValueError, match="max_terms must be non-negative"):
@@ -1573,7 +1579,7 @@ def test_negative_max_terms_raises():
 
 def test_negative_multiplicity_degree_raises():
     # formerly a bare IndexError
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     res = minimal_projective_resolution(alg, standard(alg, 2), 3)
     for k in (-1, -5):
         with pytest.raises(ValueError, match="non-negative"):
@@ -1795,7 +1801,7 @@ def _corruptions(m):
 
 @pytest.mark.parametrize("n", range(2, 5))
 def test_sparse_verify_matches_dense_verify_on_corruptions(n):
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     seen = {kind: 0 for kind in ("entry", "zeroed", "widened", *REJECTED_KINDS)}
     rejected = 0
     for make in (projective, standard, costandard, simple):
@@ -1823,7 +1829,7 @@ def test_verify_checks_relation_through_empty_vertex():
     # dims (1, 2, 0): a(1,2) a(2,1) = 0 at vertex 1 as it must be, but l_2 =
     # a(2,1) a(1,2) is nonzero while a(2,3) a(3,2), which must equal it,
     # passes through the empty vertex 3 and is zero
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     bad = _module_n3((1, 2, 0), a12=[[1, 0]], a21=[[0], [1]])
     l2 = bad.action(alg.index[("loop", 2)])
     assert l2 == [[0, 0], [1, 0]]
@@ -1901,7 +1907,7 @@ def _plain_resolution(algebra, module, max_terms):
 def test_shared_steps_match_plain_resolution(n, monkeypatch):
     # standards first: projectives, tiltings and the later standards' and
     # costandards' syzygies then meet steps resolved before
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     steps, covered = [], 0
     step = qe._syzygy_step
 
@@ -2018,7 +2024,7 @@ def test_report_step_count_does_not_grow_with_n(monkeypatch):
 def _resolutions(engine, n):
     # every simple, standard, projective, costandard and tilting resolved to
     # N + 2 terms on a new algebra: generators, images and termination
-    alg = engine.build_model_algebra(n)
+    alg = engine.ModelAlgebra(n)
     out = {}
     for make in ("simple", "standard", "projective", "costandard", "tilting"):
         for i in range(1, n + 1):
@@ -2159,7 +2165,7 @@ def test_tilting_sums_per_class_match_the_per_vertex_expansion(n, monkeypatch):
     monkeypatch.setitem(qe._RESULTS, key, (checks, rows, verdicts, counts))
     report = verify_model_properties(n)["report"]
     by_vertex = fake[:2] + fake[2:3] * (n - 4) + fake[3:]
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     last = minimal_projective_resolution(alg, standard(alg, n), n + 2).gens
     got = report["iv_ext_dims"], report["v_summands_with_higher_ext"], report["v_simples_with_higher_ext"]
     want = _tilting_fields_by_vertex(n, by_vertex, last)
@@ -2189,7 +2195,7 @@ def test_class_results_match_fresh_computation(n, monkeypatch):
     # each window vertex's row, read once by its class, against the row
     # computed afresh on the window algebra
     once, seen = qe._once, Counter()
-    full = build_model_algebra(n)
+    full = ModelAlgebra(n)
     full = tuple(getattr(full, name)() for name in ALGEBRA_CHECKS)
 
     def checked_once(key, fn, *args):
@@ -2248,7 +2254,7 @@ def test_class_results_agree_at_every_placement(n, monkeypatch):
     assert verify_model_properties(n)["all_pass"]
     monkeypatch.setattr(qe, "_once", once)
     monkeypatch.setattr(QuiverModule, "verify", verify)
-    algebras = [build_model_algebra(n), build_model_algebra(n + 3)]
+    algebras = [ModelAlgebra(n), ModelAlgebra(n + 3)]
     seen = Counter()
     for m in modules.values():
         flags, width = (m.lo == 1, m.hi == m.algebra.N), len(m._dims)
@@ -2273,7 +2279,7 @@ def test_ext_memo_tells_apart_pairs_a_coarser_key_would_merge():
     # Delta_{N-1} and its dual share their dims and place
     ended = []
     for n in (5, 6):
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         res = minimal_projective_resolution(alg, standard(alg, n), 5)
         ended.append(res.terminated)
         for x in (simple(alg, n - 2), standard(alg, n - 1), costandard(alg, n - 1)):
@@ -2309,7 +2315,7 @@ def test_warm_class_results_give_cold_reports(bound, monkeypatch):
 def test_stored_zero_kernel_builds_no_module(monkeypatch):
     # a projective's cover is an isomorphism: its one step ends in the zero
     # kernel, which a read of the stored step, P_5 as P_4 moved, does not build
-    alg = build_model_algebra(7)
+    alg = ModelAlgebra(7)
     first = minimal_projective_resolution(alg, projective(alg, 4), 3)
     p5 = projective(alg, 5)
     built = []
@@ -2492,6 +2498,20 @@ def test_rows_by_class_match_the_per_vertex_route(monkeypatch):
     assert [n for n in ns if _report_bytes(n) != want[n]]
 
 
+def test_window_layout_follows_the_class_bound(monkeypatch):
+    # any class bound C >= 3 is sound, so with C raised to 4 or 5 and the
+    # window to 2C - 1 vertices, whose C - 1 end vertices stand for
+    # themselves and whose middle one for N - 2C + 2, every report up to
+    # N = 29 keeps the per-vertex route's bytes; a layout hard-coded for
+    # C = 3 drops the window's last rows at N > 5
+    want = _per_vertex_bytes(range(1, 30))
+    for c in (3, 4, 5):
+        monkeypatch.setattr(qe, "_CLASS_BOUND", c)
+        monkeypatch.setattr(qe, "_WINDOW_VERTICES", 2 * c - 1)
+        qe._RESULTS.clear()
+        assert [n for n in range(1, 30) if _report_bytes(n) != want[n]] == [], c
+
+
 def test_rows_by_class_match_the_per_vertex_route_in_every_window_order():
     # a row is computed by the first window, of whatever size, to meet its
     # class, and read stored by every other: from an emptied memo, each of
@@ -2643,7 +2663,7 @@ def test_generators_only_last_terms_match_full_step_loop(n):
     # further down read
     ends = Counter()
     for plan in ("up", "down", "moved"):
-        alg, memo = build_model_algebra(n), {}
+        alg, memo = ModelAlgebra(n), {}
         mods = list(_small_modules(alg))
         if plan == "moved":
             calls = [(m, 1) for m in reversed(mods)] + [(m, 4) for m in mods]
@@ -2712,7 +2732,7 @@ def test_report_computes_no_syzygy_of_a_last_term(n, monkeypatch):
 
 
 def test_each_resolution_owns_its_images():
-    alg = build_model_algebra(4)
+    alg = ModelAlgebra(4)
     m = standard(alg, 3)
     first = minimal_projective_resolution(alg, m, 5)
     want = [[(v, list(vec)) for v, vec in term] for term in first.images]
@@ -2844,7 +2864,7 @@ def test_one_pass_spans_match_bfs_closure(n, monkeypatch):
 def test_one_pass_spans_on_sums_of_projectives():
     # larger spans than the report takes: random seeds and every trace
     rng = random.Random(2016)
-    alg = build_model_algebra(5)
+    alg = ModelAlgebra(5)
     for gens in [(2, 2, 3), (1, 5, 3, 3), (4,) * 5, (1, 2, 3, 4, 5)]:
         m = ProjectiveSum(alg, gens).module
         for count in (1, 3, 6):
@@ -2870,7 +2890,7 @@ def test_trace_reads_columns_like_unit_vector_seeds(n, monkeypatch):
 
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     assert verify_model_properties(n)["all_pass"]
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     built += [ProjectiveSum(alg, gens).module for gens in [tuple(range(1, n + 1)), (n,) * 3]]
     monkeypatch.undo()
     for m in built:  # of the window algebra, or the report's own
@@ -2896,7 +2916,7 @@ def _count_eliminations(monkeypatch):
 
 
 def test_span_makes_one_elimination_per_vertex_and_no_rank(monkeypatch):
-    alg = build_model_algebra(6)
+    alg = ModelAlgebra(6)
     modules = [ProjectiveSum(alg, (2, 3, 3, 5)).module] + [
         make(alg, i) for make in (projective, standard, costandard) for i in range(1, 7)
     ]
@@ -2914,7 +2934,7 @@ def test_span_makes_one_elimination_per_vertex_and_no_rank(monkeypatch):
 def test_delta_multiplicities_of_forty_summands(monkeypatch):
     # formerly one rank per candidate vector, seconds of elimination; now one
     # elimination per support vertex of each trace taken
-    alg = build_model_algebra(3)
+    alg = ModelAlgebra(3)
     m = ProjectiveSum(alg, (2,) * 40).module
     assert m.dims == (40, 80, 40)
     for j in (1, 2, 3):
@@ -2929,7 +2949,7 @@ def test_delta_multiplicities_of_forty_summands(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ii_reads_tops_off_the_tilting_resolutions(n, monkeypatch):
     # T_{i-1} = P_i, whose resolution's first term is its projective cover
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     for i in range(2, n + 1):
         res = minimal_projective_resolution(alg, tilting(alg, i - 1), n + 2)
         assert res.gens[0] == (i,)
@@ -3005,7 +3025,7 @@ def test_direct_sums_resolve_and_ext_like_the_plain_route(n):
     # syzygies with several generators at one vertex, whose images are
     # columns past the first of the kernel inclusion, and Ext into targets
     # that are not simple, against the Hom spaces of the plain route's terms
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     makes = (simple, standard, costandard, tilting)
     sums = [_direct_sum(alg, [make(alg, i)] * 2) for make in makes for i in range(1, n + 1)]
     sums += [_direct_sum(alg, [make(alg, i) for i in range(1, n + 1)]) for make in makes]
@@ -3178,7 +3198,7 @@ def test_report_modules_store_data_on_their_support_only(monkeypatch):
 
 
 def test_moving_a_module_sets_lo_only():
-    alg = build_model_algebra(9)
+    alg = ModelAlgebra(9)
     d3 = standard(alg, 3)
     for i in range(4, 8):  # P_i for 3 <= i <= N - 2 has one class
         d = standard(alg, i)
@@ -3194,7 +3214,7 @@ def test_resolution_reaching_an_end_in_a_later_term():
     # taken for those of L_4 and L_2, whose supports touch an end earlier
     want = [(3,), (2, 4), (1, 3, 5)]
     for first in ((), (4, 2)):
-        alg = build_model_algebra(5)
+        alg = ModelAlgebra(5)
         for i in first:
             minimal_projective_resolution(alg, simple(alg, i), 3)
         assert minimal_projective_resolution(alg, simple(alg, 3), 3).gens == want
@@ -3214,10 +3234,10 @@ def test_resolutions_do_not_depend_on_call_order(n):
     count = 3 * n
     fresh = []
     for k in range(count):
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         fresh.append(resolve(alg, modules(alg)[k]))
     for order in (range(count), range(count - 1, -1, -1)):
-        alg = build_model_algebra(n)
+        alg = ModelAlgebra(n)
         mods = modules(alg)
         for k in order:
             assert resolve(alg, mods[k]) == fresh[k], (order, k)
@@ -3283,7 +3303,7 @@ def test_linear_order_check_reads_where_each_standard_starts(n, monkeypatch):
 def test_constructor_rejects_dims_that_are_not_non_negative_ints(dims, vertex):
     # formerly a module of dimension 0.5 at vertex 4, and for -1 the
     # misleading "one matrix per live arrow"; True is not an int here
-    alg = build_model_algebra(4)
+    alg = ModelAlgebra(4)
     with pytest.raises(ValueError, match=f"vertex {vertex} "):
         QuiverModule(alg, 1, dims, {})
     with pytest.raises(ValueError, match=f"vertex {vertex + 1} "):
@@ -3291,7 +3311,7 @@ def test_constructor_rejects_dims_that_are_not_non_negative_ints(dims, vertex):
 
 
 def test_constructor_rejects_support_outside_the_quiver():
-    alg = build_model_algebra(4)
+    alg = ModelAlgebra(4)
     d3 = standard(alg, 3)  # dims (1, 1) on [3, 4]
     for lo in (-1, 0, 4, 9):
         with pytest.raises(ValueError, match=r"does not fit in 1\.\.4"):
@@ -3315,7 +3335,7 @@ def test_constructor_rejects_support_outside_the_quiver():
 
 def test_quotient_needs_one_column_list_per_support_vertex():
     # formerly a bare IndexError
-    alg = build_model_algebra(4)
+    alg = ModelAlgebra(4)
     p2 = projective(alg, 2)  # on [1, 3]
     for incl in ([], [[]] * 2, [[]] * 4):
         with pytest.raises(ValueError, match=r"one column list per vertex 1\.\.3"):
@@ -3333,7 +3353,7 @@ def test_submodule_columns_match_the_n_length_route(n):
     # submodule's basis columns on the module's [lo, hi], and quotient's
     # projections there, against the inclusion and projection matrices of
     # the N-length route
-    alg = build_model_algebra(n)
+    alg = ModelAlgebra(n)
     rng = random.Random(n)
     seen = 0
     for m in _small_modules(alg):

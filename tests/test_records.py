@@ -19,10 +19,10 @@ import gieseker
 from gieseker.diagnostics import CartanFactor, CartanSummand
 from gieseker.ideal_lattice import IdealAntichain, IdealChain, IdealChainEntry
 from gieseker.partitions import Hook
-from gieseker.quiver_engine import ExtResult, Resolution, build_model_algebra, simple
+from gieseker.quiver_engine import ExtResult, ModelAlgebra, Resolution, simple
 from gieseker.torus_chambers import Cocharacter, FixedComponent, Wall
 
-_ALG = build_model_algebra(2)
+_ALG = ModelAlgebra(2)
 _FACTOR = CartanFactor(1, 2, Fraction(1, 2), True)
 _ENTRY = IdealChainEntry(1, (2,), 6)
 
