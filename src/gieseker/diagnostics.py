@@ -102,10 +102,10 @@ def abelian_localization_holds(n: int, r: int, lam: Parameter, theta_sign: int =
     """
     _check_nr(n, r)
     lam = as_parameter(lam)
+    if type(theta_sign) is not int or theta_sign not in (1, -1):
+        raise ValueError(f"theta_sign must be the int +1 or -1, not {theta_sign!r}")
     if theta_sign == -1:
-        return abelian_localization_holds(n, r, dual_parameter(lam, r), theta_sign=1)
-    if theta_sign != 1:
-        raise ValueError("theta_sign must be +1 or -1")
+        return abelian_localization_holds(n, r, dual_parameter(lam, r))
     if isinstance(lam, _Irrational):
         return True
     return not (lam.denominator <= n and lam < 0)

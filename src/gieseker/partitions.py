@@ -142,11 +142,13 @@ def removable_corners(lam: Partition) -> list[int]:
 
 def remove_corner(lam: Partition, row: int) -> Partition:
     """Partition with one box removed from (removable) row ``row``."""
-    if row not in removable_corners(lam):
+    parts = check_partition(lam)
+    if type(row) is not int:
+        raise ValueError(f"row must be an int, not {row!r}")
+    if not (0 <= row < len(parts) and (row == len(parts) - 1 or parts[row] > parts[row + 1])):
         raise ValueError(f"row {row} is not a removable corner of {lam}")
-    new = list(lam)
-    new[row] -= 1
-    return tuple(p for p in new if p > 0)
+    new = (*parts[:row], parts[row] - 1, *parts[row + 1 :])
+    return new if new[-1] else new[:-1]  # a row emptied is the last
 
 
 def _check_modulus(m: int) -> None:
@@ -210,6 +212,8 @@ class Hook(namedtuple("Hook", "n r slot leg")):
     __slots__ = ()
 
     def __new__(cls, n: int, r: int, slot: int, leg: int) -> Hook:
+        if not type(n) is type(r) is type(slot) is type(leg) is int:
+            raise ValueError(f"hook indices must be ints, not {(n, r, slot, leg)!r}")
         if not (1 <= slot <= r and 1 <= leg <= n):
             raise ValueError("hook indices out of range")
         return super().__new__(cls, n, r, slot, leg)

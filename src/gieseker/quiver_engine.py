@@ -36,8 +36,9 @@ generators.
 
 The one memo, ``_RESULTS``, is the engine's only cache: an algebra holds no
 module, each call that returns a module builds it, and modules are never
-mutated.  It holds one result per translation class (``QuiverModule.key``),
-one report row per vertex class and one window report per window size.
+mutated.  It holds only what a report reads again: per translation class
+(``QuiverModule.key``) a resolution step, a standard quotient, a sum's arrows
+and ``verify``; one row per vertex class; one window report per window size.
 
 ``Resolution`` and ``ExtResult`` are named tuples, cheap to define and to
 build (see the package docstring).
@@ -303,9 +304,9 @@ class QuiverModule:
         So a process computes such work once per key, through ``_RESULTS``,
         as local data that a module with that key places at its lo: a
         resolution step, a standard quotient, the arrows of a sum of
-        projectives, ``verify``, ``delta_multiplicities`` and the Hom-complex
-        Ext.  A report meets them on its window algebra (``_window_report``)
-        and in T_N's walk, whose steps it reads at any N and any lo."""
+        projectives and ``verify``.  A report meets them on its window
+        algebra (``_window_report``) and in T_N's walk, whose steps it reads
+        at any N and any lo."""
         if self._key is None:
             self._key = (self.lo == 1, self.hi == self.algebra.N, self._dims,
                          *((k, tuple(map(tuple, m))) for k, m in sorted(self._act.items())))
@@ -585,14 +586,14 @@ def cover_map(ps: ProjectiveSum, target: QuiverModule, images: list[tuple[int, V
 class Resolution(NamedTuple):
     """Minimal projective resolution data: ... -> P_1 -> P_0 -> M -> 0.
     ``images[t]`` holds d_t of each generator of P_t as ``cover_map`` takes
-    it: a unit vector of M for t = 0, a vector of P_{t-1} after that."""
+    it: a unit vector of M for t = 0, a vector of P_{t-1} after that.  The
+    memo keeps its steps, by class, and not the resolution itself."""
 
     algebra: ModelAlgebra
     target: QuiverModule
     gens: list[tuple[int, ...]]  # generator vertices per term, which fix it
     images: list[list[tuple[int, Vector]]]
     terminated: bool
-    key: tuple  # the keys of the modules covered, max_terms: its class
 
     def multiplicity(self, degree: int, vertex: int) -> int:
         """dim Ext^degree(M, L(vertex)): how often the vertex generates term degree."""
@@ -602,25 +603,25 @@ class Resolution(NamedTuple):
 
 
 # Class results, shared by every algebra in the process and keyed by a tag and
-# the classes they depend on (see QuiverModule.key and ModelAlgebra.product).
+# the classes they depend on (see QuiverModule.key and ModelAlgebra.product),
+# one tag per kind of result that a report reads again.
 # A value is local data only, so the memo keeps no algebra or module alive; a
 # miss that would pass the bound empties it first.
 _RESULTS: dict[tuple, object] = {}
 _RESULTS_BOUND = 4096
-_STEP, _STANDARD, _VERIFY, _DELTA, _EXT, _SUM, _WINDOW, _ROW = range(8)
+_STEP, _STANDARD, _VERIFY, _SUM, _WINDOW, _ROW = range(6)
 _CLASS_BOUND = 3  # a row's vertex class bound C; see _vertex_row
 _WINDOW_VERTICES = 2 * _CLASS_BOUND - 1  # the window algebra a report reads; see _window_report
 
 
 def _once(key: tuple, fn, *args):
-    """fn(*args) for the class ``key``, computed on a miss or a None value."""
-    value = _RESULTS.get(key)
-    if value is None:
+    """fn(*args) for the class ``key``, computed on a miss."""
+    if key not in _RESULTS:
         value = fn(*args)
         if len(_RESULTS) >= _RESULTS_BOUND:
             _RESULTS.clear()
         _RESULTS[key] = value
-    return value
+    return _RESULTS[key]
 
 
 def _syzygy_step(algebra: ModelAlgebra, lo: int, dims, act: dict[int, Matrix]) -> tuple:
@@ -659,13 +660,13 @@ def minimal_projective_resolution(
 
 
 def _walk(algebra: ModelAlgebra, lo: int, local: tuple, max_terms: int) -> tuple:
-    # gens, images, termination and key of the resolution of the module with
-    # the local data (offset from lo, arrows, key without end flags) that a
-    # step stores of a kernel: per term the generator vertices, their images
-    # and the key covered; left is the dim of the module to cover next.  A
-    # step whose kernel has its own key tail, Delta_i -> Delta_{i-1} inside
-    # the quiver, is its kernel's step too while the end flags stay the same
-    gens, images, keys, (at, act, tail), incl_prev = [], [], [], local, None
+    # gens, images and termination of the resolution of the module with the
+    # local data (offset from lo, arrows, key without end flags) that a step
+    # stores of a kernel: per term the generator vertices and their images;
+    # left is the dim of the module to cover next.  A step whose kernel has
+    # its own key tail, Delta_i -> Delta_{i-1} inside the quiver, is its
+    # kernel's step too while the end flags stay the same
+    gens, images, (at, act, tail), incl_prev = [], [], local, None
     n, left, periodic = algebra.N, sum(tail[0]), False
     while left and len(gens) < max_terms:
         lo, dims = lo + at, tail[0]
@@ -674,7 +675,6 @@ def _walk(algebra: ModelAlgebra, lo: int, local: tuple, max_terms: int) -> tuple
             key = (*flags, *tail)
             step = _once((_STEP, key), _syzygy_step, algebra, lo, dims, act)
             periodic = step[3] is not None and step[3][2] == tail
-        keys.append(key)
         tops, incl, cover, kernel = step
         # generator (r, t) goes to coordinate t at lo + r, in the previous term
         images.append([(lo + r, _unit(dims[r], t) if incl_prev is None else
@@ -683,7 +683,7 @@ def _walk(algebra: ModelAlgebra, lo: int, local: tuple, max_terms: int) -> tuple
         left = cover - left
         if left and len(gens) < max_terms:
             (at, act, tail), incl_prev = kernel, incl
-    return gens, images, not left, (*keys, max_terms)
+    return gens, images, not left
 
 
 class ExtResult(NamedTuple):
@@ -704,10 +704,9 @@ def ext_groups(
 def _hom_complex_ext(res: Resolution, target: QuiverModule, max_degree: int) -> ExtResult:
     """Ext^k(res.target, target) for k <= max_degree from the Hom complex of
     ``res.images``; ``res`` must have max_degree + 2 terms or terminate.
-    Computed once per ``res.key``, ``target.key``, their offset and max_degree."""
-    key = (_EXT, res.key, target.key, target.lo - res.target.lo, max_degree)
-    dims = _once(key, _hom_complex_dims, res.algebra, res.gens, res.images,
-                 target.lo, target._dims, target._act, max_degree)
+    Computed on each call: a report asks for it only inside a stored row."""
+    dims = _hom_complex_dims(res.algebra, res.gens, res.images,
+                             target.lo, target._dims, target._act, max_degree)
     return ExtResult(dims, not res.terminated)
 
 
@@ -928,7 +927,7 @@ def verify_model_properties(n_vertices: int) -> dict:
     # vertex class, as T_f's for the class's first vertex f (T_{f+s} is T_f
     # moved by s, 0 <= s < r), and T_N walked on stored steps
     max_deg = n + 1
-    gens, images, done, _ = _walk(a, n, t_data[-1], max_deg + 1)
+    gens, images, done = _walk(a, n, t_data[-1], max_deg + 1)
     if not (done and all(ends for _, ends in t_data[:-1])):
         raise InvariantError(f"a tilting resolution runs past {max_deg + 1} terms at N = {n}")
     firsts = accumulate(repeats[:-1], initial=1)
@@ -979,29 +978,22 @@ def delta_multiplicities(algebra: ModelAlgebra, module: QuiverModule):
     quotient of P_j^m killing the trace of the smaller vertices, hence of
     Delta_j^m (Cline-Parshall-Scott 1988); it is Delta_j^m exactly when the
     dimension vectors agree, so trace dimensions decide every layer.
-    Computed once per ``module.key`` and placed at lo.
+    Computed on each call: a report asks for it only inside a stored row.
     """
     _check_inputs(algebra, module)
-    local = _once((_DELTA, module.key), _layer_multiplicities, algebra, module)
-    if local is None:
-        return None
-    return [0] * (module.lo - 1) + [*local] + [0] * (algebra.N - module.hi)
-
-
-def _layer_multiplicities(algebra: ModelAlgebra, module: QuiverModule) -> tuple | None:
     lo, dims, total = module.lo, module._dims, module.total_dim
-    mults = [0] * len(dims)  # at the vertices lo..hi
+    mults = [0] * algebra.N
     prev = [0] * len(dims)  # the trace so far, at the vertices lo..hi
     for j, d in enumerate(dims, start=lo):
         if not d or sum(prev) == total:
             continue  # nothing at j, or the filtration is exhausted
         cur = list(map(len, _trace_span(module, j)))
         layer = [c - p for c, p in zip(cur, prev)]
-        m = mults[j - lo] = layer[j - lo]
+        m = mults[j - 1] = layer[j - lo]
         # m copies of Delta_j on [lo, hi], and nothing of them outside it
         delta = standard(algebra, j)
         want = [m * delta.dim_at(v) for v in range(lo, module.hi + 1)]
         if layer != want or m * delta.total_dim != sum(layer):
             return None
         prev = cur
-    return tuple(mults)
+    return mults

@@ -108,8 +108,10 @@ def test_abelian_localization_examples():
     assert abelian_localization_holds(2, 1, Fraction(-3, 2), theta_sign=-1)  # flip lands at +1/2
     assert not abelian_localization_holds(2, 1, Fraction(-1, 2), theta_sign=1)
     assert abelian_localization_holds(2, 1, IRRATIONAL)
-    with pytest.raises(ValueError):
-        abelian_localization_holds(2, 1, Fraction(1, 2), theta_sign=0)
+    # only the int +1 or -1: True and 1.0 passed as +1, and -1.0 as -1
+    for sign in (0, 2, True, False, 1.0, -1.0, Fraction(1), Fraction(-1), "1", None):
+        with pytest.raises(ValueError, match="theta_sign must be the int"):
+            abelian_localization_holds(2, 1, Fraction(1, 2), theta_sign=sign)
 
 
 def test_theta_sign_symmetry_seeded_sweep():

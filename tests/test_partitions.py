@@ -12,6 +12,7 @@ function, are replayed against the enumeration.
 
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -345,6 +346,30 @@ def test_remove_corner_keeps_partition():
                 smaller = remove_corner(lam, corner)
                 assert is_partition(smaller)
                 assert sum(smaller) == n - 1
+
+
+def test_remove_corner_accepts_exactly_the_removable_corners():
+    # every row from -1 to len of every partition with n <= 8: the corner
+    # list decides, and a row that is no corner keeps its message
+    for n in range(9):
+        for lam in enumerate_partitions(n):
+            corners = removable_corners(lam)
+            for row in range(-1, len(lam) + 1):
+                if row in corners:
+                    want = list(lam)
+                    want[row] -= 1
+                    assert remove_corner(lam, row) == tuple(p for p in want if p)
+                else:
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"row {row} is not a removable corner of {lam}")):
+                        remove_corner(lam, row)
+
+
+@pytest.mark.parametrize("row", (True, False, 1.0, "1", None))
+def test_remove_corner_rejects_a_row_that_is_not_an_int(row):
+    # True passed for the corner 1, and 1.0 reached list indexing
+    with pytest.raises(ValueError, match="row must be an int"):
+        remove_corner((2, 1), row)
 
 
 # ---------------------------------------------------------------- hooks

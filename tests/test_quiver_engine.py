@@ -2187,9 +2187,8 @@ def test_bounded_step_memo_gives_the_same_answers(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_class_results_match_fresh_computation(n, monkeypatch):
     # every resolution step, standard quotient, sum-of-projectives arrow
-    # set, verify(), standard-multiplicity row and Hom-complex Ext the report
-    # asks for, stored or not, against the same computation run afresh on
-    # the caller's own module, sum, resolution and target; the window
+    # set and verify() the report asks for, stored or not, against the same
+    # computation run afresh on the caller's own module and sum; the window
     # report, read once per report, against the window algebra's afresh, its
     # algebra checks against the full scans of the report's own algebra; and
     # each window vertex's row, read once by its class, against the row
@@ -2207,15 +2206,15 @@ def test_class_results_match_fresh_computation(n, monkeypatch):
 
     monkeypatch.setattr(qe, "_once", checked_once)
     assert verify_model_properties(n)["all_pass"]
-    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._DELTA, qe._EXT, qe._SUM, qe._WINDOW, qe._ROW}
-    # at N = 1 there is no standard quotient, and no Ext^1 pair to make
-    assert {tag for tag, _ in seen} == (tags - {qe._STANDARD, qe._EXT} if n == 1 else tags)
+    tags = {qe._STEP, qe._STANDARD, qe._VERIFY, qe._SUM, qe._WINDOW, qe._ROW}
+    # at N = 1 there is no standard quotient
+    assert {tag for tag, _ in seen} == (tags - {qe._STANDARD} if n == 1 else tags)
     assert seen[qe._WINDOW, False] + seen[qe._WINDOW, True] == 1
     # each window vertex's row is computed once, and read stored when the
     # window report is computed afresh
     assert seen[qe._ROW, False] == seen[qe._ROW, True] == min(n, 5)
     # from N = 5 on the window report meets step, standard, verify and sum
-    # classes more than once; it asks for each multiplicity row and Ext pair once
+    # classes more than once
     assert n < 5 or all(seen[tag, True] for tag in (qe._STEP, qe._STANDARD, qe._VERIFY, qe._SUM))
 
 
@@ -2225,7 +2224,8 @@ def _class_results(alg, module):
     # quotient, which sits at vertex 1, counts as None
     qe._RESULTS.clear()
     step, ok = qe._syzygy_step(alg, module.lo, module._dims, module._act), module._verify()
-    mults, quotient = qe._layer_multiplicities(alg, module), qe._standard_quotient(module)
+    mults, quotient = delta_multiplicities(alg, module), qe._standard_quotient(module)
+    mults = mults and mults[module.lo - 1 : module.hi]
     return step, ok, mults, quotient if quotient[1] else None
 
 
@@ -2237,11 +2237,11 @@ def test_class_results_agree_at_every_placement(n, monkeypatch):
     # placement; lo = 2 stands beside lo = 3, and hi = N - 1 beside a
     # generic hi, as QuiverModule.key says
     modules = {}
-    once, verify = qe._once, QuiverModule.verify
+    once, verify, filtered = qe._once, QuiverModule.verify, qe.delta_multiplicities
 
     def recording_once(key, fn, *args):
-        if key[0] in (qe._STEP, qe._DELTA):
-            module = _step_module(args) if key[0] == qe._STEP else args[1]
+        if key[0] == qe._STEP:
+            module = _step_module(args)
             modules.setdefault(module.key, module)
         return once(key, fn, *args)
 
@@ -2249,11 +2249,17 @@ def test_class_results_agree_at_every_placement(n, monkeypatch):
         modules.setdefault(self.key, self)
         return verify(self)
 
+    def recording_filtered(algebra, module):
+        modules.setdefault(module.key, module)
+        return filtered(algebra, module)
+
     monkeypatch.setattr(qe, "_once", recording_once)
     monkeypatch.setattr(QuiverModule, "verify", recording_verify)
+    monkeypatch.setattr(qe, "delta_multiplicities", recording_filtered)
     assert verify_model_properties(n)["all_pass"]
     monkeypatch.setattr(qe, "_once", once)
     monkeypatch.setattr(QuiverModule, "verify", verify)
+    monkeypatch.setattr(qe, "delta_multiplicities", filtered)
     algebras = [ModelAlgebra(n), ModelAlgebra(n + 3)]
     seen = Counter()
     for m in modules.values():
@@ -2271,21 +2277,6 @@ def test_class_results_agree_at_every_placement(n, monkeypatch):
                 seen["hi", min(alg.N - hi, 2)] += 1
     # lo = 1, 2 and >= 3, and hi = N, N - 1 and below, each met
     assert len(modules) > 10 and len(seen) == 6, seen
-
-
-def test_ext_memo_tells_apart_pairs_a_coarser_key_would_merge():
-    # pairs the report never makes: Delta_N resolved to five terms ends there
-    # at N = 5 and not at N = 6, from one first module's class, and
-    # Delta_{N-1} and its dual share their dims and place
-    ended = []
-    for n in (5, 6):
-        alg = ModelAlgebra(n)
-        res = minimal_projective_resolution(alg, standard(alg, n), 5)
-        ended.append(res.terminated)
-        for x in (simple(alg, n - 2), standard(alg, n - 1), costandard(alg, n - 1)):
-            fresh = qe._hom_complex_dims(alg, res.gens, res.images, x.lo, x._dims, x._act, 3)
-            assert _hom_complex_ext(res, x, 3) == qe.ExtResult(fresh, not res.terminated)
-    assert ended == [True, False] and sum(k[0] == qe._EXT for k in qe._RESULTS) == 6
 
 
 @pytest.mark.parametrize("bound", (None, 3))
@@ -2316,8 +2307,8 @@ def test_stored_zero_kernel_builds_no_module(monkeypatch):
     # a projective's cover is an isomorphism: its one step ends in the zero
     # kernel, which a read of the stored step, P_5 as P_4 moved, does not build
     alg = ModelAlgebra(7)
-    first = minimal_projective_resolution(alg, projective(alg, 4), 3)
-    p5 = projective(alg, 5)
+    p4, p5 = projective(alg, 4), projective(alg, 5)
+    minimal_projective_resolution(alg, p4, 3)
     built = []
     init = QuiverModule.__init__
 
@@ -2328,7 +2319,8 @@ def test_stored_zero_kernel_builds_no_module(monkeypatch):
     monkeypatch.setattr(QuiverModule, "__init__", recording_init)
     res = minimal_projective_resolution(alg, p5, 3)
     assert res.terminated and res.gens == [(5,)] and built == []
-    assert res.key == first.key == (p5.key, 3)
+    # the one step both read is the entry of their shared class
+    assert p5.key == p4.key and qe._RESULTS[qe._STEP, p5.key][3] is None
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -2431,6 +2423,25 @@ def test_a_model_block_pass_computes_each_row_class_once(monkeypatch):
         assert verify_model_properties(n)["all_pass"], n
     assert families == [3, 5, 2], families
     assert rows == [(3, 1), (3, 2), (3, 3), (5, 2), (5, 3), (5, 4), (2, 1), (2, 2)], rows
+
+
+def test_every_memo_tag_written_is_read(monkeypatch):
+    # the seed-1 ladder and the plain model-block route at its pinned sizes,
+    # from an empty memo: every tag the memo stores an entry under is also
+    # read back, so the memo keeps nothing that these workloads never reuse
+    monkeypatch.setattr(qe, "_RESULTS", {})
+    once, written, read = qe._once, Counter(), Counter()
+
+    def recording_once(key, fn, *args):
+        (read if key in qe._RESULTS else written)[key[0]] += 1
+        return once(key, fn, *args)
+
+    monkeypatch.setattr(qe, "_once", recording_once)
+    for n in _seed_one_ladder():
+        assert verify_model_properties(n)["all_pass"], n
+    for n in (*range(2, 9), 24):
+        qe.model_families(ModelAlgebra(n))
+    assert written and set(written) <= set(read), (written, read)
 
 
 def test_a_cold_report_builds_as_many_modules_at_every_large_n(monkeypatch):

@@ -53,11 +53,18 @@ RECORDS = [
     (Hook, ("n", "r", "slot", "leg"), {}, (3, 2, 1, 2), [
         ((3, 2, 3, 1), "hook indices out of range"),
         ((3, 2, 1, 4), "hook indices out of range"),
+        # refused before the range test: Hook(2, 1, True, 1) was built, and
+        # Hook(2, 1, 1.0, 1) too, failing later in multipartition()
+        ((True, 2, 1, 1), "hook indices must be ints"),
+        ((3, 2.0, 1, 1), "hook indices must be ints"),
+        ((3, 2, True, 1), "hook indices must be ints"),
+        ((3, 2, 1.0, 1), "hook indices must be ints"),
+        ((3, 2, 1, "2"), "hook indices must be ints"),
     ]),
     # a resolution holds lists, and so is unhashable like the dataclass was;
     # tuples stand in for them here
-    (Resolution, ("algebra", "target", "gens", "images", "terminated", "key"), {},
-     (_ALG, simple(_ALG, 1), ((1,),), (((1, (1,)),),), True, ("key", 4)), []),
+    (Resolution, ("algebra", "target", "gens", "images", "terminated"), {},
+     (_ALG, simple(_ALG, 1), ((1,),), (((1, (1,)),),), True), []),
     (ExtResult, ("dims", "truncated"), {}, ((0, 1, 0), False), []),
 ]
 
