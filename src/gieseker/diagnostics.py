@@ -45,7 +45,7 @@ def as_parameter(value) -> Parameter:
         return IRRATIONAL
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):  # True would pass for 1
         return Fraction(value)
     if isinstance(value, str):
         return parse_parameter(value)

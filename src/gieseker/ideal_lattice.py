@@ -164,9 +164,9 @@ def _check_k(k: int) -> None:
 class IdealAntichain(namedtuple("IdealAntichain", "k members form", defaults=["intersection"])):
     """An ideal of the k-fold tensor power, as the antichain of a set family.
 
-    ``members`` are pairwise incomparable subsets of {1..k}.  The form tag
-    records whether the ideal is the intersection of the basic primes I_Lambda
-    over the members, or the sum of the basic products I^Lambda.
+    ``members`` are pairwise incomparable subsets of {1..k}, each a frozenset.
+    The form tag records whether the ideal is the intersection of the basic
+    primes I_Lambda over the members, or the sum of the basic products I^Lambda.
     """
 
     __slots__ = ()
@@ -178,6 +178,8 @@ class IdealAntichain(namedtuple("IdealAntichain", "k members form", defaults=["i
         if form not in ("intersection", "sum"):
             raise ValueError(f"unknown form {form!r}")
         for s in members:
+            if not isinstance(s, frozenset):  # a tuple would be ordered, not included
+                raise ValueError(f"member {s!r} is not a frozenset")
             if not all(type(x) is int and 1 <= x <= k for x in s):
                 raise ValueError(f"member {sorted(s)} not within 1..{k}")
         for a in members:

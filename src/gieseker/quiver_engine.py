@@ -25,11 +25,11 @@ per basis element on each call, from local data alone.
 
 Each module's work, and every per-vertex list the engine builds or returns,
 runs over its [lo, hi] only.  A subspace is its list of basis columns, [] at
-a vertex without any.  The algebra is its multiplication rule on basis
-indices, ``ModelAlgebra.product``, with no table, and the basis elements
-starting and ending at each vertex, so it is built in O(N); a report reads
-its checks and rows off one algebra of min(N, 5) vertices (``_window_report``)
-and builds no N-vertex algebra unless a step it walks is missing.
+a vertex without any.  The algebra holds N and its dimension only: the ends
+of each basis element, the paths at each vertex and the multiplication rule
+(``ModelAlgebra.product``) are arithmetic on basis indices, with no table or
+per-vertex list, so it is built in O(1) at any N; a report reads its checks
+and rows off one algebra of min(N, 5) vertices (``_window_report``).
 The path basis spans the algebra, so the paths acting on a submodule's seeds
 span it, and a resolution keeps each differential as the images of its
 generators.
@@ -55,9 +55,6 @@ from . import exact_linalg as el
 from .errors import InvariantError
 from .exact_linalg import Matrix, Vector
 
-Label = tuple
-
-
 def _solve(a: Matrix, b: Matrix, skip: int = 0) -> Matrix:
     # rows skip.. of the X with a·X = b, which alone must be integral; an
     # inclusion matrix a has zero columns wherever it has zero rows, and a b
@@ -73,77 +70,92 @@ def _solve(a: Matrix, b: Matrix, skip: int = 0) -> Matrix:
     return x
 
 
-def _check_vertex_count(n_vertices: int) -> None:
-    if type(n_vertices) is not int:
-        raise ValueError(f"the vertex count is not an int: {n_vertices!r}")
-    if n_vertices < 1:
-        raise ValueError("need at least one vertex")
-
-
 class ModelAlgebra:
-    """The bound-quiver algebra of the model block on N vertices."""
+    """The bound-quiver algebra of the model block on N vertices.  It holds N
+    and its dimension 4N - 3 only: every basis fact is arithmetic on the basis
+    index, e_i at i - 1, a(i,i+1) at N + 2i - 2, a(i+1,i) at N + 2i - 1 and
+    l_i at 3N - 4 + i, so it is built in O(1) at any N."""
 
     def __init__(self, n_vertices: int) -> None:
-        _check_vertex_count(n_vertices)
-        self.N = n = n_vertices
-        labels: list[Label] = [("e", i) for i in range(1, n + 1)]
-        for i in range(1, n):
-            labels.append(("a", i, i + 1))
-            labels.append(("a", i + 1, i))
-        labels.extend(("loop", i) for i in range(2, n + 1))
-        self.labels: tuple[Label, ...] = tuple(labels)
-        self.dim = len(labels)
-        self.index: dict[Label, int] = {lab: i for i, lab in enumerate(labels)}
-        self.src = tuple(lab[2] if lab[0] == "a" else lab[1] for lab in labels)
-        self.tgt = tuple(lab[1] for lab in labels)
-        # the basis elements starting / ending at each vertex, in basis order
-        self._starting: list[list[int]] = [[] for _ in range(n)]
-        self._ending: list[list[int]] = [[] for _ in range(n)]
-        for b in range(self.dim):
-            self._starting[self.src[b] - 1].append(b)
-            self._ending[self.tgt[b] - 1].append(b)
-        # the arrows leaving each vertex as (arrow, other end), 0-based
-        self._out = [[(g, self.tgt[g] - 1) for g in starts if n <= g < 3 * n - 2]
-                     for starts in self._starting]
+        if type(n_vertices) is not int:
+            raise ValueError(f"the vertex count is not an int: {n_vertices!r}")
+        if n_vertices < 1:
+            raise ValueError("need at least one vertex")
+        self.N = n_vertices
+        self.dim = 4 * n_vertices - 3
+
+    def tgt(self, b: int) -> int:
+        """The vertex where basis element b ends: i for e_i, a(i,j) and l_i."""
+        n = self.N
+        if type(b) is not int or not 0 <= b < self.dim:  # True would pass for 1
+            raise ValueError(f"basis index {b!r} is not an int in 0..{self.dim - 1}")
+        return b + 1 if b < n else (b - n + 1 >> 1) + 1 if b < 3 * n - 2 else b - 3 * n + 4
+
+    def src(self, b: int) -> int:
+        """The vertex where basis element b starts: j for a(i,j), i for e_i and l_i."""
+        return self.tgt(self.swap(b))
 
     def product(self, x: int, y: int) -> int | None:
         """Index of the basis product x*y, or None when it is zero or x or y is
         not a basis index: zero unless src x = tgt y; then e_i y = y, x e_i = x,
         two arrows out and back to a vertex i >= 2 give l_i, and all else is 0.
+        Two arrows go out and back exactly when their offsets from N differ
+        in the last bit alone, a(1,2) a(2,1) being the pair at offsets 0, 1.
 
-        Read on labels, the rule sees the kinds (e_i, arrows from N, l_i at
-        3N - 4 + i), whether two ends are equal and whether i >= 2, never N.
-        So each check below answers on a composable pair or triple, which
-        spans at most four vertices, by whether it holds vertex 1 (in [1, 4],
-        or moved into [2, 5]), and on ``relations_hold``'s part at a vertex j
-        by whether j = 1 or j = N: at N >= 5 it has its value at N = 5."""
-        n = self.N
-        try:  # a negative index reads from the end, so it is refused after
-            if self.src[x] != self.tgt[y] or x < 0 or y < 0:
-                return None
-        except IndexError:  # past the basis
+        The rule sees the kinds (e_i, arrows from N, l_i at 3N - 4 + i),
+        whether two ends are equal and whether i >= 2, never N.  So each check
+        below answers on a composable pair or triple, which spans at most four
+        vertices, by whether it holds vertex 1 (in [1, 4], or moved into
+        [2, 5]), and on ``relations_hold``'s part at a vertex j by whether
+        j = 1 or j = N: at N >= 5 it has its value at N = 5."""
+        n, loops = self.N, 3 * self.N - 2
+        if not (type(x) is type(y) is int and 0 <= x < self.dim and 0 <= y < self.dim):
             return None
-        if x < n:
-            return y
-        if y < n:
-            return x
-        i = self.tgt[x]
-        if x < 3 * n - 2 and y < 3 * n - 2 and i == self.src[y] and i >= 2:
-            return 3 * n - 4 + i
+        if x < n:  # e_i y = y for y ending at i = x + 1, as ``tgt`` reads it
+            t = y + 1 if y < n else (y - n + 1 >> 1) + 1 if y < loops else y - loops + 2
+            return y if t == x + 1 else None
+        if y < n:  # x e_i = x for x starting at i = y + 1, as ``src`` reads it
+            s = ((x - n ^ 1) + 1 >> 1) + 1 if x < loops else x - loops + 2
+            return x if s == y + 1 else None
+        k = x - n  # out and back to i = tgt x, whose loop is at 3N - 4 + i
+        if k and x < loops and y < loops and k ^ (y - n) == 1:
+            return loops - 1 + (k + 1 >> 1)
         return None
 
-    def arrows(self) -> tuple[int, ...]:
+    def arrows(self) -> range:
         """Basis indices of the arrows a(i,j), in basis order."""
-        return tuple(range(self.N, 3 * self.N - 2))  # e_i come first, loops last
+        return range(self.N, 3 * self.N - 2)  # e_i come first, loops last
 
     def path_basis(self, i: int) -> list[int]:
         """Basis indices of the paths starting at vertex i, in basis order:
-        the path basis of the i-th projective."""
-        return self._starting[i - 1]
+        the path basis of the i-th projective, e_i, a(i-1,i), a(i+1,i), l_i."""
+        n, g = self.N, self.N + 2 * i  # a(i-1,i) at g - 4, a(i+1,i) at g - 1
+        if not 1 <= i <= n:
+            raise ValueError("vertex out of range")
+        if i == 1:
+            return [0, g - 1] if n > 1 else [0]
+        if i == n:
+            return [i - 1, g - 4, 3 * n - 4 + i]
+        return [i - 1, g - 4, g - 1, 3 * n - 4 + i]
+
+    def _ending(self, i: int) -> list[int]:
+        # the paths ending at vertex i, in basis order: e_i, a(i,i-1), a(i,i+1), l_i
+        n, g = self.N, self.N + 2 * i  # a(i,i-1) at g - 3, a(i,i+1) at g - 2
+        if i == 1:
+            return [0, g - 2] if n > 1 else [0]
+        if i == n:
+            return [i - 1, g - 3, 3 * n - 4 + i]
+        return [i - 1, g - 3, g - 2, 3 * n - 4 + i]
+
+    def _out(self, v: int) -> list[tuple[int, int]]:
+        # the arrows leaving vertex v, each with its other end: a(v-1,v), a(v+1,v)
+        g = self.N + 2 * v
+        return [(h, u) for h, u in ((g - 4, v - 1), (g - 1, v + 1)) if 1 <= u <= self.N]
 
     def _pairs(self):
         # the pairs (x, y) with src x = tgt y, by vertex; any other product is 0
-        return chain.from_iterable(map(iproduct, self._starting, self._ending))
+        return chain.from_iterable(iproduct(self.path_basis(v), self._ending(v))
+                                   for v in range(1, self.N + 1))
 
     def is_associative(self) -> bool:
         """(xy)z = x(yz) for every basis triple.  Only composable pairs extend
@@ -152,24 +164,24 @@ class ModelAlgebra:
         prod, src, ending = self.product, self.src, self._ending
         for x, y in self._pairs():
             xy = prod(x, y)
-            for z in ending[src[y] - 1]:
+            for z in ending(src(y)):
                 yz = prod(y, z)
                 if (None if xy is None else prod(xy, z)) != (None if yz is None else prod(x, yz)):
                     return False
         return True
 
     def relations_hold(self) -> bool:
-        n, ix, prod = self.N, self.index, self.product
+        n, prod = self.N, self.product
         for i in range(1, n + 1):
-            loop = ix.get(("loop", i))  # None at vertex 1
+            g = n + 2 * i  # a(i-1,i), a(i,i-1), a(i,i+1), a(i+1,i) at g - 4 .. g - 1
+            loop = 3 * n - 4 + i if i > 1 else None
             # back and forth through the lower neighbor gives l_i, through the
             # upper one l_i too, or zero at vertex 1; monotone paths vanish
-            if i > 1 and prod(ix[("a", i, i - 1)], ix[("a", i - 1, i)]) != loop:
+            if i > 1 and prod(g - 3, g - 4) != loop:
                 return False
-            if i < n and prod(ix[("a", i, i + 1)], ix[("a", i + 1, i)]) != loop:
+            if i < n and prod(g - 2, g - 1) != loop:
                 return False
-            if 1 < i < n and (prod(ix[("a", i + 1, i)], ix[("a", i, i - 1)]) is not None
-                              or prod(ix[("a", i - 1, i)], ix[("a", i, i + 1)]) is not None):
+            if 1 < i < n and (prod(g - 1, g - 3) is not None or prod(g - 4, g - 2) is not None):
                 return False
         # loops annihilate every arrow and loop; a pair that is not composable
         # multiplies to zero
@@ -180,7 +192,7 @@ class ModelAlgebra:
         # Hom-space dimensions: 1 off-diagonal at distance one, dual numbers on
         # the diagonal past the first vertex (e_j and l_j), zero further away;
         # compared as the sorted targets of the paths from j
-        return all(sorted(self.tgt[b] for b in self.path_basis(j))
+        return all(sorted(map(self.tgt, self.path_basis(j)))
                    == [i for i in (j - 1, j, j if j >= 2 else 0, j + 1) if 1 <= i <= n]
                    for j in range(1, n + 1))
 
@@ -194,28 +206,12 @@ class ModelAlgebra:
         # non-composable, and it is an involution on composable pairs: a pair
         # with a zero product and a nonzero mirror product is the mirror of a
         # pair that fails the test below, so zero against nonzero needs no test
-        prod, swap = self.product, [self.swap(b) for b in range(self.dim)]
+        prod, swap = self.product, self.swap
         for x, y in self._pairs():
             xy = prod(x, y)
-            if xy is not None and swap[xy] != prod(swap[y], swap[x]):
+            if xy is not None and swap(xy) != prod(swap(y), swap(x)):
                 return False
         return True
-
-
-class _AlgebraOnDemand(ModelAlgebra):
-    """ModelAlgebra(N) that builds its basis at the first read of anything
-    but N.  A walk on stored steps reads only N, so a warm report builds no
-    algebra; a step missing from the memo builds it there."""
-
-    def __init__(self, n_vertices: int) -> None:
-        _check_vertex_count(n_vertices)
-        self.N = n_vertices
-
-    def __getattr__(self, name: str):  # called only for an attribute not set yet
-        if name == "N" or "labels" in vars(self):
-            raise AttributeError(name)
-        ModelAlgebra.__init__(self, self.N)
-        return getattr(self, name)
 
 
 def _check_vertex(algebra: ModelAlgebra, i: int) -> None:
@@ -228,7 +224,7 @@ def _check_vertex(algebra: ModelAlgebra, i: int) -> None:
 def _check_inputs(algebra: ModelAlgebra, *modules: QuiverModule, **counts: int) -> None:
     if any(m.algebra is not algebra for m in modules):
         raise ValueError("module belongs to another algebra")
-    for name, x in counts.items():  # max_degree or max_terms
+    for name, x in counts.items():  # degree, max_degree or max_terms
         if type(x) is not int:  # True would pass for 1, 2.5 for 3 terms
             raise ValueError(f"{name} is not an int: {x!r}")
         if x < 0:
@@ -248,16 +244,16 @@ def _unit(d: int, t: int) -> Vector:
 
 def _action(algebra: ModelAlgebra, lo: int, dims, act: dict[int, Matrix], b: int) -> Matrix:
     # the matrix of basis element b on the module with this local data
-    lab = algebra.labels[b]
-    p = lab[1] - lo
+    n = algebra.N
+    p = algebra.tgt(b) - lo
     d = dims[p] if 0 <= p < len(dims) else 0
-    if lab[0] == "a":
+    if n <= b < 3 * n - 2:  # an arrow
         # a dead arrow has the empty matrix of its shape: d rows, no columns
-        k = b - algebra.N - 2 * lo + 2
+        k = b - n - 2 * lo + 2
         return act[k] if k in act else [[] for _ in range(d)]
     if not d:
         return []
-    if lab[0] == "e":
+    if b < n:  # e_i
         return el.identity(d)
     if p and dims[p - 1]:  # l_i = a(i,i-1) a(i-1,i), both live
         return el.mat_mul(act[2 * p - 1], act[2 * p - 2])
@@ -352,14 +348,14 @@ class QuiverModule:
             rows, cols = dims[(k >> 1) + (k & 1)], dims[(k >> 1) + 1 - (k & 1)]
             if len(mat) != rows or any(len(r) != cols for r in mat):
                 return False
-        pad = (0, 0, *dims, 0, 0)  # at 0-based vertex u, the dim is pad[u + 3 - lo]
-        for s, d in enumerate(dims, start=lo - 1):
-            for y, m in a._out[s] if d else ():
-                for x, t in a._out[m]:
-                    if not pad[t + 3 - lo]:
+        pad = (0, 0, *dims, 0, 0)  # at vertex u, the dim is pad[u + 2 - lo]
+        for s, d in enumerate(dims, start=lo):
+            for y, m in a._out(s) if d else ():
+                for x, t in a._out(m):
+                    if not pad[t + 2 - lo]:
                         continue
                     # a side through an empty vertex or on a zero product is 0
-                    lhs = el.mat_mul(action(x), action(y)) if pad[m + 3 - lo] else None
+                    lhs = el.mat_mul(action(x), action(y)) if pad[m + 2 - lo] else None
                     z = a.product(x, y)
                     rhs = action(z) if z is not None else None
                     if lhs is None or rhs is None:
@@ -391,7 +387,7 @@ def _span_matrices(module: QuiverModule, vectors: list[tuple[int, Vector | int]]
     cands: list[list[Vector]] = [[] for _ in dims]
     for v, vec in vectors:
         for b in a.path_basis(v):
-            t = a.tgt[b] - lo
+            t = a.tgt(b) - lo
             if 0 <= t < len(dims) and dims[t]:
                 m = action(b)
                 cands[t].append([r[vec] for r in m] if type(vec) is int else el.mat_vec(m, vec))
@@ -530,7 +526,7 @@ def _sum_basis(algebra: ModelAlgebra, gen_vertices) -> tuple[int, list[list[tupl
     pos: list[list[tuple[int, int]]] = [[] for _ in range(lo, hi + 1)]
     for s, v in enumerate(gen_vertices):
         for b in algebra.path_basis(v):  # each path sits at its target
-            pos[algebra.tgt[b] - lo].append((s, b))
+            pos[algebra.tgt(b) - lo].append((s, b))
     return lo, pos
 
 
@@ -598,7 +594,7 @@ class Resolution(NamedTuple):
     def multiplicity(self, degree: int, vertex: int) -> int:
         """dim Ext^degree(M, L(vertex)): how often the vertex generates term degree."""
         _check_vertex(self.algebra, vertex)
-        _check_inputs(self.algebra, max_degree=degree)
+        _check_inputs(self.algebra, degree=degree)
         return self.gens[degree].count(vertex) if degree < len(self.gens) else 0
 
 
@@ -883,7 +879,7 @@ def _window_report(w: int) -> tuple:
     rows = [_once((_ROW, min(i, c), min(w + 1 - i, c)), _vertex_row, a, families, i)
             for i in range(1, w + 1)]
     verdicts = {name: all(row[1][name] for row in rows) for name in rows[0][1]}
-    return checks, rows, verdicts, [*map(len, a._ending)]
+    return checks, rows, verdicts, [len(a._ending(v)) for v in range(1, w + 1)]
 
 
 def verify_model_properties(n_vertices: int) -> dict:
@@ -896,11 +892,11 @@ def verify_model_properties(n_vertices: int) -> dict:
     candidate values; only single-degree concentration enters ``checks``.
     The algebra checks, the basis counts and the rows come from one window
     algebra of min(N, 5) vertices (``_window_report``), each read once per
-    vertex class; T_N alone is resolved per report, on stored steps, so a
-    warm report builds no algebra.  A tilting resolution that fails to end
-    raises ``InvariantError``.
+    vertex class; T_N alone is resolved per report, on stored steps, in
+    ``ModelAlgebra(N)``, which holds N and its dimension only.  A tilting
+    resolution that fails to end raises ``InvariantError``.
     """
-    a = _AlgebraOnDemand(n_vertices)
+    a = ModelAlgebra(n_vertices)
     n = a.N
     w = min(n, _WINDOW_VERTICES)
     algebra_checks, rows, verdicts, basis_counts = _once((_WINDOW, w), _window_report, w)

@@ -8,8 +8,10 @@ maps, spans, ``ProjectiveSum.basis_pos``) run over all N vertices, and a
 step served at another offset is rotated into place by ``_moved``.  Its
 ``verify_model_properties`` must give the same report bytes as the engine,
 its modules the same dims and arrow matrices, and its resolutions the same
-generators, images and termination.  The functions also accept the engine's
-modules, through their N-length views.  Do not edit it to follow the engine:
+generators, images and termination.  An engine module is rebuilt here from
+its N-length views, ``QuiverModule(build_model_algebra(N), m.dims, m.act)``,
+as the engine's algebra stores no per-vertex lists; this algebra keeps them,
+in the engine's basis order.  Do not edit it to follow the engine:
 it is the route the engine is checked against.
 """
 

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 from gieseker import (
     IRRATIONAL,
     abelian_localization_holds,
+    as_parameter,
     cartan_decomposition,
     diagnose,
     dual_parameter,
@@ -271,3 +272,11 @@ def test_parse_parameter_grammar():
     for bad in ("0.5", "1/0", "1/-2", "", "one", "1 / 2", "--3"):
         with pytest.raises(ValueError):
             parse_parameter(bad)
+    # a bool is no parameter: as_parameter(True) was Fraction(1), so diagnose
+    # reported lambda = 1 where every other entry point refuses bools
+    assert as_parameter(3) == Fraction(3) and as_parameter("1/2") == Fraction(1, 2)
+    for bad in (True, False):
+        for call in (as_parameter, lambda lam: diagnose(3, 2, lam),
+                     lambda lam: has_finite_global_dimension(3, 2, lam)):
+            with pytest.raises(ValueError, match=f"cannot interpret {bad} as a parameter"):
+                call(bad)

@@ -179,6 +179,25 @@ def test_member_range_check_keeps_its_message():
             IdealAntichain(2, frozenset({frozenset(bad)}))
 
 
+def test_member_must_be_a_frozenset():
+    # a tuple member was compared lexicographically: {(1, 3)} contained
+    # {(2,)}, and {(2,), (1,)} was refused as comparable, while sum_ and
+    # to_sum_form raised TypeError on it
+    good = IdealAntichain(3, frozenset({frozenset({2})}))
+    for bad in ((1, 3), (2,), [1], {1}, 1, "1"):
+        with pytest.raises(ValueError, match=r"is not a frozenset"):
+            IdealAntichain(3, (bad,))
+        with pytest.raises(ValueError, match=r"is not a frozenset"):
+            good._replace(members=(frozenset({3}), bad))
+    with pytest.raises(ValueError, match=r"is not a frozenset"):
+        IdealAntichain(3, frozenset({(2,), (1,)}))
+    # the frozenset members keep their answers and their messages
+    assert not contains(IdealAntichain(3, frozenset({frozenset({1, 3})})), good)
+    assert good._replace(members=frozenset({frozenset({1})})).to_lists() == [[1]]
+    with pytest.raises(ValueError, match="members must be pairwise incomparable"):
+        good._replace(members=frozenset({frozenset({1}), frozenset({1, 2})}))
+
+
 def test_antichain_at_ten_million_is_cheap():
     # each element is range-checked; no set of 1..k is built
     k = 10**7

@@ -46,9 +46,6 @@ UNREACHED = {
     "diagnostics._Irrational.__repr__",  # the text of IRRATIONAL in a message
     # the console script, which calls cli.main
     "cli.entry",
-    # builds the N-vertex algebra only for a step missing from the memo, as
-    # after the memo is emptied partway through a window
-    "quiver_engine._AlgebraOnDemand.__getattr__",
 }
 
 
