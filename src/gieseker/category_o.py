@@ -343,6 +343,11 @@ def support_recursion_values(n: int, r: int, m: int, sigma: Multipartition) -> f
 HOOKS_BLOCK = "hooks_block"
 PARTIAL_UNKNOWN = "partial_unknown"
 
+# the most bytes the rn hook labels of a block may print: the label of leg d
+# prints r - 1 empty components and r - 1 bars, n + 1 - d and d - 1 parts "1,"
+# on a line of 8 bytes, so no block report passes the 2,218,560 B of `walls 304 20`
+MAX_HOOKS_BYTES = 2_000_000
+
 
 @dataclass(frozen=True)
 class BlockStructure:
@@ -367,6 +372,7 @@ def block_structure(
     the slot-major leg-descending order when nu is dominant; for non-dominant
     nu only the label SET is known and the finite-dimensional simple narrows
     to a one-component (n) or (1^n).  1 < m < n: partial information only.
+    The hooks' printed size is checked against MAX_HOOKS_BYTES before any is built.
     """
     _check_nr(n, r)
     lam = as_parameter(lam)
@@ -386,6 +392,13 @@ def block_structure(
             note="denominator exceeds n; every block is a single simple",
         )
     if m == n:
+        # rn labels of n + 2r + 5 bytes and the digits of n, d <= b // 3 + 1 as 8^d < 10^d
+        size = r * n * (n + 2 * r + 6 + n.bit_length() // 3)
+        if size > MAX_HOOKS_BYTES:
+            raise ValueError(
+                f"the {r * n} hooks at n = {n}, r = {r} would print up to {size} "
+                f"bytes, above MAX_HOOKS_BYTES = {MAX_HOOKS_BYTES}"
+            )
         dominant = is_dominant(nu, n)
         findim = has_finite_dimensional_rep(n, r, lam)
         ordered_hooks = tuple(h.multipartition() for h in hooks(n, r))

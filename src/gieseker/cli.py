@@ -1,10 +1,10 @@
 """Command line front door.
 
-Every subcommand prints a deterministic JSON report (sorted keys, exact
-rationals rendered as "p/q").  Exit codes: 0 on success, 1 on usage or parse
-errors, 2 when the inputs fall outside a classification's hypotheses; the
-message on standard error names the violated hypothesis.  Each report carries
-a ``hypothesis`` field stating the regime the computed facts rely on.
+Each subcommand returns its report, and ``main`` alone prints it as JSON
+(sorted keys, exact rationals as "p/q") and sets the exit code: 0 on success,
+1 on usage or parse errors, 2 when the inputs fall outside a classification's
+hypotheses; the message on standard error names the violated hypothesis.  Each
+report carries a ``hypothesis`` field stating the regime the facts rely on.
 """
 
 from __future__ import annotations
@@ -33,17 +33,13 @@ _VALUE_TOKEN = re.compile(r"^-\d[\d,;/-]*$")
 MAX_REPORTED_VERTICES = 223
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _VALUE_TOKEN
 
     def error(self, message: str) -> None:
-        raise _UsageError(message)
+        raise ValueError(message)
 
     def _check_value(self, action, value) -> None:
         # quote the choices on every Python build, as 3.10-3.12 do; later
@@ -55,14 +51,7 @@ class _Parser(argparse.ArgumentParser):
             )
 
 
-def _emit(payload: dict) -> None:
-    # with indent, json.dump and json.dumps run the same pure-Python encoder:
-    # these are print(json.dumps(...))'s bytes, not held as one string
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
-
-
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args) -> dict:
     lam = diagnostics.parse_parameter(args.lam)
     payload = diagnostics.diagnose(args.n, args.r, lam).to_dict()
     payload["hypothesis"] = (
@@ -85,135 +74,115 @@ def _cmd_diagnose(args) -> int:
             }
             for s in diagnostics.cartan_decomposition(args.n, args.r, lam)
         ]
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_walls(args) -> int:
+def _cmd_walls(args) -> dict:
     labels = torus_chambers.wall_labels(args.n, args.r)
-    _emit(
-        {
-            "n": args.n,
-            "r": args.r,
-            "count": len(labels),
-            "count_with_multiplicity": len(labels),
-            "walls": labels,
-            "hypothesis": "finite fixed locus fails exactly on these forms",
-        }
-    )
-    return 0
+    return {
+        "n": args.n,
+        "r": args.r,
+        "count": len(labels),
+        "count_with_multiplicity": len(labels),
+        "walls": labels,
+        "hypothesis": "finite fixed locus fails exactly on these forms",
+    }
 
 
-def _cmd_generic(args) -> int:
+def _cmd_generic(args) -> dict:
     nu = torus_chambers.parse_cocharacter(args.nu)
     generic = torus_chambers.is_generic(nu, args.n)
-    _emit(
-        {
-            "n": args.n,
-            "cocharacter": torus_chambers.format_cocharacter(nu),
-            "generic": generic,
-            "dominant": torus_chambers.is_dominant(nu, args.n),
-            "violated_walls": [
-                str(w) for w in torus_chambers.violated_walls(nu, args.n)
-            ],
-            "hypothesis": "genericity = lying off every wall of the arrangement",
-        }
-    )
-    return 0
+    return {
+        "n": args.n,
+        "cocharacter": torus_chambers.format_cocharacter(nu),
+        "generic": generic,
+        "dominant": torus_chambers.is_dominant(nu, args.n),
+        "violated_walls": [
+            str(w) for w in torus_chambers.violated_walls(nu, args.n)
+        ],
+        "hypothesis": "genericity = lying off every wall of the arrangement",
+    }
 
 
-def _cmd_poincare(args) -> int:
+def _cmd_poincare(args) -> dict:
     coeffs = category_o.poincare_polynomial(args.n, args.r)
-    _emit(
-        {
-            "n": args.n,
-            "r": args.r,
-            "coefficients": list(coeffs),
-            "polynomial": category_o.polynomial_string(coeffs),
-            "top_degree": len(coeffs) - 1,
-            "top_cohomology_check": category_o._top_cohomology_holds(coeffs, args.n, args.r),
-            "hypothesis": (
-                "graded character of the fixed-point weights of the "
-                "multipartition labels"
-            ),
-        }
-    )
-    return 0
+    return {
+        "n": args.n,
+        "r": args.r,
+        "coefficients": list(coeffs),
+        "polynomial": category_o.polynomial_string(coeffs),
+        "top_degree": len(coeffs) - 1,
+        "top_cohomology_check": category_o._top_cohomology_holds(coeffs, args.n, args.r),
+        "hypothesis": (
+            "graded character of the fixed-point weights of the "
+            "multipartition labels"
+        ),
+    }
 
 
-def _cmd_supports(args) -> int:
+def _cmd_supports(args) -> dict:
     lam = diagnostics.parse_parameter(args.lam)
     sigma = parse_multipartition(args.sigma, args.r)
     report = category_o.support_dimension(args.n, args.r, lam, sigma)
-    _emit(
-        {
-            "n": args.n,
-            "r": args.r,
-            "lambda": diagnostics.format_parameter(lam),
-            "sigma": format_multipartition(report.sigma),
-            "denominator": (
-                "infinite" if report.denominator is None else report.denominator
-            ),
-            "quotient_size": report.quotient_size,
-            "support_dim": report.support_dim,
-            "annihilator_index": report.annihilator_index,
-            "hypothesis": (
-                "support formula for positive lambda with denominator m > 1 "
-                "and a dominant one-parameter subgroup"
-            ),
-        }
-    )
-    return 0
+    return {
+        "n": args.n,
+        "r": args.r,
+        "lambda": diagnostics.format_parameter(lam),
+        "sigma": format_multipartition(report.sigma),
+        "denominator": diagnostics.format_denominator(report.denominator),
+        "quotient_size": report.quotient_size,
+        "support_dim": report.support_dim,
+        "annihilator_index": report.annihilator_index,
+        "hypothesis": (
+            "support formula for positive lambda with denominator m > 1 "
+            "and a dominant one-parameter subgroup"
+        ),
+    }
 
 
-def _cmd_block(args) -> int:
+def _cmd_block(args) -> dict:
     lam = diagnostics.parse_parameter(args.lam)
     nu = torus_chambers.parse_cocharacter(args.nu)
     block = category_o.block_structure(args.n, args.r, lam, nu)
-    _emit(
-        {
-            "n": block.n,
-            "r": block.r,
-            "lambda": diagnostics.format_parameter(lam),
-            "cocharacter": torus_chambers.format_cocharacter(nu),
-            "denominator": (
-                "infinite" if block.denominator is None else block.denominator
-            ),
-            "kind": block.kind,
-            "labels": (
-                None
-                if block.labels is None
-                else [format_multipartition(s) for s in block.labels]
-            ),
-            "labels_ordered": block.labels_ordered,
-            "finite_dim_label": (
-                None
-                if block.finite_dim_label is None
-                else format_multipartition(block.finite_dim_label)
-            ),
-            "finite_dim_candidates": (
-                None
-                if block.finite_dim_candidates is None
-                else [format_partition(p) for p in block.finite_dim_candidates]
-            ),
-            "note": block.note,
-            "hypothesis": (
-                "block classification for generic one-parameter subgroups and "
-                "non-integral parameters"
-            ),
-        }
-    )
-    return 0
+    return {
+        "n": block.n,
+        "r": block.r,
+        "lambda": diagnostics.format_parameter(lam),
+        "cocharacter": torus_chambers.format_cocharacter(nu),
+        "denominator": diagnostics.format_denominator(block.denominator),
+        "kind": block.kind,
+        "labels": (
+            None
+            if block.labels is None
+            else [format_multipartition(s) for s in block.labels]
+        ),
+        "labels_ordered": block.labels_ordered,
+        "finite_dim_label": (
+            None
+            if block.finite_dim_label is None
+            else format_multipartition(block.finite_dim_label)
+        ),
+        "finite_dim_candidates": (
+            None
+            if block.finite_dim_candidates is None
+            else [format_partition(p) for p in block.finite_dim_candidates]
+        ),
+        "note": block.note,
+        "hypothesis": (
+            "block classification for generic one-parameter subgroups and "
+            "non-integral parameters"
+        ),
+    }
 
 
-def _cmd_ideal_lattice(args) -> int:
+def _cmd_ideal_lattice(args) -> dict:
     k = args.k
     op = args.op
     payload: dict = {"k": k, "op": op}
 
     def need(name: str, value):
         if value is None:
-            raise _UsageError(f"--{name} is required for op {op!r}")
+            raise ValueError(f"--{name} is required for op {op!r}")
         return value
 
     il = ideal_lattice
@@ -242,11 +211,10 @@ def _cmd_ideal_lattice(args) -> int:
         "two-sided ideals of the k-fold tensor power correspond to "
         "antichains of subsets of {1..k}"
     )
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_leaves(args) -> int:
+def _cmd_leaves(args) -> dict:
     _check_nr(args.n, args.r)  # r < 2 lists no leaves, but is checked all the same
     payload: dict = {"n": args.n, "r": args.r}
     dim_kind = "unreduced" if args.unreduced else "reduced"
@@ -269,9 +237,7 @@ def _cmd_leaves(args) -> int:
         chain = ideal_lattice.ideal_chain(args.n, args.r, lam)
         payload["chain"] = {
             "lambda": diagnostics.format_parameter(lam),
-            "denominator": (
-                "infinite" if chain.denominator is None else chain.denominator
-            ),
+            "denominator": diagnostics.format_denominator(chain.denominator),
             "simple": chain.simple,
             "entries": [
                 {
@@ -286,11 +252,10 @@ def _cmd_leaves(args) -> int:
         "leaves are labeled by collections summing to at most n; the ideal "
         "chain has floor(n/m) members at finite homological dimension"
     )
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_model_block(args) -> int:
+def _cmd_model_block(args) -> dict:
     if args.N > MAX_REPORTED_VERTICES:
         raise ValueError(
             f"a report on N = {args.N} vertices is above "
@@ -312,8 +277,7 @@ def _cmd_model_block(args) -> int:
     payload["hypothesis"] = (
         "bound-quiver model of the unique nontrivial block at denominator n"
     )
-    _emit(payload)
-    return 0
+    return payload
 
 
 def _build_parser() -> _Parser:
@@ -411,10 +375,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # with indent, json.dump and json.dumps run the same pure-Python encoder:
+        # these are print(json.dumps(...))'s bytes, not held as one string
+        json.dump(args.func(args), sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+        return 0
     except RegimeError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
         return 2

@@ -72,6 +72,10 @@ def format_parameter(lam: Parameter) -> str:
     return "irrational" if isinstance(lam, _Irrational) else str(lam)
 
 
+def format_denominator(m: int | None) -> int | str:
+    return "infinite" if m is None else m
+
+
 def reduced_denominator(lam: Parameter) -> int | None:
     """Denominator of lam in lowest terms; None encodes +infinity."""
     if isinstance(lam, _Irrational):
@@ -179,15 +183,30 @@ class CartanSummand(NamedTuple):
     factors: tuple[CartanFactor, ...]
 
 
+# the most bytes a list of Cartan summands may print, counted as 240 bytes and
+# the longest shifted parameter for each of its C(n + r - 1, r - 1) x r
+# composition entries: no list passes the 2,218,560 B of `walls 304 20`
+MAX_CARTAN_BYTES = 2_000_000
+
+
 def cartan_decomposition(n: int, r: int, lam: Parameter) -> list[CartanSummand]:
     """Summands of the restricted Cartan subquotient, one per composition of n.
 
     The summand at (n_1, ..., n_r) is a tensor product of rank-one algebras of
     sizes n_i at shifted parameters lam + i - 1, the i-th factor absent when
-    n_i = 0.  Each factor records its own finite-dimensional-rep test.
+    n_i = 0.  Each factor records its own finite-dimensional-rep test.  The
+    printed size is checked against MAX_CARTAN_BYTES before any summand is built.
     """
     _check_nr(n, r)
     lam = as_parameter(lam)
+    # slot 1 or slot r prints the longest parameter, as |p + kq| is convex in k
+    size = r * (240 + max(len(format_parameter(_shift(lam, k))) for k in (0, r - 1)))
+    low = min(n, r - 1)  # C(n + r - 1, low) >= C(2 low, low) >= 2^low
+    if size * (math.comb(n + r - 1, low) if low < 32 else 2**32) > MAX_CARTAN_BYTES:
+        raise ValueError(
+            f"the Cartan summands at n = {n}, r = {r} would print more than "
+            f"MAX_CARTAN_BYTES = {MAX_CARTAN_BYTES} bytes"
+        )
     out = []
     for comp in enumerate_compositions(n, r):
         factors = tuple(
@@ -228,7 +247,7 @@ class DiagnosticsReport:
             "n": self.n,
             "r": self.r,
             "lambda": format_parameter(self.parameter),
-            "denominator": "infinite" if self.denominator is None else self.denominator,
+            "denominator": format_denominator(self.denominator),
             "finite_global_dim": self.finite_global_dim,
             "abelian_localization_det": self.abelian_localization_det,
             "abelian_localization_det_inv": self.abelian_localization_det_inv,

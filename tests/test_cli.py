@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from gieseker import category_o
-from gieseker.cli import main
+from gieseker import category_o, partitions
+from gieseker.cli import _build_parser, main
 
 
 def run(argv):
@@ -155,6 +155,66 @@ def test_model_block_reports_above_the_named_limit_exit_one(monkeypatch):
             code, out, err = run(["model-block", n, *flags])
             assert (code, out) == (1, "")
             assert err == f"error: a report on N = {n} vertices is above MAX_REPORTED_VERTICES = 223\n"
+
+
+def test_cartan_lists_above_the_named_limit_exit_one():
+    # diagnose 200 3 printed 9.7 MB and diagnose 1 200 480 KB; the limit is
+    # checked before any composition is enumerated and cached
+    cached = partitions._compositions.cache_info().currsize
+    for n, r in (("200", "3"), ("2", "2000"), ("1", "200"), ("100", "10"),
+                 ("99999999999", "99999999999"), ("2", str(10**20))):
+        code, out, err = run(["diagnose", n, r, "1/2", "--cartan"])
+        assert (code, out) == (1, "")
+        assert err == (f"error: the Cartan summands at n = {n}, r = {r} would print "
+                       "more than MAX_CARTAN_BYTES = 2000000 bytes\n"), err
+    assert partitions._compositions.cache_info().currsize == cached
+
+
+def test_largest_cartan_list_prints_less_than_the_largest_wall_list():
+    # the largest n accepted at each r, the last with a parameter of 4,000
+    # digits, which every factor prints: each prints 0.1-2.0 MB, under the
+    # 2,218,560 B of walls 304 20, and n + 1 is refused
+    walls = len(run(["walls", "304", "20"])[1].encode())
+    long = "-1" + "0" * 3998 + "1/3"
+    for n, r, lam in ((4114, 2, "1/2"), (72, 3, "1/2"), (21, 4, "1/2"), (4, 10, "1/2"),
+                      (1, 90, "1/2"), (234, 2, long)):
+        code, out, _ = run(["diagnose", str(n), str(r), lam, "--cartan"])
+        summands = json.loads(out)["cartan_summands"]
+        assert code == 0 and len(summands) == len(partitions.enumerate_compositions(n, r))
+        assert len(out.encode()) < walls, (n, r, len(out.encode()), walls)
+        code, out, err = run(["diagnose", str(n + 1), str(r), lam, "--cartan"])
+        assert (code, out) == (1, "") and err.endswith(" MAX_CARTAN_BYTES = 2000000 bytes\n")
+
+
+def _spread(n, r):
+    # a dominant cocharacter of rank r, generic at n
+    return ",".join(str((r - i) * 2 * (n + 1)) for i in range(r)) + ";1"
+
+
+def test_hooks_blocks_above_the_named_limit_exit_one(monkeypatch):
+    # block 2000 1 1/2000 printed 4,021,290 B, and block 2 1000 1/2 4.0 MB:
+    # the limit is checked before any hook is built
+    def no_hooks(*args):
+        raise AssertionError("a hook was built")
+
+    monkeypatch.setattr(category_o, "hooks", no_hooks)
+    for n, r, nu, bound in ((2000, 1, "0;1", 4022000), (2, 1000, _spread(2, 1000), 4016000)):
+        code, out, err = run(["block", str(n), str(r), f"1/{n}", "--nu", nu])
+        assert (code, out) == (1, "")
+        assert err == (f"error: the {r * n} hooks at n = {n}, r = {r} would print up to "
+                       f"{bound} bytes, above MAX_HOOKS_BYTES = 2000000\n"), err
+
+
+def test_largest_hooks_block_prints_less_than_the_largest_wall_list():
+    # the largest n accepted at each r prints 1.85-2.00 MB, under the
+    # 2,218,560 B of walls 304 20, and n + 1 is refused
+    walls = len(run(["walls", "304", "20"])[1].encode())
+    for n, r in ((1408, 1), (993, 2), (432, 10), (10, 300)):
+        code, out, _ = run(["block", str(n), str(r), f"1/{n}", "--nu", _spread(n, r)])
+        assert code == 0 and len(json.loads(out)["labels"]) == r * n
+        assert len(out.encode()) < walls, (n, r, len(out.encode()), walls)
+        code, out, err = run(["block", str(n + 1), str(r), f"1/{n + 1}", "--nu", _spread(n + 1, r)])
+        assert (code, out) == (1, "") and err.endswith(" above MAX_HOOKS_BYTES = 2000000\n")
 
 
 def test_largest_pinned_wall_list_is_printed_without_its_walls():
@@ -363,6 +423,8 @@ def test_json_keys_sorted():
 
 
 def test_every_payload_names_its_hypothesis():
+    # and main alone writes it: a subcommand's handler returns its report and
+    # writes nothing, and main prints that report as JSON
     for argv in (
         ["diagnose", "2", "1", "1/2"],
         ["walls", "2", "2"],
@@ -374,8 +436,13 @@ def test_every_payload_names_its_hypothesis():
         ["leaves", "2", "2"],
         ["model-block", "2"],
     ):
-        payload = run_json(argv)
-        assert payload.get("hypothesis"), argv
+        args = _build_parser().parse_args(argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            payload = args.func(args)
+        assert (out.getvalue(), err.getvalue()) == ("", ""), argv
+        assert isinstance(payload, dict) and payload.get("hypothesis"), argv
+        assert run(argv) == (0, json.dumps(payload, sort_keys=True, indent=2) + "\n", ""), argv
 
 
 # ------------------------------------------------------------ pinned bytes
